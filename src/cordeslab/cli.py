@@ -19,13 +19,14 @@ import numpy as np
 
 from .conditions import full_report
 from .config import ConfigError, RunConfig
+from .expr import ExprEvalError
 from .fields import decompose, sample_set
 from .grid import GridFunction
 from .solver import (BackwardProblem, apriori_ratio, fixed_point_solve,
                      solve_backward, solve_forward_adjoint, SolverError)
-from .stochastic import (SDE, characteristic_functional, density_compare,
-                         feynman_kac, max_principle_check, simulate_paths,
-                         verify_pairing)
+from .stochastic import (SDE, _characteristic_mc, characteristic_functional,
+                         density_compare, feynman_kac, max_principle_check,
+                         simulate_paths, verify_pairing)
 
 __all__ = ["main"]
 
@@ -266,13 +267,13 @@ def cmd_characteristic(cfg: RunConfig) -> int:
     grid = cfg.make_grid()
     panel = _read_panel(cfg.char_panel, cfg.field.n)
     sampler = cfg.make_sampler()
-    sde = SDE(cfg.field, grid)
+    # every panel function pairs with the same ensemble; simulate it once
+    ens = simulate_paths(SDE(cfg.field, grid), sampler, cfg.mc_dt, cfg.mc_M,
+                         cfg.mc_seed, record="all")
     rows = []
     ok = True
     for fid, times, values in panel:
-        mc = characteristic_functional(times, values, "mc", sde=sde,
-                                       sampler=sampler, dt=cfg.mc_dt,
-                                       M=cfg.mc_M, master_seed=cfg.mc_seed)
+        mc = _characteristic_mc(ens, times, values)
         pde = characteristic_functional(times, values, "pde", grid=grid,
                                         sampler=sampler, field=cfg.field,
                                         theta=cfg.theta)
@@ -316,7 +317,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
         if name == "solve":
             p.add_argument("--proof-mirror", action="store_true")
     args = parser.parse_args(argv)
@@ -324,8 +324,6 @@ def main(argv=None) -> int:
     overrides: dict = {}
     if args.seed is not None:
         overrides["mc.seed"] = args.seed
-    if args.threads is not None:
-        overrides["threads"] = args.threads
     try:
         cfg = RunConfig.load(args.config, overrides)
         if args.out is not None:
@@ -340,7 +338,8 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg)
         return cmd_characteristic(cfg)
-    except (ConfigError, OSError, KeyError, ValueError, SolverError) as err:
+    except (ConfigError, OSError, KeyError, ValueError, SolverError,
+            ExprEvalError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

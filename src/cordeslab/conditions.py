@@ -39,6 +39,7 @@ STRICT_TOL = 1e-10
 GAMMA_MIN = 1e-6
 GAMMA_MAX = 2.0 - 1e-6
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_AUDIT_CHUNK = 1024  # gamma rows per batch; a batch holds rows x samples floats
 
 CLASSICAL = ("cordes", "talenti", "landis", "gihman_skorohod")
 
@@ -124,15 +125,12 @@ def _unique_b_bar(decomp: Decomposition, samples: SampleSet) -> np.ndarray:
 
 
 def _eigen_of_b(field: CoefficientField, samples: SampleSet) -> np.ndarray:
-    def build():
-        uniq = _unique_b(field, samples)
-        return np.stack([symmetric_eigenvalues(m) for m in uniq], axis=0)
-    return _memoized(samples, "eig_b", field, build)
+    return _memoized(samples, "eig_b", field,
+                     lambda: symmetric_eigenvalues(_unique_b(field, samples)))
 
 
 def _eigen_table(mats: np.ndarray) -> np.ndarray:
-    uniq = _unique_matrices(mats)
-    return np.stack([symmetric_eigenvalues(m) for m in uniq], axis=0)
+    return symmetric_eigenvalues(_unique_matrices(mats))
 
 
 # ----------------------------------------------------------------------------
@@ -284,8 +282,8 @@ def optimize_gamma(decomp: Decomposition, samples: SampleSet | None = None,
 
 def _value_batch(A, C, gammas: np.ndarray) -> np.ndarray:
     """Vectorized ``nu_hat`` over a (G, m) batch of gamma vectors."""
-    inner = A[None, :, :] + (gammas / (2.0 - gammas))[:, None, :] * C[None, :, :]
-    return np.sum(0.5 / gammas, axis=1) * inner.sum(axis=2).max(axis=1)
+    inner = A.sum(axis=1)[None, :] + (gammas / (2.0 - gammas)) @ C.T
+    return np.sum(0.5 / gammas, axis=1) * inner.max(axis=1)
 
 
 def _audit_lattice(A, C, lattice, m, center):
@@ -301,8 +299,8 @@ def _audit_lattice(A, C, lattice, m, center):
             combos.append(block)
         combos = np.concatenate([np.atleast_2d(c) for c in combos], axis=0)
     best_v, best_g = np.inf, center
-    for start in range(0, len(combos), 20000):
-        chunk = combos[start:start + 20000]
+    for start in range(0, len(combos), _AUDIT_CHUNK):
+        chunk = combos[start:start + _AUDIT_CHUNK]
         vals = _value_batch(A, C, chunk)
         i = int(np.argmin(vals))
         if vals[i] < best_v:

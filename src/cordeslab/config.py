@@ -162,7 +162,6 @@ class RunConfig:
     char_panel: Path | None = None
     char_allowance: float = 3e-2
     out_dir: Path = Path("out")
-    threads: int | None = None
     dump_paths: bool = False
 
     @staticmethod
@@ -267,8 +266,6 @@ class RunConfig:
         cfg.char_allowance = float(kv.get("characteristic.allowance", 3e-2))
         if "out.dir" in kv:
             cfg.out_dir = base_dir / str(kv["out.dir"])
-        if "threads" in kv:
-            cfg.threads = int(kv["threads"])
         return cfg
 
     def make_sampler(self):

@@ -17,7 +17,6 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .expr import Expr, Num, parse_expression
 from .linalg import symmetric_sqrt
@@ -577,8 +576,11 @@ class MollifiedField:
     r: float
 
 
-def _bump_kernel(eps: float, spacing, n: int) -> np.ndarray:
-    """Polynomial bump (1 - |u|^2/eps^2)^3 on |u| <= eps, lattice-normalized."""
+def _bump_kernel(eps: float, spacing):
+    """Polynomial bump (1 - |u|^2/eps^2)^3 on |u| <= eps, lattice-normalized.
+
+    Returns the tap offsets ``(taps, n)`` and their weights ``(taps,)``.
+    """
     taps = [np.arange(-int(np.floor(eps / s)), int(np.floor(eps / s)) + 1) * s
             for s in spacing]
     mesh = np.meshgrid(*taps, indexing="ij")
@@ -587,22 +589,11 @@ def _bump_kernel(eps: float, spacing, n: int) -> np.ndarray:
     total = w.sum()
     if total <= 0:
         raise ValueError("mollification radius is below the lattice resolution")
-    return w / total
+    return np.stack([m.ravel() for m in mesh], axis=-1), (w / total).ravel()
 
 
 def _axis_cap(n: int) -> int:
     return {1: 321, 2: 121, 3: 41}.get(n, 17)
-
-
-def _smooth_entry(entry, box: Box, axes, pad_counts, spacing, kernel,
-                  t: float) -> np.ndarray:
-    padded_axes = [np.concatenate([ax[0] - s * np.arange(p, 0, -1), ax,
-                                   ax[-1] + s * np.arange(1, p + 1)])
-                   for ax, p, s in zip(axes, pad_counts, spacing)]
-    mesh = np.meshgrid(*padded_axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    vals = entry.eval_raw(pts, t).reshape(mesh[0].shape)
-    return fftconvolve(vals, kernel, mode="valid")
 
 
 def _grad_sq(arr: np.ndarray, spacing) -> np.ndarray:
@@ -627,12 +618,9 @@ def mollify(source, eps: float, box: Box | None = None,
     if eps <= 0:
         raise ValueError("mollification radius must be positive")
     if isinstance(source, Decomposition):
-        decomp, field = source, source.field
-        b_src = source.b_bar
+        field, b_src = source.field, source.b_bar
     else:
-        field = source
-        b_src = field.b
-        decomp = Decomposition(field, b_src, ())
+        field, b_src = source, source.b
     n = field.n
     if box is None:
         box = field.sampling_box()
@@ -642,8 +630,6 @@ def mollify(source, eps: float, box: Box | None = None,
         count = min(cap, max(9, int(np.ceil(4 * side / eps)) + 1))
         axes.append(np.linspace(lo, hi, count))
         spacing.append(axes[-1][1] - axes[-1][0])
-    kernel = _bump_kernel(eps, spacing, n)
-    pad_counts = [(k - 1) // 2 for k in kernel.shape]
     if time_slices == 1:
         times = np.array([0.5 * field.T])
     else:
@@ -661,14 +647,16 @@ def mollify(source, eps: float, box: Box | None = None,
     lam_eps = np.empty((nt,) + gshape, dtype=complex)
     nu_b = nu_bb = nu_fb = nu_lb = 0.0
     f_lp = lam_lp = 0.0
+
+    def smooth(entry, at, t):
+        return _point_smooth(entry, at, eps, spacing, t)
+
     for k, t in enumerate(times):
         b_bar_vals = _matrix_eval(b_src, pts, t).reshape(gshape + (n, n))
         for i in range(n):
             for j in range(i, n):
-                sm = _smooth_entry(b_src[i][j], box, axes, pad_counts,
-                                   spacing, kernel, t)
-                b_eps[k, i, j] = sm
-                b_eps[k, j, i] = sm
+                b_eps[k, i, j] = b_eps[k, j, i] = \
+                    smooth(b_src[i][j], pts, t).reshape(gshape)
         diff = b_eps[k] - np.moveaxis(b_bar_vals, (-2, -1), (0, 1))
         nu_b = max(nu_b, float(np.sqrt((diff ** 2).sum(axis=(0, 1))).max()))
         gsq = np.zeros(gshape)
@@ -680,26 +668,22 @@ def mollify(source, eps: float, box: Box | None = None,
         f_vals = field.eval_f(pts, t, masked=False).reshape(gshape + (n,))
         gsq = np.zeros(gshape)
         for i in range(n):
-            f_eps[k, i] = _smooth_entry(field.f[i], box, axes, pad_counts,
-                                        spacing, kernel, t)
+            f_eps[k, i] = smooth(field.f[i], pts, t).reshape(gshape)
             gsq += _grad_sq(f_eps[k, i], spacing)
         fdiff = np.sqrt(((f_eps[k] - np.moveaxis(f_vals, -1, 0)) ** 2).sum(axis=0))
         f_lp += float(np.sum(fdiff ** n) * cellvol * dt)
         nu_fb = max(nu_fb, float(np.sqrt(gsq).max()))
 
         lam_vals = field.eval_lambda(pts, t, masked=False).reshape(gshape)
-        lam_eps[k] = (_smooth_entry(field.lam_re, box, axes, pad_counts,
-                                    spacing, kernel, t)
-                      + 1j * _smooth_entry(field.lam_im, box, axes, pad_counts,
-                                           spacing, kernel, t))
+        lam_eps[k] = (smooth(field.lam_re, pts, t)
+                      + 1j * smooth(field.lam_im, pts, t)).reshape(gshape)
         ldiff = np.abs(lam_eps[k] - lam_vals)
         lam_lp += float(np.sum(ldiff ** r) * cellvol * dt)
         nu_lb = max(nu_lb, float(np.sqrt(_grad_sq(lam_eps[k].real, spacing)
                                          + _grad_sq(lam_eps[k].imag, spacing)).max()))
 
     # Q\Q1 sup contribution when the smoothing box is a proper sub-domain
-    f_sup_out, lam_sup_out = _outside_sup(field, box, kernel, pad_counts,
-                                          spacing, axes, times, f_eps, lam_eps)
+    f_sup_out, lam_sup_out = _outside_sup(field, box, times, smooth)
     moduli = {
         "nu_b": nu_b,
         "nu_b_bar": nu_bb,
@@ -712,9 +696,9 @@ def mollify(source, eps: float, box: Box | None = None,
                           lam_eps, moduli, r)
 
 
-def _outside_sup(field, box, kernel, pad_counts, spacing, axes, times,
-                 f_eps, lam_eps):
-    """Sup of the smoothing error over the part of D outside the box."""
+def _outside_sup(field, box, times, smooth):
+    """Sup of the smoothing error over the part of D outside the box;
+    ``smooth(entry, points, t)`` is the smoother used inside it."""
     dom = field.domain
     if dom is None or (tuple(dom.lo) == tuple(box.lo)
                        and tuple(dom.hi) == tuple(box.hi)):
@@ -729,28 +713,27 @@ def _outside_sup(field, box, kernel, pad_counts, spacing, axes, times,
     f_sup = lam_sup = 0.0
     for t in times:
         f_raw = field.eval_f(pts, t, masked=False)
-        f_sm = np.stack(
-            [_point_smooth(field.f[i], pts, kernel, pad_counts, spacing, t)
-             for i in range(field.n)], axis=-1)
+        f_sm = np.stack([smooth(fi, pts, t) for fi in field.f], axis=-1)
         f_sup = max(f_sup, float(np.sqrt(((f_sm - f_raw) ** 2).sum(-1)).max()))
         l_raw = field.eval_lambda(pts, t, masked=False)
-        l_sm = (_point_smooth(field.lam_re, pts, kernel, pad_counts, spacing, t)
-                + 1j * _point_smooth(field.lam_im, pts, kernel, pad_counts,
-                                     spacing, t))
+        l_sm = smooth(field.lam_re, pts, t) + 1j * smooth(field.lam_im, pts, t)
         lam_sup = max(lam_sup, float(np.abs(l_sm - l_raw).max()))
     return f_sup, lam_sup
 
 
-def _point_smooth(entry, pts: np.ndarray, kernel: np.ndarray, pad_counts,
-                  spacing, t: float) -> np.ndarray:
-    """Kernel-weighted average of an entry at arbitrary points."""
-    taps = [np.arange(-p, p + 1) * s for p, s in zip(pad_counts, spacing)]
-    mesh = np.meshgrid(*taps, indexing="ij")
-    offsets = np.stack([m.ravel() for m in mesh], axis=-1)
-    w = kernel.ravel()
-    shifted = pts[:, None, :] + offsets[None, :, :]
-    vals = entry.eval_raw(shifted.reshape(-1, pts.shape[1]), t)
-    return vals.reshape(pts.shape[0], -1) @ w
+def _point_smooth(entry, pts: np.ndarray, eps: float, spacing,
+                  t: float) -> np.ndarray:
+    """Bump-kernel average of an entry at arbitrary points, with kernel
+    taps on a lattice of the given spacing.
+
+    Evaluates the entry once per non-zero tap on the shifted points, so
+    the working set stays at a few arrays of ``len(pts)`` values.
+    """
+    offsets, w = _bump_kernel(eps, spacing)
+    out = np.zeros(pts.shape[0])
+    for k in np.flatnonzero(w):
+        out += w[k] * entry.eval_raw(pts + offsets[k], t)
+    return out
 
 
 def smooth_at_points(entry, pts: np.ndarray, eps: float, t: float,
@@ -760,11 +743,8 @@ def smooth_at_points(entry, pts: np.ndarray, eps: float, t: float,
     Constants are exact fixed points; the quadrature lattice carries
     ``taps_per_radius`` taps per kernel radius in each direction.
     """
-    n = pts.shape[1]
-    spacing = [eps / taps_per_radius] * n
-    kernel = _bump_kernel(eps, spacing, n)
-    pad_counts = [(k - 1) // 2 for k in kernel.shape]
-    return _point_smooth(entry, pts, kernel, pad_counts, spacing, t)
+    spacing = [eps / taps_per_radius] * pts.shape[1]
+    return _point_smooth(entry, pts, eps, spacing, t)
 
 
 # ----------------------------------------------------------------------------

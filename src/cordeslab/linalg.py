@@ -1,80 +1,40 @@
 """Dense symmetric eigenvalue routines for small coefficient matrices.
 
-Cyclic Jacobi rotations; matrices here are n x n with n rarely above 5,
-so the quadratic sweep cost is irrelevant and the semantics stay fully
-under our control.
+Thin checked wrappers over LAPACK (``numpy.linalg.eigvalsh``/``eigh``);
+each accepts one ``n x n`` matrix or a stack ``(..., n, n)`` and
+decomposes the whole stack in one batched call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["jacobi_eigensystem", "symmetric_eigenvalues", "symmetric_sqrt"]
-
-_OFF_TOL = 1e-12
+__all__ = ["symmetric_eigenvalues", "symmetric_sqrt"]
 
 
 def _check_symmetric(m: np.ndarray) -> np.ndarray:
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    scale = max(1.0, float(np.abs(a).max()))
-    if np.abs(a - a.T).max() > 1e-12 * scale:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError("expected a square matrix or a stack of them")
+    at = np.swapaxes(a, -1, -2)
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    if np.any(np.abs(a - at).max(axis=(-2, -1)) > 1e-12 * scale):
         raise ValueError("asymmetric input")
-    return 0.5 * (a + a.T)
-
-
-def jacobi_eigensystem(m: np.ndarray, tol: float = _OFF_TOL):
-    """Eigenvalues (ascending) and eigenvectors of a symmetric matrix.
-
-    Sweeps Jacobi rotations until the off-diagonal Frobenius norm drops
-    below ``tol`` relative to the matrix scale.  Returns ``(values,
-    vectors)`` with eigenvectors in the columns of ``vectors``.
-    """
-    a = _check_symmetric(m)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), v
-    scale = max(1.0, float(np.linalg.norm(a)))
-    mask = ~np.eye(n, dtype=bool)
-    for _ in range(100):
-        off = float(np.linalg.norm(a[mask]))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-30 * scale:
-                    continue
-                theta = 0.5 * np.arctan2(2.0 * apq, a[q, q] - a[p, p])
-                c, s = np.cos(theta), np.sin(theta)
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                a[p, q] = a[q, p] = 0.0
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-    vals = a.diagonal().copy()
-    order = np.argsort(vals, kind="stable")
-    return vals[order], v[:, order]
+    return 0.5 * (a + at)
 
 
 def symmetric_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix (raises on asymmetry)."""
-    vals, _ = jacobi_eigensystem(m)
-    return vals
+    """Ascending eigenvalues of a symmetric matrix, or of each matrix in a
+    stack (raises on asymmetry)."""
+    return np.linalg.eigvalsh(_check_symmetric(m))
 
 
 def symmetric_sqrt(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Symmetric square root of a positive semidefinite matrix."""
-    vals, vecs = jacobi_eigensystem(m)
-    scale = max(1.0, float(np.abs(vals).max()))
-    if vals.min() < -tol * scale:
+    """Symmetric square root of a positive semidefinite matrix, or of each
+    matrix in a stack."""
+    vals, vecs = np.linalg.eigh(_check_symmetric(m))
+    scale = np.maximum(1.0, np.abs(vals).max(axis=-1))
+    if np.any(vals.min(axis=-1) < -tol * scale):
         raise ValueError("matrix is not positive semidefinite")
     root = np.sqrt(np.clip(vals, 0.0, None))
-    return (vecs * root) @ vecs.T
+    return (vecs * root[..., None, :]) @ np.swapaxes(vecs, -1, -2)

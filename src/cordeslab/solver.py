@@ -50,13 +50,39 @@ class SolverError(RuntimeError):
 # problem data
 
 
+def _real_if_possible(values) -> np.ndarray:
+    """``values`` as a real array when their imaginary parts all vanish."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values) and not np.abs(values.imag).any():
+        return values.real
+    return values
+
+
+def _eval_points(spec, pts: np.ndarray, t: float, terminal: bool = False):
+    """Evaluate a source, rate or terminal spec at arbitrary points.
+
+    The one convention for callables: sources and rates are called as
+    ``spec(points, t)``, terminal data as ``spec(points)``.  Objects with
+    ``eval_raw`` are evaluated at ``(points, t)``; ``(re, im)`` pairs of
+    either combine into complex values.
+    """
+    if isinstance(spec, tuple) and len(spec) == 2:
+        return (_eval_points(spec[0], pts, t, terminal)
+                + 1j * _eval_points(spec[1], pts, t, terminal))
+    if hasattr(spec, "eval_raw"):
+        return spec.eval_raw(pts, t)
+    if callable(spec):
+        return spec(pts) if terminal else spec(pts, t)
+    raise TypeError(f"cannot interpret source spec {spec!r}")
+
+
 def _eval_space_fn(spec, grid: Grid, t: float | None):
     """Evaluate a source/terminal spec on the interior nodes.
 
-    Accepts ``None`` (zero), scalar-field-like objects with ``eval_raw``,
-    callables ``f(points[, t])``, space-time blocks ``(nt+1, *m)`` (sliced
-    at the nearest time level), single-slice arrays, and ``(re, im)``
-    pairs of any of these.
+    ``t=None`` asks for terminal data.  Accepts ``None`` (zero), the specs
+    of ``_eval_points``, space-time blocks ``(nt+1, *m)`` (sliced at the
+    nearest time level), single-slice arrays, and ``(re, im)`` pairs of
+    any of these.
     """
     if spec is None:
         return np.zeros(grid.shape)
@@ -76,14 +102,9 @@ def _eval_space_fn(spec, grid: Grid, t: float | None):
             return spec[k]
         raise ValueError(f"array source of shape {spec.shape} does not fit "
                          f"the grid")
-    pts = grid.nodes()
-    if hasattr(spec, "eval_raw"):
-        # terminal data (t is None) live at the horizon
-        vals = spec.eval_raw(pts, grid.T if t is None else t)
-    elif callable(spec):
-        vals = spec(pts) if t is None else spec(pts, t)
-    else:
-        raise TypeError(f"cannot interpret source spec {spec!r}")
+    # terminal data (t is None) live at the horizon
+    vals = _eval_points(spec, grid.nodes(), grid.T if t is None else t,
+                        terminal=t is None)
     return np.asarray(vals).reshape(grid.shape)
 
 
@@ -91,10 +112,13 @@ def _eval_space_fn(spec, grid: Grid, t: float | None):
 class BackwardProblem:
     """Data of one terminal-value problem on a coefficient field.
 
-    ``phi`` and ``Phi`` follow the conventions of ``_eval_space_fn``;
-    ``lambda_override`` (same conventions, complex allowed) replaces the
-    field's zero-order coefficient, which the characteristic-functional
-    route uses to inject a purely imaginary rate.
+    ``phi`` and ``Phi`` follow the conventions of ``_eval_space_fn``:
+    callables are ``phi(points, t)`` and ``Phi(points)``;
+    ``lambda_override`` (same conventions as ``phi``, complex allowed)
+    replaces the field's zero-order coefficient, which the
+    characteristic-functional route uses to inject a purely imaginary
+    rate.  Whether the solve runs in complex arithmetic is decided by the
+    march from the values it evaluates.
     """
 
     field: CoefficientField
@@ -113,24 +137,6 @@ class BackwardProblem:
             vals = _eval_space_fn(self.lambda_override, grid, t)
             return np.asarray(vals, dtype=complex).ravel()
         return self.field.eval_lambda(grid.nodes(), t, masked=False)
-
-    def is_complex(self, grid: Grid) -> bool:
-        if not self.field.lambda_is_real:
-            return True
-        if self.Phi is not None:
-            val = _eval_space_fn(self.Phi, grid, None)
-            if np.iscomplexobj(val) and np.abs(val.imag).max() > 0:
-                return True
-        # sources and rate overrides may be real at some instants (for
-        # example a ramped panel), so probe every time level
-        for probe in (self.phi, self.lambda_override):
-            if probe is None:
-                continue
-            for t in grid.times():
-                val = _eval_space_fn(probe, grid, t)
-                if np.iscomplexobj(val) and np.abs(val.imag).max() > 0:
-                    return True
-        return False
 
     @property
     def operator_time_dependent(self) -> bool:
@@ -202,18 +208,16 @@ class _MollifiedCoefficients:
         if key not in self._cache:
             nodes = self.grid.nodes()
             n = self.grid.n
+            fld = self.decomp.field
+
+            def smooth(entry):
+                return smooth_at_points(entry, nodes, self.eps, t)
             b = np.empty((len(nodes), n, n))
             for i in range(n):
                 for j in range(i, n):
-                    b[:, i, j] = smooth_at_points(self.decomp.b_bar[i][j],
-                                                  nodes, self.eps, t)
-                    b[:, j, i] = b[:, i, j]
-            f = np.stack([smooth_at_points(self.decomp.field.f[i], nodes,
-                                           self.eps, t)
-                          for i in range(n)], axis=-1)
-            lam = (smooth_at_points(self.decomp.field.lam_re, nodes, self.eps, t)
-                   + 1j * smooth_at_points(self.decomp.field.lam_im, nodes,
-                                           self.eps, t))
+                    b[:, i, j] = b[:, j, i] = smooth(self.decomp.b_bar[i][j])
+            f = np.stack([smooth(fi) for fi in fld.f], axis=-1)
+            lam = smooth(fld.lam_re) + 1j * smooth(fld.lam_im)
             self._cache[key] = (b, f, lam)
         return self._cache[key]
 
@@ -270,15 +274,21 @@ def _assemble_from_arrays(grid: Grid, b_arr, f_arr, lam_arr,
     return sparse.csr_matrix((data, (rows, cols)), shape=(N, N))
 
 
+def _step_matrices(A: sparse.csr_matrix, dt: float, theta: float):
+    """``B = I - theta dt A`` and ``C = I + (1-theta) dt A`` (``None`` for
+    the implicit scheme, where ``C`` is the identity)."""
+    eye = sparse.identity(A.shape[0], dtype=A.dtype, format="csr")
+    B = (eye - theta * dt * A).tocsr()
+    C = (eye + (1.0 - theta) * dt * A).tocsr() if theta < 1.0 else None
+    return B, C
+
+
 def assemble_operator(problem: BackwardProblem, grid: Grid,
                       t: float) -> sparse.csr_matrix:
     """Sparse discretization of the spatial operator at time ``t``."""
-    provider = _FieldCoefficients(problem, grid)
-    b, f, lam = provider.at(t)
-    dtype = complex if np.abs(lam.imag).max() > 0 else float
-    if dtype is float:
-        lam = lam.real
-    return _assemble_from_arrays(grid, b, f, lam, dtype)
+    b, f, lam = _FieldCoefficients(problem, grid).at(t)
+    lam = _real_if_possible(lam)
+    return _assemble_from_arrays(grid, b, f, lam, lam.dtype)
 
 
 def assemble_step(problem: BackwardProblem, grid: Grid, t: float,
@@ -292,9 +302,9 @@ def assemble_step(problem: BackwardProblem, grid: Grid, t: float,
     dt = grid.dt
     t_eval = t + (1.0 - theta) * dt
     A = assemble_operator(problem, grid, t_eval)
-    eye = sparse.identity(grid.size, dtype=A.dtype, format="csr")
-    B = (eye - theta * dt * A).tocsr()
-    C = (eye + (1.0 - theta) * dt * A).tocsr()
+    B, C = _step_matrices(A, dt, theta)
+    if C is None:
+        C = sparse.identity(grid.size, dtype=A.dtype, format="csr")
     phi_bar = problem.eval_phi(grid, t_eval)
     return B, C, phi_bar
 
@@ -367,9 +377,14 @@ class _StepSolver:
 
 
 class _Stepper:
-    """Prepared marching machinery for one (grid, theta, coefficients)."""
+    """Prepared marching machinery for one (grid, theta, coefficients).
 
-    def __init__(self, grid: Grid, theta: float, provider, dtype):
+    Arithmetic starts in ``dtype`` and switches to complex once, the first
+    time a rate, a source slice or the terminal datum that the march
+    evaluates carries an imaginary part.
+    """
+
+    def __init__(self, grid: Grid, theta: float, provider, dtype=float):
         _check_theta(theta)
         self.grid = grid
         self.theta = theta
@@ -380,20 +395,23 @@ class _Stepper:
     def t_eval(self, k: int) -> float:
         return (k + 1.0 - self.theta) * self.grid.dt
 
+    def _admit(self, values) -> np.ndarray:
+        """``values`` in the march's arithmetic; switches it to complex
+        (dropping the real step systems) when they have imaginary parts."""
+        values = _real_if_possible(values)
+        if self.dtype is float and np.iscomplexobj(values):
+            self.dtype = complex
+            self._cache.clear()
+        return values
+
     def system(self, k: int):
         static = not self.provider.time_dependent
         key = 0 if static else k
         if key not in self._cache:
             b, f, lam = self.provider.at(self.t_eval(k))
-            if self.dtype is float:
-                lam = lam.real
+            lam = self._admit(lam)
             A = _assemble_from_arrays(self.grid, b, f, lam, self.dtype)
-            dt = self.grid.dt
-            eye = sparse.identity(self.grid.size, dtype=self.dtype, format="csr")
-            B = (eye - self.theta * dt * A).tocsr()
-            C = None
-            if self.theta < 1.0:
-                C = (eye + (1.0 - self.theta) * dt * A).tocsr()
+            B, C = _step_matrices(A, self.grid.dt, self.theta)
             reuse = static and self.grid.nt > 2
             self._cache[key] = (_StepSolver(B, reuse), C)
         return self._cache[key]
@@ -401,24 +419,30 @@ class _Stepper:
     def run_backward(self, phi_fn, Phi_arr: np.ndarray) -> np.ndarray:
         grid = self.grid
         nt, dt = grid.nt, grid.dt
+        Phi_arr = self._admit(Phi_arr)
         v = np.zeros((nt + 1,) + grid.shape, dtype=self.dtype)
         v[nt] = Phi_arr
         for k in range(nt - 1, -1, -1):
+            src = None if phi_fn is None else \
+                self._admit(phi_fn(self.t_eval(k)))
             solver, C = self.system(k)
+            if v.dtype != self.dtype:
+                v = v.astype(self.dtype)
             rhs = v[k + 1].ravel() if C is None else C @ v[k + 1].ravel()
-            if phi_fn is not None:
-                rhs = rhs + dt * np.asarray(phi_fn(self.t_eval(k)),
-                                            dtype=self.dtype).ravel()
+            if src is not None:
+                rhs = rhs + dt * src.ravel()
             v[k] = solver.solve(rhs).reshape(grid.shape)
         return v
 
     def run_forward_adjoint(self, rho_arr: np.ndarray) -> np.ndarray:
         grid = self.grid
         nt = grid.nt
+        q = self._admit(rho_arr).ravel()
         p = np.zeros((nt + 1,) + grid.shape, dtype=self.dtype)
-        q = np.asarray(rho_arr, dtype=self.dtype).ravel()
         for k in range(nt):
             solver, C = self.system(k)
+            if p.dtype != self.dtype:
+                p = p.astype(self.dtype)
             p_hat = solver.solve_adjoint(q)
             p[k] = p_hat.reshape(grid.shape)
             q = p_hat if C is None else (C.getH() @ p_hat)
@@ -437,8 +461,7 @@ def solve_backward(problem: BackwardProblem, grid: Grid, theta: float = 1.0,
     automatically when the rate or the data have imaginary parts.
     """
     provider = coefficients or _FieldCoefficients(problem, grid)
-    dtype = complex if problem.is_complex(grid) else _real_or_complex(provider)
-    stepper = _Stepper(grid, theta, provider, dtype)
+    stepper = _Stepper(grid, theta, provider)
     v = stepper.run_backward(lambda t: problem.eval_phi(grid, t),
                              problem.eval_Phi(grid))
     gf = GridFunction(grid, v)
@@ -463,8 +486,7 @@ def solve_forward_adjoint(rho, problem: BackwardProblem, grid: Grid,
     if np.min(rho_arr.real) < -1e-12:
         warnings.warn("initial density has negative parts", RuntimeWarning)
     provider = coefficients or _FieldCoefficients(problem, grid)
-    dtype = complex if problem.is_complex(grid) else float
-    stepper = _Stepper(grid, theta, provider, dtype)
+    stepper = _Stepper(grid, theta, provider)
     p = stepper.run_forward_adjoint(rho_arr)
     gf = GridFunction(grid, p)
     return DiscreteSolution(gf, discrete_norms(gf), {"theta": theta})
@@ -481,9 +503,7 @@ def _difference_arrays(problem: BackwardProblem, moll: _MollifiedCoefficients,
     b_s, f_s, lam_s = moll.smooth_parts(t)
     db = fld.eval_b(nodes, t, masked=False) - b_s
     df = fld.eval_f(nodes, t, masked=False) - f_s
-    dl = fld.eval_lambda(nodes, t, masked=False) - lam_s
-    if np.abs(dl.imag).max() == 0.0:
-        dl = dl.real
+    dl = _real_if_possible(fld.eval_lambda(nodes, t, masked=False) - lam_s)
     return db, df, dl
 
 
@@ -565,10 +585,7 @@ def fixed_point_solve(problem: BackwardProblem, grid: Grid,
         raise SolverError(f"weight exponent K*T = {K * grid.T:.3g} would "
                           f"overflow; shorten the horizon or fix K")
 
-    provider = moll.shifted(K)
-    is_complex = problem.is_complex(grid)
-    stepper = _Stepper(grid, theta, provider,
-                       complex if is_complex else _real_or_complex(provider))
+    stepper = _Stepper(grid, theta, moll.shifted(K))
 
     def phi_weighted(t):
         return problem.eval_phi(grid, t) * np.exp(-K * (grid.T - t))
@@ -581,8 +598,9 @@ def fixed_point_solve(problem: BackwardProblem, grid: Grid,
     diffs = _StaticDiffs(problem, moll, grid, stepper)
     for _ in range(1, max_iter):
         g_block = diffs.apply(d, stepper)
-        d = stepper.run_backward(_BlockSource(g_block, grid), np.zeros(grid.shape))
-        u += d
+        d = stepper.run_backward(lambda t: _eval_space_fn(g_block, grid, t),
+                                 np.zeros(grid.shape))
+        u = u + d
         inc = discrete_norms(GridFunction(grid, d), weights).Yhat2
         increments.append(inc)
         scale = discrete_norms(GridFunction(grid, u), weights).Yhat2
@@ -601,8 +619,6 @@ def fixed_point_solve(problem: BackwardProblem, grid: Grid,
 
     tgrid = grid.times()
     v = u * np.exp(K * (grid.T - tgrid)).reshape((-1,) + (1,) * grid.n)
-    if not is_complex and np.iscomplexobj(v):
-        v = v.real
     gf = GridFunction(grid, v)
     solution = DiscreteSolution(gf, discrete_norms(gf, weights),
                                 {"theta": theta, "eps": eps, "K": K,
@@ -614,23 +630,6 @@ def fixed_point_solve(problem: BackwardProblem, grid: Grid,
     trace = FixedPointTrace(float(eps), K, increments, contraction,
                             bool(converged and auto_ok), agreement)
     return solution, trace
-
-
-def _real_or_complex(provider):
-    _, _, lam = provider.at(0.0)
-    return complex if np.abs(lam.imag).max() > 0 else float
-
-
-class _BlockSource:
-    """Space-time source sampled at the nearest step level."""
-
-    def __init__(self, block: np.ndarray, grid: Grid):
-        self.block = block
-        self.grid = grid
-
-    def __call__(self, t: float) -> np.ndarray:
-        k = min(self.grid.nt, max(0, int(np.floor(t / self.grid.dt + 0.5))))
-        return self.block[k]
 
 
 class _StaticDiffs:
@@ -693,8 +692,7 @@ def estimate_R_norm(problem: BackwardProblem, grid: Grid,
         weights = (NormWeights(decomp.index_set, gamma) if decomp.index_set
                    else NormWeights.default(grid.n))
     moll = _moll or _MollifiedCoefficients(decomp, grid, eps, K=0.0)
-    provider = moll.shifted(float(K))
-    stepper = _Stepper(grid, theta, provider, _real_or_complex(provider))
+    stepper = _Stepper(grid, theta, moll.shifted(float(K)))
     diffs = _StaticDiffs(problem, moll, grid, stepper)
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -703,7 +701,8 @@ def estimate_R_norm(problem: BackwardProblem, grid: Grid,
         norm_w = discrete_norms(GridFunction(grid, w), weights).Yhat2
         w /= max(norm_w, 1e-300)
         g = diffs.apply(w, stepper)
-        rw = stepper.run_backward(_BlockSource(g, grid), np.zeros(grid.shape))
+        rw = stepper.run_backward(lambda t: _eval_space_fn(g, grid, t),
+                                  np.zeros(grid.shape))
         worst = max(worst,
                     discrete_norms(GridFunction(grid, rw), weights).Yhat2)
     return float(worst)

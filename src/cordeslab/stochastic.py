@@ -20,7 +20,8 @@ from scipy.special import ndtr, ndtri
 from .fields import Box, CoefficientField, ConstField
 from .grid import Grid, GridFunction, pair
 from .linalg import symmetric_sqrt
-from .solver import BackwardProblem, DiscreteSolution, solve_backward
+from .solver import (BackwardProblem, DiscreteSolution, _eval_points,
+                     _real_if_possible, apriori_ratio, solve_backward)
 
 __all__ = [
     "SDE", "PathEnsemble", "Estimate",
@@ -162,8 +163,7 @@ class SDE:
         if key not in self._beta_cache:
             nodes = self.grid.nodes()
             b = self.field.eval_b(nodes, key, masked=False)
-            self._beta_cache[key] = np.stack(
-                [symmetric_sqrt(2.0 * b[i]) for i in range(len(nodes))])
+            self._beta_cache[key] = symmetric_sqrt(2.0 * b)
         roots = self._beta_cache[key]
         idx = np.zeros(len(y), dtype=np.int64)
         stride = 1
@@ -334,26 +334,11 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
 # estimators
 
 
-def _wants_time(spec) -> bool:
-    return callable(spec) and not hasattr(spec, "eval_raw") and \
-        getattr(spec, "__code__", None) is not None and \
-        spec.__code__.co_argcount >= 2
-
-
-def _spacetime_callable(spec):
-    """Normalize a functional spec to a callable ``f(points, t)``."""
-    if hasattr(spec, "eval_raw"):
-        return spec.eval_raw
-    if callable(spec):
-        if _wants_time(spec):
-            return spec
-        return lambda x, t: spec(x)
-    raise TypeError("path functionals need an evaluable (not array) spec")
-
-
 def feynman_kac(ensemble: PathEnsemble, phi=None, Phi=None) -> Estimate:
     """Sample mean of the path functional.
 
+    ``phi`` and ``Phi`` follow the solver's conventions (``phi(points,
+    t)``, ``Phi(points)``, or fields evaluated at ``(points, t)``).
     ``Phi`` is evaluated at surviving terminal points with the full
     discount; ``phi`` (needs a fully recorded ensemble) is integrated by
     the left rectangle rule along each living segment with the running
@@ -361,27 +346,25 @@ def feynman_kac(ensemble: PathEnsemble, phi=None, Phi=None) -> Estimate:
     """
     vals = np.zeros(ensemble.M, dtype=complex)
     if Phi is not None:
-        fn = _spacetime_callable(Phi)
         surv = ~ensemble.exited
         if surv.any():
             w = np.exp(-ensemble.discount[surv])
-            vals[surv] += fn(ensemble.final_y[surv], ensemble.T) * w
+            vals[surv] += _eval_points(Phi, ensemble.final_y[surv],
+                                       ensemble.T, terminal=True) * w
     if phi is not None:
         if ensemble.traj is None or len(ensemble.record_times) != \
                 ensemble.nsteps + 1:
             raise ValueError("the phi term needs record='all'")
-        fn = _spacetime_callable(phi)
         dt = ensemble.dt
         for k in range(ensemble.nsteps):
             t_k = k * dt
             living = ensemble.tau > t_k
             if not living.any():
                 break
-            vals[living] += fn(ensemble.traj[living, k, :], t_k) * \
+            vals[living] += _eval_points(phi, ensemble.traj[living, k, :],
+                                         t_k) * \
                 np.exp(-ensemble.disc_traj[living, k]) * dt
-    if np.abs(vals.imag).max() == 0.0:
-        vals = vals.real
-    mean, stderr = _mean_and_stderr(vals)
+    mean, stderr = _mean_and_stderr(_real_if_possible(vals))
     return Estimate(mean, stderr, ensemble.M,
                     {"dt": ensemble.dt, "seed": ensemble.master_seed})
 
@@ -403,7 +386,6 @@ def verify_pairing(problem: BackwardProblem, grid: Grid, sde: SDE, sampler,
     mc = feynman_kac(ens, phi=problem.phi, Phi=problem.Phi)
     diff = abs(complex(pde_value) - complex(mc.value))
     rho_norm = float(np.sqrt(np.sum(np.abs(rho_grid) ** 2) * grid.cell_volume))
-    from .solver import apriori_ratio  # data norms via the same quadratures
     data_ratio = apriori_ratio(solution, problem.phi, problem.Phi)
     report = {
         "pde": {"re": float(np.real(pde_value)), "im": float(np.imag(pde_value))},
@@ -451,6 +433,35 @@ def density_compare(ensemble: PathEnsemble, density, t: float) -> float:
     return float(np.sum(np.abs(p_hat - p_ref)) * grid.cell_volume)
 
 
+def _xi_interpolant(xi_times, xi_values):
+    """Panel ``xi(t)``, linear in time between the given rows."""
+    xi_times = np.asarray(xi_times, dtype=float)
+    xi_values = np.atleast_2d(np.asarray(xi_values, dtype=float))
+    if xi_values.shape[0] != xi_times.shape[0]:
+        xi_values = xi_values.T
+    if xi_values.shape[0] != xi_times.shape[0]:
+        raise ValueError("xi panel shapes do not line up")
+
+    def xi_at(t: float) -> np.ndarray:
+        return np.array([np.interp(t, xi_times, xi_values[:, c])
+                         for c in range(xi_values.shape[1])])
+    return xi_at
+
+
+def _characteristic_mc(ens: PathEnsemble, xi_times, xi_values) -> Estimate:
+    """Monte Carlo characteristic functional of one panel function on a
+    fully recorded ensemble (one ensemble serves a whole panel)."""
+    xi_at = _xi_interpolant(xi_times, xi_values)
+    phase = np.zeros(ens.M)
+    for k in range(ens.nsteps):
+        t_k = k * ens.dt
+        z = np.arctan(ens.traj[:, k, :])
+        phase += (z @ xi_at(t_k)) * ens.dt
+    vals = np.exp(-1j * phase)
+    mean, stderr = _mean_and_stderr(vals)
+    return Estimate(mean, stderr, ens.M, {"route": "mc", "dt": ens.dt})
+
+
 def characteristic_functional(xi_times, xi_values, via: str, *,
                               sde: SDE | None = None, sampler=None,
                               dt: float | None = None, M: int | None = None,
@@ -467,29 +478,12 @@ def characteristic_functional(xi_times, xi_values, via: str, *,
     ``i`` times the source, paired with the initial density:
     ``1 - i (V(., 0), rho)``.
     """
-    xi_times = np.asarray(xi_times, dtype=float)
-    xi_values = np.atleast_2d(np.asarray(xi_values, dtype=float))
-    if xi_values.shape[0] != xi_times.shape[0]:
-        xi_values = xi_values.T
-    if xi_values.shape[0] != xi_times.shape[0]:
-        raise ValueError("xi panel shapes do not line up")
-
-    def xi_at(t: float) -> np.ndarray:
-        return np.array([np.interp(t, xi_times, xi_values[:, c])
-                         for c in range(xi_values.shape[1])])
-
+    xi_at = _xi_interpolant(xi_times, xi_values)
     if via == "mc":
         if None in (sde, sampler, dt, M, master_seed):
             raise ValueError("mc route needs sde, sampler, dt, M, master_seed")
         ens = simulate_paths(sde, sampler, dt, M, master_seed, record="all")
-        phase = np.zeros(ens.M)
-        for k in range(ens.nsteps):
-            t_k = k * ens.dt
-            z = np.arctan(ens.traj[:, k, :])
-            phase += (z @ xi_at(t_k)) * ens.dt
-        vals = np.exp(-1j * phase)
-        mean, stderr = _mean_and_stderr(vals)
-        return Estimate(mean, stderr, ens.M, {"route": "mc", "dt": ens.dt})
+        return _characteristic_mc(ens, xi_times, xi_values)
 
     if via == "pde":
         if None in (grid, sampler, field):
@@ -521,24 +515,16 @@ def max_principle_check(solution: DiscreteSolution,
     nonnegative source and terminal datum) do not hold.
     """
     grid = solution.v.grid
-    applicable = problem.field.lambda_is_real
-    if problem.lambda_override is not None:
-        applicable = False
-    if applicable and problem.phi is not None:
-        for t in grid.times():
-            vals = problem.eval_phi(grid, t)
-            if np.iscomplexobj(vals) and np.abs(vals.imag).max() > 0:
-                applicable = False
-                break
-            if vals.real.min() < -1e-12:
-                applicable = False
-                break
-    if applicable:
-        Phi = problem.eval_Phi(grid)
-        if np.iscomplexobj(Phi) and np.abs(Phi.imag).max() > 0:
-            applicable = False
-        elif Phi.real.min() < -1e-12:
-            applicable = False
+
+    def nonnegative(vals) -> bool:
+        vals = _real_if_possible(vals)
+        return not np.iscomplexobj(vals) and vals.min() >= -1e-12
+
+    applicable = (problem.field.lambda_is_real
+                  and problem.lambda_override is None
+                  and all(nonnegative(problem.eval_phi(grid, t))
+                          for t in grid.times())
+                  and nonnegative(problem.eval_Phi(grid)))
     min_value = float(np.min(solution.v.values.real))
     if not applicable:
         return min_value, "not applicable"

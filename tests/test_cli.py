@@ -155,7 +155,15 @@ def test_verify_gaussian_pairing(tmp_path):
     assert checks["checks"]["max_principle"]["verdict"] == "pass"
 
 
-def test_characteristic_zero_row_and_csv(tmp_path):
+def test_characteristic_zero_row_and_csv(tmp_path, monkeypatch):
+    import cordeslab.cli as cli
+    import cordeslab.stochastic as stochastic
+    simulations = []
+
+    def counted(*args, **kwargs):
+        simulations.append(args[4])
+        return stochastic.simulate_paths(*args, **kwargs)
+    monkeypatch.setattr(cli, "simulate_paths", counted)
     (tmp_path / "panel.csv").write_text(
         "func,t,xi1\n0,0.0,0.0\n0,0.2,0.0\n1,0.0,1.0\n1,0.2,1.0\n")
     text = ("problem.builtin = gaussian_free_space\n"
@@ -168,6 +176,7 @@ def test_characteristic_zero_row_and_csv(tmp_path):
             "characteristic.panel = panel.csv\n"
             f"out.dir = {tmp_path / 'out'}\n")
     assert run(tmp_path, "c.cfg", text, "characteristic") == 0
+    assert simulations == [7]  # one ensemble serves both panel functions
     rows = json.loads(
         (tmp_path / "out" / "characteristic.json").read_text())["table"]
     assert rows[0]["mc"] == {"re": 1.0, "im": 0.0, "stderr": 0.0,
@@ -199,6 +208,30 @@ def test_characteristic_malformed_panel_exit_1(tmp_path, capsys):
             f"out.dir = {tmp_path / 'out'}\n")
     assert run(tmp_path, "c.cfg", text, "characteristic") == 1
     assert "panel" in capsys.readouterr().err
+
+
+def test_expression_fault_exit_1(tmp_path, capsys):
+    # the probe set holds x1 = 0.5, where the entry divides by zero
+    (tmp_path / "field.cfg").write_text(
+        "n = 1\nT = 0.5\ndomain.lo = 0\ndomain.hi = 1\n"
+        'b[1][1] = "1 + 1/(x1 - 0.5)^2"\n')
+    text = f"problem.file = field.cfg\nout.dir = {tmp_path / 'out'}\n"
+    assert run(tmp_path, "a.cfg", text, "analyze") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_recording_budget_exit_1(tmp_path, capsys):
+    # 300000 fully recorded paths of 1000 steps exceed the recording budget
+    (tmp_path / "panel.csv").write_text("t,xi1\n0.0,1.0\n1.0,1.0\n")
+    text = ("problem.builtin = identity_heat\nproblem.param.n = 1\n"
+            "grid.m = 15\ngrid.nt = 8\nmc.M = 300000\nmc.dt = 0.001\n"
+            "characteristic.panel = panel.csv\n"
+            f"out.dir = {tmp_path / 'out'}\n")
+    assert run(tmp_path, "c.cfg", text, "characteristic") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "budget" in err
 
 
 def test_missing_config_exit_1(tmp_path):

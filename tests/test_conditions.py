@@ -90,17 +90,19 @@ def test_eigenvalues_diagonal_sorting():
 
 
 def test_eigenvalues_identities_random():
-    from cordeslab.linalg import jacobi_eigensystem
+    from cordeslab.linalg import symmetric_sqrt
     for _ in range(200):
         n = int(RNG.integers(2, 6))
         a = RNG.standard_normal((n, n))
         m = 0.5 * (a + a.T)
-        vals, vecs = jacobi_eigensystem(m)
+        vals = symmetric_eigenvalues(m)
         scale = max(1.0, np.linalg.norm(m))
-        assert np.abs(m @ vecs - vecs * vals).max() <= 1e-10 * scale
         assert abs(vals.sum() - np.trace(m)) <= 1e-10 * scale
         assert abs((vals ** 2).sum() - (m ** 2).sum()) <= 1e-8 * scale ** 2
         assert np.all(np.diff(vals) >= -1e-14)
+        psd = m @ m
+        root = symmetric_sqrt(psd)
+        assert np.abs(root @ root - psd).max() <= 1e-10 * scale ** 2
 
 
 def test_eigenvalues_reject_asymmetric():
@@ -195,6 +197,19 @@ def test_optimize_gamma_diagonal_case_lattice_audit():
     samples = sample_set(f.sampling_box(), f.T)
     for g in np.linspace(1e-6, 2 - 1e-6, 20):
         assert value <= nu_hat(d.with_gamma({1: g}), samples) + 1e-9
+
+
+def test_value_batch_matches_pointwise_value():
+    # the audit lattice's batched measure against the one-vector formula
+    from cordeslab.conditions import _nu_hat_value, _value_batch
+    for m in (1, 2, 3, 5):
+        A = RNG.uniform(0.0, 2.0, (41, m))
+        C = RNG.uniform(0.0, 2.0, (41, m))
+        gammas = RNG.uniform(1e-6, 2.0 - 1e-6, (60, m))
+        batch = _value_batch(A, C, gammas)
+        assert batch.shape == (60,)
+        for g, v in zip(gammas, batch):
+            assert abs(v - _nu_hat_value(A, C, g)) <= 1e-12 * abs(v)
 
 
 def test_optimize_gamma_trivial():

@@ -162,6 +162,28 @@ def test_source_term_integrates_running_cost():
                     phi=lambda x, t: np.ones(len(x)))
 
 
+def test_one_callable_convention_for_solver_and_paths():
+    # sources are phi(points, t) and terminal data Phi(points) on both the
+    # solver and the path side; a mismatched signature fails on both
+    f = free_space(0.1)
+    g = build_grid(f.domain, 31, 4, f.T)
+    ens = simulate_paths(SDE(f), PointSampler([0.0]), 0.02, 20, 3,
+                         record="all")
+    one = lambda x: np.ones(len(x))
+    one_t = lambda x, t: np.ones(len(x))
+    good = BackwardProblem(f, phi=one_t, Phi=one)
+    solve_backward(good, g)
+    feynman_kac(ens, phi=good.phi, Phi=good.Phi)
+    # (re, im) source pairs are accepted on the path side as well
+    est = feynman_kac(ens, phi=(one_t, one_t))
+    assert abs(est.value - (1 + 1j) * f.T) <= 1e-12
+    for bad in (BackwardProblem(f, Phi=one_t), BackwardProblem(f, phi=one)):
+        with pytest.raises(TypeError):
+            solve_backward(bad, g)
+        with pytest.raises(TypeError):
+            feynman_kac(ens, phi=bad.phi, Phi=bad.Phi)
+
+
 # ----------------------------------------------------------------------------
 # pairing and density cross-checks
 
