@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -42,6 +43,23 @@ def _base_payload(cfg: RunConfig) -> dict:
             "problem": cfg.field.describe()}
 
 
+def _cells(values, spec: str = "{:.12g}") -> list:
+    """``values`` formatted one by one with ``spec``, exactly as an
+    f-string formats each of them."""
+    return list(map(spec.format, np.asarray(values).ravel().tolist()))
+
+
+def _node_cells(nodes: np.ndarray) -> list:
+    """The coordinate cells ``x1,..,xn`` of every node, joined per node."""
+    return [",".join(row) for row in zip(*(_cells(col) for col in nodes.T))]
+
+
+def _csv_rows(*columns) -> str:
+    """Rows of formatted cells, as ``csv.writer`` writes them (no cell
+    here needs quoting)."""
+    return "".join(",".join(row) + "\r\n" for row in zip(*columns))
+
+
 def _dump_solution_csv(path: Path, gf: GridFunction):
     grid = gf.grid
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -52,16 +70,14 @@ def _dump_solution_csv(path: Path, gf: GridFunction):
                          f"complex={int(is_complex)}"])
         writer.writerow(["t"] + [f"x{i + 1}" for i in range(grid.n)]
                         + ["re", "im"])
-        nodes = grid.nodes()
+        nodes = _node_cells(grid.nodes())
         block = gf.values if gf.is_spacetime else gf.values[None]
         times = grid.times() if gf.is_spacetime else [0.0]
         for k, t in enumerate(times):
             flat = block[k].ravel()
-            for idx in range(len(nodes)):
-                writer.writerow([f"{t:.12g}"]
-                                + [f"{c:.12g}" for c in nodes[idx]]
-                                + [f"{flat[idx].real:.12g}",
-                                   f"{np.imag(flat[idx]):.12g}"])
+            im = _cells(flat.imag) if is_complex else itertools.repeat("0")
+            handle.write(_csv_rows(itertools.repeat(f"{t:.12g}"), nodes,
+                                   _cells(flat.real), im))
 
 
 # ----------------------------------------------------------------------------
@@ -132,24 +148,22 @@ def _error_table(cfg: RunConfig, grid, solution) -> float:
     nodes = grid.nodes()
     exact_fn = cfg.exact
     max_err = 0.0
-    rows = []
+    rows = ""
     for k, t in enumerate(grid.times()):
         exact = exact_fn.eval_raw(nodes, t)
         num = solution.v.values[k].ravel()
         err = np.abs(num - exact)
         max_err = max(max_err, float(err.max()))
         if k == 0:
-            for idx in range(len(nodes)):
-                rows.append([f"{c:.12g}" for c in nodes[idx]]
-                            + [f"{num[idx].real:.12g}", f"{exact[idx]:.12g}",
-                               f"{err[idx]:.3e}"])
+            rows = _csv_rows(_node_cells(nodes), _cells(num.real),
+                             _cells(exact), _cells(err, "{:.3e}"))
     out = cfg.out_dir / "error_table.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow([f"x{i + 1}" for i in range(grid.n)]
                         + ["numeric_t0", "exact_t0", "abs_err"])
-        writer.writerows(rows)
+        handle.write(rows)
     return max_err
 
 
@@ -186,9 +200,12 @@ def cmd_verify(cfg: RunConfig) -> int:
     checks: dict = {}
     ok = True
 
+    # one backward solve serves the pairing and the maximum principle
+    solution = solve_backward(problem, grid, cfg.theta)
     pairing = verify_pairing(problem, grid, sde, sampler, cfg.mc_dt,
                              cfg.mc_M, cfg.mc_seed, cfg.theta,
-                             allowance=cfg.pairing_allowance)
+                             allowance=cfg.pairing_allowance,
+                             solution=solution)
     checks["pairing"] = pairing
     ok &= pairing["pass"]
 
@@ -204,7 +221,6 @@ def cmd_verify(cfg: RunConfig) -> int:
             ok &= l1 <= cfg.density_l1
         checks["density"] = rows
 
-    solution = solve_backward(problem, grid, cfg.theta)
     min_v, verdict = max_principle_check(solution, problem)
     checks["max_principle"] = {"min": min_v, "verdict": verdict}
     if verdict == "fail":

@@ -17,12 +17,13 @@ matrices, so the discrete duality pairing holds to solver precision.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import bicgstab, splu
+from scipy.sparse.linalg import LinearOperator, bicgstab, splu
 
 from .conditions import ellipticity_delta, nu_hat
 from .fields import (CoefficientField, Decomposition, SampleSet,
@@ -37,9 +38,8 @@ __all__ = [
     "apriori_ratio",
 ]
 
-DIRECT_LIMIT = 2000        # one-shot direct solves below this size
-REUSE_DIRECT_LIMIT = 20000  # cached factorizations below this size
 LIN_RTOL = 1e-10
+LAGGED_MAXITER = 8  # BiCGStab iterations before a level is refactorized
 
 
 class SolverError(RuntimeError):
@@ -230,56 +230,106 @@ class _MollifiedCoefficients:
 # sparse assembly
 
 
+class _Pattern:
+    """CSR structure of the operator on one grid shape.
+
+    The stencil couples a node with its axis neighbours, its diagonal
+    neighbours in every coordinate plane and itself; no two couplings
+    share a matrix position.  Assembly stacks one value array per
+    coupling (in the order below) and ``source`` picks each stored entry
+    from that stack.
+    """
+
+    def __init__(self, m: tuple):
+        n = len(m)
+        N = int(np.prod(m))
+        strides = np.ones(n, dtype=np.int64)
+        for i in range(n - 2, -1, -1):
+            strides[i] = strides[i + 1] * m[i + 1]
+        multi = np.indices(m).reshape(n, N)
+        flat = np.arange(N, dtype=np.int64)
+        rows, cols, stack_at = [], [], []
+
+        def add(mask, offset):
+            rows.append(flat[mask])
+            cols.append(flat[mask] + offset)
+            stack_at.append(len(stack_at) * N + flat[mask])
+
+        for i in range(n):
+            iu, idn = multi[i] < m[i] - 1, multi[i] > 0
+            add(iu, strides[i])
+            add(idn, -strides[i])
+            for j in range(i + 1, n):
+                ju, jdn = multi[j] < m[j] - 1, multi[j] > 0
+                add(iu & ju, strides[i] + strides[j])
+                add(idn & jdn, -strides[i] - strides[j])
+                add(iu & jdn, strides[i] - strides[j])
+                add(idn & ju, -strides[i] + strides[j])
+        add(slice(None), 0)
+        stack_at = np.concatenate(stack_at)
+        # scipy's own COO -> CSR conversion of the entry numbers tells
+        # which entry lands at each stored position
+        order = sparse.csr_matrix(
+            (np.arange(len(stack_at), dtype=float),
+             (np.concatenate(rows), np.concatenate(cols))), shape=(N, N))
+        self.shape = (N, N)
+        self.couplings = len(rows)
+        self.indices = order.indices
+        self.indptr = order.indptr
+        self.source = stack_at[order.data.astype(np.int64)]
+        for arr in (self.indices, self.indptr, self.source):
+            arr.setflags(write=False)  # shared by every matrix of the shape
+
+
+@functools.lru_cache(maxsize=4)
+def _pattern(m: tuple) -> _Pattern:
+    return _Pattern(m)
+
+
 def _assemble_from_arrays(grid: Grid, b_arr, f_arr, lam_arr,
                           dtype) -> sparse.csr_matrix:
-    n, m = grid.n, grid.m
-    N = grid.size
-    h = grid.h
-    strides = np.ones(n, dtype=np.int64)
-    for i in range(n - 2, -1, -1):
-        strides[i] = strides[i + 1] * m[i + 1]
-    multi = np.indices(m).reshape(n, N)
-    flat = np.arange(N, dtype=np.int64)
-
-    rows, cols, data = [], [], []
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        data.append(np.asarray(v))
-
+    n, h = grid.n, grid.h
+    pattern = _pattern(tuple(grid.m))
+    values = []  # one array over all nodes per coupling, in pattern order
     diag = -np.asarray(lam_arr, dtype=dtype).ravel()
     for i in range(n):
         c2 = b_arr[:, i, i]
-        diag = diag - 2.0 * c2 / h[i] ** 2
         c1 = f_arr[:, i]
-        up = multi[i] < m[i] - 1
-        dn = multi[i] > 0
-        add(flat[up], flat[up] + strides[i], (c2 / h[i] ** 2 + c1 / (2 * h[i]))[up])
-        add(flat[dn], flat[dn] - strides[i], (c2 / h[i] ** 2 - c1 / (2 * h[i]))[dn])
+        diag = diag - 2.0 * c2 / h[i] ** 2
+        values += [c2 / h[i] ** 2 + c1 / (2 * h[i]),
+                   c2 / h[i] ** 2 - c1 / (2 * h[i])]
         for j in range(i + 1, n):
             cc = 2.0 * b_arr[:, i, j] / (4.0 * h[i] * h[j])
-            iu, idn = multi[i] < m[i] - 1, multi[i] > 0
-            ju, jdn = multi[j] < m[j] - 1, multi[j] > 0
-            for si, sj, sgn in (((iu, strides[i]), (ju, strides[j]), 1.0),
-                                ((idn, -strides[i]), (jdn, -strides[j]), 1.0),
-                                ((iu, strides[i]), (jdn, -strides[j]), -1.0),
-                                ((idn, -strides[i]), (ju, strides[j]), -1.0)):
-                mask = si[0] & sj[0]
-                add(flat[mask], flat[mask] + si[1] + sj[1], sgn * cc[mask])
-    add(flat, flat, diag)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    data = np.concatenate([np.asarray(d, dtype=dtype) for d in data])
-    return sparse.csr_matrix((data, (rows, cols)), shape=(N, N))
+            values += [cc, cc, -cc, -cc]
+    values.append(diag)
+    data = np.take(np.array(values, dtype=dtype), pattern.source)
+    return sparse.csr_matrix(
+        (data, pattern.indices.copy(), pattern.indptr.copy()),
+        shape=pattern.shape)
 
 
 def _step_matrices(A: sparse.csr_matrix, dt: float, theta: float):
     """``B = I - theta dt A`` and ``C = I + (1-theta) dt A`` (``None`` for
-    the implicit scheme, where ``C`` is the identity)."""
-    eye = sparse.identity(A.shape[0], dtype=A.dtype, format="csr")
-    B = (eye - theta * dt * A).tocsr()
-    C = (eye + (1.0 - theta) * dt * A).tocsr() if theta < 1.0 else None
+    the implicit scheme, where ``C`` is the identity).
+
+    Both are formed on the pattern of ``A`` (which stores every diagonal
+    entry), each entry rounded as scipy's sparse sum ``eye -/+ s*A``
+    rounds it and exact zeros dropped, so they equal that sum bit for bit.
+    """
+    on_diag = A.indices == np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+
+    def on_pattern(data):
+        mat = sparse.csr_matrix((data, A.indices.copy(), A.indptr.copy()),
+                                shape=A.shape)
+        mat.eliminate_zeros()
+        return mat
+
+    y = theta * dt * A.data
+    B = on_pattern(np.where(on_diag, 1.0 - y, 0.0 - y))
+    C = None
+    if theta < 1.0:
+        z = (1.0 - theta) * dt * A.data
+        C = on_pattern(np.where(on_diag, 1.0 + z, 0.0 + z))
     return B, C
 
 
@@ -319,61 +369,59 @@ def _check_theta(theta: float):
 
 
 class _StepSolver:
-    """Deterministic linear solves: direct when small or reusable,
-    diagonally preconditioned BiCGStab otherwise, with a direct fallback."""
+    """One factorization per march, reused as a lagged preconditioner.
 
-    def __init__(self, B: sparse.csr_matrix, reuse: bool):
-        self.B = B
-        N = B.shape[0]
-        self.iterations = 0
+    The first step matrix it is given is factorized.  A system with that
+    very matrix (a static operator's) is solved directly.  Any other
+    level's system is solved by BiCGStab preconditioned with the lagged
+    LU, started from the previous level and capped at ``LAGGED_MAXITER``
+    iterations; when the cap is hit or the residual check fails, that
+    level's matrix is factorized, solved directly, and becomes the lagged
+    factor.  Every step is deterministic.
+    """
+
+    def __init__(self):
+        self._B = None
         self._lu = None
-        self._lu_adj = None
-        if N <= DIRECT_LIMIT or (reuse and N <= REUSE_DIRECT_LIMIT):
-            self._lu = self._factorize(B)
 
-    @staticmethod
-    def _factorize(mat):
+    def _factorize(self, B):
         try:
-            return splu(mat.tocsc())
+            self._lu = splu(B.tocsc())
         except RuntimeError as err:
             raise SolverError(
-                f"step system of size {mat.shape[0]} is singular "
+                f"step system of size {B.shape[0]} is singular "
                 f"({err}); reduce dt or check the coefficients") from None
+        self._B = B
 
-    def _iterative(self, mat, rhs):
-        d = mat.diagonal()
-        precond = sparse.diags(np.where(np.abs(d) > 0, 1.0 / d, 1.0))
-        x, info = bicgstab(mat, rhs, rtol=LIN_RTOL, atol=0.0,
-                           maxiter=10 * mat.shape[0], M=precond)
-        self.iterations += 1
-        if info != 0:
+    def _lagged(self, B, rhs, x0, trans):
+        lu = self._lu
+        mat = {"N": B, "T": B.T, "H": B.conj().T}[trans]
+        precond = LinearOperator(B.shape, dtype=B.dtype,
+                                 matvec=lambda r: lu.solve(r, trans=trans))
+        # BiCGStab's breakdown tests are absolute; solve for unit data
+        scale = np.linalg.norm(rhs)
+        if scale == 0.0:
+            return np.zeros_like(rhs)
+        x, info = bicgstab(mat, rhs / scale, x0 / scale, rtol=LIN_RTOL,
+                           atol=0.0, maxiter=LAGGED_MAXITER, M=precond)
+        x *= scale
+        if info != 0 or np.linalg.norm(mat @ x - rhs) > 1e-8 * scale:
             return None
-        res = np.linalg.norm(mat @ x - rhs)
-        if res > 1e-8 * max(np.linalg.norm(rhs), 1e-300):
-            return None
         return x
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._lu is not None:
-            return self._lu.solve(rhs)
-        x = self._iterative(self.B, rhs)
-        if x is None:  # robustness fallback; deterministic
-            self._lu = self._factorize(self.B)
-            return self._lu.solve(rhs)
-        return x
-
-    def solve_adjoint(self, rhs: np.ndarray) -> np.ndarray:
-        if self._lu is not None:
-            trans = "H" if np.iscomplexobj(self.B.data) else "T"
-            return self._lu.solve(np.asarray(rhs, dtype=self.B.dtype),
-                                  trans=trans)
-        BH = self.B.getH().tocsr()
-        x = self._iterative(BH, rhs)
-        if x is None:
-            if self._lu_adj is None:
-                self._lu_adj = self._factorize(BH)
-            return self._lu_adj.solve(rhs)
-        return x
+    def solve(self, B, rhs, x0, adjoint: bool = False) -> np.ndarray:
+        """Solve ``B x = rhs`` (``B^H x = rhs`` when ``adjoint``); ``x0``
+        starts the iteration when one runs."""
+        trans = "N"
+        if adjoint:
+            trans = "H" if np.iscomplexobj(B.data) else "T"
+        rhs = np.asarray(rhs, dtype=B.dtype)
+        if B is not self._B:
+            x = None if self._lu is None else self._lagged(B, rhs, x0, trans)
+            if x is not None:
+                return x
+            self._factorize(B)
+        return self._lu.solve(rhs, trans=trans)
 
 
 class _Stepper:
@@ -381,7 +429,8 @@ class _Stepper:
 
     Arithmetic starts in ``dtype`` and switches to complex once, the first
     time a rate, a source slice or the terminal datum that the march
-    evaluates carries an imaginary part.
+    evaluates carries an imaginary part.  It holds one step system: the
+    static operator's for the whole march, or the current level's.
     """
 
     def __init__(self, grid: Grid, theta: float, provider, dtype=float):
@@ -390,31 +439,31 @@ class _Stepper:
         self.theta = theta
         self.provider = provider
         self.dtype = complex if dtype is complex else float
-        self._cache: dict = {}
+        self.solver = _StepSolver()
+        self._held = None  # (level key, B, C)
 
     def t_eval(self, k: int) -> float:
         return (k + 1.0 - self.theta) * self.grid.dt
 
     def _admit(self, values) -> np.ndarray:
         """``values`` in the march's arithmetic; switches it to complex
-        (dropping the real step systems) when they have imaginary parts."""
+        (dropping the real step system and factor) when they have
+        imaginary parts."""
         values = _real_if_possible(values)
         if self.dtype is float and np.iscomplexobj(values):
             self.dtype = complex
-            self._cache.clear()
+            self._held = None
+            self.solver = _StepSolver()
         return values
 
     def system(self, k: int):
-        static = not self.provider.time_dependent
-        key = 0 if static else k
-        if key not in self._cache:
+        key = k if self.provider.time_dependent else 0
+        if self._held is None or self._held[0] != key:
             b, f, lam = self.provider.at(self.t_eval(k))
             lam = self._admit(lam)
             A = _assemble_from_arrays(self.grid, b, f, lam, self.dtype)
-            B, C = _step_matrices(A, self.grid.dt, self.theta)
-            reuse = static and self.grid.nt > 2
-            self._cache[key] = (_StepSolver(B, reuse), C)
-        return self._cache[key]
+            self._held = (key,) + _step_matrices(A, self.grid.dt, self.theta)
+        return self._held[1:]
 
     def run_backward(self, phi_fn, Phi_arr: np.ndarray) -> np.ndarray:
         grid = self.grid
@@ -425,13 +474,14 @@ class _Stepper:
         for k in range(nt - 1, -1, -1):
             src = None if phi_fn is None else \
                 self._admit(phi_fn(self.t_eval(k)))
-            solver, C = self.system(k)
+            B, C = self.system(k)
             if v.dtype != self.dtype:
                 v = v.astype(self.dtype)
-            rhs = v[k + 1].ravel() if C is None else C @ v[k + 1].ravel()
+            prev = v[k + 1].ravel()
+            rhs = prev if C is None else C @ prev
             if src is not None:
                 rhs = rhs + dt * src.ravel()
-            v[k] = solver.solve(rhs).reshape(grid.shape)
+            v[k] = self.solver.solve(B, rhs, prev).reshape(grid.shape)
         return v
 
     def run_forward_adjoint(self, rho_arr: np.ndarray) -> np.ndarray:
@@ -440,10 +490,10 @@ class _Stepper:
         q = self._admit(rho_arr).ravel()
         p = np.zeros((nt + 1,) + grid.shape, dtype=self.dtype)
         for k in range(nt):
-            solver, C = self.system(k)
+            B, C = self.system(k)
             if p.dtype != self.dtype:
                 p = p.astype(self.dtype)
-            p_hat = solver.solve_adjoint(q)
+            p_hat = self.solver.solve(B, q, q, adjoint=True)
             p[k] = p_hat.reshape(grid.shape)
             q = p_hat if C is None else (C.getH() @ p_hat)
         p[nt] = q.reshape(grid.shape)
@@ -456,8 +506,8 @@ def solve_backward(problem: BackwardProblem, grid: Grid, theta: float = 1.0,
     """March the terminal-value problem down to ``t = 0``.
 
     The terminal slice is the sampled ``Phi`` exactly; each linear system
-    is solved to a relative residual of 1e-10 (direct factorizations for
-    small or reusable systems).  Complex arithmetic switches on
+    is solved directly or to a relative residual of 1e-10 (see
+    ``_StepSolver``).  Complex arithmetic switches on
     automatically when the rate or the data have imaginary parts.
     """
     provider = coefficients or _FieldCoefficients(problem, grid)

@@ -371,13 +371,17 @@ def feynman_kac(ensemble: PathEnsemble, phi=None, Phi=None) -> Estimate:
 
 def verify_pairing(problem: BackwardProblem, grid: Grid, sde: SDE, sampler,
                    dt: float, M: int, master_seed: int, theta: float = 1.0,
-                   allowance: float = 0.0) -> dict:
+                   allowance: float = 0.0,
+                   solution: DiscreteSolution | None = None) -> dict:
     """Compare the solver-side pairing with the path-functional estimate.
 
     Returns a report with both values, their difference, the Monte Carlo
     standard error and a recorded (not asserted) size bound ratio.
+    ``solution`` is the problem's backward solution on ``grid`` with
+    ``theta`` when the caller has it already; it is solved otherwise.
     """
-    solution = solve_backward(problem, grid, theta)
+    if solution is None:
+        solution = solve_backward(problem, grid, theta)
     rho_grid = sampler.grid_density(grid)
     pde_value = pair(GridFunction(grid, solution.v.values[0]), rho_grid)
     need_traj = problem.phi is not None

@@ -1,6 +1,12 @@
+import csv
 import json
 
+import numpy as np
+
+from cordeslab import solver
 from cordeslab.cli import main
+from cordeslab.fields import Box
+from cordeslab.grid import GridFunction, build_grid
 
 BENCH = """
 problem.builtin = paper_3x3
@@ -269,3 +275,69 @@ def test_all_space_problem_needs_box_for_grids(tmp_path, capsys):
             f"out.dir = {tmp_path / 'out'}\n")
     assert run(tmp_path, "s.cfg", text, "solve") == 1
     assert "wide box" in capsys.readouterr().err
+
+
+def _reference_solution_csv(path, gf):
+    """The per-node ``csv.writer`` loop that fixes solution.csv's format."""
+    grid = gf.grid
+    is_complex = np.iscomplexobj(gf.values)
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow([f"# n={grid.n} m={list(grid.m)} nt={grid.nt} "
+                         f"complex={int(is_complex)}"])
+        writer.writerow(["t"] + [f"x{i + 1}" for i in range(grid.n)]
+                        + ["re", "im"])
+        nodes = grid.nodes()
+        block = gf.values if gf.is_spacetime else gf.values[None]
+        times = grid.times() if gf.is_spacetime else [0.0]
+        for k, t in enumerate(times):
+            flat = block[k].ravel()
+            for idx in range(len(nodes)):
+                writer.writerow([f"{t:.12g}"]
+                                + [f"{c:.12g}" for c in nodes[idx]]
+                                + [f"{flat[idx].real:.12g}",
+                                   f"{np.imag(flat[idx]):.12g}"])
+
+
+def test_solution_csv_bytes_match_reference_writer(tmp_path):
+    from cordeslab.cli import _dump_solution_csv
+    rng = np.random.default_rng(5)
+    special = [-0.0, 1e-300, -1e-300, 0.1234567890123456, 1 / 3,
+               -2.718281828459045e-7, 123456789012.345, 0.0]
+    g2 = build_grid(Box((0.0, -1.0), (1.0, 1.0)), (5, 7), 3, 0.3)
+    real = rng.standard_normal((g2.nt + 1,) + g2.shape)
+    real.flat[:len(special)] = special
+    g1 = build_grid(Box((-8.0,), (8.0,)), 9, 4, 0.25)
+    cplx = rng.standard_normal(g1.shape) + 1j * rng.standard_normal(g1.shape)
+    cplx[:4] = [complex(-0.0, -0.0), complex(1e-300, -0.0),
+                complex(0.0, 1 / 3), complex(np.pi, -1e-300)]
+    for gf in (GridFunction(g2, real), GridFunction(g1, cplx),
+               GridFunction(g1, np.stack([cplx] * (g1.nt + 1)))):
+        _dump_solution_csv(tmp_path / "got.csv", gf)
+        _reference_solution_csv(tmp_path / "want.csv", gf)
+        assert (tmp_path / "got.csv").read_bytes() == \
+            (tmp_path / "want.csv").read_bytes()
+
+
+def test_verify_solves_the_backward_problem_once(tmp_path, monkeypatch):
+    import cordeslab.cli as cli
+    import cordeslab.stochastic as stochastic
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(args[1])
+        return solver.solve_backward(*args, **kwargs)
+    monkeypatch.setattr(cli, "solve_backward", counted)
+    monkeypatch.setattr(stochastic, "solve_backward", counted)
+    text = ("problem.builtin = gaussian_free_space\n"
+            "problem.param.n = 1\nproblem.param.half_width = 6\n"
+            "problem.param.T = 0.1\n"
+            "grid.m = 63\ngrid.nt = 16\n"
+            'solve.Phi = "x1^2"\n'
+            "mc.M = 2000\nmc.dt = 0.002\nmc.seed = 1\n"
+            "mc.sampler = gaussian\nmc.sampler.sigma = 1.0\n"
+            f"out.dir = {tmp_path / 'out'}\n")
+    assert run(tmp_path, "v.cfg", text, "verify") == 0
+    assert len(solves) == 1
+    checks = json.loads((tmp_path / "out" / "verify.json").read_text())
+    assert checks["checks"]["max_principle"]["verdict"] == "pass"

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
+from cordeslab import solver
 from cordeslab.fields import (Box, builtin_problem, builtin_solve_data,
                               decompose, make_field)
 from cordeslab.grid import build_grid
@@ -156,9 +159,9 @@ def test_imaginary_rate_rotates_phase_only():
 
 
 def test_iterative_path_matches_direct_factorization():
-    # a rate override marks the operator time-dependent, which disables
-    # factorization reuse; at 13^3 = 2197 unknowns the steps then run
-    # through the preconditioned iterative solver
+    # a rate override marks the operator time-dependent, so every level
+    # but the first runs through BiCGStab preconditioned with the lagged
+    # factorization
     f = builtin_problem("identity_heat", {"n": 3})
     g = build_grid(f.domain, (13, 13, 13), 6, 0.2)
     Phi = lambda x: np.prod(np.sin(np.pi * x), axis=1)
@@ -171,6 +174,141 @@ def test_iterative_path_matches_direct_factorization():
     v_iter = solve_backward(prob_iter, g).v.values
     v_direct = solve_backward(prob_direct, g).v.values
     assert np.abs(v_iter - v_direct).max() <= 1e-8
+
+
+# ----------------------------------------------------------------------------
+# step-solve policy: one factorization per march, lagged reuse
+
+
+@pytest.fixture
+def solve_counts(monkeypatch):
+    """Counts of ``splu`` and ``bicgstab`` calls made by the solver."""
+    counts = {"splu": 0, "bicgstab": 0}
+
+    def counted(name):
+        original = getattr(solver, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(solver, name, wrapper)
+    counted("splu")
+    counted("bicgstab")
+    return counts
+
+
+def _step_sequence(g, scales):
+    """Implicit step matrices ``I - dt*A_k`` of a 2-D operator whose
+    ``b11`` is multiplied by ``scales[k]`` on level ``k``."""
+    n_nodes = g.size
+    x = g.nodes()
+    out = []
+    for s in scales:
+        b = np.zeros((n_nodes, 2, 2))
+        b[:, 0, 0] = s * (1.0 + 0.3 * np.sin(3.0 * x[:, 1]))
+        b[:, 1, 1] = 1.0 + 0.5 * (x[:, 0] > 0.5)
+        b[:, 0, 1] = b[:, 1, 0] = 0.1
+        f = np.stack([0.3 * x[:, 1], np.full(n_nodes, -0.2)], axis=1)
+        A = solver._assemble_from_arrays(g, b, f, np.full(n_nodes, 0.5),
+                                         float)
+        out.append(solver._step_matrices(A, g.dt, 1.0)[0])
+    return out
+
+
+def _march_against_fresh_lu(steps, rhs0, adjoint=False):
+    """March ``steps`` with one ``_StepSolver``; return the worst relative
+    gap of a level to a fresh ``splu`` solve of the same system."""
+    step_solver = solver._StepSolver()
+    x = rhs0
+    worst = 0.0
+    for B in steps:
+        got = step_solver.solve(B, x, x, adjoint=adjoint)
+        fresh = splu(B.tocsc()).solve(x, trans="T" if adjoint else "N")
+        worst = max(worst, np.linalg.norm(got - fresh)
+                    / np.linalg.norm(fresh))
+        x = got
+    return worst
+
+
+def test_static_operator_factorizes_once_without_krylov(solve_counts):
+    f = make_field(2, 0.5, Box((0, 0), (1, 1)),
+                   [["1.2 + 0.2*sin(3.0*x1)", 0.1],
+                    [0.1, "1.0 + 0.3*step(x2 - 0.5)"]],
+                   f=["0.2*x2", "-0.1"], lam=0.4)
+    g = build_grid(f.domain, (15, 13), 12, f.T)
+    prob = BackwardProblem(f, phi=lambda x, t: np.ones(len(x)),
+                           Phi=lambda x: np.sin(np.pi * x[:, 0]))
+    sol = solve_backward(prob, g)
+    solve_forward_adjoint(np.ones(g.shape), prob, g)
+    assert solve_counts == {"splu": 2, "bicgstab": 0}  # one per march
+    assert np.isfinite(sol.v.values).all()
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_slowly_varying_levels_reuse_one_factorization(solve_counts,
+                                                       adjoint):
+    g = build_grid(Box((0, 0), (1, 1)), (31, 29), 16, 0.25)
+    steps = _step_sequence(g, 1.0 + 0.02 * np.arange(g.nt))
+    rhs0 = np.sin(np.pi * g.nodes()[:, 0]) + 0.1 * g.nodes()[:, 1]
+    worst = _march_against_fresh_lu(steps, rhs0, adjoint)
+    assert solve_counts["splu"] == 1
+    assert solve_counts["bicgstab"] == g.nt - 1
+    assert worst <= 1e-9
+
+
+def test_coefficient_jump_refactorizes_and_stays_exact(solve_counts):
+    g = build_grid(Box((0, 0), (1, 1)), (31, 29), 8, 0.25)
+    scales = [1.0, 1.01, 1.02, 100.0, 100.5, 101.0, 101.5, 102.0]
+    steps = _step_sequence(g, scales)
+    rhs0 = np.sin(np.pi * g.nodes()[:, 0])
+    worst = _march_against_fresh_lu(steps, rhs0)
+    # the jump defeats the iteration cap: one more factorization, and
+    # the levels after it reuse the new one
+    assert solve_counts["splu"] == 2
+    assert solve_counts["bicgstab"] == g.nt - 1
+    assert worst <= 1e-9
+
+
+def test_fixed_pattern_assembly_matches_stencil():
+    f = make_field(2, 0.5, Box((0, 0), (1, 1)),
+                   [["1.2 + 0.2*sin(3.0*x1)", "0.1*x2"],
+                    ["0.1*x2", "1.0 + 0.3*step(x2 - 0.5)"]],
+                   f=["0.2*x2", "0"], lam=(0.4, "x1"))
+    g = build_grid(f.domain, (5, 4), 4, f.T)
+    b, fv, lam = _FieldCoefficients(BackwardProblem(f), g).at(0.1)
+    A = solver._assemble_from_arrays(g, b, fv, lam, complex)
+    # the stencil, node by node
+    h = g.h
+    m = g.shape
+    dense = np.zeros((g.size, g.size), dtype=complex)
+    for r, idx in enumerate(np.ndindex(*m)):
+        diag = -complex(lam[r])
+        for i in range(2):
+            diag = diag - 2.0 * b[r, i, i] / h[i] ** 2
+            for step, sgn in ((1, 1.0), (-1, -1.0)):
+                nb = list(idx)
+                nb[i] += step
+                if 0 <= nb[i] < m[i]:
+                    dense[r, np.ravel_multi_index(nb, m)] = \
+                        b[r, i, i] / h[i] ** 2 + sgn * fv[r, i] / (2 * h[i])
+        cc = 2.0 * b[r, 0, 1] / (4.0 * h[0] * h[1])
+        for si, sj in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
+            nb = (idx[0] + si, idx[1] + sj)
+            if 0 <= nb[0] < m[0] and 0 <= nb[1] < m[1]:
+                dense[r, np.ravel_multi_index(nb, m)] = si * sj * cc
+        dense[r, r] = diag
+    assert np.array_equal(A.toarray(), dense)
+    # step matrices equal scipy's sparse sums, exact zeros dropped
+    for theta in (1.0, 0.5):
+        B, C = solver._step_matrices(A, g.dt, theta)
+        eye = sparse.identity(g.size, dtype=complex, format="csr")
+        assert (B - (eye - theta * g.dt * A)).nnz == 0
+        assert np.array_equal(B.toarray(),
+                              (eye - theta * g.dt * A).toarray())
+        assert B.data.all()
+        if theta < 1.0:
+            assert np.array_equal(
+                C.toarray(), (eye + (1.0 - theta) * g.dt * A).toarray())
 
 
 # ----------------------------------------------------------------------------
