@@ -5,12 +5,19 @@ Paths follow the explicit weak scheme ``y_{k+1} = y_k + f dt + beta
 sqrt(dt) xi_k`` with exit from the domain detected at step endpoints and
 the zero-order rate accumulated as a continuous discount weight along
 each path.  Noise comes from a counter-based generator keyed by
-``(master_seed, path)``, so trajectories are bitwise reproducible no
-matter how the path range is partitioned across workers.
+``(master_seed, path)``, so a path's trajectory does not depend on the
+block it runs in.  Each block streams its noise in chunks of steps
+under a fixed in-flight bound and steps only the paths still alive;
+blocks that need more than one chunk run on a thread pool sized by the
+CPU affinity of the process.  Outputs are byte-identical whatever the worker count and the
+block partition.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -32,6 +39,7 @@ __all__ = [
 
 _INIT_STREAM = np.uint64(2 ** 64 - 1)  # reserved key slot for the initial law
 _MAX_RECORD_FLOATS = 4e8
+_NOISE_FLOATS = 2 ** 23  # noise values in flight per path block (64 MiB)
 
 
 # ----------------------------------------------------------------------------
@@ -133,6 +141,8 @@ class SDE:
     field: CoefficientField
     grid: Grid | None = None         # only needed when beta must be derived
     _beta_cache: dict = dc_field(default_factory=dict, repr=False)
+    _beta_lock: threading.Lock = dc_field(default_factory=threading.Lock,
+                                          repr=False, compare=False)
 
     @property
     def T(self) -> float:
@@ -160,11 +170,11 @@ class SDE:
         if self.grid is None:
             raise ValueError("deriving beta from b requires a reference grid")
         key = round(float(t), 12) if self.field.time_dependent else 0.0
-        if key not in self._beta_cache:
-            nodes = self.grid.nodes()
-            b = self.field.eval_b(nodes, key, masked=False)
-            self._beta_cache[key] = symmetric_sqrt(2.0 * b)
-        roots = self._beta_cache[key]
+        with self._beta_lock:    # path blocks share the cache
+            roots = self._beta_cache.get(key)
+            if roots is None:
+                b = self.field.eval_b(self.grid.nodes(), key, masked=False)
+                roots = self._beta_cache[key] = symmetric_sqrt(2.0 * b)
         idx = np.zeros(len(y), dtype=np.int64)
         stride = 1
         for ax in range(self.grid.n - 1, -1, -1):
@@ -228,6 +238,44 @@ def _path_generator(master_seed: int, stream) -> Generator:
     return Generator(Philox(key=key))
 
 
+def _first_normals(out: np.ndarray, master_seed: int, streams: np.ndarray):
+    """Fill ``out[j]`` with the normals ``_path_generator(master_seed,
+    streams[j])`` draws first.  One generator serves all streams: setting
+    its Philox key and counter costs a tenth of building a generator."""
+    gen = _path_generator(master_seed, _INIT_STREAM)
+    state = gen.bit_generator.state      # counter 0, nothing buffered
+    keys = np.empty((len(streams), 2), dtype=np.uint64)
+    keys[:, 0] = np.uint64(master_seed)
+    keys[:, 1] = streams
+    for j, key in enumerate(keys):
+        state["state"]["key"] = key
+        gen.bit_generator.state = state
+        gen.standard_normal(out=out[j])
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity interface on this platform
+        return os.cpu_count() or 1
+
+
+def _partition(M: int, block_size: int, path_floats: int):
+    """Equal contiguous path blocks of at most ``block_size`` paths, as
+    many as a multiple of the worker count (one worker per usable core,
+    never more than there are blocks); returns the block bounds and the
+    worker count.  The count is 1 when a block's noise (``path_floats``
+    values a path) fits in one chunk: each path then costs one short
+    fill, and passing the GIL between threads for it costs more than the
+    threads overlap."""
+    blocks = -(-M // block_size)
+    workers = min(blocks, _usable_cores())
+    blocks = min(M, -(-blocks // workers) * workers)
+    if -(-M // blocks) * path_floats <= _NOISE_FLOATS:
+        workers = 1
+    return [M * i // blocks for i in range(blocks + 1)], workers
+
+
 def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
                    record=None, block_size: int = 20000) -> PathEnsemble:
     """Run the weak explicit scheme for ``M`` paths.
@@ -235,6 +283,9 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
     ``record`` selects stored snapshots: ``None`` (endpoints only),
     ``"all"`` (every step), or a sequence of times (snapped to steps).
     The step count is ``round(T / dt)`` so the horizon is hit exactly.
+    Paths run in blocks of at most ``block_size``; blocks that need more
+    than one noise chunk go to a thread pool, and the result does not
+    depend on the partition.
     """
     if dt <= 0 or M < 1:
         raise ValueError("need dt > 0 and M >= 1")
@@ -268,9 +319,8 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
     if a.shape != (M, n):
         raise ValueError("sampler produced the wrong shape")
 
-    final_y = np.empty((M, n))
+    final_y = a.astype(float)
     tau = np.full(M, T)
-    exited = np.zeros(M, dtype=bool)
     discount = np.zeros(M, dtype=disc_dtype)
     const_beta = sde._const_beta()
     f_zero = all(isinstance(fi, ConstField) and fi.value == 0.0
@@ -279,51 +329,101 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
                 and sde.field.lam_re.value == 0.0 and lam_real)
     sqdt = np.sqrt(dt)
 
-    for start in range(0, M, block_size):
-        end = min(M, start + block_size)
-        B = end - start
-        noise = np.empty((B, nsteps, n))
-        for p in range(start, end):
-            noise[p - start] = _path_generator(master_seed, p) \
-                .standard_normal((nsteps, n))
-        y = a[start:end].copy()
-        alive = (domain.contains(y, open_set=True) if domain is not None
-                 else np.ones(B, dtype=bool))
-        tau_b = np.full(B, T)
-        tau_b[~alive] = 0.0
-        disc_b = np.zeros(B, dtype=disc_dtype)
+    def increment(y_live, xi, t_k):
+        # this order of operations fixes the bits of every path:
+        # (sqdt * xi) @ beta^T, and f dt first, then the noise increment
+        if const_beta is not None:
+            incr = sqdt * xi @ const_beta.T
+        else:
+            bmat = sde.beta_at(y_live, t_k)
+            incr = sqdt * np.einsum("pij,pj->pi", bmat,
+                                    np.ascontiguousarray(xi))
+        if f_zero:
+            return incr
+        ydot = sde.field.eval_f(y_live, t_k) * dt
+        ydot += incr
+        return ydot
+
+    def run_block(start: int, end: int):
+        # the block's rows of the outputs; live paths are stepped in
+        # compacted copies and written back on exit and at record times
+        y, tau_b, disc_b = (final_y[start:end], tau[start:end],
+                            discount[start:end])
+        if domain is not None:
+            alive = domain.contains(y, open_set=True)
+            tau_b[~alive] = 0.0
+            ids = np.flatnonzero(alive)
+        else:
+            ids = np.arange(end - start)
+        gens = None     # one generator per path once paths span chunks
+        y_live = y[ids]
+        disc_live = disc_b[ids]
         if 0 in rec_pos:
             traj[start:end, rec_pos[0]] = y
-        for k in range(nsteps):
-            t_k = k * dt
-            if not lam_zero and alive.any():
-                lam = sde.field.eval_lambda(y[alive], t_k)
-                disc_b[alive] += (lam.real if lam_real else lam) * dt
-            if alive.any():
-                ydot = np.zeros((int(alive.sum()), n))
-                if not f_zero:
-                    ydot += sde.field.eval_f(y[alive], t_k) * dt
-                xi = noise[alive, k, :]
-                if const_beta is not None:
-                    ydot += sqdt * xi @ const_beta.T
-                else:
-                    bmat = sde.beta_at(y[alive], t_k)
-                    ydot += sqdt * np.einsum("pij,pj->pi", bmat, xi)
-                y[alive] += ydot
-                if domain is not None:
-                    newly_out = alive & ~domain.contains(y, open_set=True)
-                    tau_b[newly_out] = (k + 1) * dt
-                    alive &= ~newly_out
-            if (k + 1) in rec_pos:
-                traj[start:end, rec_pos[k + 1]] = y
-                disc_traj[start:end, rec_pos[k + 1]] = disc_b
-        final_y[start:end] = y
-        tau[start:end] = tau_b
-        exited[start:end] = tau_b < T
-        discount[start:end] = disc_b
+        k = 0
+        while k < nsteps:
+            # the next chunk of steps: at most _NOISE_FLOATS noise values
+            steps = min(nsteps - k,
+                        max(1, _NOISE_FLOATS // max(1, len(ids) * n)))
+            buf = np.empty((len(ids), steps, n))
+            if steps == nsteps:     # whole paths in one chunk
+                _first_normals(buf, master_seed, start + ids)
+            else:
+                if gens is None:
+                    gens = [_path_generator(master_seed, start + i)
+                            for i in ids]
+                for j, gen in enumerate(gens):
+                    gen.standard_normal(out=buf[j])
+            rows = None     # live rows of buf once a path has left
+            for c in range(steps):
+                t_k = k * dt
+                if len(ids):
+                    if not lam_zero:
+                        lam = sde.field.eval_lambda(y_live, t_k)
+                        disc_live += (lam.real if lam_real else lam) * dt
+                    y_live += increment(y_live,
+                                        buf[:, c] if rows is None
+                                        else buf[rows, c], t_k)
+                    if domain is not None:
+                        out = ~domain.contains(y_live, open_set=True)
+                        if out.any():
+                            gone = ids[out]
+                            y[gone] = y_live[out]
+                            disc_b[gone] = disc_live[out]
+                            tau_b[gone] = (k + 1) * dt
+                            keep = ~out
+                            ids, y_live, disc_live = (ids[keep], y_live[keep],
+                                                      disc_live[keep])
+                            rows = (np.flatnonzero(keep) if rows is None
+                                    else rows[keep])
+                k += 1
+                if k in rec_pos:
+                    y[ids] = y_live
+                    traj[start:end, rec_pos[k]] = y
+                    if not lam_zero:   # else disc_traj stays untouched zeros
+                        disc_b[ids] = disc_live
+                        disc_traj[start:end, rec_pos[k]] = disc_b
+            del buf             # before the next chunk's buffer exists
+            if gens is not None and rows is not None:
+                gens = [gens[r] for r in rows]
+        y[ids] = y_live
+        disc_b[ids] = disc_live
+
+    bounds, workers = _partition(M, block_size, nsteps * n)
+    blocks = list(zip(bounds[:-1], bounds[1:]))
+    if workers == 1:
+        for start, end in blocks:
+            run_block(start, end)
+    else:
+        pool = ThreadPoolExecutor(workers)
+        try:
+            for job in [pool.submit(run_block, *b) for b in blocks]:
+                job.result()
+        finally:
+            pool.shutdown(cancel_futures=True)
 
     return PathEnsemble(M=M, dt=dt, nsteps=nsteps, master_seed=master_seed,
-                        T=T, n=n, final_y=final_y, tau=tau, exited=exited,
+                        T=T, n=n, final_y=final_y, tau=tau, exited=tau < T,
                         discount=discount,
                         record_times=None if rec_idx is None else rec_idx * dt,
                         traj=traj, disc_traj=disc_traj,

@@ -5,6 +5,7 @@ import numpy as np
 
 from cordeslab import solver
 from cordeslab.cli import main
+from cordeslab.expr import ExprEvalError
 from cordeslab.fields import Box
 from cordeslab.grid import GridFunction, build_grid
 
@@ -225,6 +226,32 @@ def test_expression_fault_exit_1(tmp_path, capsys):
     assert run(tmp_path, "a.cfg", text, "analyze") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_fault_in_a_path_block_exit_1(tmp_path, capsys, monkeypatch):
+    # two workers (a noise budget below one block's forces the pool); the
+    # rate evaluation fails in the second of the two blocks (10000 and
+    # 10001 paths) and the fault reaches the caller
+    import cordeslab.stochastic as stochastic
+    from cordeslab.fields import CoefficientField
+    evaluate = CoefficientField.eval_lambda
+
+    def faulty(self, x, t, masked=True):
+        if len(x) > 10000:
+            raise ExprEvalError("sqrt of a negative number")
+        return evaluate(self, x, t, masked)
+    monkeypatch.setattr(CoefficientField, "eval_lambda", faulty)
+    monkeypatch.setattr(stochastic, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(stochastic, "_NOISE_FLOATS", 1000)
+    text = ("n = 1\nT = 0.01\ndomain.lo = -8\ndomain.hi = 8\n"
+            "b[1][1] = 1\nbeta[1][1] = 1.4142135623730951\n"
+            'lambda.re = "0.5 + 0.1*x1"\n'
+            "mc.M = 20001\nmc.dt = 0.005\n"
+            "mc.sampler = point\nmc.sampler.at = 0.0\n"
+            f"out.dir = {tmp_path / 'out'}\n")
+    assert run(tmp_path, "m.cfg", text, "simulate") == 1
+    err = capsys.readouterr().err
+    assert err == "error: sqrt of a negative number\n"
 
 
 def test_recording_budget_exit_1(tmp_path, capsys):

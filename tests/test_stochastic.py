@@ -1,11 +1,16 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cordeslab.fields import Box, builtin_problem, make_field
+from cordeslab import stochastic
+from cordeslab.fields import (Box, CoefficientField, builtin_problem,
+                              make_field)
 from cordeslab.grid import GridFunction, build_grid
 from cordeslab.solver import BackwardProblem, solve_backward, solve_forward_adjoint
 from cordeslab.stochastic import (SDE, HatSampler, PointSampler,
-                                  TruncatedGaussianSampler,
+                                  TruncatedGaussianSampler, UniformBoxSampler,
                                   characteristic_functional, density_compare,
                                   feynman_kac, max_principle_check,
                                   simulate_paths, verify_pairing)
@@ -91,6 +96,165 @@ def test_stderr_scaling_with_m():
         ens = simulate_paths(SDE(f), sampler, 1e-3, M, 13)
         se[M] = feynman_kac(ens, Phi=lambda x: x[:, 0] ** 2).stderr
     assert abs(se[4000] / se[16000] - 2.0) <= 0.4
+
+
+ENSEMBLE_ARRAYS = ("final_y", "tau", "exited", "discount", "traj",
+                   "disc_traj")
+
+
+def assert_same_ensemble(got, ref):
+    for name in ENSEMBLE_ARRAYS:
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def drifting_box_2d():
+    # drift, a rate, a full constant beta (b = 0.5 beta beta^T) and exits
+    return make_field(2, 0.2, Box((0.0, 0.0), (1.0, 1.0)),
+                      [[0.865, 0.37], [0.37, 0.685]],
+                      f=["0.5*sin(3*x2)", "-0.3 + x1"],
+                      lam="0.5 + 0.4*sin(x1)", beta=[[1.3, 0.2], [0.4, 1.1]])
+
+
+def reference_paths(sde, sampler, dt, M, seed):
+    """The loop as it was before noise streaming, for one block of paths
+    with drift and a constant beta: one whole ``(M, nsteps, n)`` noise
+    array, a boolean live mask, every step recorded."""
+    T = sde.T
+    nsteps = max(1, int(round(T / dt)))
+    dt = T / nsteps
+    n = sde.field.n
+    domain = sde.domain
+    noise = np.empty((M, nsteps, n))
+    for p in range(M):
+        noise[p] = stochastic._path_generator(seed, p) \
+            .standard_normal((nsteps, n))
+    y = sampler.sample(stochastic._path_generator(
+        seed, stochastic._INIT_STREAM), M).copy()
+    traj = np.empty((M, nsteps + 1, n))
+    disc_traj = np.zeros((M, nsteps + 1))
+    alive = domain.contains(y, open_set=True)
+    tau = np.full(M, T)
+    tau[~alive] = 0.0
+    disc = np.zeros(M)
+    beta = sde._const_beta()
+    sqdt = np.sqrt(dt)
+    traj[:, 0] = y
+    for k in range(nsteps):
+        t_k = k * dt
+        if alive.any():
+            disc[alive] += sde.field.eval_lambda(y[alive], t_k).real * dt
+            ydot = np.zeros((int(alive.sum()), n))
+            ydot += sde.field.eval_f(y[alive], t_k) * dt
+            ydot += sqdt * noise[alive, k, :] @ beta.T
+            y[alive] += ydot
+            newly_out = alive & ~domain.contains(y, open_set=True)
+            tau[newly_out] = (k + 1) * dt
+            alive &= ~newly_out
+        traj[:, k + 1] = y
+        disc_traj[:, k + 1] = disc
+    return stochastic.PathEnsemble(
+        M=M, dt=dt, nsteps=nsteps, master_seed=seed, T=T, n=n,
+        final_y=y, tau=tau, exited=tau < T, discount=disc,
+        record_times=np.arange(nsteps + 1) * dt, traj=traj,
+        disc_traj=disc_traj)
+
+
+def test_streamed_engine_matches_whole_block_reference():
+    f = drifting_box_2d()
+    sampler = UniformBoxSampler(f.domain)
+    got = simulate_paths(SDE(f), sampler, 2e-3, 1500, 5, record="all")
+    ref = reference_paths(SDE(f), sampler, 2e-3, 1500, 5)
+    assert got.exited.sum() > 300 and not got.exited.all()
+    assert_same_ensemble(got, ref)
+
+
+def test_noise_chunks_do_not_change_paths(monkeypatch):
+    # a budget of a few steps per chunk puts exits and record times on
+    # both sides of chunk boundaries; one chunk per block is the reference
+    f = drifting_box_2d()
+    sampler = UniformBoxSampler(f.domain)
+    times = [0.0, 0.013, 0.05, 0.111, 0.2]
+    runs = []
+    for budget in (2 ** 40, 7 * 1200 * 2, 1):
+        monkeypatch.setattr(stochastic, "_NOISE_FLOATS", budget)
+        runs.append(simulate_paths(SDE(f), sampler, 2e-3, 1200, 8,
+                                   record=times))
+    assert runs[0].exited.sum() > 200
+    for run in runs[1:]:
+        assert_same_ensemble(run, runs[0])
+
+
+@pytest.mark.parametrize("derived", [False, True])
+def test_worker_count_does_not_change_paths(monkeypatch, derived):
+    # more workers than cores, switching often, blocks of several noise
+    # chunks (so they go to the pool); with no beta given the root of 2b
+    # is derived per grid node and time level, and the blocks must share
+    # one computation of it per level
+    if derived:
+        f = make_field(2, 0.1, Box((0.0, 0.0), (1.0, 1.0)),
+                       [["1 + 0.3*t", "0.2"], ["0.2", "1 + 0.2*x1"]],
+                       lam="0.3")
+        sde_of = lambda: SDE(f, grid=build_grid(f.domain, (9, 9), 4, f.T))
+    else:
+        f = drifting_box_2d()
+        sde_of = lambda: SDE(f)
+    levels = []
+    eval_b = CoefficientField.eval_b
+    monkeypatch.setattr(CoefficientField, "eval_b",
+                        lambda self, x, t, masked=True:
+                        levels.append(t) or eval_b(self, x, t, masked))
+    monkeypatch.setattr(stochastic, "_NOISE_FLOATS", 7 * 1000 * 2)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cores in (1, 2, 4):
+            monkeypatch.setattr(stochastic, "_usable_cores", lambda: cores)
+            del levels[:]
+            runs.append(simulate_paths(sde_of(), UniformBoxSampler(f.domain),
+                                       5e-3, 3000, 3, record="all",
+                                       block_size=1000))
+            assert len(levels) == len(set(levels)) == (20 if derived else 0)
+    finally:
+        sys.setswitchinterval(interval)
+    for run in runs[1:]:
+        assert_same_ensemble(run, runs[0])
+
+
+def test_only_blocks_of_several_chunks_go_to_the_pool(monkeypatch):
+    # 3000 paths of 80 noise values in four blocks of 750 on two cores
+    pools = []
+
+    class Pool(stochastic.ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+    monkeypatch.setattr(stochastic, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(stochastic, "_usable_cores", lambda: 2)
+    f = drifting_box_2d()
+    runs = []
+    for budget in (750 * 80, 750 * 80 - 1):
+        monkeypatch.setattr(stochastic, "_NOISE_FLOATS", budget)
+        runs.append(simulate_paths(SDE(f), UniformBoxSampler(f.domain),
+                                   5e-3, 3000, 4, record="all",
+                                   block_size=1000))
+    assert pools == [2]
+    assert_same_ensemble(runs[1], runs[0])
+
+
+def test_noise_memory_is_bounded_by_the_chunk_budget():
+    # unchunked, this ensemble's noise alone is M * nsteps * 8 = 160 MB
+    M, nsteps = 20_000, 1000
+    f = free_space(0.1)
+    tracemalloc.start()
+    try:
+        simulate_paths(SDE(f), PointSampler([0.0]), 0.1 / nsteps, M, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * stochastic._NOISE_FLOATS * 8 + 16 * M * 8
+    assert M * nsteps * 8 > 2 * stochastic._NOISE_FLOATS * 8 + 16 * M * 8
 
 
 def test_simulate_validation():
