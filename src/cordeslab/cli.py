@@ -25,9 +25,10 @@ from .fields import decompose, sample_set
 from .grid import GridFunction
 from .solver import (BackwardProblem, apriori_ratio, fixed_point_solve,
                      solve_backward, solve_forward_adjoint, SolverError)
-from .stochastic import (SDE, _characteristic_mc, characteristic_functional,
-                         density_compare, feynman_kac, max_principle_check,
-                         simulate_paths, verify_pairing)
+from .stochastic import (SDE, _characteristic_panel_mc,
+                         characteristic_functional, density_compare,
+                         feynman_kac, max_principle_check, simulate_paths,
+                         verify_pairing)
 
 __all__ = ["main"]
 
@@ -283,13 +284,13 @@ def cmd_characteristic(cfg: RunConfig) -> int:
     grid = cfg.make_grid()
     panel = _read_panel(cfg.char_panel, cfg.field.n)
     sampler = cfg.make_sampler()
-    # every panel function pairs with the same ensemble; simulate it once
-    ens = simulate_paths(SDE(cfg.field, grid), sampler, cfg.mc_dt, cfg.mc_M,
-                         cfg.mc_seed, record="all")
+    # one unrecorded ensemble serves every panel function
+    mcs = _characteristic_panel_mc(SDE(cfg.field, grid), sampler, cfg.mc_dt,
+                                   cfg.mc_M, cfg.mc_seed,
+                                   [row[1:] for row in panel])
     rows = []
     ok = True
-    for fid, times, values in panel:
-        mc = _characteristic_mc(ens, times, values)
+    for (fid, times, values), mc in zip(panel, mcs):
         pde = characteristic_functional(times, values, "pde", grid=grid,
                                         sampler=sampler, field=cfg.field,
                                         theta=cfg.theta)

@@ -260,6 +260,15 @@ def _slice_l2(block: np.ndarray, grid: Grid) -> np.ndarray:
     return np.sqrt((np.abs(block) ** 2).sum(axis=axes) * grid.cell_volume)
 
 
+def _time_l2(per_slice: np.ndarray, grid: Grid) -> float:
+    """L2 in time of per-slice norms: the left rectangle rule over a
+    space-time block (its last slice left out), the whole horizon for a
+    single slice."""
+    if len(per_slice) == 1:
+        return float(np.sqrt(np.sum(per_slice ** 2) * grid.T))
+    return float(np.sqrt(np.sum(per_slice[:-1] ** 2) * grid.dt))
+
+
 def discrete_norms(u: GridFunction, weights: NormWeights | None = None) -> NormBundle:
     """Norm bundle of a grid function (single slice or space-time block)."""
     grid = u.grid
@@ -268,7 +277,6 @@ def discrete_norms(u: GridFunction, weights: NormWeights | None = None) -> NormB
         weights = NormWeights.default(n)
     block = u.values if u.is_spacetime else u.values[None, ...]
     nslices = block.shape[0]
-    dt = grid.dt if nslices > 1 else grid.T
 
     H0 = _slice_l2(block, grid)
     grads = [_d1(block, grid, i) for i in range(n)]
@@ -291,10 +299,9 @@ def discrete_norms(u: GridFunction, weights: NormWeights | None = None) -> NormB
     bracket = np.maximum(bracket, 0.0)  # guards roundoff; >= 0 since gamma < 2
     Hhat2 = np.sqrt(bracket) + weights.alpha1 * W22
 
-    upto = max(nslices - 1, 1)
-    X0 = float(np.sqrt(np.sum(H0[:upto] ** 2) * dt))
-    X2 = float(np.sqrt(np.sum(W22[:upto] ** 2) * dt))
-    Xhat2 = float(np.sqrt(np.sum(Hhat2[:upto] ** 2) * dt))
+    X0 = _time_l2(H0, grid)
+    X2 = _time_l2(W22, grid)
+    Xhat2 = _time_l2(Hhat2, grid)
     C0 = float(H0.max())
     C1 = float(H1.max())
     return NormBundle(H0=H0, H1=H1, W22=W22, Hhat2=Hhat2, X0=X0, X2=X2,

@@ -29,7 +29,7 @@ from .conditions import ellipticity_delta, nu_hat
 from .fields import (CoefficientField, Decomposition, SampleSet,
                      smooth_at_points)
 from .grid import Grid, GridFunction, NormBundle, NormWeights, discrete_norms
-from .grid import _d1, _second_derivative
+from .grid import _d1, _second_derivative, _slice_l2, _time_l2
 
 __all__ = [
     "SolverError", "BackwardProblem", "DiscreteSolution", "FixedPointTrace",
@@ -148,6 +148,9 @@ class DiscreteSolution:
     v: GridFunction
     norms: NormBundle
     meta: dict = dc_field(default_factory=dict)
+    # (phi spec, {t: L2 norm over space of phi at t}) of the source levels
+    # the march evaluated
+    _source: tuple | None = dc_field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -512,13 +515,19 @@ def solve_backward(problem: BackwardProblem, grid: Grid, theta: float = 1.0,
     """
     provider = coefficients or _FieldCoefficients(problem, grid)
     stepper = _Stepper(grid, theta, provider)
-    v = stepper.run_backward(lambda t: problem.eval_phi(grid, t),
-                             problem.eval_Phi(grid))
+    levels = {}     # the source levels' norms, kept for apriori_ratio
+
+    def phi_at(t):
+        vals = problem.eval_phi(grid, t)
+        if problem.phi is not None:
+            levels[t] = _slice_l2(vals[None], grid)[0]
+        return vals
+    v = stepper.run_backward(phi_at, problem.eval_Phi(grid))
     gf = GridFunction(grid, v)
     norms = discrete_norms(gf, weights)
     meta = {"theta": theta, "dt": grid.dt, "rtol": LIN_RTOL,
             "time_dependent": provider.time_dependent}
-    return DiscreteSolution(gf, norms, meta)
+    return DiscreteSolution(gf, norms, meta, _source=(problem.phi, levels))
 
 
 def solve_forward_adjoint(rho, problem: BackwardProblem, grid: Grid,
@@ -772,9 +781,13 @@ def apriori_ratio(solution: DiscreteSolution, phi, Phi,
     """
     grid = solution.v.grid
     num = discrete_norms(solution.v, weights).Yhat2
-    phi_block = np.stack([_eval_space_fn(phi, grid, t) for t in grid.times()],
-                         axis=0)
-    phi_norm = discrete_norms(GridFunction(grid, phi_block)).X0
+    spec, levels = solution._source or (None, {})
+    if spec is not phi:     # the march's evaluations are of another source
+        levels = {}
+    phi_norm = _time_l2(np.array(
+        [levels[t] if t in levels
+         else _slice_l2(_eval_space_fn(phi, grid, t)[None], grid)[0]
+         for t in grid.times()]), grid)
     Phi_arr = _eval_space_fn(Phi, grid, None)
     Phi_norm = float(discrete_norms(GridFunction(grid, Phi_arr)).H1[0])
     denom = phi_norm + Phi_norm

@@ -9,8 +9,14 @@ each path.  Noise comes from a counter-based generator keyed by
 block it runs in.  Each block streams its noise in chunks of steps
 under a fixed in-flight bound and steps only the paths still alive;
 blocks that need more than one chunk run on a thread pool sized by the
-CPU affinity of the process.  Outputs are byte-identical whatever the worker count and the
-block partition.
+CPU affinity of the process.  Outputs are byte-identical whatever the
+worker count and the block partition.
+
+The path functionals of the checks (the Feynman-Kac source integral of
+``verify_pairing`` and the arctangent phases of the characteristic
+functional) are summed per path as the paths are stepped, through a
+private per-step hook of ``simulate_paths``, so no check stores
+trajectories.  ``record=`` stays a user option, under a memory budget.
 """
 
 from __future__ import annotations
@@ -185,6 +191,13 @@ class SDE:
             stride *= self.grid.m[ax]
         return roots[idx]
 
+    def _forget_levels_before(self, t: float):
+        """Drop the derived roots of the time levels before ``t``."""
+        floor = round(float(t), 12)
+        with self._beta_lock:
+            for key in [key for key in self._beta_cache if key < floor]:
+                del self._beta_cache[key]
+
 
 @dataclass
 class PathEnsemble:
@@ -276,8 +289,24 @@ def _partition(M: int, block_size: int, path_floats: int):
     return [M * i // blocks for i in range(blocks + 1)], workers
 
 
+def _step_count(T: float, dt: float):
+    """Steps and step length of a run: ``round(T / dt)`` steps, so that
+    the horizon is hit exactly."""
+    nsteps = max(1, int(round(T / dt)))
+    return nsteps, T / nsteps
+
+
+def _rows(start: int, ids: np.ndarray):
+    """Output rows of a block's live paths (block-local ``ids``, not
+    empty): a slice when they are contiguous, as before the first exit."""
+    if ids[-1] - ids[0] == len(ids) - 1:
+        return slice(start + ids[0], start + ids[-1] + 1)
+    return start + ids
+
+
 def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
-                   record=None, block_size: int = 20000) -> PathEnsemble:
+                   record=None, block_size: int = 20000,
+                   _on_step=None) -> PathEnsemble:
     """Run the weak explicit scheme for ``M`` paths.
 
     ``record`` selects stored snapshots: ``None`` (endpoints only),
@@ -286,12 +315,17 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
     Paths run in blocks of at most ``block_size``; blocks that need more
     than one noise chunk go to a thread pool, and the result does not
     depend on the partition.
+
+    ``_on_step(start, ids, y_live, disc_live, k)`` (private) is called at
+    the top of step ``k`` of a block starting at path ``start``, before
+    that step's rate update and increment, with the block-local ids of
+    the paths still alive, their positions and their discounts (not to
+    be modified).  Calls of different blocks may run concurrently.
     """
     if dt <= 0 or M < 1:
         raise ValueError("need dt > 0 and M >= 1")
     T = sde.T
-    nsteps = max(1, int(round(T / dt)))
-    dt = T / nsteps
+    nsteps, dt = _step_count(T, dt)
     n = sde.field.n
     domain = sde.domain
     lam_real = sde.field.lambda_is_real
@@ -378,6 +412,8 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
             for c in range(steps):
                 t_k = k * dt
                 if len(ids):
+                    if _on_step is not None:
+                        _on_step(start, ids, y_live, disc_live, k)
                     if not lam_zero:
                         lam = sde.field.eval_lambda(y_live, t_k)
                         disc_live += (lam.real if lam_real else lam) * dt
@@ -397,6 +433,9 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
                             rows = (np.flatnonzero(keep) if rows is None
                                     else rows[keep])
                 k += 1
+                if next_level is not None:
+                    next_level[start] = k
+                    sde._forget_levels_before(min(next_level.values()) * dt)
                 if k in rec_pos:
                     y[ids] = y_live
                     traj[start:end, rec_pos[k]] = y
@@ -411,6 +450,10 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
 
     bounds, workers = _partition(M, block_size, nsteps * n)
     blocks = list(zip(bounds[:-1], bounds[1:]))
+    # derived roots are kept only for the time levels a block has yet to
+    # step: the lowest next level over the blocks
+    next_level = (dict.fromkeys(bounds[:-1], 0) if sde.field.beta is None
+                  and sde.field.time_dependent else None)
     if workers == 1:
         for start, end in blocks:
             run_block(start, end)
@@ -444,13 +487,7 @@ def feynman_kac(ensemble: PathEnsemble, phi=None, Phi=None) -> Estimate:
     the left rectangle rule along each living segment with the running
     discount.  The standard error combines real and imaginary spreads.
     """
-    vals = np.zeros(ensemble.M, dtype=complex)
-    if Phi is not None:
-        surv = ~ensemble.exited
-        if surv.any():
-            w = np.exp(-ensemble.discount[surv])
-            vals[surv] += _eval_points(Phi, ensemble.final_y[surv],
-                                       ensemble.T, terminal=True) * w
+    vals = _terminal_values(ensemble, Phi)
     if phi is not None:
         if ensemble.traj is None or len(ensemble.record_times) != \
                 ensemble.nsteps + 1:
@@ -464,9 +501,43 @@ def feynman_kac(ensemble: PathEnsemble, phi=None, Phi=None) -> Estimate:
             vals[living] += _eval_points(phi, ensemble.traj[living, k, :],
                                          t_k) * \
                 np.exp(-ensemble.disc_traj[living, k]) * dt
+    return _path_estimate(vals, ensemble)
+
+
+def _terminal_values(ensemble: PathEnsemble, Phi) -> np.ndarray:
+    """Per path: ``Phi`` at the terminal point times the full discount
+    factor for survivors, zero otherwise (complex)."""
+    vals = np.zeros(ensemble.M, dtype=complex)
+    if Phi is not None:
+        surv = ~ensemble.exited
+        if surv.any():
+            w = np.exp(-ensemble.discount[surv])
+            vals[surv] += _eval_points(Phi, ensemble.final_y[surv],
+                                       ensemble.T, terminal=True) * w
+    return vals
+
+
+def _path_estimate(vals: np.ndarray, ensemble: PathEnsemble) -> Estimate:
     mean, stderr = _mean_and_stderr(_real_if_possible(vals))
     return Estimate(mean, stderr, ensemble.M,
                     {"dt": ensemble.dt, "seed": ensemble.master_seed})
+
+
+def _streamed_source(sde: SDE, sampler, dt: float, M: int,
+                     master_seed: int, phi):
+    """An unrecorded ensemble and, per path, ``feynman_kac``'s discounted
+    source integral of ``phi`` (``None`` without a source), summed in step
+    order while the paths are stepped."""
+    if phi is None:
+        return simulate_paths(sde, sampler, dt, M, master_seed), None
+    source = np.zeros(M, dtype=complex)
+    h = _step_count(sde.T, dt)[1]
+
+    def integrate(start, ids, y_live, disc_live, k):
+        source[_rows(start, ids)] += _eval_points(phi, y_live, k * h) * \
+            np.exp(-disc_live) * h
+    return simulate_paths(sde, sampler, dt, M, master_seed,
+                          _on_step=integrate), source
 
 
 def verify_pairing(problem: BackwardProblem, grid: Grid, sde: SDE, sampler,
@@ -479,15 +550,20 @@ def verify_pairing(problem: BackwardProblem, grid: Grid, sde: SDE, sampler,
     standard error and a recorded (not asserted) size bound ratio.
     ``solution`` is the problem's backward solution on ``grid`` with
     ``theta`` when the caller has it already; it is solved otherwise.
+    The path functional is ``feynman_kac``'s, with the source integral
+    summed per path as the paths are stepped (nothing is recorded) and
+    the terminal term added after it.
     """
     if solution is None:
         solution = solve_backward(problem, grid, theta)
     rho_grid = sampler.grid_density(grid)
     pde_value = pair(GridFunction(grid, solution.v.values[0]), rho_grid)
-    need_traj = problem.phi is not None
-    ens = simulate_paths(sde, sampler, dt, M, master_seed,
-                         record="all" if need_traj else None)
-    mc = feynman_kac(ens, phi=problem.phi, Phi=problem.Phi)
+    ens, source = _streamed_source(sde, sampler, dt, M, master_seed,
+                                   problem.phi)
+    vals = _terminal_values(ens, problem.Phi)
+    if source is not None:
+        vals += source
+    mc = _path_estimate(vals, ens)
     diff = abs(complex(pde_value) - complex(mc.value))
     rho_norm = float(np.sqrt(np.sum(np.abs(rho_grid) ** 2) * grid.cell_volume))
     data_ratio = apriori_ratio(solution, problem.phi, problem.Phi)
@@ -552,18 +628,46 @@ def _xi_interpolant(xi_times, xi_values):
     return xi_at
 
 
-def _characteristic_mc(ens: PathEnsemble, xi_times, xi_values) -> Estimate:
-    """Monte Carlo characteristic functional of one panel function on a
-    fully recorded ensemble (one ensemble serves a whole panel)."""
-    xi_at = _xi_interpolant(xi_times, xi_values)
-    phase = np.zeros(ens.M)
-    for k in range(ens.nsteps):
-        t_k = k * ens.dt
-        z = np.arctan(ens.traj[:, k, :])
-        phase += (z @ xi_at(t_k)) * ens.dt
-    vals = np.exp(-1j * phase)
-    mean, stderr = _mean_and_stderr(vals)
-    return Estimate(mean, stderr, ens.M, {"route": "mc", "dt": ens.dt})
+def _characteristic_panel_mc(sde: SDE, sampler, dt: float, M: int,
+                             master_seed: int, panel) -> list:
+    """Monte Carlo characteristic functionals of a panel, a sequence of
+    ``(xi_times, xi_values)`` functions, over one unrecorded ensemble.
+
+    Each path's phase ``sum_k dt * xi(t_k) . arctan(y(t_k))`` is summed in
+    step order while the paths are stepped.  A path that left the box
+    keeps its exit point for the remaining steps (a trajectory frozen at
+    exit); those terms are added after the run, still in step order.  The
+    dot product runs over the coordinates from the first, so a path's
+    phase does not depend on the rows it is stepped with.
+    """
+    nsteps, dt = _step_count(sde.T, dt)
+    xi_ats = [_xi_interpolant(t, v) for t, v in panel]
+    xi = np.array([[xi_at(k * dt) for xi_at in xi_ats]
+                   for k in range(nsteps)])     # (step, function, coordinate)
+    if xi.shape[2] != sde.field.n:
+        raise ValueError("xi panel shapes do not line up")
+    phase = np.zeros((len(panel), M))     # one row per panel function
+
+    def add(rows, z, k):
+        inc = xi[k, :, :1] * z[:, 0]
+        for i in range(1, z.shape[1]):
+            inc += xi[k, :, i:i + 1] * z[:, i]
+        inc *= dt
+        phase[:, rows] += inc
+
+    ens = simulate_paths(sde, sampler, dt, M, master_seed,
+                         _on_step=lambda start, ids, y_live, disc_live, k:
+                         add(_rows(start, ids), np.arctan(y_live), k))
+    gone = np.flatnonzero(ens.exited)
+    first = np.rint(ens.tau[gone] / dt).astype(np.int64)  # first frozen step
+    order = np.argsort(first, kind="stable")
+    gone, first = gone[order], first[order]
+    z_exit = np.arctan(ens.final_y[gone])
+    for k in range(first[0] if len(first) else nsteps, nsteps):
+        frozen = np.searchsorted(first, k, side="right")
+        add(gone[:frozen], z_exit[:frozen], k)
+    return [Estimate(*_mean_and_stderr(np.exp(-1j * row)), M,
+                     {"route": "mc", "dt": dt}) for row in phase]
 
 
 def characteristic_functional(xi_times, xi_values, via: str, *,
@@ -586,8 +690,8 @@ def characteristic_functional(xi_times, xi_values, via: str, *,
     if via == "mc":
         if None in (sde, sampler, dt, M, master_seed):
             raise ValueError("mc route needs sde, sampler, dt, M, master_seed")
-        ens = simulate_paths(sde, sampler, dt, M, master_seed, record="all")
-        return _characteristic_mc(ens, xi_times, xi_values)
+        return _characteristic_panel_mc(sde, sampler, dt, M, master_seed,
+                                        [(xi_times, xi_values)])[0]
 
     if via == "pde":
         if None in (grid, sampler, field):

@@ -115,6 +115,29 @@ def test_solve_zero_data_zero_ratio(tmp_path):
     assert norms["apriori_ratio"] == 0.0
 
 
+def test_solve_evaluates_phi_once_per_level(tmp_path, monkeypatch):
+    # the march evaluates phi on nt levels and apriori_ratio reuses them,
+    # evaluating only the level the march skips
+    from cordeslab.fields import ExprField
+    source = ExprField("x1 * (1 + t)").describe()
+    calls = []
+    eval_raw = ExprField.eval_raw
+
+    def counted(self, x, t):
+        if self.describe() == source:
+            calls.append(t)
+        return eval_raw(self, x, t)
+    monkeypatch.setattr(ExprField, "eval_raw", counted)
+    text = ("problem.builtin = identity_heat\nproblem.param.n = 1\n"
+            "grid.m = 15\ngrid.nt = 8\n"
+            'solve.phi = "x1 * (1 + t)"\n'
+            f"out.dir = {tmp_path / 'out'}\n")
+    assert run(tmp_path, "s.cfg", text, "solve") == 0
+    assert len(calls) == 8 + 1
+    norms = json.loads((tmp_path / "out" / "norms.json").read_text())
+    assert norms["apriori_ratio"] > 0.0
+
+
 def test_solve_proof_mirror_trace(tmp_path):
     text = ("problem.builtin = paper_3x3\n"
             "problem.param.alpha = 0.5\nproblem.param.beta = 0.0\n"
@@ -163,14 +186,14 @@ def test_verify_gaussian_pairing(tmp_path):
 
 
 def test_characteristic_zero_row_and_csv(tmp_path, monkeypatch):
-    import cordeslab.cli as cli
     import cordeslab.stochastic as stochastic
     simulations = []
+    simulate = stochastic.simulate_paths
 
     def counted(*args, **kwargs):
-        simulations.append(args[4])
-        return stochastic.simulate_paths(*args, **kwargs)
-    monkeypatch.setattr(cli, "simulate_paths", counted)
+        simulations.append((args[4], kwargs.get("record")))
+        return simulate(*args, **kwargs)
+    monkeypatch.setattr(stochastic, "simulate_paths", counted)
     (tmp_path / "panel.csv").write_text(
         "func,t,xi1\n0,0.0,0.0\n0,0.2,0.0\n1,0.0,1.0\n1,0.2,1.0\n")
     text = ("problem.builtin = gaussian_free_space\n"
@@ -183,7 +206,8 @@ def test_characteristic_zero_row_and_csv(tmp_path, monkeypatch):
             "characteristic.panel = panel.csv\n"
             f"out.dir = {tmp_path / 'out'}\n")
     assert run(tmp_path, "c.cfg", text, "characteristic") == 0
-    assert simulations == [7]  # one ensemble serves both panel functions
+    # one unrecorded ensemble serves both panel functions
+    assert simulations == [(7, None)]
     rows = json.loads(
         (tmp_path / "out" / "characteristic.json").read_text())["table"]
     assert rows[0]["mc"] == {"re": 1.0, "im": 0.0, "stderr": 0.0,
@@ -254,17 +278,35 @@ def test_fault_in_a_path_block_exit_1(tmp_path, capsys, monkeypatch):
     assert err == "error: sqrt of a negative number\n"
 
 
-def test_recording_budget_exit_1(tmp_path, capsys):
-    # 300000 fully recorded paths of 1000 steps exceed the recording budget
-    (tmp_path / "panel.csv").write_text("t,xi1\n0.0,1.0\n1.0,1.0\n")
-    text = ("problem.builtin = identity_heat\nproblem.param.n = 1\n"
-            "grid.m = 15\ngrid.nt = 8\nmc.M = 300000\nmc.dt = 0.001\n"
-            "characteristic.panel = panel.csv\n"
-            f"out.dir = {tmp_path / 'out'}\n")
-    assert run(tmp_path, "c.cfg", text, "characteristic") == 1
+# a tiny verify/characteristic problem; the density check records M = 400
+# paths at one time, 800 floats, above a recording budget patched to 100
+TINY_MC = ("problem.builtin = gaussian_free_space\n"
+           "problem.param.n = 1\nproblem.param.half_width = 6\n"
+           "problem.param.T = 0.1\ngrid.m = 31\ngrid.nt = 8\n"
+           "mc.M = 400\nmc.dt = 0.01\nmc.seed = 3\n"
+           "mc.sampler = gaussian\nmc.sampler.sigma = 1.0\n")
+
+
+def test_recording_budget_exit_1(tmp_path, capsys, monkeypatch):
+    import cordeslab.stochastic as stochastic
+    monkeypatch.setattr(stochastic, "_MAX_RECORD_FLOATS", 100)
+    text = TINY_MC + ('solve.Phi = "x1^2"\nverify.density.times = 0.05\n'
+                      f"out.dir = {tmp_path / 'out'}\n")
+    assert run(tmp_path, "v.cfg", text, "verify") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "budget" in err
+
+
+def test_characteristic_records_no_trajectories(tmp_path, monkeypatch):
+    # the panel phases are summed while the paths are stepped, so the
+    # recording budget does not apply
+    import cordeslab.stochastic as stochastic
+    monkeypatch.setattr(stochastic, "_MAX_RECORD_FLOATS", 100)
+    (tmp_path / "panel.csv").write_text("t,xi1\n0.0,0.5\n0.1,1.5\n")
+    text = TINY_MC + ("characteristic.panel = panel.csv\n"
+                      f"out.dir = {tmp_path / 'out'}\n")
+    assert run(tmp_path, "c.cfg", text, "characteristic") == 0
 
 
 def test_missing_config_exit_1(tmp_path):

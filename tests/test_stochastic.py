@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cordeslab import stochastic
 from cordeslab.fields import (Box, CoefficientField, builtin_problem,
@@ -255,6 +256,59 @@ def test_noise_memory_is_bounded_by_the_chunk_budget():
         tracemalloc.stop()
     assert peak < 2 * stochastic._NOISE_FLOATS * 8 + 16 * M * 8
     assert M * nsteps * 8 > 2 * stochastic._NOISE_FLOATS * 8 + 16 * M * 8
+
+
+def test_recording_budget_raises_before_allocating():
+    # a million paths of 1000 recorded steps: 16 GB of trajectories
+    f = free_space(1.0)
+
+    class Untouched(PointSampler):
+        def sample(self, gen, M):
+            raise AssertionError("sampled before the budget check")
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match="budget"):
+            simulate_paths(SDE(f), Untouched([0.0]), 1e-3, 10 ** 6, 1,
+                           record="all")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def time_dependent_derived(T=0.1):
+    # no beta given: the root of 2b is derived per grid node and level
+    f = make_field(2, T, Box((0.0, 0.0), (1.0, 1.0)),
+                   [["1 + 0.3*t", "0.2"], ["0.2", "1 + 0.2*x1"]], lam="0.3")
+    return f, lambda: SDE(f, grid=build_grid(f.domain, (9, 9), 4, T))
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_derived_roots_are_kept_for_the_current_level_only(monkeypatch,
+                                                           cores):
+    # with one block the cache never holds more than the level being
+    # stepped, and none is left after the run; several blocks, inline or
+    # on the pool, give the same paths as a cache that forgets nothing
+    f, sde_of = time_dependent_derived()
+    sizes = []
+    beta_at = SDE.beta_at
+    monkeypatch.setattr(SDE, "beta_at", lambda self, y, t: sizes.append(
+        len(self._beta_cache)) or beta_at(self, y, t))
+    sde = sde_of()
+    one = simulate_paths(sde, UniformBoxSampler(f.domain), 2e-3, 300, 4)
+    assert max(sizes) <= 1 and len(sde._beta_cache) <= 1
+    monkeypatch.setattr(stochastic, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(stochastic, "_NOISE_FLOATS", 7 * 100 * 2)
+    runs = []
+    for forget in (SDE._forget_levels_before, lambda self, t: None):
+        monkeypatch.setattr(SDE, "_forget_levels_before", forget)
+        sde = sde_of()
+        runs.append(simulate_paths(sde, UniformBoxSampler(f.domain), 2e-3,
+                                   300, 4, record="all", block_size=100))
+    assert len(sde._beta_cache) == 50    # the unbounded cache, one per level
+    assert_same_ensemble(runs[0], runs[1])
+    for name in ("final_y", "tau", "discount"):
+        assert np.array_equal(getattr(runs[0], name), getattr(one, name))
 
 
 def test_simulate_validation():
@@ -545,3 +599,141 @@ def test_max_principle_random_nonnegative_problems():
         sol = solve_backward(prob, g, theta=1.0)
         mn, verdict = max_principle_check(sol, prob)
         assert verdict == "pass", (trial, mn)
+
+
+# ----------------------------------------------------------------------------
+# streamed functionals against the recorded reductions
+
+
+NOISE_DEFAULT = stochastic._NOISE_FLOATS
+
+
+def narrow_box(n):
+    """Paths on a narrow box with drift and a rate, so that a good share
+    of them exits; in 2-D beta is derived from a time-dependent b and the
+    rate is complex."""
+    if n == 1:
+        f = make_field(1, 0.1, Box((0.0,), (0.5,)), [[0.98]],
+                       f=["0.5 - x1"], lam="0.3 + 0.2*x1", beta=[[1.4]])
+        return f, lambda: SDE(f)
+    f = make_field(2, 0.1, Box((0.0, 0.0), (0.6, 0.5)),
+                   [["0.8 + t", "0.1"], ["0.1", "0.6"]],
+                   f=["0.3*x2", "-0.2"], lam=("0.4", "0.2*x1"))
+    return f, lambda: SDE(f, grid=build_grid(f.domain, (7, 7), 4, f.T))
+
+
+def recorded_phases(ens, panel):
+    """Per path ``exp(-i phase)`` of each panel function from a fully
+    recorded ensemble: the rectangle rule over the trajectory frozen at
+    exit, the dot product summed from the first coordinate."""
+    out = []
+    for times, values in panel:
+        xi_at = stochastic._xi_interpolant(times, values)
+        phase = np.zeros(ens.M)
+        for k in range(ens.nsteps):
+            z = np.arctan(ens.traj[:, k, :])
+            xi = xi_at(k * ens.dt)
+            inc = z[:, 0] * xi[0]
+            for i in range(1, ens.n):
+                inc = inc + z[:, i] * xi[i]
+            phase += inc * ens.dt
+        out.append(np.exp(-1j * phase))
+    return out
+
+
+def streamed_layout(monkeypatch, block, noise, cores):
+    """Blocks of ``block`` paths, ``noise`` values in flight per block (a
+    budget below one block's noise sends the blocks to the pool) and
+    ``cores`` workers."""
+    simulate = stochastic.simulate_paths
+    monkeypatch.setattr(stochastic, "simulate_paths",
+                        lambda *args, **kwargs: simulate(
+                            *args, block_size=block, **kwargs))
+    monkeypatch.setattr(stochastic, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(stochastic, "_NOISE_FLOATS", noise)
+
+
+def streamed_example(check, monkeypatch, *args):
+    """One example with its patches undone after it, the workers
+    switching often."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with monkeypatch.context() as patch:
+            check(patch, *args)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+STREAMED = dict(n=st.sampled_from([1, 2]), block=st.integers(1, 400),
+                noise=st.integers(1, 6000), cores=st.sampled_from([1, 2, 4]),
+                seed=st.integers(0, 2 ** 31))
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(**STREAMED)
+def test_streamed_panel_matches_recorded_reduction(monkeypatch, n, block,
+                                                   noise, cores, seed):
+    streamed_example(check_streamed_panel, monkeypatch, n, block, noise,
+                     cores, seed)
+
+
+def check_streamed_panel(monkeypatch, n, block, noise, cores, seed):
+    f, sde_of = narrow_box(n)
+    sampler = UniformBoxSampler(f.domain)
+    rng = np.random.default_rng(seed)
+    times = np.linspace(0.0, f.T, 4)
+    panel = [(times, rng.uniform(-3, 3, (4, n))) for _ in range(3)]
+    monkeypatch.setattr(stochastic, "_NOISE_FLOATS", NOISE_DEFAULT)
+    ens = simulate_paths(sde_of(), sampler, 4e-3, 300, seed, record="all")
+    assert ens.exited.any()
+    ref = recorded_phases(ens, panel)
+
+    seen = []
+    mean_and_stderr = stochastic._mean_and_stderr
+    monkeypatch.setattr(stochastic, "_mean_and_stderr",
+                        lambda vals: seen.append(vals) or
+                        mean_and_stderr(vals))
+    streamed_layout(monkeypatch, block, noise, cores)
+    got = stochastic._characteristic_panel_mc(sde_of(), sampler, 4e-3, 300,
+                                              seed, panel)
+    for vals, want, est in zip(seen, ref, got):
+        assert np.array_equal(vals, want)
+        assert (est.value, est.stderr) == mean_and_stderr(want)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(**STREAMED)
+def test_streamed_source_matches_feynman_kac(monkeypatch, n, block, noise,
+                                             cores, seed):
+    streamed_example(check_streamed_source, monkeypatch, n, block, noise,
+                     cores, seed)
+
+
+def check_streamed_source(monkeypatch, n, block, noise, cores, seed):
+    f, sde_of = narrow_box(n)
+    sampler = UniformBoxSampler(f.domain)
+
+    def phi(x, t):
+        return np.cos(3.0 * x[:, 0]) * (1.0 + t) + x[:, -1] ** 2
+
+    monkeypatch.setattr(stochastic, "_NOISE_FLOATS", NOISE_DEFAULT)
+    ens = simulate_paths(sde_of(), sampler, 4e-3, 300, seed, record="all")
+    assert ens.exited.any()
+    seen = []
+    mean_and_stderr = stochastic._mean_and_stderr
+    monkeypatch.setattr(stochastic, "_mean_and_stderr",
+                        lambda vals: seen.append(vals) or
+                        mean_and_stderr(vals))
+    ref = feynman_kac(ens, phi=phi)
+
+    streamed_layout(monkeypatch, block, noise, cores)
+    streamed, source = stochastic._streamed_source(sde_of(), sampler, 4e-3,
+                                                   300, seed, phi)
+    got = stochastic._path_estimate(source, streamed)
+    assert np.array_equal(stochastic._real_if_possible(source), seen[0])
+    assert (got.value, got.stderr) == (ref.value, ref.stderr)
+    for name in ("final_y", "tau", "discount"):
+        assert np.array_equal(getattr(streamed, name), getattr(ens, name))
