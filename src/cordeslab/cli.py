@@ -135,7 +135,7 @@ def cmd_solve(cfg: RunConfig, proof_mirror: bool = False) -> int:
             decomp = decomp.with_gamma(gamma)
         _, trace = fixed_point_solve(problem, grid, decomp,
                                      eps=cfg.proof_eps, K=cfg.proof_K,
-                                     theta=cfg.theta)
+                                     theta=cfg.theta, direct=solution)
         _write_json(cfg.out_dir / "fixed_point_trace.json",
                     {"schema": "v1", "config_hash": cfg.hash(),
                      "trace": trace.as_dict()})

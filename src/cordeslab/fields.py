@@ -648,15 +648,13 @@ def mollify(source, eps: float, box: Box | None = None,
     nu_b = nu_bb = nu_fb = nu_lb = 0.0
     f_lp = lam_lp = 0.0
 
-    def smooth(entry, at, t):
-        return _point_smooth(entry, at, eps, spacing, t)
+    def smooth(at, t):
+        return _smooth_parts(b_src, field, at, eps, spacing, t)
 
     for k, t in enumerate(times):
+        b_s, f_s, lam_s = smooth(pts, t)
+        b_eps[k] = np.moveaxis(b_s, (-2, -1), (0, 1)).reshape((n, n) + gshape)
         b_bar_vals = _matrix_eval(b_src, pts, t).reshape(gshape + (n, n))
-        for i in range(n):
-            for j in range(i, n):
-                b_eps[k, i, j] = b_eps[k, j, i] = \
-                    smooth(b_src[i][j], pts, t).reshape(gshape)
         diff = b_eps[k] - np.moveaxis(b_bar_vals, (-2, -1), (0, 1))
         nu_b = max(nu_b, float(np.sqrt((diff ** 2).sum(axis=(0, 1))).max()))
         gsq = np.zeros(gshape)
@@ -667,16 +665,15 @@ def mollify(source, eps: float, box: Box | None = None,
 
         f_vals = field.eval_f(pts, t, masked=False).reshape(gshape + (n,))
         gsq = np.zeros(gshape)
+        f_eps[k] = f_s.T.reshape((n,) + gshape)
         for i in range(n):
-            f_eps[k, i] = smooth(field.f[i], pts, t).reshape(gshape)
             gsq += _grad_sq(f_eps[k, i], spacing)
         fdiff = np.sqrt(((f_eps[k] - np.moveaxis(f_vals, -1, 0)) ** 2).sum(axis=0))
         f_lp += float(np.sum(fdiff ** n) * cellvol * dt)
         nu_fb = max(nu_fb, float(np.sqrt(gsq).max()))
 
         lam_vals = field.eval_lambda(pts, t, masked=False).reshape(gshape)
-        lam_eps[k] = (smooth(field.lam_re, pts, t)
-                      + 1j * smooth(field.lam_im, pts, t)).reshape(gshape)
+        lam_eps[k] = lam_s.reshape(gshape)
         ldiff = np.abs(lam_eps[k] - lam_vals)
         lam_lp += float(np.sum(ldiff ** r) * cellvol * dt)
         nu_lb = max(nu_lb, float(np.sqrt(_grad_sq(lam_eps[k].real, spacing)
@@ -698,7 +695,7 @@ def mollify(source, eps: float, box: Box | None = None,
 
 def _outside_sup(field, box, times, smooth):
     """Sup of the smoothing error over the part of D outside the box;
-    ``smooth(entry, points, t)`` is the smoother used inside it."""
+    ``smooth(points, t)`` is the smoother used inside it."""
     dom = field.domain
     if dom is None or (tuple(dom.lo) == tuple(box.lo)
                        and tuple(dom.hi) == tuple(box.hi)):
@@ -712,39 +709,42 @@ def _outside_sup(field, box, times, smooth):
     pts = pts[outside]
     f_sup = lam_sup = 0.0
     for t in times:
+        _, f_sm, l_sm = smooth(pts, t)
         f_raw = field.eval_f(pts, t, masked=False)
-        f_sm = np.stack([smooth(fi, pts, t) for fi in field.f], axis=-1)
         f_sup = max(f_sup, float(np.sqrt(((f_sm - f_raw) ** 2).sum(-1)).max()))
         l_raw = field.eval_lambda(pts, t, masked=False)
-        l_sm = smooth(field.lam_re, pts, t) + 1j * smooth(field.lam_im, pts, t)
         lam_sup = max(lam_sup, float(np.abs(l_sm - l_raw).max()))
     return f_sup, lam_sup
 
 
-def _point_smooth(entry, pts: np.ndarray, eps: float, spacing,
-                  t: float) -> np.ndarray:
-    """Bump-kernel average of an entry at arbitrary points, with kernel
-    taps on a lattice of the given spacing.
+def _smooth_parts(b_src, field: CoefficientField, pts: np.ndarray,
+                  eps: float, spacing, t: float):
+    """Bump-kernel averages at arbitrary points of the matrix ``b_src``
+    (symmetric, entry rows), the drift ``field.f`` and the rate
+    ``field.lam_re + i field.lam_im``, with kernel taps on a lattice of the
+    given spacing.
 
-    Evaluates the entry once per non-zero tap on the shifted points, so
-    the working set stays at a few arrays of ``len(pts)`` values.
+    Each entry is evaluated once per non-zero tap on the shifted points
+    and the taps are summed in lattice order, so the working set stays at
+    a few arrays of ``len(pts)`` values.  Returns ``b (P, n, n)``,
+    ``f (P, n)`` and the complex ``lam (P,)``.
     """
     offsets, w = _bump_kernel(eps, spacing)
-    out = np.zeros(pts.shape[0])
-    for k in np.flatnonzero(w):
-        out += w[k] * entry.eval_raw(pts + offsets[k], t)
-    return out
+    taps = np.flatnonzero(w)
 
-
-def smooth_at_points(entry, pts: np.ndarray, eps: float, t: float,
-                     taps_per_radius: int = 3) -> np.ndarray:
-    """Bump-kernel smoothing of a scalar entry evaluated at given points.
-
-    Constants are exact fixed points; the quadrature lattice carries
-    ``taps_per_radius`` taps per kernel radius in each direction.
-    """
-    spacing = [eps / taps_per_radius] * pts.shape[1]
-    return _point_smooth(entry, pts, eps, spacing, t)
+    def smooth(entry):
+        out = np.zeros(pts.shape[0])
+        for k in taps:
+            out += w[k] * entry.eval_raw(pts + offsets[k], t)
+        return out
+    n = field.n
+    b = np.empty((pts.shape[0], n, n))
+    for i in range(n):
+        for j in range(i, n):
+            b[:, i, j] = b[:, j, i] = smooth(b_src[i][j])
+    f = np.stack([smooth(fi) for fi in field.f], axis=-1)
+    lam = smooth(field.lam_re) + 1j * smooth(field.lam_im)
+    return b, f, lam
 
 
 # ----------------------------------------------------------------------------

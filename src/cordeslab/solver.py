@@ -13,6 +13,13 @@ Coefficients and the source are frozen at the theta-weighted time level
 with coefficients sampled pointwise at the nodes.  The forward density
 solve propagates with the conjugate transposes of the very same step
 matrices, so the discrete duality pairing holds to solver precision.
+
+The fixed-point construction splits ``A = A_s + R`` into the operator of
+bump-smoothed coefficients and the rough remainder and iterates on ``v``:
+each sweep marches the smooth scheme with ``R`` applied to the previous
+increment, so its limit is the direct solve.  The weight
+``exp(-K*(T-t))`` of the contraction argument enters only the norm in
+which the increments are measured, not the operator.
 """
 
 from __future__ import annotations
@@ -26,10 +33,9 @@ from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, bicgstab, splu
 
 from .conditions import ellipticity_delta, nu_hat
-from .fields import (CoefficientField, Decomposition, SampleSet,
-                     smooth_at_points)
+from .fields import CoefficientField, Decomposition, SampleSet, _smooth_parts
 from .grid import Grid, GridFunction, NormBundle, NormWeights, discrete_norms
-from .grid import _d1, _second_derivative, _slice_l2, _time_l2
+from .grid import _slice_l2, _time_l2
 
 __all__ = [
     "SolverError", "BackwardProblem", "DiscreteSolution", "FixedPointTrace",
@@ -40,6 +46,7 @@ __all__ = [
 
 LIN_RTOL = 1e-10
 LAGGED_MAXITER = 8  # BiCGStab iterations before a level is refactorized
+MAX_KT = 200.0      # largest weight exponent K*T; exp(K*T) stays finite
 
 
 class SolverError(RuntimeError):
@@ -190,43 +197,24 @@ class _FieldCoefficients:
 
 
 class _MollifiedCoefficients:
-    """Bump-smoothed reference part plus rate shift for the weighted problem."""
+    """Bump-smoothed reference part and low-order coefficients at the
+    nodes; the kernel carries three taps per radius along each axis."""
 
-    def __init__(self, decomp: Decomposition, grid: Grid, eps: float,
-                 K: float = 0.0):
+    def __init__(self, decomp: Decomposition, grid: Grid, eps: float):
         self.decomp = decomp
         self.grid = grid
         self.eps = float(eps)
-        self.K = float(K)
         self.time_dependent = decomp.field.time_dependent
         self._cache = {}
 
-    def shifted(self, K: float) -> "_MollifiedCoefficients":
-        other = _MollifiedCoefficients(self.decomp, self.grid, self.eps, K)
-        other._cache = self._cache  # smoothed arrays do not depend on K
-        return other
-
-    def smooth_parts(self, t: float):
+    def at(self, t: float):
         key = 0.0 if not self.time_dependent else round(float(t), 12)
         if key not in self._cache:
-            nodes = self.grid.nodes()
-            n = self.grid.n
-            fld = self.decomp.field
-
-            def smooth(entry):
-                return smooth_at_points(entry, nodes, self.eps, t)
-            b = np.empty((len(nodes), n, n))
-            for i in range(n):
-                for j in range(i, n):
-                    b[:, i, j] = b[:, j, i] = smooth(self.decomp.b_bar[i][j])
-            f = np.stack([smooth(fi) for fi in fld.f], axis=-1)
-            lam = smooth(fld.lam_re) + 1j * smooth(fld.lam_im)
-            self._cache[key] = (b, f, lam)
+            spacing = [self.eps / 3.0] * self.grid.n
+            self._cache[key] = _smooth_parts(
+                self.decomp.b_bar, self.decomp.field, self.grid.nodes(),
+                self.eps, spacing, t)
         return self._cache[key]
-
-    def at(self, t: float):
-        b, f, lam = self.smooth_parts(t)
-        return b, f, lam + self.K
 
 
 # ----------------------------------------------------------------------------
@@ -468,22 +456,22 @@ class _Stepper:
             self._held = (key,) + _step_matrices(A, self.grid.dt, self.theta)
         return self._held[1:]
 
-    def run_backward(self, phi_fn, Phi_arr: np.ndarray) -> np.ndarray:
+    def run_backward(self, source, Phi_arr: np.ndarray) -> np.ndarray:
+        """March from ``Phi_arr`` down to level 0; ``source(k)`` is the
+        source of the step onto level ``k``."""
         grid = self.grid
         nt, dt = grid.nt, grid.dt
         Phi_arr = self._admit(Phi_arr)
         v = np.zeros((nt + 1,) + grid.shape, dtype=self.dtype)
         v[nt] = Phi_arr
         for k in range(nt - 1, -1, -1):
-            src = None if phi_fn is None else \
-                self._admit(phi_fn(self.t_eval(k)))
+            src = self._admit(source(k))
             B, C = self.system(k)
             if v.dtype != self.dtype:
                 v = v.astype(self.dtype)
             prev = v[k + 1].ravel()
             rhs = prev if C is None else C @ prev
-            if src is not None:
-                rhs = rhs + dt * src.ravel()
+            rhs = rhs + dt * src.ravel()
             v[k] = self.solver.solve(B, rhs, prev).reshape(grid.shape)
         return v
 
@@ -517,7 +505,8 @@ def solve_backward(problem: BackwardProblem, grid: Grid, theta: float = 1.0,
     stepper = _Stepper(grid, theta, provider)
     levels = {}     # the source levels' norms, kept for apriori_ratio
 
-    def phi_at(t):
+    def phi_at(k):
+        t = stepper.t_eval(k)
         vals = problem.eval_phi(grid, t)
         if problem.phi is not None:
             levels[t] = _slice_l2(vals[None], grid)[0]
@@ -555,36 +544,72 @@ def solve_forward_adjoint(rho, problem: BackwardProblem, grid: Grid,
 # fixed-point construction
 
 
-def _difference_arrays(problem: BackwardProblem, moll: _MollifiedCoefficients,
-                       grid: Grid, t: float):
-    nodes = grid.nodes()
-    fld = problem.field
-    b_s, f_s, lam_s = moll.smooth_parts(t)
-    db = fld.eval_b(nodes, t, masked=False) - b_s
-    df = fld.eval_f(nodes, t, masked=False) - f_s
-    dl = _real_if_possible(fld.eval_lambda(nodes, t, masked=False) - lam_s)
-    return db, df, dl
+class _Splitting:
+    """``A = A_s + R`` for the fixed-point construction: a stepper of the
+    smoothed operator ``A_s`` and the rough remainder ``R``, both frozen at
+    each step's ``t_eval`` exactly as the direct theta scheme freezes
+    ``A``.
+
+    ``R`` is assembled by the same routine as ``A`` from the coefficient
+    differences: once for a static operator, one level at a time for a
+    time-dependent one.  The smooth step system does not depend on the
+    norm weight, so one stepper (and, for a static operator, one LU)
+    serves the weight search, the R-norm estimate and the iteration.
+    """
+
+    def __init__(self, problem: BackwardProblem, grid: Grid,
+                 decomp: Decomposition, eps: float, theta: float):
+        self.grid = grid
+        self.theta = theta
+        self.smooth = _MollifiedCoefficients(decomp, grid, eps)
+        self.stepper = _Stepper(grid, theta, self.smooth)
+        self.rough = _FieldCoefficients(problem, grid)
+        self.time_dependent = (self.rough.time_dependent
+                               or self.smooth.time_dependent)
+        self._static = None
+
+    def remainder(self, k: int) -> sparse.csr_matrix:
+        if self._static is not None:
+            return self._static
+        t = self.stepper.t_eval(k)
+        b, f, lam = self.rough.at(t)
+        b_s, f_s, lam_s = self.smooth.at(t)
+        dl = _real_if_possible(lam - lam_s)
+        R = _assemble_from_arrays(self.grid, b - b_s, f - f_s, dl, dl.dtype)
+        if not self.time_dependent:
+            self._static = R
+        return R
+
+    def march(self, d: np.ndarray) -> np.ndarray:
+        """One smooth march from zero terminal data driven by
+        ``R_k (theta d_k + (1-theta) d_{k+1})``: the next Picard
+        increment after ``d``."""
+        shape, theta = self.grid.shape, self.theta
+
+        def source(k):
+            x = theta * d[k] + (1.0 - theta) * d[k + 1]
+            return (self.remainder(k) @ x.ravel()).reshape(shape)
+        return self.stepper.run_backward(source, np.zeros(shape))
 
 
-def _apply_difference(block: np.ndarray, grid: Grid, db, df, dl) -> np.ndarray:
-    """Slice-wise ``sum db_ij D_ij v + sum df_i D_i v - dl v`` on a block."""
-    n = grid.n
-    shape = grid.shape
-    out = -dl.reshape(shape) * block
-    for i in range(n):
-        gi = _d1(block, grid, i)
-        out = out + df[:, i].reshape(shape) * gi
-        for j in range(n):
-            if np.abs(db[:, i, j]).max() == 0.0:
-                continue
-            out = out + db[:, i, j].reshape(shape) * \
-                _second_derivative(block, grid, i, j)
-    return out
+def _norm_weight(grid: Grid, K: float) -> np.ndarray:
+    """The weight ``exp(-K (T - t_k))`` of level ``k``, shaped to scale a
+    space-time block."""
+    if K * grid.T > MAX_KT:
+        raise SolverError(f"weight exponent K*T = {K * grid.T:.3g} would "
+                          f"overflow; shorten the horizon or fix K")
+    return np.exp(-K * (grid.T - grid.times())).reshape((-1,) + (1,) * grid.n)
+
+
+def _default_weights(decomp: Decomposition, grid: Grid) -> NormWeights:
+    if not decomp.index_set:
+        return NormWeights.default(grid.n)
+    gamma = decomp.gamma or {k: 1.0 for k in decomp.index_set}
+    return NormWeights(decomp.index_set, gamma)
 
 
 def _auto_K(problem: BackwardProblem, grid: Grid, decomp: Decomposition,
-            moll: _MollifiedCoefficients, eps: float, theta: float,
-            weights: NormWeights, trials: int, seed: int):
+            split: _Splitting, weights: NormWeights, trials: int, seed: int):
     nodes = grid.nodes()
     lam0 = np.abs(problem.eval_lambda_nodes(grid, 0.0)).max()
     f0 = np.sqrt((problem.field.eval_f(nodes, 0.0, masked=False) ** 2)
@@ -592,10 +617,13 @@ def _auto_K(problem: BackwardProblem, grid: Grid, decomp: Decomposition,
     samples = SampleSet(nodes, grid.times()[:: max(1, grid.nt // 3)])
     delta = ellipticity_delta(decomp, samples)
     K = float(lam0 + f0 ** 2 / delta + 1.0)
+    est = float("inf")
     for _ in range(7):
-        est = estimate_R_norm(problem, grid, decomp, eps, K, trials=trials,
-                              seed=seed, theta=theta, weights=weights,
-                              _moll=moll)
+        if K * grid.T > MAX_KT:
+            break
+        est = estimate_R_norm(problem, grid, decomp, split.smooth.eps, K,
+                              trials=trials, seed=seed, theta=split.theta,
+                              weights=weights, _split=split)
         if est < 0.95:
             return K, est, True
         K *= 2.0
@@ -607,63 +635,59 @@ def fixed_point_solve(problem: BackwardProblem, grid: Grid,
                       K="auto", theta: float = 1.0,
                       weights: NormWeights | None = None,
                       tol: float = 1e-8, max_iter: int = 200,
-                      check_condition: bool = True, seed: int = 7):
+                      check_condition: bool = True, seed: int = 7,
+                      direct: DiscreteSolution | None = None):
     """Solve by the contraction construction with smoothed coefficients.
 
-    The problem is rewritten for the weighted unknown ``u(x,t) *
-    exp(-K*(T-t))`` (weight normalized at the terminal time so the
-    terminal datum is unchanged and no overflowing factors appear), whose
-    smooth part is solved directly while the rough remainder acts through
-    the iterated source term.  Returns ``(solution, trace)``; on
-    convergence the solution is also compared against the direct solve
-    and the max-node difference stored in ``trace.agreement``.
+    The operator splits as ``A = A_s + R``: the bump-smoothed part ``A_s``
+    is solved directly and the rough remainder ``R`` is iterated on ``v``
+    itself, each sweep one smooth theta march ``B_s d_k = C_s d_{k+1} +
+    dt R_k (theta d_k + (1-theta) d_{k+1})`` with ``R`` frozen at the
+    step's ``t_eval``, so the limit is the direct solve.  ``K`` weights
+    the norm, not the operator: increments, the stopping test and the
+    contraction estimate use ``Yhat2`` of ``exp(-K (T-t)) d``.
+
+    Returns ``(solution, trace)``; on convergence the max-node difference
+    from the direct solve is stored in ``trace.agreement``.  ``direct``
+    passes in that direct solve when the caller already has it.
     """
     if eps is None:
         eps = 2.0 * float(np.max(grid.h))
     if weights is None:
-        gamma = decomp.gamma or {k: 1.0 for k in decomp.index_set}
-        if decomp.index_set:
-            weights = NormWeights(decomp.index_set, gamma)
-        else:
-            weights = NormWeights.default(grid.n)
-    moll = _MollifiedCoefficients(decomp, grid, eps, K=0.0)
+        weights = _default_weights(decomp, grid)
+    split = _Splitting(problem, grid, decomp, eps, theta)
 
     if check_condition:
         _warn_if_condition_fails(decomp, grid)
 
     auto_ok = True
     if K == "auto":
-        K, est, auto_ok = _auto_K(problem, grid, decomp, moll, eps, theta,
-                                  weights, trials=3, seed=seed)
+        K, est, auto_ok = _auto_K(problem, grid, decomp, split, weights,
+                                  trials=3, seed=seed)
         if not auto_ok:
             warnings.warn(
                 f"weight search stopped at K={K} with R-norm estimate "
                 f"{est:.3f} >= 0.95; iteration may diverge", RuntimeWarning)
     K = float(K)
-    if K * grid.T > 200.0:
-        raise SolverError(f"weight exponent K*T = {K * grid.T:.3g} would "
-                          f"overflow; shorten the horizon or fix K")
+    weight = _norm_weight(grid, K)
 
-    stepper = _Stepper(grid, theta, moll.shifted(K))
+    def norm(block):
+        return discrete_norms(GridFunction(grid, weight * block),
+                              weights).Yhat2
 
-    def phi_weighted(t):
-        return problem.eval_phi(grid, t) * np.exp(-K * (grid.T - t))
-
-    u = stepper.run_backward(phi_weighted, problem.eval_Phi(grid))
-    d = u.copy()
-    increments = [discrete_norms(GridFunction(grid, d), weights).Yhat2]
+    v = split.stepper.run_backward(
+        lambda k: problem.eval_phi(grid, split.stepper.t_eval(k)),
+        problem.eval_Phi(grid))
+    d = v
+    increments = [norm(d)]
     converged = increments[0] == 0.0
     grow = 0
-    diffs = _StaticDiffs(problem, moll, grid, stepper)
     for _ in range(1, max_iter):
-        g_block = diffs.apply(d, stepper)
-        d = stepper.run_backward(lambda t: _eval_space_fn(g_block, grid, t),
-                                 np.zeros(grid.shape))
-        u = u + d
-        inc = discrete_norms(GridFunction(grid, d), weights).Yhat2
+        d = split.march(d)
+        v = v + d
+        inc = norm(d)
         increments.append(inc)
-        scale = discrete_norms(GridFunction(grid, u), weights).Yhat2
-        if inc <= tol * max(scale, 1e-300):
+        if inc <= tol * max(norm(v), 1e-300):
             converged = True
             break
         grow = grow + 1 if inc > increments[-2] else 0
@@ -676,43 +700,18 @@ def fixed_point_solve(problem: BackwardProblem, grid: Grid,
     if not converged and grow >= 5:
         contraction = max(contraction, 1.0)
 
-    tgrid = grid.times()
-    v = u * np.exp(K * (grid.T - tgrid)).reshape((-1,) + (1,) * grid.n)
     gf = GridFunction(grid, v)
     solution = DiscreteSolution(gf, discrete_norms(gf, weights),
                                 {"theta": theta, "eps": eps, "K": K,
                                  "iterations": len(increments)})
     agreement = None
     if converged:
-        direct = solve_backward(problem, grid, theta, weights)
+        if direct is None:
+            direct = solve_backward(problem, grid, theta, weights)
         agreement = float(np.abs(direct.v.values - v).max())
     trace = FixedPointTrace(float(eps), K, increments, contraction,
                             bool(converged and auto_ok), agreement)
     return solution, trace
-
-
-class _StaticDiffs:
-    """Coefficient differences (rough minus smoothed) at the step levels."""
-
-    def __init__(self, problem, moll, grid, stepper):
-        self.problem = problem
-        self.moll = moll
-        self.grid = grid
-        self.static = not problem.field.time_dependent
-        self._one = (_difference_arrays(problem, moll, grid, 0.0)
-                     if self.static else None)
-
-    def apply(self, block: np.ndarray, stepper: _Stepper) -> np.ndarray:
-        if self.static:
-            db, df, dl = self._one
-            return _apply_difference(block, self.grid, db, df, dl)
-        out = np.empty_like(block)
-        for k in range(self.grid.nt + 1):
-            t = min(stepper.t_eval(k), self.grid.T)
-            db, df, dl = _difference_arrays(self.problem, self.moll,
-                                            self.grid, t)
-            out[k] = _apply_difference(block[k][None], self.grid, db, df, dl)[0]
-        return out
 
 
 def _warn_if_condition_fails(decomp: Decomposition, grid: Grid):
@@ -736,34 +735,29 @@ def estimate_R_norm(problem: BackwardProblem, grid: Grid,
                     decomp: Decomposition, eps: float, K: float,
                     trials: int = 8, seed: int = 0, theta: float = 1.0,
                     weights: NormWeights | None = None,
-                    _moll: _MollifiedCoefficients | None = None) -> float:
-    """Empirical norm of the remainder operator of the weighted problem.
+                    _split: _Splitting | None = None) -> float:
+    """Empirical norm of one fixed-point sweep in the weighted norm.
 
-    Maximum over ``trials`` random unit-norm space-time fields of the
-    strengthened space-time norm after one application: rough-minus-smooth
-    coefficient differences drive a source that the smooth weighted solver
-    absorbs.  Deterministic for a fixed seed.
+    ``K`` weights the norm, not the operator: the norm of a space-time
+    field ``w`` is ``Yhat2`` of ``exp(-K (T-t)) w``.  Returns the maximum
+    over ``trials`` random fields of unit weighted norm of the weighted
+    norm after one sweep (the remainder applied as a source that the
+    smooth solver absorbs).  Deterministic for a fixed seed.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if weights is None:
-        gamma = decomp.gamma or {k: 1.0 for k in decomp.index_set}
-        weights = (NormWeights(decomp.index_set, gamma) if decomp.index_set
-                   else NormWeights.default(grid.n))
-    moll = _moll or _MollifiedCoefficients(decomp, grid, eps, K=0.0)
-    stepper = _Stepper(grid, theta, moll.shifted(float(K)))
-    diffs = _StaticDiffs(problem, moll, grid, stepper)
+        weights = _default_weights(decomp, grid)
+    split = _split or _Splitting(problem, grid, decomp, eps, theta)
+    weight = _norm_weight(grid, float(K))
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         w = rng.standard_normal((grid.nt + 1,) + grid.shape)
-        norm_w = discrete_norms(GridFunction(grid, w), weights).Yhat2
-        w /= max(norm_w, 1e-300)
-        g = diffs.apply(w, stepper)
-        rw = stepper.run_backward(lambda t: _eval_space_fn(g, grid, t),
-                                  np.zeros(grid.shape))
-        worst = max(worst,
-                    discrete_norms(GridFunction(grid, rw), weights).Yhat2)
+        w /= max(discrete_norms(GridFunction(grid, w), weights).Yhat2, 1e-300)
+        rw = split.march(w / weight)
+        worst = max(worst, discrete_norms(GridFunction(grid, weight * rw),
+                                          weights).Yhat2)
     return float(worst)
 
 

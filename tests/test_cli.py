@@ -138,21 +138,42 @@ def test_solve_evaluates_phi_once_per_level(tmp_path, monkeypatch):
     assert norms["apriori_ratio"] > 0.0
 
 
+PROOF_MIRROR = (
+    "problem.builtin = paper_3x3\n"
+    "problem.param.alpha = 0.5\nproblem.param.beta = 0.0\n"
+    "problem.param.T = 0.25\n"
+    "grid.m = 7 7 7\ngrid.nt = 8\n"
+    "conditions.N = 1\nconditions.gamma = 1.9\n"
+    "conditions.samples.space = 3\nconditions.samples.time = 2\n"
+    'solve.Phi = "cos(1.5707963267948966*x1)*cos(1.5707963267948966*x2)'
+    '*cos(1.5707963267948966*x3)"\n'
+    "out.dir = {out}\n")
+
+
 def test_solve_proof_mirror_trace(tmp_path):
-    text = ("problem.builtin = paper_3x3\n"
-            "problem.param.alpha = 0.5\nproblem.param.beta = 0.0\n"
-            "problem.param.T = 0.25\n"
-            "grid.m = 7 7 7\ngrid.nt = 8\n"
-            "conditions.N = 1\nconditions.gamma = 1.9\n"
-            "conditions.samples.space = 3\nconditions.samples.time = 2\n"
-            'solve.Phi = "cos(1.5707963267948966*x1)*cos(1.5707963267948966*x2)'
-            '*cos(1.5707963267948966*x3)"\n'
-            f"out.dir = {tmp_path / 'out'}\n")
+    text = PROOF_MIRROR.format(out=tmp_path / "out")
     assert run(tmp_path, "s.cfg", text, "solve", "--proof-mirror") == 0
     trace = json.loads(
         (tmp_path / "out" / "fixed_point_trace.json").read_text())
     assert trace["trace"]["converged"] is True
     assert trace["trace"]["contraction_est"] < 1.0
+
+
+def test_proof_mirror_solves_the_backward_problem_once(tmp_path, monkeypatch):
+    import cordeslab.cli as cli
+    solves = []
+    direct = solver.solve_backward
+
+    def counted(*args, **kwargs):
+        solves.append(args[1])
+        return direct(*args, **kwargs)
+    monkeypatch.setattr(cli, "solve_backward", counted)
+    monkeypatch.setattr(solver, "solve_backward", counted)
+    text = PROOF_MIRROR.format(out=tmp_path / "out")
+    assert run(tmp_path, "s.cfg", text, "solve", "--proof-mirror") == 0
+    assert len(solves) == 1
+    norms = json.loads((tmp_path / "out" / "norms.json").read_text())
+    assert norms["fixed_point"]["agreement_vs_direct"] <= 1e-8
 
 
 def test_simulate_summary(tmp_path):

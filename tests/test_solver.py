@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
@@ -410,6 +411,93 @@ def test_fixed_point_benchmark_contracts():
     assert trace.converged
     assert trace.contraction_est <= np.sqrt(nu) + 0.1
     assert trace.agreement <= max(5e-3, 10 * 1.5e-4)
+
+
+def paper_benchmark():
+    """Criterion 09's problem: ``paper_3x3`` on 9^3 x 64."""
+    f = builtin_problem("paper_3x3", {"alpha": 0.5, "beta": 0.0, "T": 0.25})
+    d = decompose(f, "identity", index_set=(1,)).with_gamma({1: 1.9})
+    g = build_grid(f.domain, (9, 9, 9), 64, f.T)
+    return BackwardProblem(f, Phi=bump_2d_or_3d), g, d
+
+
+def rough_timedep_2d():
+    """A 2-D field whose diffusion and rate jumps move in time."""
+    f = make_field(2, 0.3, Box((-1, -1), (1, 1)),
+                   [["1 + 0.3*step(x1 - 0.2*t)", "0.1*sign(x2)"],
+                    ["0.1*sign(x2)", "1 - 0.2*step(x2 + t)"]],
+                   f=["0.4*sign(x1)", "0.2*sin(3*x1)"],
+                   lam="1 + 0.5*step(x2 - t)")
+    g = build_grid(f.domain, (15, 15), 20, f.T)
+    prob = BackwardProblem(f, phi=lambda x, t: np.cos(x[:, 0]) * (1 + t),
+                           Phi=bump_2d_or_3d)
+    return prob, g, decompose(f, "identity")
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+@pytest.mark.parametrize("case", [paper_benchmark, rough_timedep_2d])
+def test_fixed_point_limit_is_the_direct_solve(case, theta):
+    prob, g, d = case()
+    direct = solve_backward(prob, g, theta)
+    sol, trace = fixed_point_solve(prob, g, d, theta=theta)
+    scale = np.abs(direct.v.values).max()
+    assert trace.converged
+    assert np.abs(sol.v.values - direct.v.values).max() <= 1e-8 * scale
+    assert trace.agreement <= 1e-8 * scale
+
+
+def test_static_fixed_point_factorizes_once(monkeypatch):
+    # the diffusion jump keeps the R-norm estimate above 0.95 at every
+    # weight, so the weight search doubles K to its last trial
+    f = make_field(1, 0.5, Box((-1,), (1,)), [["1 + 1.5*step(x1)"]],
+                   f=["sign(x1)"])
+    g = build_grid(f.domain, 31, 16, f.T)
+    prob = BackwardProblem(f, Phi=lambda x: np.cos(0.5 * np.pi * x[:, 0]))
+    direct = solve_backward(prob, g)
+    lus, trial_K = [], []
+    monkeypatch.setattr(solver, "splu",
+                        lambda *a, **k: lus.append(a) or splu(*a, **k))
+    estimate = solver.estimate_R_norm
+    monkeypatch.setattr(solver, "estimate_R_norm",
+                        lambda *a, **k: trial_K.append(a[4]) or
+                        estimate(*a, **k))
+    with pytest.warns(RuntimeWarning, match="weight search"):
+        fixed_point_solve(prob, g, decompose(f, "identity"), direct=direct,
+                          max_iter=20)
+    assert len(trial_K) == 7 and trial_K[-1] == 64 * trial_K[0]
+    assert len(lus) == 1
+
+
+def rough_field(rng, n):
+    """Diffusion, drift and rate with jumps at random places; the rate's
+    jump moves in time."""
+    def u(lo, hi):
+        return f"{rng.uniform(lo, hi):.3f}"
+    b = [[f"1 + {u(-0.3, 0.3)}*step(x{i + 1} - {u(-0.5, 0.5)})" if i == j
+          else f"{u(-0.15, 0.15)}*sign(x1 + x2)" for j in range(n)]
+         for i in range(n)]
+    if n == 2:
+        b[1][0] = b[0][1]
+    f = [f"{u(-1, 1)}*sign(x{i + 1} - {u(-0.5, 0.5)})" for i in range(n)]
+    lam = f"{u(0, 2)}*step(x1 - {u(-0.5, 0.5)} + {u(-1, 1)}*t)"
+    return make_field(n, 0.5, Box((-1,) * n, (1,) * n), b, f=f, lam=lam)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.sampled_from([1, 2]), theta=st.floats(0.5, 1.0),
+       seed=st.integers(0, 2 ** 31))
+def test_converged_fixed_point_is_the_direct_solve(n, theta, seed):
+    rng = np.random.default_rng(seed)
+    f = rough_field(rng, n)
+    g = build_grid(f.domain, (21,) if n == 1 else (9, 9), 12, f.T)
+    prob = BackwardProblem(f, phi=lambda x, t: np.cos(x[:, 0]) * (1 - t),
+                           Phi=bump_2d_or_3d)
+    sol, trace = fixed_point_solve(prob, g, decompose(f, "identity"),
+                                   theta=theta, tol=1e-11)
+    if trace.converged:
+        direct = solve_backward(prob, g, theta).v.values
+        assert np.abs(sol.v.values - direct).max() <= \
+            1e-8 * np.abs(direct).max()
 
 
 def test_fixed_point_violated_condition_is_logged_not_asserted():
