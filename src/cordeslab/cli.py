@@ -25,7 +25,7 @@ from .fields import decompose, sample_set
 from .grid import GridFunction
 from .solver import (BackwardProblem, apriori_ratio, fixed_point_solve,
                      solve_backward, solve_forward_adjoint, SolverError)
-from .stochastic import (SDE, _characteristic_panel_mc,
+from .stochastic import (SDE, _characteristic_panel_mc, _streamed_source,
                          characteristic_functional, density_compare,
                          feynman_kac, max_principle_check, simulate_paths,
                          verify_pairing)
@@ -201,20 +201,23 @@ def cmd_verify(cfg: RunConfig) -> int:
     checks: dict = {}
     ok = True
 
-    # one backward solve serves the pairing and the maximum principle
+    # one backward solve serves the pairing and the maximum principle, one
+    # ensemble the pairing and the density check
     solution = solve_backward(problem, grid, cfg.theta)
+    streamed = _streamed_source(sde, sampler, cfg.mc_dt, cfg.mc_M,
+                                cfg.mc_seed, problem.phi,
+                                cfg.density_times or None)
     pairing = verify_pairing(problem, grid, sde, sampler, cfg.mc_dt,
                              cfg.mc_M, cfg.mc_seed, cfg.theta,
                              allowance=cfg.pairing_allowance,
-                             solution=solution)
+                             solution=solution, _streamed=streamed)
     checks["pairing"] = pairing
     ok &= pairing["pass"]
 
     if cfg.density_times:
         rho = sampler.grid_density(grid)
         adjoint = solve_forward_adjoint(rho, problem, grid, cfg.theta)
-        ens = simulate_paths(sde, sampler, cfg.mc_dt, cfg.mc_M, cfg.mc_seed,
-                             record=cfg.density_times)
+        ens = streamed[0]
         rows = []
         for t in cfg.density_times:
             l1 = density_compare(ens, adjoint, t)

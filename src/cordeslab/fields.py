@@ -13,6 +13,7 @@ Essential suprema are realized throughout as maxima over a declared
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
 
@@ -287,7 +288,7 @@ class CoefficientField:
             out[~self._mask(x, t)] = 0.0
         return out
 
-    @property
+    @functools.cached_property
     def lambda_is_real(self) -> bool:
         if isinstance(self.lam_im, ConstField):
             return self.lam_im.value == 0.0

@@ -279,8 +279,9 @@ def discrete_norms(u: GridFunction, weights: NormWeights | None = None) -> NormB
     nslices = block.shape[0]
 
     H0 = _slice_l2(block, grid)
-    grads = [_d1(block, grid, i) for i in range(n)]
-    grad_sq = sum(_slice_l2(g, grid) ** 2 for g in grads)
+    # one derivative block alive at a time: these blocks set the peak
+    # memory of the fixed-point iteration, which takes two norms a sweep
+    grad_sq = sum(_slice_l2(_d1(block, grid, i), grid) ** 2 for i in range(n))
     H1 = np.sqrt(H0 ** 2 + grad_sq)
 
     second_sq = np.zeros(nslices)

@@ -456,6 +456,15 @@ class _Stepper:
             self._held = (key,) + _step_matrices(A, self.grid.dt, self.theta)
         return self._held[1:]
 
+    def _finite(self, level: np.ndarray, k: int) -> np.ndarray:
+        """The march's time level ``k``; raises when it is not finite."""
+        if not np.isfinite(level).all():
+            raise SolverError(
+                f"the march turned non-finite at time level {k} "
+                f"(t = {k * self.grid.dt:.6g}); check the data and the "
+                f"coefficients for overflow")
+        return level
+
     def run_backward(self, source, Phi_arr: np.ndarray) -> np.ndarray:
         """March from ``Phi_arr`` down to level 0; ``source(k)`` is the
         source of the step onto level ``k``."""
@@ -463,7 +472,7 @@ class _Stepper:
         nt, dt = grid.nt, grid.dt
         Phi_arr = self._admit(Phi_arr)
         v = np.zeros((nt + 1,) + grid.shape, dtype=self.dtype)
-        v[nt] = Phi_arr
+        v[nt] = self._finite(Phi_arr, nt)
         for k in range(nt - 1, -1, -1):
             src = self._admit(source(k))
             B, C = self.system(k)
@@ -472,7 +481,8 @@ class _Stepper:
             prev = v[k + 1].ravel()
             rhs = prev if C is None else C @ prev
             rhs = rhs + dt * src.ravel()
-            v[k] = self.solver.solve(B, rhs, prev).reshape(grid.shape)
+            v[k] = self._finite(self.solver.solve(B, rhs, prev),
+                                k).reshape(grid.shape)
         return v
 
     def run_forward_adjoint(self, rho_arr: np.ndarray) -> np.ndarray:
@@ -484,16 +494,15 @@ class _Stepper:
             B, C = self.system(k)
             if p.dtype != self.dtype:
                 p = p.astype(self.dtype)
-            p_hat = self.solver.solve(B, q, q, adjoint=True)
+            p_hat = self._finite(self.solver.solve(B, q, q, adjoint=True), k)
             p[k] = p_hat.reshape(grid.shape)
             q = p_hat if C is None else (C.getH() @ p_hat)
-        p[nt] = q.reshape(grid.shape)
+        p[nt] = self._finite(q, nt).reshape(grid.shape)
         return p
 
 
 def solve_backward(problem: BackwardProblem, grid: Grid, theta: float = 1.0,
-                   weights: NormWeights | None = None,
-                   coefficients=None) -> DiscreteSolution:
+                   weights: NormWeights | None = None) -> DiscreteSolution:
     """March the terminal-value problem down to ``t = 0``.
 
     The terminal slice is the sampled ``Phi`` exactly; each linear system
@@ -501,8 +510,7 @@ def solve_backward(problem: BackwardProblem, grid: Grid, theta: float = 1.0,
     ``_StepSolver``).  Complex arithmetic switches on
     automatically when the rate or the data have imaginary parts.
     """
-    provider = coefficients or _FieldCoefficients(problem, grid)
-    stepper = _Stepper(grid, theta, provider)
+    stepper = _Stepper(grid, theta, _FieldCoefficients(problem, grid))
     levels = {}     # the source levels' norms, kept for apriori_ratio
 
     def phi_at(k):
@@ -515,13 +523,12 @@ def solve_backward(problem: BackwardProblem, grid: Grid, theta: float = 1.0,
     gf = GridFunction(grid, v)
     norms = discrete_norms(gf, weights)
     meta = {"theta": theta, "dt": grid.dt, "rtol": LIN_RTOL,
-            "time_dependent": provider.time_dependent}
+            "time_dependent": problem.operator_time_dependent}
     return DiscreteSolution(gf, norms, meta, _source=(problem.phi, levels))
 
 
 def solve_forward_adjoint(rho, problem: BackwardProblem, grid: Grid,
-                          theta: float = 1.0,
-                          coefficients=None) -> DiscreteSolution:
+                          theta: float = 1.0) -> DiscreteSolution:
     """Propagate a density with the transposed step matrices.
 
     Slices ``0 .. nt-1`` hold the densities paired with the backward
@@ -533,8 +540,7 @@ def solve_forward_adjoint(rho, problem: BackwardProblem, grid: Grid,
         raise ValueError("density shape does not match the grid")
     if np.min(rho_arr.real) < -1e-12:
         warnings.warn("initial density has negative parts", RuntimeWarning)
-    provider = coefficients or _FieldCoefficients(problem, grid)
-    stepper = _Stepper(grid, theta, provider)
+    stepper = _Stepper(grid, theta, _FieldCoefficients(problem, grid))
     p = stepper.run_forward_adjoint(rho_arr)
     gf = GridFunction(grid, p)
     return DiscreteSolution(gf, discrete_norms(gf), {"theta": theta})
@@ -552,9 +558,9 @@ class _Splitting:
 
     ``R`` is assembled by the same routine as ``A`` from the coefficient
     differences: once for a static operator, one level at a time for a
-    time-dependent one.  The smooth step system does not depend on the
-    norm weight, so one stepper (and, for a static operator, one LU)
-    serves the weight search, the R-norm estimate and the iteration.
+    time-dependent one.  One stepper serves every march of a solve or an
+    R-norm estimate, so a static operator's smooth step matrix is
+    factorized once.
     """
 
     def __init__(self, problem: BackwardProblem, grid: Grid,
@@ -608,34 +614,11 @@ def _default_weights(decomp: Decomposition, grid: Grid) -> NormWeights:
     return NormWeights(decomp.index_set, gamma)
 
 
-def _auto_K(problem: BackwardProblem, grid: Grid, decomp: Decomposition,
-            split: _Splitting, weights: NormWeights, trials: int, seed: int):
-    nodes = grid.nodes()
-    lam0 = np.abs(problem.eval_lambda_nodes(grid, 0.0)).max()
-    f0 = np.sqrt((problem.field.eval_f(nodes, 0.0, masked=False) ** 2)
-                 .sum(axis=1)).max()
-    samples = SampleSet(nodes, grid.times()[:: max(1, grid.nt // 3)])
-    delta = ellipticity_delta(decomp, samples)
-    K = float(lam0 + f0 ** 2 / delta + 1.0)
-    est = float("inf")
-    for _ in range(7):
-        if K * grid.T > MAX_KT:
-            break
-        est = estimate_R_norm(problem, grid, decomp, split.smooth.eps, K,
-                              trials=trials, seed=seed, theta=split.theta,
-                              weights=weights, _split=split)
-        if est < 0.95:
-            return K, est, True
-        K *= 2.0
-    return K, est, False
-
-
 def fixed_point_solve(problem: BackwardProblem, grid: Grid,
                       decomp: Decomposition, eps: float | None = None,
                       K="auto", theta: float = 1.0,
                       weights: NormWeights | None = None,
                       tol: float = 1e-8, max_iter: int = 200,
-                      check_condition: bool = True, seed: int = 7,
                       direct: DiscreteSolution | None = None):
     """Solve by the contraction construction with smoothed coefficients.
 
@@ -645,9 +628,12 @@ def fixed_point_solve(problem: BackwardProblem, grid: Grid,
     dt R_k (theta d_k + (1-theta) d_{k+1})`` with ``R`` frozen at the
     step's ``t_eval``, so the limit is the direct solve.  ``K`` weights
     the norm, not the operator: increments, the stopping test and the
-    contraction estimate use ``Yhat2`` of ``exp(-K (T-t)) d``.
+    contraction estimate use ``Yhat2`` of ``exp(-K (T-t)) d``, and
+    ``K="auto"`` is the a-priori weight ``max|lambda| + max|f|^2/delta + 1``.
 
-    Returns ``(solution, trace)``; on convergence the max-node difference
+    Returns ``(solution, trace)``; ``trace.converged`` is the iteration's
+    own verdict (an increment below ``tol`` times the iterate), and a run
+    that stops otherwise warns.  On convergence the max-node difference
     from the direct solve is stored in ``trace.agreement``.  ``direct``
     passes in that direct solve when the caller already has it.
     """
@@ -656,18 +642,14 @@ def fixed_point_solve(problem: BackwardProblem, grid: Grid,
     if weights is None:
         weights = _default_weights(decomp, grid)
     split = _Splitting(problem, grid, decomp, eps, theta)
-
-    if check_condition:
-        _warn_if_condition_fails(decomp, grid)
-
-    auto_ok = True
-    if K == "auto":
-        K, est, auto_ok = _auto_K(problem, grid, decomp, split, weights,
-                                  trials=3, seed=seed)
-        if not auto_ok:
-            warnings.warn(
-                f"weight search stopped at K={K} with R-norm estimate "
-                f"{est:.3f} >= 0.95; iteration may diverge", RuntimeWarning)
+    samples = SampleSet(grid.nodes(), grid.times()[:: max(1, grid.nt // 3)])
+    _warn_if_condition_fails(decomp, samples)
+    if K == "auto":     # delta is memoized on the samples
+        delta = ellipticity_delta(decomp, samples)
+        lam0 = np.abs(problem.eval_lambda_nodes(grid, 0.0)).max()
+        f0 = np.sqrt((problem.field.eval_f(samples.points, 0.0, masked=False)
+                      ** 2).sum(axis=1)).max()
+        K = lam0 + f0 ** 2 / delta + 1.0
     K = float(K)
     weight = _norm_weight(grid, K)
 
@@ -685,20 +667,23 @@ def fixed_point_solve(problem: BackwardProblem, grid: Grid,
     for _ in range(1, max_iter):
         d = split.march(d)
         v = v + d
-        inc = norm(d)
-        increments.append(inc)
-        if inc <= tol * max(norm(v), 1e-300):
+        increments.append(norm(d))
+        if increments[-1] <= tol * max(norm(v), 1e-300):
             converged = True
             break
-        grow = grow + 1 if inc > increments[-2] else 0
+        grow = grow + 1 if increments[-1] > increments[-2] else 0
         if grow >= 5:
-            converged = False
             break
     ratios = [b / a for a, b in zip(increments, increments[1:])
               if a > 1e-14 * max(increments[0], 1e-300)]
     contraction = float(max(ratios)) if ratios else 0.0
-    if not converged and grow >= 5:
-        contraction = max(contraction, 1.0)
+    if not converged:
+        if grow >= 5:
+            contraction = max(contraction, 1.0)
+        warnings.warn(
+            f"fixed-point iteration did not converge in {len(increments)} "
+            f"sweeps (K={K:.4g}, contraction estimate {contraction:.3f})",
+            RuntimeWarning)
 
     gf = GridFunction(grid, v)
     solution = DiscreteSolution(gf, discrete_norms(gf, weights),
@@ -710,14 +695,13 @@ def fixed_point_solve(problem: BackwardProblem, grid: Grid,
             direct = solve_backward(problem, grid, theta, weights)
         agreement = float(np.abs(direct.v.values - v).max())
     trace = FixedPointTrace(float(eps), K, increments, contraction,
-                            bool(converged and auto_ok), agreement)
+                            bool(converged), agreement)
     return solution, trace
 
 
-def _warn_if_condition_fails(decomp: Decomposition, grid: Grid):
+def _warn_if_condition_fails(decomp: Decomposition, samples: SampleSet):
     if not decomp.index_set or decomp.gamma is None:
         return
-    samples = SampleSet(grid.nodes(), grid.times()[:: max(1, grid.nt // 3)])
     try:
         delta = ellipticity_delta(decomp, samples)
         value = nu_hat(decomp, samples)
@@ -734,21 +718,21 @@ def _warn_if_condition_fails(decomp: Decomposition, grid: Grid):
 def estimate_R_norm(problem: BackwardProblem, grid: Grid,
                     decomp: Decomposition, eps: float, K: float,
                     trials: int = 8, seed: int = 0, theta: float = 1.0,
-                    weights: NormWeights | None = None,
-                    _split: _Splitting | None = None) -> float:
+                    weights: NormWeights | None = None) -> float:
     """Empirical norm of one fixed-point sweep in the weighted norm.
 
     ``K`` weights the norm, not the operator: the norm of a space-time
     field ``w`` is ``Yhat2`` of ``exp(-K (T-t)) w``.  Returns the maximum
     over ``trials`` random fields of unit weighted norm of the weighted
     norm after one sweep (the remainder applied as a source that the
-    smooth solver absorbs).  Deterministic for a fixed seed.
+    smooth solver absorbs).  Deterministic for a fixed seed.  A diagnostic
+    only: ``fixed_point_solve`` does not call it.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if weights is None:
         weights = _default_weights(decomp, grid)
-    split = _split or _Splitting(problem, grid, decomp, eps, theta)
+    split = _Splitting(problem, grid, decomp, eps, theta)
     weight = _norm_weight(grid, float(K))
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -524,26 +524,27 @@ def _path_estimate(vals: np.ndarray, ensemble: PathEnsemble) -> Estimate:
 
 
 def _streamed_source(sde: SDE, sampler, dt: float, M: int,
-                     master_seed: int, phi):
-    """An unrecorded ensemble and, per path, ``feynman_kac``'s discounted
-    source integral of ``phi`` (``None`` without a source), summed in step
-    order while the paths are stepped."""
+                     master_seed: int, phi, record=None):
+    """An ensemble recorded at ``record`` and, per path, ``feynman_kac``'s
+    discounted source integral of ``phi`` (``None`` without a source),
+    summed in step order while the paths are stepped."""
     if phi is None:
-        return simulate_paths(sde, sampler, dt, M, master_seed), None
+        return simulate_paths(sde, sampler, dt, M, master_seed, record), None
     source = np.zeros(M, dtype=complex)
     h = _step_count(sde.T, dt)[1]
 
     def integrate(start, ids, y_live, disc_live, k):
         source[_rows(start, ids)] += _eval_points(phi, y_live, k * h) * \
             np.exp(-disc_live) * h
-    return simulate_paths(sde, sampler, dt, M, master_seed,
+    return simulate_paths(sde, sampler, dt, M, master_seed, record,
                           _on_step=integrate), source
 
 
 def verify_pairing(problem: BackwardProblem, grid: Grid, sde: SDE, sampler,
                    dt: float, M: int, master_seed: int, theta: float = 1.0,
                    allowance: float = 0.0,
-                   solution: DiscreteSolution | None = None) -> dict:
+                   solution: DiscreteSolution | None = None,
+                   _streamed: tuple | None = None) -> dict:
     """Compare the solver-side pairing with the path-functional estimate.
 
     Returns a report with both values, their difference, the Monte Carlo
@@ -552,14 +553,15 @@ def verify_pairing(problem: BackwardProblem, grid: Grid, sde: SDE, sampler,
     ``theta`` when the caller has it already; it is solved otherwise.
     The path functional is ``feynman_kac``'s, with the source integral
     summed per path as the paths are stepped (nothing is recorded) and
-    the terminal term added after it.
+    the terminal term added after it.  ``_streamed`` (private) passes in
+    ``_streamed_source``'s result for the same arguments.
     """
     if solution is None:
         solution = solve_backward(problem, grid, theta)
     rho_grid = sampler.grid_density(grid)
     pde_value = pair(GridFunction(grid, solution.v.values[0]), rho_grid)
-    ens, source = _streamed_source(sde, sampler, dt, M, master_seed,
-                                   problem.phi)
+    ens, source = _streamed or _streamed_source(sde, sampler, dt, M,
+                                                master_seed, problem.phi)
     vals = _terminal_values(ens, problem.Phi)
     if source is not None:
         vals += source

@@ -2,6 +2,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from cordeslab import solver
 from cordeslab.cli import main
@@ -431,3 +432,37 @@ def test_verify_solves_the_backward_problem_once(tmp_path, monkeypatch):
     assert len(solves) == 1
     checks = json.loads((tmp_path / "out" / "verify.json").read_text())
     assert checks["checks"]["max_principle"]["verdict"] == "pass"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_non_finite_solution_exit_1(tmp_path, capsys):
+    # the source overflows to inf (nan at x1 = 0) on every level
+    text = ("problem.builtin = manufactured_1d\ngrid.m = 15\ngrid.nt = 8\n"
+            'solve.phi = "exp(700)*exp(700)*x1"\n'
+            f"out.dir = {tmp_path / 'out'}\n")
+    assert run(tmp_path, "s.cfg", text, "solve") == 1
+    err = [line for line in capsys.readouterr().err.splitlines()
+           if line.startswith("error:")]
+    assert len(err) == 1 and "non-finite at time level 7" in err[0]
+    assert not (tmp_path / "out" / "solution.csv").exists()
+
+
+def test_verify_simulates_its_ensemble_once(tmp_path, monkeypatch):
+    import cordeslab.cli as cli
+    import cordeslab.stochastic as stochastic
+    runs = []
+    simulate = stochastic.simulate_paths
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return simulate(*args, **kwargs)
+    monkeypatch.setattr(cli, "simulate_paths", counted)
+    monkeypatch.setattr(stochastic, "simulate_paths", counted)
+    text = TINY_MC + ('solve.Phi = "x1^2"\nsolve.phi = "1"\n'
+                      "verify.density.times = 0.05\n"
+                      f"out.dir = {tmp_path / 'out'}\n")
+    assert run(tmp_path, "v.cfg", text, "verify") in (0, 2)
+    assert len(runs) == 1
+    checks = json.loads((tmp_path / "out" / "verify.json").read_text())
+    assert checks["checks"]["pairing"]["ensemble"]["M"] == 400
+    assert len(checks["checks"]["density"]) == 1

@@ -245,3 +245,17 @@ def test_builtin_solve_data_manufactured():
     assert abs(Phi.eval_raw(x, 0.0)[0] - np.exp(-f.T)) <= 1e-12
     assert abs(phi.eval_raw(x, 0.0)[0] - (1 + np.pi ** 2)) <= 1e-12
     assert builtin_solve_data("identity_heat", 1.0) is None
+
+
+def test_lambda_is_real_is_decided_once(monkeypatch):
+    # a rate whose imaginary part is an expression vanishing on the box
+    f = make_field(1, 1.0, Box((-1,), (1,)), [["1"]],
+                   lam=("1", "step(x1 - 5)"))
+    calls = []
+    evaluate = f.lam_im.eval_raw
+    monkeypatch.setattr(f.lam_im, "eval_raw",
+                        lambda *a: calls.append(a) or evaluate(*a))
+    assert f.lambda_is_real
+    first = len(calls)
+    assert f.lambda_is_real
+    assert first > 0 and len(calls) == first

@@ -446,26 +446,40 @@ def test_fixed_point_limit_is_the_direct_solve(case, theta):
     assert trace.agreement <= 1e-8 * scale
 
 
-def test_static_fixed_point_factorizes_once(monkeypatch):
-    # the diffusion jump keeps the R-norm estimate above 0.95 at every
-    # weight, so the weight search doubles K to its last trial
+def jump_1d():
+    """A 1-D diffusion jump on which the sweeps do not contract."""
     f = make_field(1, 0.5, Box((-1,), (1,)), [["1 + 1.5*step(x1)"]],
                    f=["sign(x1)"])
     g = build_grid(f.domain, 31, 16, f.T)
     prob = BackwardProblem(f, Phi=lambda x: np.cos(0.5 * np.pi * x[:, 0]))
+    return prob, g, decompose(f, "identity")
+
+
+def test_static_fixed_point_factorizes_once(monkeypatch):
+    prob, g, d = jump_1d()
     direct = solve_backward(prob, g)
-    lus, trial_K = [], []
+    lus = []
     monkeypatch.setattr(solver, "splu",
                         lambda *a, **k: lus.append(a) or splu(*a, **k))
+    with pytest.warns(RuntimeWarning, match="did not converge"):
+        _, trace = fixed_point_solve(prob, g, d, direct=direct, max_iter=20)
+    assert not trace.converged and trace.contraction_est > 1.0
+    assert len(lus) == 1
+
+
+@pytest.mark.filterwarnings("ignore:fixed-point iteration did not converge")
+@pytest.mark.parametrize("case, K", [(paper_benchmark, 1.0), (jump_1d, 2.0)])
+def test_fixed_point_takes_the_apriori_weight(monkeypatch, case, K):
+    # K = max|lambda| + max|f|^2/delta + 1, with no R-norm estimate
+    estimates = []
     estimate = solver.estimate_R_norm
     monkeypatch.setattr(solver, "estimate_R_norm",
-                        lambda *a, **k: trial_K.append(a[4]) or
+                        lambda *a, **k: estimates.append(a) or
                         estimate(*a, **k))
-    with pytest.warns(RuntimeWarning, match="weight search"):
-        fixed_point_solve(prob, g, decompose(f, "identity"), direct=direct,
-                          max_iter=20)
-    assert len(trial_K) == 7 and trial_K[-1] == 64 * trial_K[0]
-    assert len(lus) == 1
+    prob, g, d = case()
+    _, trace = fixed_point_solve(prob, g, d, max_iter=20)
+    assert trace.K == K
+    assert estimates == []
 
 
 def rough_field(rng, n):
