@@ -114,7 +114,10 @@ class ExprField:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         env = {f"x{i + 1}": x[:, i] for i in range(x.shape[1])}
         env["t"] = np.broadcast_to(np.asarray(t, dtype=float), (x.shape[0],))
-        return np.broadcast_to(np.asarray(self.expr.evaluate(env), dtype=float),
+        # overflow ends at the non-finite guards, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = self.expr.evaluate(env)
+        return np.broadcast_to(np.asarray(value, dtype=float),
                                (x.shape[0],)).copy()
 
     def describe(self) -> str:

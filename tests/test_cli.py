@@ -434,16 +434,18 @@ def test_verify_solves_the_backward_problem_once(tmp_path, monkeypatch):
     assert checks["checks"]["max_principle"]["verdict"] == "pass"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_non_finite_solution_exit_1(tmp_path, capsys):
-    # the source overflows to inf (nan at x1 = 0) on every level
+def test_non_finite_solution_exit_1(tmp_path, capsys, recwarn):
+    # the source overflows to inf (nan at x1 = 0) on every level; stderr
+    # holds the one error line, and no numpy warning (which pytest would
+    # record instead of printing) is raised
     text = ("problem.builtin = manufactured_1d\ngrid.m = 15\ngrid.nt = 8\n"
             'solve.phi = "exp(700)*exp(700)*x1"\n'
             f"out.dir = {tmp_path / 'out'}\n")
     assert run(tmp_path, "s.cfg", text, "solve") == 1
-    err = [line for line in capsys.readouterr().err.splitlines()
-           if line.startswith("error:")]
-    assert len(err) == 1 and "non-finite at time level 7" in err[0]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "non-finite at time level 7" in err[0]
+    assert not recwarn.list
     assert not (tmp_path / "out" / "solution.csv").exists()
 
 

@@ -99,6 +99,7 @@ def test_stderr_scaling_with_m():
     assert abs(se[4000] / se[16000] - 2.0) <= 0.4
 
 
+NOISE_DEFAULT = stochastic._NOISE_FLOATS
 ENSEMBLE_ARRAYS = ("final_y", "tau", "exited", "discount", "traj",
                    "disc_traj")
 
@@ -106,6 +107,9 @@ ENSEMBLE_ARRAYS = ("final_y", "tau", "exited", "discount", "traj",
 def assert_same_ensemble(got, ref):
     for name in ENSEMBLE_ARRAYS:
         a, b = getattr(got, name), getattr(ref, name)
+        if a is None or b is None:      # nothing recorded
+            assert a is None and b is None, name
+            continue
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
@@ -244,13 +248,83 @@ def test_only_blocks_of_several_chunks_go_to_the_pool(monkeypatch):
     assert_same_ensemble(runs[1], runs[0])
 
 
-def test_noise_memory_is_bounded_by_the_chunk_budget():
-    # unchunked, this ensemble's noise alone is M * nsteps * 8 = 160 MB
+def no_step_hook(start, ids, y_live, disc_live, k):
+    """Does nothing; any per-step hook keeps the step loop."""
+
+
+def plain_box(n, domain=True):
+    # a full constant beta, neither drift nor rate: running sums
+    beta = np.array([[1.3, 0.2, -0.3], [0.4, 1.1, 0.25],
+                     [-0.2, 0.3, 0.9]])[:n, :n]
+    return make_field(n, 0.1, Box((0.0,) * n, (1.0,) * n) if domain else None,
+                      (0.5 * beta @ beta.T).tolist(), beta=beta.tolist())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_running_sums_match_the_step_loop(monkeypatch, n):
+    # starts on both sides of the box, many exits, ragged blocks; the
+    # hook sends the same ensemble through the step loop
+    sampler = UniformBoxSampler(Box((-0.2,) * n, (1.2,) * n))
+    streams, pools = [], []
+    path_generator = stochastic._path_generator
+    monkeypatch.setattr(stochastic, "_path_generator",
+                        lambda seed, stream: streams.append(stream)
+                        or path_generator(seed, stream))
+
+    class Pool(stochastic.ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+    monkeypatch.setattr(stochastic, "ThreadPoolExecutor", Pool)
+
+    def both(f, cores, noise):
+        monkeypatch.setattr(stochastic, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(stochastic, "_NOISE_FLOATS", noise)
+        del streams[:]
+        sums = simulate_paths(SDE(f), sampler, 4e-3, 1000, 9, block_size=377)
+        built = list(streams)
+        loop = simulate_paths(SDE(f), sampler, 4e-3, 1000, 9, block_size=377,
+                              _on_step=no_step_hook)
+        assert_same_ensemble(sums, loop)
+        return sums, built
+
+    f, nsteps = plain_box(n), 25
+    ens, built = both(f, 1, NOISE_DEFAULT)
+    assert (ens.tau == 0).sum() > 150 and ens.exited.sum() > 600
+    assert not ens.exited.all()
+    # no generator per path: the initial law's, and per group (here one
+    # in each of three blocks) one of the same key, re-keyed path by path
+    assert built == [stochastic._INIT_STREAM] * 4
+    ens, _ = both(plain_box(n, domain=False), 1, NOISE_DEFAULT)
+    assert not ens.exited.any()
+    # groups of three paths, blocks of several groups on the pool, the
+    # workers switching often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cores in (1, 2, 4):
+            both(f, cores, 3 * nsteps * n)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pools == [2, 2, 3, 3]
+    # one path's noise over the budget: both runs take the step loop,
+    # with a generator per path that starts in the box
+    ens, built = both(f, 2, nsteps * n - 1)
+    assert set(built) - {stochastic._INIT_STREAM} == \
+        set(np.flatnonzero(ens.tau > 0))
+
+
+@pytest.mark.parametrize("on_step", [None, no_step_hook],
+                         ids=["sums", "loop"])
+def test_noise_memory_is_bounded_by_the_chunk_budget(on_step):
+    # unchunked, this ensemble's noise alone is M * nsteps * 8 = 160 MB;
+    # without a hook it runs as running sums, with one as the step loop
     M, nsteps = 20_000, 1000
     f = free_space(0.1)
     tracemalloc.start()
     try:
-        simulate_paths(SDE(f), PointSampler([0.0]), 0.1 / nsteps, M, 2)
+        simulate_paths(SDE(f), PointSampler([0.0]), 0.1 / nsteps, M, 2,
+                       _on_step=on_step)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -603,9 +677,6 @@ def test_max_principle_random_nonnegative_problems():
 
 # ----------------------------------------------------------------------------
 # streamed functionals against the recorded reductions
-
-
-NOISE_DEFAULT = stochastic._NOISE_FLOATS
 
 
 def narrow_box(n):
