@@ -115,8 +115,7 @@ def _unique_matrices(mats: np.ndarray) -> np.ndarray:
 
 def _unique_b(field: CoefficientField, samples: SampleSet) -> np.ndarray:
     return _memoized(samples, "b", field, lambda: _unique_matrices(
-        _stack_matrices(lambda x, t: field.eval_b(x, t, masked=False),
-                        samples)))
+        _stack_matrices(field.eval_b, samples)))
 
 
 def _unique_b_bar(decomp: Decomposition, samples: SampleSet) -> np.ndarray:
@@ -479,9 +478,9 @@ def full_report(field: CoefficientField, split_spec="identity",
     eigen_range = (float(eig.min()), float(eig.max()))
     mats = _unique_b(field, samples)
     sup_b = float(np.sqrt((mats ** 2).sum(axis=(1, 2))).max())
-    fv = np.concatenate([field.eval_f(samples.points, t, masked=False)
+    fv = np.concatenate([field.eval_f(samples.points, t)
                          for t in samples.times])
-    lv = np.concatenate([field.eval_lambda(samples.points, t, masked=False)
+    lv = np.concatenate([field.eval_lambda(samples.points, t)
                          for t in samples.times])
     params = {
         "n": field.n, "T": field.T,

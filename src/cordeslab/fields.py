@@ -71,10 +71,6 @@ class Box:
             return np.all((x > lo) & (x < hi), axis=-1)
         return np.all((x >= lo) & (x <= hi), axis=-1)
 
-    def shrink(self, margin: float) -> "Box":
-        return Box(tuple(l + margin for l in self.lo),
-                   tuple(h - margin for h in self.hi))
-
 
 # ----------------------------------------------------------------------------
 # scalar entries
@@ -127,8 +123,8 @@ class ExprField:
 class TableField:
     """Piecewise-constant values on a uniform cell partition of a box.
 
-    Outside the box the nearest cell value is continued; the public field
-    evaluation applies the vanish-outside-Q mask on top of that.
+    Outside the box the nearest cell value is continued; ``eval_field``
+    applies the vanish-outside-Q mask on top of that.
     """
 
     def __init__(self, box: Box, cells, values):
@@ -239,7 +235,7 @@ class CoefficientField:
 
     # -- structural helpers ---------------------------------------------
 
-    @property
+    @functools.cached_property
     def time_dependent(self) -> bool:
         entries = [e for row in self.b for e in row] + list(self.f)
         entries += [self.lam_re, self.lam_im]
@@ -252,44 +248,24 @@ class CoefficientField:
             return self.domain
         return Box((-1.0,) * self.n, (1.0,) * self.n)
 
-    def _mask(self, x: np.ndarray, t) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        tt = np.broadcast_to(np.asarray(t, dtype=float), (x.shape[0],))
-        inside = (tt >= 0.0) & (tt <= self.T)
-        if self.domain is not None:
-            inside = inside & self.domain.contains(x)
-        return inside
+    # -- evaluation: the entries' formulas at any (x, t), also outside Q --
 
-    # -- evaluation -------------------------------------------------------
+    def eval_b(self, x, t) -> np.ndarray:
+        return _matrix_eval(self.b, x, t)
 
-    def eval_b(self, x, t, masked: bool = True) -> np.ndarray:
-        out = _matrix_eval(self.b, x, t)
-        if masked:
-            out[~self._mask(x, t)] = 0.0
-        return out
-
-    def eval_f(self, x, t, masked: bool = True) -> np.ndarray:
+    def eval_f(self, x, t) -> np.ndarray:
         x2 = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.stack([fi.eval_raw(x2, t) for fi in self.f], axis=-1)
-        if masked:
-            out[~self._mask(x2, t)] = 0.0
-        return out
+        return np.stack([fi.eval_raw(x2, t) for fi in self.f], axis=-1)
 
-    def eval_lambda(self, x, t, masked: bool = True) -> np.ndarray:
+    def eval_lambda(self, x, t) -> np.ndarray:
         re = self.lam_re.eval_raw(x, t)
         im = self.lam_im.eval_raw(x, t)
-        out = re + 1j * im
-        if masked:
-            out[~self._mask(x, t)] = 0.0
-        return out
+        return re + 1j * im
 
-    def eval_beta(self, x, t, masked: bool = True) -> np.ndarray:
+    def eval_beta(self, x, t) -> np.ndarray:
         if self.beta is None:
             raise FieldConstructionError("field carries no diffusion factor beta")
-        out = _matrix_eval(self.beta, x, t)
-        if masked:
-            out[~self._mask(x, t)] = 0.0
-        return out
+        return _matrix_eval(self.beta, x, t)
 
     @functools.cached_property
     def lambda_is_real(self) -> bool:
@@ -365,7 +341,7 @@ def make_field(n, T, domain, b, f=None, lam=0.0, beta=None) -> CoefficientField:
 
     box = fld.sampling_box()
     for x, t in _probe_points(box, fld.T):
-        bm = fld.eval_b(x, t, masked=False)
+        bm = fld.eval_b(x, t)
         mism = np.abs(bm - np.swapaxes(bm, -1, -2)).max()
         if mism > 1e-12:
             raise FieldConstructionError(
@@ -373,24 +349,28 @@ def make_field(n, T, domain, b, f=None, lam=0.0, beta=None) -> CoefficientField:
         if not np.all(np.isfinite(bm)):
             raise FieldConstructionError("b is unbounded on the probe set")
         if beta_entries is not None:
-            bb = fld.eval_beta(x, t, masked=False)
+            bb = fld.eval_beta(x, t)
             prod = 0.5 * np.einsum("pik,pjk->pij", bb, bb)
             if np.abs(prod - bm).max() > 1e-12 * max(1.0, np.abs(bm).max()):
                 raise FieldConstructionError(
                     "beta does not factor b: 0.5*beta*beta^T mismatch")
-        fv = fld.eval_f(x, t, masked=False)
-        lv = fld.eval_lambda(x, t, masked=False)
+        fv = fld.eval_f(x, t)
+        lv = fld.eval_lambda(x, t)
         if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(lv))):
             raise FieldConstructionError("f or lambda is unbounded on the probe set")
     return fld
 
 
 def eval_field(field: CoefficientField, x, t):
-    """Point evaluation: returns ``(b, f, lam)`` with the outside-Q mask applied."""
+    """Point evaluation: returns ``(b, f, lam)``, all zero outside
+    ``Q = D x [0, T]`` (the coefficients vanish there)."""
     x = np.asarray(x, dtype=float).reshape(1, -1)
     b = field.eval_b(x, t)[0]
     f = field.eval_f(x, t)[0]
     lam = field.eval_lambda(x, t)[0]
+    if not (0.0 <= t <= field.T
+            and (field.domain is None or field.domain.contains(x)[0])):
+        b[...], f[...], lam = 0.0, 0.0, 0.0
     return b, f, complex(lam)
 
 
@@ -417,7 +397,7 @@ class Decomposition:
         return _matrix_eval(self.b_bar, x, t)
 
     def eval_b_hat(self, x, t) -> np.ndarray:
-        return self.field.eval_b(x, t, masked=False) - self.eval_b_bar(x, t)
+        return self.field.eval_b(x, t) - self.eval_b_bar(x, t)
 
     def with_gamma(self, gamma) -> "Decomposition":
         gamma = _validate_gamma(gamma, self.index_set)
@@ -531,7 +511,7 @@ def decompose(field: CoefficientField, spec="identity",
     elif isinstance(spec, str) and spec == "constant":
         acc = np.zeros((n, n))
         for t in samples.times:
-            acc += field.eval_b(samples.points, t, masked=False).mean(axis=0)
+            acc += field.eval_b(samples.points, t).mean(axis=0)
         acc /= len(samples.times)
         acc = 0.5 * (acc + acc.T)
         b_bar = tuple(tuple(ConstField(acc[i, j]) for j in range(n))
@@ -608,16 +588,16 @@ def _grad_sq(arr: np.ndarray, spacing) -> np.ndarray:
     return out
 
 
-def mollify(source, eps: float, box: Box | None = None,
-            time_slices: int = 3) -> MollifiedField:
+def mollify(source, eps: float, box: Box | None = None) -> MollifiedField:
     """Convolve the smoothable coefficients with a compact bump kernel.
 
     ``source`` is a :class:`Decomposition` (its reference part is
     smoothed) or a :class:`CoefficientField` (whose ``b`` is treated as
     its own continuous part).  Smoothing acts in space only; the moduli
-    are sampled on the lattice over ``box`` (the field domain by default).
-    Coefficients are continued by their raw formulas beyond the domain so
-    that constants are exact fixed points of the smoothing.
+    are sampled on the lattice over ``box`` (the field domain by default)
+    at the times ``0``, ``T/2`` and ``T``.  Coefficients are continued by
+    their raw formulas beyond the domain so that constants are exact fixed
+    points of the smoothing.
     """
     if eps <= 0:
         raise ValueError("mollification radius must be positive")
@@ -634,10 +614,7 @@ def mollify(source, eps: float, box: Box | None = None,
         count = min(cap, max(9, int(np.ceil(4 * side / eps)) + 1))
         axes.append(np.linspace(lo, hi, count))
         spacing.append(axes[-1][1] - axes[-1][0])
-    if time_slices == 1:
-        times = np.array([0.5 * field.T])
-    else:
-        times = np.linspace(0.0, field.T, time_slices)
+    times = np.linspace(0.0, field.T, 3)
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     gshape = mesh[0].shape
@@ -667,7 +644,7 @@ def mollify(source, eps: float, box: Box | None = None,
                 gsq += _grad_sq(b_eps[k, i, j], spacing)
         nu_bb = max(nu_bb, float(np.sqrt(gsq).max()))
 
-        f_vals = field.eval_f(pts, t, masked=False).reshape(gshape + (n,))
+        f_vals = field.eval_f(pts, t).reshape(gshape + (n,))
         gsq = np.zeros(gshape)
         f_eps[k] = f_s.T.reshape((n,) + gshape)
         for i in range(n):
@@ -676,7 +653,7 @@ def mollify(source, eps: float, box: Box | None = None,
         f_lp += float(np.sum(fdiff ** n) * cellvol * dt)
         nu_fb = max(nu_fb, float(np.sqrt(gsq).max()))
 
-        lam_vals = field.eval_lambda(pts, t, masked=False).reshape(gshape)
+        lam_vals = field.eval_lambda(pts, t).reshape(gshape)
         lam_eps[k] = lam_s.reshape(gshape)
         ldiff = np.abs(lam_eps[k] - lam_vals)
         lam_lp += float(np.sum(ldiff ** r) * cellvol * dt)
@@ -714,9 +691,9 @@ def _outside_sup(field, box, times, smooth):
     f_sup = lam_sup = 0.0
     for t in times:
         _, f_sm, l_sm = smooth(pts, t)
-        f_raw = field.eval_f(pts, t, masked=False)
+        f_raw = field.eval_f(pts, t)
         f_sup = max(f_sup, float(np.sqrt(((f_sm - f_raw) ** 2).sum(-1)).max()))
-        l_raw = field.eval_lambda(pts, t, masked=False)
+        l_raw = field.eval_lambda(pts, t)
         lam_sup = max(lam_sup, float(np.abs(l_sm - l_raw).max()))
     return f_sup, lam_sup
 

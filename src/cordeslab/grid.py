@@ -113,56 +113,32 @@ class GridFunction:
         return self.values[k] if self.is_spacetime else self.values
 
 
-def _pad_axes(values: np.ndarray, n: int, axes) -> np.ndarray:
-    pad = [(0, 0)] * values.ndim
-    for ax in axes:
-        pad[values.ndim - n + ax] = (1, 1)
-    return np.pad(values, pad)
+def _padded(values: np.ndarray, n: int) -> np.ndarray:
+    """The zero Dirichlet ghost layer added on the last ``n`` (spatial) axes."""
+    return np.pad(values, [(0, 0)] * (values.ndim - n) + [(1, 1)] * n)
 
 
-def _shift(padded: np.ndarray, n: int, axis: int, offset: int,
-           trimmed) -> np.ndarray:
-    """Slice a padded array back to interior shape, shifted along one axis."""
-    sl = [slice(None)] * padded.ndim
-    for ax in trimmed:
-        pos = padded.ndim - n + ax
-        if ax == axis:
-            sl[pos] = slice(1 + offset, padded.shape[pos] - 1 + offset)
-        else:
-            sl[pos] = slice(1, -1)
-    return padded[tuple(sl)]
+def _diff(padded: np.ndarray, grid: Grid, i: int,
+          j: int | None = None) -> np.ndarray:
+    """Central difference at the interior nodes of a padded block, along
+    0-based axes: the first (``j`` is None), second (``j == i``) or mixed
+    (``j != i``) one.  Every stencil point is a view of ``padded``."""
+    lead = padded.ndim - grid.n
+    h = grid.h
 
+    def at(*shifts):
+        # the interior, moved by (axis, offset) pairs
+        sl = [slice(None)] * lead + [slice(1, -1)] * grid.n
+        for ax, s in shifts:
+            sl[lead + ax] = slice(1 + s, padded.shape[lead + ax] - 1 + s)
+        return padded[tuple(sl)]
 
-def _d1(values: np.ndarray, grid: Grid, i: int) -> np.ndarray:
-    p = _pad_axes(values, grid.n, [i])
-    return (_shift(p, grid.n, i, 1, [i]) - _shift(p, grid.n, i, -1, [i])) / \
-        (2.0 * grid.h[i])
-
-
-def _d2(values: np.ndarray, grid: Grid, i: int) -> np.ndarray:
-    p = _pad_axes(values, grid.n, [i])
-    return (_shift(p, grid.n, i, 1, [i]) - 2.0 * values
-            + _shift(p, grid.n, i, -1, [i])) / grid.h[i] ** 2
-
-
-def _cross(values: np.ndarray, grid: Grid, i: int, j: int) -> np.ndarray:
-    p = _pad_axes(values, grid.n, [i, j])
-    n = grid.n
-
-    def corner(si, sj):
-        sl = [slice(None)] * p.ndim
-        for ax, s in ((i, si), (j, sj)):
-            pos = p.ndim - n + ax
-            sl[pos] = slice(1 + s, p.shape[pos] - 1 + s)
-        return p[tuple(sl)]
-
-    return (corner(1, 1) - corner(1, -1) - corner(-1, 1) + corner(-1, -1)) / \
-        (4.0 * grid.h[i] * grid.h[j])
-
-
-def _second_derivative(values: np.ndarray, grid: Grid, i: int,
-                       j: int) -> np.ndarray:
-    return _d2(values, grid, i) if i == j else _cross(values, grid, i, j)
+    if j is None:
+        return (at((i, 1)) - at((i, -1))) / (2.0 * h[i])
+    if i == j:
+        return (at((i, 1)) - 2.0 * at() + at((i, -1))) / h[i] ** 2
+    return (at((i, 1), (j, 1)) - at((i, 1), (j, -1)) - at((i, -1), (j, 1))
+            + at((i, -1), (j, -1))) / (4.0 * h[i] * h[j])
 
 
 def apply_stencil(u: GridFunction, kind: str, i: int,
@@ -170,7 +146,7 @@ def apply_stencil(u: GridFunction, kind: str, i: int,
     """Central differences on a single slice with zero Dirichlet ghosts.
 
     ``kind`` is ``"d1"``, ``"d2"`` or ``"cross"``; ``i``/``j`` are 1-based
-    coordinate indices.
+    coordinate indices (``"cross"`` with ``j == i`` is the ``"d2"`` stencil).
     """
     if u.is_spacetime:
         raise ValueError("apply_stencil expects a single time slice")
@@ -178,15 +154,13 @@ def apply_stencil(u: GridFunction, kind: str, i: int,
     if not 1 <= i <= n or (kind == "cross" and not 1 <= (j or 0) <= n):
         raise IndexError("coordinate index out of range")
     if kind == "d1":
-        out = _d1(u.values, u.grid, i - 1)
+        j = None
     elif kind == "d2":
-        out = _d2(u.values, u.grid, i - 1)
-    elif kind == "cross":
-        if j is None:
-            raise ValueError("cross stencil needs two coordinate indices")
-        out = _cross(u.values, u.grid, i - 1, j - 1)
-    else:
+        j = i
+    elif kind != "cross":
         raise ValueError(f"unknown stencil kind {kind!r}")
+    out = _diff(_padded(u.values, n), u.grid, i - 1,
+                None if j is None else j - 1)
     return GridFunction(u.grid, out)
 
 
@@ -279,9 +253,12 @@ def discrete_norms(u: GridFunction, weights: NormWeights | None = None) -> NormB
     nslices = block.shape[0]
 
     H0 = _slice_l2(block, grid)
-    # one derivative block alive at a time: these blocks set the peak
-    # memory of the fixed-point iteration, which takes two norms a sweep
-    grad_sq = sum(_slice_l2(_d1(block, grid, i), grid) ** 2 for i in range(n))
+    # one padded block and one difference block alive at a time: these set
+    # the peak memory of the fixed-point iteration, which takes two norms a
+    # sweep
+    padded = _padded(block, n)
+    grad_sq = sum(_slice_l2(_diff(padded, grid, i), grid) ** 2
+                  for i in range(n))
     H1 = np.sqrt(H0 ** 2 + grad_sq)
 
     second_sq = np.zeros(nslices)
@@ -290,7 +267,7 @@ def discrete_norms(u: GridFunction, weights: NormWeights | None = None) -> NormB
     for k in range(n):
         row_sq = []
         for i in range(n):
-            d = _second_derivative(block, grid, k, i)
+            d = _diff(padded, grid, k, i)
             row_sq.append(_slice_l2(d, grid) ** 2)
         second_sq += sum(row_sq)
         if (k + 1) in inset:

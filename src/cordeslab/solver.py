@@ -143,7 +143,7 @@ class BackwardProblem:
         if self.lambda_override is not None:
             vals = _eval_space_fn(self.lambda_override, grid, t)
             return np.asarray(vals, dtype=complex).ravel()
-        return self.field.eval_lambda(grid.nodes(), t, masked=False)
+        return self.field.eval_lambda(grid.nodes(), t)
 
     @property
     def operator_time_dependent(self) -> bool:
@@ -190,8 +190,8 @@ class _FieldCoefficients:
     def at(self, t: float):
         nodes = self.grid.nodes()
         fld = self.problem.field
-        b = fld.eval_b(nodes, t, masked=False)
-        f = fld.eval_f(nodes, t, masked=False)
+        b = fld.eval_b(nodes, t)
+        f = fld.eval_f(nodes, t)
         lam = self.problem.eval_lambda_nodes(self.grid, t)
         return b, f, lam
 
@@ -647,7 +647,7 @@ def fixed_point_solve(problem: BackwardProblem, grid: Grid,
     if K == "auto":     # delta is memoized on the samples
         delta = ellipticity_delta(decomp, samples)
         lam0 = np.abs(problem.eval_lambda_nodes(grid, 0.0)).max()
-        f0 = np.sqrt((problem.field.eval_f(samples.points, 0.0, masked=False)
+        f0 = np.sqrt((problem.field.eval_f(samples.points, 0.0)
                       ** 2).sum(axis=1)).max()
         K = lam0 + f0 ** 2 / delta + 1.0
     K = float(K)
@@ -758,7 +758,12 @@ def apriori_ratio(solution: DiscreteSolution, phi, Phi,
     uniform a-priori bound.
     """
     grid = solution.v.grid
-    num = discrete_norms(solution.v, weights).Yhat2
+    if weights is None:
+        weights = NormWeights.default(grid.n)
+    norms = solution.norms
+    if norms.weights != weights:    # the solution's bundle is of other weights
+        norms = discrete_norms(solution.v, weights)
+    num = norms.Yhat2
     spec, levels = solution._source or (None, {})
     if spec is not phi:     # the march's evaluations are of another source
         levels = {}

@@ -176,7 +176,7 @@ class SDE:
 
     def beta_at(self, y: np.ndarray, t: float) -> np.ndarray:
         if self.field.beta is not None:
-            return self.field.eval_beta(y, t, masked=False)
+            return self.field.eval_beta(y, t)
         # derived diffusion factor: symmetric root of 2 b, frozen per grid
         # node and looked up at the nearest node
         if self.grid is None:
@@ -185,7 +185,7 @@ class SDE:
         with self._beta_lock:    # path blocks share the cache
             roots = self._beta_cache.get(key)
             if roots is None:
-                b = self.field.eval_b(self.grid.nodes(), key, masked=False)
+                b = self.field.eval_b(self.grid.nodes(), key)
                 roots = self._beta_cache[key] = symmetric_sqrt(2.0 * b)
         idx = np.zeros(len(y), dtype=np.int64)
         stride = 1

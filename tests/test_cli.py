@@ -139,6 +139,27 @@ def test_solve_evaluates_phi_once_per_level(tmp_path, monkeypatch):
     assert norms["apriori_ratio"] > 0.0
 
 
+def test_solve_computes_the_solution_norms_once(tmp_path, monkeypatch):
+    # apriori_ratio takes Yhat2 from the bundle solve_backward computed with
+    # the same default weights
+    blocks = []
+    norms = solver.discrete_norms
+
+    def counted(u, *args, **kwargs):
+        if u.is_spacetime:
+            blocks.append(u)
+        return norms(u, *args, **kwargs)
+    monkeypatch.setattr(solver, "discrete_norms", counted)
+    text = ("problem.builtin = identity_heat\nproblem.param.n = 1\n"
+            "grid.m = 15\ngrid.nt = 8\n"
+            'solve.phi = "x1 * (1 + t)"\n'
+            f"out.dir = {tmp_path / 'out'}\n")
+    assert run(tmp_path, "s.cfg", text, "solve") == 0
+    assert len(blocks) == 1
+    norms_json = json.loads((tmp_path / "out" / "norms.json").read_text())
+    assert norms_json["apriori_ratio"] > 0.0
+
+
 PROOF_MIRROR = (
     "problem.builtin = paper_3x3\n"
     "problem.param.alpha = 0.5\nproblem.param.beta = 0.0\n"
@@ -282,10 +303,10 @@ def test_fault_in_a_path_block_exit_1(tmp_path, capsys, monkeypatch):
     from cordeslab.fields import CoefficientField
     evaluate = CoefficientField.eval_lambda
 
-    def faulty(self, x, t, masked=True):
+    def faulty(self, x, t):
         if len(x) > 10000:
             raise ExprEvalError("sqrt of a negative number")
-        return evaluate(self, x, t, masked)
+        return evaluate(self, x, t)
     monkeypatch.setattr(CoefficientField, "eval_lambda", faulty)
     monkeypatch.setattr(stochastic, "_usable_cores", lambda: 2)
     monkeypatch.setattr(stochastic, "_NOISE_FLOATS", 1000)

@@ -41,6 +41,8 @@ def test_vanishes_outside_domain_and_horizon():
     assert np.all(b == 0) and np.all(drift == 0) and lam == 0
     b, _, _ = eval_field(f, [5.0, 0.0, 0.0], 0.5)
     assert np.all(b == 0)
+    # the bulk evaluators give the formulas' values outside Q
+    assert np.all(np.diag(f.eval_b([[5.0, 0.0, 0.0]], f.T + 0.5)[0]) > 0)
 
 
 @pytest.mark.parametrize("name,params", [
@@ -139,7 +141,7 @@ def test_decompose_readd_reproduces_b():
             x, ts = random_points(f, 2000)
             t = float(ts[0])
             total = d.eval_b_bar(x, t) + d.eval_b_hat(x, t)
-            assert np.abs(total - f.eval_b(x, t, masked=False)).max() <= 1e-12
+            assert np.abs(total - f.eval_b(x, t)).max() <= 1e-12
 
 
 def test_constant_reference_split_matches_averaging_oracle():
@@ -258,4 +260,18 @@ def test_lambda_is_real_is_decided_once(monkeypatch):
     assert f.lambda_is_real
     first = len(calls)
     assert f.lambda_is_real
+    assert first > 0 and len(calls) == first
+
+
+def test_time_dependent_is_decided_once(monkeypatch):
+    from cordeslab.expr import Expr
+    f = make_field(2, 1.0, Box((0, 0), (1, 1)), [["1 + t", "0"], ["0", "x1"]],
+                   f=["x2", "0"], lam="sin(x1)")
+    calls = []
+    uses_t = Expr.uses_t
+    monkeypatch.setattr(Expr, "uses_t",
+                        lambda self: calls.append(self) or uses_t(self))
+    assert f.time_dependent
+    first = len(calls)
+    assert f.time_dependent
     assert first > 0 and len(calls) == first

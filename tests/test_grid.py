@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cordeslab import grid as grid_module
 from cordeslab.fields import Box
 from cordeslab.grid import (GridFunction, NormWeights, apply_stencil,
                             build_grid, discrete_norms, pair)
@@ -69,6 +70,97 @@ def test_stencil_rejects_out_of_range_axis():
     u = GridFunction(g, np.zeros(g.shape))
     with pytest.raises(IndexError):
         apply_stencil(u, "d1", 2)
+
+
+# pad-per-difference stencils: each difference pads its own copy of the
+# values along the axes it shifts; the reference for the padded-block route
+
+
+def reference_pad(values, n, axes):
+    pad = [(0, 0)] * values.ndim
+    for ax in axes:
+        pad[values.ndim - n + ax] = (1, 1)
+    return np.pad(values, pad)
+
+
+def reference_shift(padded, n, offsets):
+    sl = [slice(None)] * padded.ndim
+    for ax, s in offsets:
+        pos = padded.ndim - n + ax
+        sl[pos] = slice(1 + s, padded.shape[pos] - 1 + s)
+    return padded[tuple(sl)]
+
+
+def reference_diff(values, g, i, j=None):
+    n, h = g.n, g.h
+    if j is None:
+        p = reference_pad(values, n, [i])
+        return (reference_shift(p, n, [(i, 1)])
+                - reference_shift(p, n, [(i, -1)])) / (2.0 * h[i])
+    if i == j:
+        p = reference_pad(values, n, [i])
+        return (reference_shift(p, n, [(i, 1)]) - 2.0 * values
+                + reference_shift(p, n, [(i, -1)])) / h[i] ** 2
+    p = reference_pad(values, n, [i, j])
+    return (reference_shift(p, n, [(i, 1), (j, 1)])
+            - reference_shift(p, n, [(i, 1), (j, -1)])
+            - reference_shift(p, n, [(i, -1), (j, 1)])
+            + reference_shift(p, n, [(i, -1), (j, -1)])) / \
+        (4.0 * h[i] * h[j])
+
+
+STENCIL_GRIDS = [((0.0,), (1.0,), (5,)),
+                 ((0.0, -1.0), (1.0, 2.0), (4, 6)),
+                 ((-1.0, 0.0, 0.5), (1.0, 1.0, 2.0), (3, 5, 4))]
+
+
+def random_values(shape, complex_values):
+    values = RNG.standard_normal(shape)
+    if complex_values:
+        values = values + 1j * RNG.standard_normal(shape)
+    return values
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+@pytest.mark.parametrize("lo,hi,m", STENCIL_GRIDS)
+def test_stencils_match_pad_per_difference_reference(lo, hi, m,
+                                                     complex_values):
+    g = build_grid(Box(lo, hi), m, nt=3, T=0.5)
+    u = GridFunction(g, random_values(g.shape, complex_values))
+    for i in range(g.n):
+        assert np.array_equal(apply_stencil(u, "d1", i + 1).values,
+                              reference_diff(u.values, g, i))
+        assert np.array_equal(apply_stencil(u, "d2", i + 1).values,
+                              reference_diff(u.values, g, i, i))
+        for j in range(g.n):
+            if j != i:
+                assert np.array_equal(
+                    apply_stencil(u, "cross", i + 1, j + 1).values,
+                    reference_diff(u.values, g, i, j))
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+@pytest.mark.parametrize("lo,hi,m", STENCIL_GRIDS)
+def test_norms_match_pad_per_difference_reference(lo, hi, m, complex_values,
+                                                  monkeypatch):
+    g = build_grid(Box(lo, hi), m, nt=3, T=0.5)
+    inset = tuple(range(1, g.n + 1, 2))
+    weights = [None, NormWeights(inset, {k: 0.3 + 0.5 * k for k in inset},
+                                 alpha1=0.37, alpha2=1.9)]
+    values = [random_values(g.shape, complex_values),
+              random_values((g.nt + 1,) + g.shape, complex_values)]
+    bundles = [discrete_norms(GridFunction(g, v), w)
+               for v in values for w in weights]
+
+    def unpadded_diff(padded, grid, i, j=None):
+        interior = (slice(None),) * (padded.ndim - grid.n) + \
+            (slice(1, -1),) * grid.n
+        return reference_diff(padded[interior], grid, i, j)
+    monkeypatch.setattr(grid_module, "_diff", unpadded_diff)
+    expected = [discrete_norms(GridFunction(g, v), w)
+                for v in values for w in weights]
+    for got, want in zip(bundles, expected):
+        assert got.as_dict() == want.as_dict()
 
 
 # ----------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from scipy.sparse.linalg import splu
 from cordeslab import solver
 from cordeslab.fields import (Box, builtin_problem, builtin_solve_data,
                               decompose, make_field)
-from cordeslab.grid import build_grid
+from cordeslab.grid import NormWeights, build_grid, discrete_norms
 from cordeslab.solver import (BackwardProblem, apriori_ratio, assemble_operator,
                               assemble_step, estimate_R_norm, fixed_point_solve,
                               solve_backward, solve_forward_adjoint,
@@ -589,6 +589,17 @@ def test_apriori_ratio_scaling_invariance():
     sol2 = solve_backward(BackwardProblem(f, phi=phi10, Phi=Phi10), g)
     r2 = apriori_ratio(sol2, phi10, Phi10)
     assert abs(r1 - r2) <= 1e-9 * r1
+
+
+def test_apriori_ratio_recomputes_norms_for_other_weights():
+    f, phi, Phi, _ = manufactured()
+    g = build_grid(f.domain, 31, nt=16, T=f.T)
+    sol = solve_backward(BackwardProblem(f, phi=phi, Phi=Phi), g)
+    w = NormWeights.default(1, alpha2=3.0)
+    ratio = apriori_ratio(sol, phi, Phi, w) / apriori_ratio(sol, phi, Phi)
+    assert ratio == pytest.approx(
+        discrete_norms(sol.v, w).Yhat2 / sol.norms.Yhat2, rel=1e-14)
+    assert ratio > 1.0
 
 
 def test_apriori_ratio_stable_under_refinement():

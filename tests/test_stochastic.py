@@ -207,8 +207,8 @@ def test_worker_count_does_not_change_paths(monkeypatch, derived):
     levels = []
     eval_b = CoefficientField.eval_b
     monkeypatch.setattr(CoefficientField, "eval_b",
-                        lambda self, x, t, masked=True:
-                        levels.append(t) or eval_b(self, x, t, masked))
+                        lambda self, x, t:
+                        levels.append(t) or eval_b(self, x, t))
     monkeypatch.setattr(stochastic, "_NOISE_FLOATS", 7 * 1000 * 2)
     runs = []
     interval = sys.getswitchinterval()
