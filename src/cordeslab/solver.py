@@ -152,8 +152,12 @@ class BackwardProblem:
 
 @dataclass
 class DiscreteSolution:
+    """A grid solution with its space-time norm bundle.  ``norms`` is None
+    for the density of ``solve_forward_adjoint``: no caller reads its
+    norms, so they are not computed."""
+
     v: GridFunction
-    norms: NormBundle
+    norms: NormBundle | None
     meta: dict = dc_field(default_factory=dict)
     # (phi spec, {t: L2 norm over space of phi at t}) of the source levels
     # the march evaluated
@@ -533,7 +537,8 @@ def solve_forward_adjoint(rho, problem: BackwardProblem, grid: Grid,
 
     Slices ``0 .. nt-1`` hold the densities paired with the backward
     sources; slice ``nt`` is the terminal density paired with ``Phi``.
-    A signed input density triggers a warning, not an error.
+    A signed input density triggers a warning, not an error.  The result
+    carries no norm bundle.
     """
     rho_arr = rho.values if isinstance(rho, GridFunction) else np.asarray(rho)
     if rho_arr.shape != grid.shape:
@@ -543,7 +548,7 @@ def solve_forward_adjoint(rho, problem: BackwardProblem, grid: Grid,
     stepper = _Stepper(grid, theta, _FieldCoefficients(problem, grid))
     p = stepper.run_forward_adjoint(rho_arr)
     gf = GridFunction(grid, p)
-    return DiscreteSolution(gf, discrete_norms(gf), {"theta": theta})
+    return DiscreteSolution(gf, None, {"theta": theta})
 
 
 # ----------------------------------------------------------------------------
@@ -761,7 +766,7 @@ def apriori_ratio(solution: DiscreteSolution, phi, Phi,
     if weights is None:
         weights = NormWeights.default(grid.n)
     norms = solution.norms
-    if norms.weights != weights:    # the solution's bundle is of other weights
+    if norms is None or norms.weights != weights:   # none, or of other weights
         norms = discrete_norms(solution.v, weights)
     num = norms.Yhat2
     spec, levels = solution._source or (None, {})

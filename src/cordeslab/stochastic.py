@@ -4,18 +4,23 @@ the backward solver.
 Paths follow the explicit weak scheme ``y_{k+1} = y_k + f dt + beta
 sqrt(dt) xi_k`` with exit from the domain detected at step endpoints and
 the zero-order rate accumulated as a continuous discount weight along
-each path.  Noise comes from a counter-based generator keyed by
-``(master_seed, path)``, so a path's trajectory does not depend on the
-block it runs in.  Each block streams its noise in chunks of steps
-under a fixed in-flight bound and steps only the paths still alive;
-blocks that need more than one chunk run on a thread pool sized by the
-CPU affinity of the process.  Outputs are byte-identical whatever the
-worker count and the block partition.
+each path.  Noise is keyed by fixed groups of ``_GROUP`` paths: path
+``p`` draws from the stream spawned for group ``p // _GROUP`` from the
+master seed, and each group's stream is drawn step-major, so the normal
+of step ``k``, path ``p`` and coordinate ``i`` sits at a fixed stream
+position.  Block bounds fall on group bounds, every group is drawn at
+full width and the values of dead or absent paths are dropped, so a
+path's trajectory depends on neither ``M`` nor the block it runs in.
+Each block streams its noise in chunks of steps under a fixed in-flight
+bound and steps only the paths still alive; blocks that need more than
+one chunk run on a thread pool sized by the CPU affinity of the process.
+Outputs are byte-identical whatever the worker count and the block
+partition.
 
 With a constant ``beta`` and no drift, rate, records or per-step hook,
 a position is the start point plus the running sum of the increments:
-such a block skips the step loop and sums whole-path groups under the
-same bound, with the loop's bits and exits still found at step ends.
+such a block sums one group at a time in chunks of steps instead of
+stepping, with the loop's bits and exits still found at step ends.
 
 The path functionals of the checks (the Feynman-Kac source integral of
 ``verify_pairing`` and the arctangent phases of the characteristic
@@ -32,7 +37,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator, SeedSequence
 from scipy.special import ndtr, ndtri
 
 from .fields import Box, CoefficientField, ConstField
@@ -48,10 +53,9 @@ __all__ = [
     "density_compare", "characteristic_functional", "max_principle_check",
 ]
 
-_INIT_STREAM = np.uint64(2 ** 64 - 1)  # reserved key slot for the initial law
 _MAX_RECORD_FLOATS = 4e8
 _NOISE_FLOATS = 2 ** 23  # noise values in flight per path block (64 MiB)
-_SUM_FLOATS = 2 ** 17    # values per row slice of a running sum (1 MiB)
+_GROUP = 512             # paths per noise stream
 
 
 # ----------------------------------------------------------------------------
@@ -252,24 +256,10 @@ def _mean_and_stderr(vals: np.ndarray):
     return mean, float(np.sqrt(var / M))
 
 
-def _path_generator(master_seed: int, stream) -> Generator:
-    key = np.array([np.uint64(master_seed), np.uint64(stream)], dtype=np.uint64)
-    return Generator(Philox(key=key))
-
-
-def _first_normals(out: np.ndarray, master_seed: int, streams: np.ndarray):
-    """Fill ``out[j]`` with the normals ``_path_generator(master_seed,
-    streams[j])`` draws first.  One generator serves all streams: setting
-    its Philox key and counter costs a tenth of building a generator."""
-    gen = _path_generator(master_seed, _INIT_STREAM)
-    state = gen.bit_generator.state      # counter 0, nothing buffered
-    keys = np.empty((len(streams), 2), dtype=np.uint64)
-    keys[:, 0] = np.uint64(master_seed)
-    keys[:, 1] = streams
-    for j, key in enumerate(keys):
-        state["state"]["key"] = key
-        gen.bit_generator.state = state
-        gen.standard_normal(out=out[j])
+def _stream(master_seed: int, *spawn_key: int) -> Generator:
+    """The noise stream of a group of paths (``spawn_key = (group,)``), or
+    with no key the initial law's."""
+    return Generator(SFC64(SeedSequence(master_seed, spawn_key=spawn_key)))
 
 
 def _usable_cores() -> int:
@@ -280,19 +270,23 @@ def _usable_cores() -> int:
 
 
 def _partition(M: int, block_size: int, path_floats: int):
-    """Equal contiguous path blocks of at most ``block_size`` paths, as
+    """Contiguous path blocks of whole noise groups (the last one may end
+    mid-group), of about ``block_size`` paths and at least one group, as
     many as a multiple of the worker count (one worker per usable core,
     never more than there are blocks); returns the block bounds and the
     worker count.  The count is 1 when a block's noise (``path_floats``
-    values a path) fits in one chunk: each path then costs one short
-    fill, and passing the GIL between threads for it costs more than the
-    threads overlap."""
+    values a path over its whole groups) fits in one chunk: each block
+    then costs one short fill, and passing the GIL between threads for it
+    costs more than the threads overlap."""
+    groups = -(-M // _GROUP)
     blocks = -(-M // block_size)
     workers = min(blocks, _usable_cores())
-    blocks = min(M, -(-blocks // workers) * workers)
-    if -(-M // blocks) * path_floats <= _NOISE_FLOATS:
+    blocks = min(groups, -(-blocks // workers) * workers)
+    workers = min(workers, blocks)
+    if -(-groups // blocks) * _GROUP * path_floats <= _NOISE_FLOATS:
         workers = 1
-    return [M * i // blocks for i in range(blocks + 1)], workers
+    return [min(M, groups * i // blocks * _GROUP)
+            for i in range(blocks + 1)], workers
 
 
 def _step_count(T: float, dt: float):
@@ -303,8 +297,9 @@ def _step_count(T: float, dt: float):
 
 
 def _rows(start: int, ids: np.ndarray):
-    """Output rows of a block's live paths (block-local ``ids``, not
-    empty): a slice when they are contiguous, as before the first exit."""
+    """Rows ``start + ids`` (``ids`` ascending, not empty), a slice when
+    they are contiguous: the output rows of a block's live paths, or their
+    rows of one step in the block's noise buffer."""
     if ids[-1] - ids[0] == len(ids) - 1:
         return slice(start + ids[0], start + ids[-1] + 1)
     return start + ids
@@ -318,12 +313,15 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
     ``record`` selects stored snapshots: ``None`` (endpoints only),
     ``"all"`` (every step), or a sequence of times (snapped to steps).
     The step count is ``round(T / dt)`` so the horizon is hit exactly.
-    Paths run in blocks of at most ``block_size``; blocks that need more
-    than one noise chunk go to a thread pool, and the result does not
-    depend on the partition.  With a constant beta, no drift, no rate,
-    no ``record`` and no hook, and one path's noise within the in-flight
-    bound, a block runs as running sums of whole-path groups instead of
-    the step loop: the same bits, exits still detected at step ends.
+    Path ``p`` draws its noise from the stream of group ``p // _GROUP``.
+    Paths run in blocks of whole groups, of about ``block_size`` paths
+    and at least one group; blocks that need more than one noise chunk go
+    to a thread pool, and the result depends on neither the partition
+    nor ``M``: the first paths of a larger ensemble are those of a
+    smaller one.  With a constant beta, no drift, no rate, no ``record``
+    and no hook, a block runs as running sums of one group at a time, in
+    chunks of steps under the same in-flight bound, instead of the step
+    loop: the same bits, exits still detected at step ends.
 
     ``_on_step(start, ids, y_live, disc_live, k)`` (private) is called at
     the top of step ``k`` of a block starting at path ``start``, before
@@ -358,7 +356,7 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
         traj = disc_traj = None
         rec_pos = {}
 
-    a = sampler.sample(_path_generator(master_seed, _INIT_STREAM), M)
+    a = sampler.sample(_stream(master_seed), M)
     if a.shape != (M, n):
         raise ValueError("sampler produced the wrong shape")
 
@@ -372,38 +370,44 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
                 and sde.field.lam_re.value == 0.0 and lam_real)
     sqdt = np.sqrt(dt)
     sums = (const_beta is not None and f_zero and lam_zero and _on_step is None
-            and rec_idx is None and nsteps * n <= _NOISE_FLOATS)
+            and rec_idx is None)
 
-    def run_sums(start, y, tau_b, ids):
-        # whole paths in groups under the noise budget, summed in row
-        # slices with the step loop's operations in its order
-        group = _NOISE_FLOATS // (nsteps * n)
-        rows = max(1, _SUM_FLOATS // (nsteps * n))
-        for g in range(0, len(ids), group):
-            gids = ids[g:g + group]
-            buf = np.empty((len(gids), nsteps, n))
-            _first_normals(buf, master_seed, start + gids)
-            for r in range(0, len(gids), rows):
-                pids, part = gids[r:r + rows], buf[r:r + rows]
+    def run_sums(y, tau_b, ids, gens):
+        # one group at a time, in chunks of steps under the in-flight
+        # bound drawn into one buffer: positions as running sums of the
+        # scaled noise, added row by row in the step loop's order (a
+        # cumsum along the steps is slower on this layout), then one exit
+        # scan per chunk
+        chunk = min(nsteps, max(1, _NOISE_FLOATS // (_GROUP * n)))
+        buf = np.empty((chunk, _GROUP, n))
+        for j, gen in enumerate(gens):
+            lo = j * _GROUP
+            i0, i1 = np.searchsorted(ids, (lo, lo + _GROUP))
+            cols = ids[i0:i1] - lo      # the group's live paths
+            pos = np.zeros((_GROUP, n))     # positions before the chunk
+            pos[cols] = y[lo + cols]
+            for k in range(0, nsteps, chunk):
+                part = gen.standard_normal(out=buf[:nsteps - k])
                 flat = part.reshape(-1, n)
                 flat *= sqdt
                 if n == 1:      # a 1x1 product is one rounded multiply
                     flat *= const_beta[0, 0]
                 else:
                     flat[...] = flat @ const_beta.T
-                part[:, 0] += y[pids]
-                np.cumsum(part, axis=1, out=part)
-                each = np.arange(len(pids))
-                last = np.full(len(pids), nsteps - 1)
+                part[0] += pos
+                for c in range(1, len(part)):
+                    part[c] += part[c - 1]
                 if domain is not None:      # first exits at step ends
                     out = ~domain.contains(flat, open_set=True).reshape(
-                        len(pids), nsteps)
-                    first = out.argmax(axis=1)
-                    gone = out[each, first]
-                    last[gone] = first[gone]
-                    tau_b[pids[gone]] = (first[gone] + 1) * dt
-                y[pids] = part[each, last]
-            del buf, part, flat     # before the next group's buffer exists
+                        len(part), _GROUP)
+                    first = out.argmax(axis=0)[cols]
+                    gone = out[first, cols]
+                    del out     # before the next chunk's exit scan
+                    y[lo + cols[gone]] = part[first[gone], cols[gone]]
+                    tau_b[lo + cols[gone]] = (k + first[gone] + 1) * dt
+                    cols = cols[~gone]
+                pos[...] = part[-1]
+            y[lo + cols] = pos[cols]
 
     def increment(y_live, xi, t_k):
         # this order of operations fixes the bits of every path:
@@ -431,10 +435,11 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
             ids = np.flatnonzero(alive)
         else:
             ids = np.arange(end - start)
+        gens = [_stream(master_seed, g)    # one stream per group
+                for g in range(start // _GROUP, -(-end // _GROUP))]
         if sums:
-            run_sums(start, y, tau_b, ids)
+            run_sums(y, tau_b, ids, gens)
             return
-        gens = None     # one generator per path once paths span chunks
         y_live = y[ids]
         disc_live = disc_b[ids]
         if 0 in rec_pos:
@@ -442,18 +447,16 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
         k = 0
         while k < nsteps:
             # the next chunk of steps: at most _NOISE_FLOATS noise values
+            # over the block's whole groups, each group's drawn in place,
+            # step-major; a live path's row of step c is rows + c * _GROUP
             steps = min(nsteps - k,
-                        max(1, _NOISE_FLOATS // max(1, len(ids) * n)))
-            buf = np.empty((len(ids), steps, n))
-            if steps == nsteps:     # whole paths in one chunk
-                _first_normals(buf, master_seed, start + ids)
-            else:
-                if gens is None:
-                    gens = [_path_generator(master_seed, start + i)
-                            for i in ids]
-                for j, gen in enumerate(gens):
-                    gen.standard_normal(out=buf[j])
-            rows = None     # live rows of buf once a path has left
+                        max(1, _NOISE_FLOATS // (len(gens) * _GROUP * n)))
+            buf = np.empty((len(gens), steps, _GROUP, n))
+            # with no path left the streams are not read again
+            for j, gen in enumerate(gens if len(ids) else ()):
+                gen.standard_normal(out=buf[j])
+            flat = buf.reshape(-1, n)
+            rows = ids + ids // _GROUP * ((steps - 1) * _GROUP)
             for c in range(steps):
                 t_k = k * dt
                 if len(ids):
@@ -462,9 +465,8 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
                     if not lam_zero:
                         lam = sde.field.eval_lambda(y_live, t_k)
                         disc_live += (lam.real if lam_real else lam) * dt
-                    y_live += increment(y_live,
-                                        buf[:, c] if rows is None
-                                        else buf[rows, c], t_k)
+                    y_live += increment(
+                        y_live, flat[_rows(c * _GROUP, rows)], t_k)
                     if domain is not None:
                         out = ~domain.contains(y_live, open_set=True)
                         if out.any():
@@ -473,10 +475,9 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
                             disc_b[gone] = disc_live[out]
                             tau_b[gone] = (k + 1) * dt
                             keep = ~out
-                            ids, y_live, disc_live = (ids[keep], y_live[keep],
-                                                      disc_live[keep])
-                            rows = (np.flatnonzero(keep) if rows is None
-                                    else rows[keep])
+                            ids, rows, y_live, disc_live = (
+                                ids[keep], rows[keep], y_live[keep],
+                                disc_live[keep])
                 k += 1
                 if next_level is not None:
                     next_level[start] = k
@@ -487,9 +488,7 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
                     if not lam_zero:   # else disc_traj stays untouched zeros
                         disc_b[ids] = disc_live
                         disc_traj[start:end, rec_pos[k]] = disc_b
-            del buf             # before the next chunk's buffer exists
-            if gens is not None and rows is not None:
-                gens = [gens[r] for r in rows]
+            del buf, flat       # before the next chunk's buffer exists
         y[ids] = y_live
         disc_b[ids] = disc_live
 

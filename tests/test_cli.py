@@ -489,3 +489,28 @@ def test_verify_simulates_its_ensemble_once(tmp_path, monkeypatch):
     checks = json.loads((tmp_path / "out" / "verify.json").read_text())
     assert checks["checks"]["pairing"]["ensemble"]["M"] == 400
     assert len(checks["checks"]["density"]) == 1
+
+
+def test_verify_computes_no_norms_of_the_adjoint_density(tmp_path,
+                                                         monkeypatch):
+    # the backward solution's bundle and apriori_ratio's norm of Phi; the
+    # adjoint density of the density check carries none (three calls when
+    # it did)
+    calls = []
+    norms = solver.discrete_norms
+    monkeypatch.setattr(solver, "discrete_norms",
+                        lambda *a, **k: calls.append(a) or norms(*a, **k))
+    text = TINY_MC + ('solve.Phi = "x1^2"\nsolve.phi = "1"\n'
+                      "verify.density.times = 0.05\n"
+                      f"out.dir = {tmp_path / 'out'}\n")
+    assert run(tmp_path, "v.cfg", text, "verify") in (0, 2)
+    checks = json.loads((tmp_path / "out" / "verify.json").read_text())
+    assert len(checks["checks"]["density"]) == 1
+    assert len(calls) == 2
+
+
+def test_negative_seed_exit_1(tmp_path, capsys):
+    text = TINY_MC + f"out.dir = {tmp_path / 'out'}\n"
+    assert run(tmp_path, "s.cfg", text, "simulate", "--seed", "-1") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -3,9 +3,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cordeslab.expr import (Bin, Call, ExprEvalError, ExprSyntaxError, Neg,
-                            Num, Var, parse_expression)
+from cordeslab.expr import (FUNCTIONS, Bin, Call, ExprEvalError,
+                            ExprSyntaxError, Neg, Num, Var, parse_expression)
 
 
 def ev(text, **env):
@@ -145,3 +146,35 @@ def test_parse_print_parse_idempotence():
         again = parse_expression(printed)
         assert again == tree, f"round-trip changed {text!r} -> {printed!r}"
         assert str(again) == printed
+
+
+def _call(children):
+    # any function of the language, at any arity it accepts (up to two more
+    # than the least where the arity is unbounded)
+    return st.sampled_from(sorted(FUNCTIONS.items())).flatmap(
+        lambda item: st.lists(children, min_size=item[1][0],
+                              max_size=item[1][1] or item[1][0] + 2)
+        .map(lambda args: Call(item[0], tuple(args))))
+
+
+TREES = st.recursive(
+    st.one_of(st.floats(0.0, allow_nan=False, allow_infinity=False)
+              .map(abs).map(Num),   # literals are nonnegative
+              st.integers(1, 12).map(lambda i: Var(f"x{i}")),
+              st.just(Var("t"))),
+    lambda children: st.one_of(
+        [st.builds(Bin, st.just(op), children, children)
+         for op in ("+", "-", "*", "/", "^")]
+        + [_call(children), children.map(Neg)]),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=TREES)
+def test_printed_trees_parse_back_to_themselves(tree):
+    # operators of every precedence, right-associative ^, unary minus in
+    # operands and exponents, and every function
+    text = str(tree)
+    again = parse_expression(text)
+    assert again == tree, text
+    assert str(again) == text

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from numpy.random import SFC64, Generator, SeedSequence
 
 from cordeslab import stochastic
 from cordeslab.fields import (Box, CoefficientField, builtin_problem,
@@ -44,8 +45,8 @@ def test_second_moment_matches_gaussian():
 
 
 def test_partitioning_determinism():
-    # per-path keyed noise: trajectories agree bitwise no matter how the
-    # path range is partitioned into worker blocks
+    # noise keyed by groups of paths, blocks on group bounds: trajectories
+    # agree bitwise no matter how the path range is partitioned
     f = free_space(0.1)
     sampler = PointSampler([0.0])
     full = simulate_paths(SDE(f), sampler, 1e-3, 10_000, 99, record="all",
@@ -124,18 +125,20 @@ def drifting_box_2d():
 def reference_paths(sde, sampler, dt, M, seed):
     """The loop as it was before noise streaming, for one block of paths
     with drift and a constant beta: one whole ``(M, nsteps, n)`` noise
-    array, a boolean live mask, every step recorded."""
+    array filled from the step-major group streams, a boolean live mask,
+    every step recorded."""
     T = sde.T
     nsteps = max(1, int(round(T / dt)))
     dt = T / nsteps
     n = sde.field.n
     domain = sde.domain
+    group = stochastic._GROUP
     noise = np.empty((M, nsteps, n))
-    for p in range(M):
-        noise[p] = stochastic._path_generator(seed, p) \
-            .standard_normal((nsteps, n))
-    y = sampler.sample(stochastic._path_generator(
-        seed, stochastic._INIT_STREAM), M).copy()
+    for lo in range(0, M, group):
+        stream = Generator(SFC64(SeedSequence(seed, spawn_key=(lo // group,))))
+        noise[lo:lo + group] = stream.standard_normal(
+            (nsteps, group, n)).transpose(1, 0, 2)[:M - lo]
+    y = sampler.sample(Generator(SFC64(SeedSequence(seed))), M).copy()
     traj = np.empty((M, nsteps + 1, n))
     disc_traj = np.zeros((M, nsteps + 1))
     alive = domain.contains(y, open_set=True)
@@ -228,7 +231,8 @@ def test_worker_count_does_not_change_paths(monkeypatch, derived):
 
 
 def test_only_blocks_of_several_chunks_go_to_the_pool(monkeypatch):
-    # 3000 paths of 80 noise values in four blocks of 750 on two cores
+    # 3000 paths of 80 noise values on two cores: four blocks of one or
+    # two groups of 512 paths, bounds 0, 512, 1536, 2048, 3000
     pools = []
 
     class Pool(stochastic.ThreadPoolExecutor):
@@ -239,7 +243,7 @@ def test_only_blocks_of_several_chunks_go_to_the_pool(monkeypatch):
     monkeypatch.setattr(stochastic, "_usable_cores", lambda: 2)
     f = drifting_box_2d()
     runs = []
-    for budget in (750 * 80, 750 * 80 - 1):
+    for budget in (1024 * 80, 1024 * 80 - 1):
         monkeypatch.setattr(stochastic, "_NOISE_FLOATS", budget)
         runs.append(simulate_paths(SDE(f), UniformBoxSampler(f.domain),
                                    5e-3, 3000, 4, record="all",
@@ -262,14 +266,27 @@ def plain_box(n, domain=True):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_running_sums_match_the_step_loop(monkeypatch, n):
-    # starts on both sides of the box, many exits, ragged blocks; the
-    # hook sends the same ensemble through the step loop
+    # starts on both sides of the box, many exits, a last block that ends
+    # mid-group; the hook sends the same ensemble through the step loop
     sampler = UniformBoxSampler(Box((-0.2,) * n, (1.2,) * n))
-    streams, pools = [], []
-    path_generator = stochastic._path_generator
-    monkeypatch.setattr(stochastic, "_path_generator",
-                        lambda seed, stream: streams.append(stream)
-                        or path_generator(seed, stream))
+    streams, draws, pools = [], [], []
+    stream = stochastic._stream
+
+    class Stream:
+        """A stream that records its key and the shape of each normal
+        draw (both engines draw into buffers)."""
+
+        def __init__(self, seed, *key):
+            streams.append(key)
+            self.gen = stream(seed, *key)
+
+        def standard_normal(self, out):
+            draws.append(out.shape)
+            return self.gen.standard_normal(out=out)
+
+        def __getattr__(self, name):
+            return getattr(self.gen, name)
+    monkeypatch.setattr(stochastic, "_stream", Stream)
 
     class Pool(stochastic.ThreadPoolExecutor):
         def __init__(self, workers):
@@ -280,56 +297,92 @@ def test_running_sums_match_the_step_loop(monkeypatch, n):
     def both(f, cores, noise):
         monkeypatch.setattr(stochastic, "_usable_cores", lambda: cores)
         monkeypatch.setattr(stochastic, "_NOISE_FLOATS", noise)
-        del streams[:]
-        sums = simulate_paths(SDE(f), sampler, 4e-3, 1000, 9, block_size=377)
-        built = list(streams)
-        loop = simulate_paths(SDE(f), sampler, 4e-3, 1000, 9, block_size=377,
+        del streams[:], draws[:]
+        sums = simulate_paths(SDE(f), sampler, 4e-3, 3000, 9, block_size=1100)
+        built, summed = sorted(streams), sorted(draws)
+        loop = simulate_paths(SDE(f), sampler, 4e-3, 3000, 9, block_size=1100,
                               _on_step=no_step_hook)
         assert_same_ensemble(sums, loop)
-        return sums, built
+        return sums, built, summed
 
     f, nsteps = plain_box(n), 25
-    ens, built = both(f, 1, NOISE_DEFAULT)
-    assert (ens.tau == 0).sum() > 150 and ens.exited.sum() > 600
+    # the initial law's stream, and one per group of 512 paths (here two
+    # in each of three blocks), none per path
+    per_group = [()] + [(g,) for g in range(6)]
+    ens, built, summed = both(f, 1, NOISE_DEFAULT)
+    assert (ens.tau == 0).sum() > 450 and ens.exited.sum() > 1800
     assert not ens.exited.all()
-    # no generator per path: the initial law's, and per group (here one
-    # in each of three blocks) one of the same key, re-keyed path by path
-    assert built == [stochastic._INIT_STREAM] * 4
-    ens, _ = both(plain_box(n, domain=False), 1, NOISE_DEFAULT)
+    assert built == per_group and summed == [(nsteps, 512, n)] * 6
+    ens, _, _ = both(plain_box(n, domain=False), 1, NOISE_DEFAULT)
     assert not ens.exited.any()
-    # groups of three paths, blocks of several groups on the pool, the
-    # workers switching often
+    # one group's noise at the budget: blocks of two groups go to the
+    # pool, the workers switching often
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for cores in (1, 2, 4):
-            both(f, cores, 3 * nsteps * n)
+            both(f, cores, 512 * nsteps * n)
     finally:
         sys.setswitchinterval(interval)
     assert pools == [2, 2, 3, 3]
-    # one path's noise over the budget: both runs take the step loop,
-    # with a generator per path that starts in the box
-    ens, built = both(f, 2, nsteps * n - 1)
-    assert set(built) - {stochastic._INIT_STREAM} == \
-        set(np.flatnonzero(ens.tau > 0))
+    # one group's noise over the budget: the sums run in chunks of steps
+    # of one group (the loop's chunks span the block's two groups), with
+    # exits on both sides of chunk bounds, from the same streams
+    for steps in (7, nsteps - 1):
+        ens, built, summed = both(f, 2, 512 * steps * n)
+        assert built == per_group and summed == sorted(
+            [(steps, 512, n)] * (nsteps // steps) * 6
+            + [(nsteps % steps, 512, n)] * 6)
+
+
+def test_first_paths_do_not_depend_on_the_path_count():
+    # paths 0..699 of a 700-path and of a 1300-path ensemble, in blocks
+    # ending mid-group (700 = 512 + 188) or on a group bound, through the
+    # step loop and as running sums, some paths starting outside the box
+    sampler = UniformBoxSampler(Box((-0.1, -0.1), (1.1, 1.1)))
+    for f, record in ((drifting_box_2d(), "all"), (plain_box(2), None)):
+        for block_size in (512, 20000):
+            small, large = (simulate_paths(SDE(f), sampler, 4e-3, M, 6,
+                                           record=record,
+                                           block_size=block_size)
+                            for M in (700, 1300))
+            assert (small.tau == 0).sum() > 50 and small.exited.sum() > 200
+            for name in ENSEMBLE_ARRAYS:
+                a, b = getattr(small, name), getattr(large, name)
+                assert (a is None and b is None) or \
+                    np.array_equal(a, b[:700]), name
+
+
+def noise_peak(on_step, M, nsteps):
+    """Peak traced memory of an unrecorded free-space run; without a hook
+    it runs as running sums, with one as the step loop."""
+    tracemalloc.start()
+    try:
+        simulate_paths(SDE(free_space(0.1)), PointSampler([0.0]),
+                       0.1 / nsteps, M, 2, _on_step=on_step)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("on_step", [None, no_step_hook],
                          ids=["sums", "loop"])
 def test_noise_memory_is_bounded_by_the_chunk_budget(on_step):
-    # unchunked, this ensemble's noise alone is M * nsteps * 8 = 160 MB;
-    # without a hook it runs as running sums, with one as the step loop
+    # unchunked, this ensemble's noise alone is M * nsteps * 8 = 160 MB
     M, nsteps = 20_000, 1000
-    f = free_space(0.1)
-    tracemalloc.start()
-    try:
-        simulate_paths(SDE(f), PointSampler([0.0]), 0.1 / nsteps, M, 2,
-                       _on_step=on_step)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * stochastic._NOISE_FLOATS * 8 + 16 * M * 8
-    assert M * nsteps * 8 > 2 * stochastic._NOISE_FLOATS * 8 + 16 * M * 8
+    bound = 1.5 * stochastic._NOISE_FLOATS * 8 + 16 * M * 8
+    assert noise_peak(on_step, M, nsteps) < bound < M * nsteps * 8
+
+
+@pytest.mark.parametrize("on_step", [None, no_step_hook],
+                         ids=["sums", "loop"])
+def test_one_group_is_drawn_in_chunks_of_steps(monkeypatch, on_step):
+    # one group whose noise is four times the budget: it is summed or
+    # stepped in chunks, each drawn into one buffer
+    monkeypatch.setattr(stochastic, "_NOISE_FLOATS", 2 ** 18)
+    M, nsteps = 512, 2000
+    bound = 1.5 * stochastic._NOISE_FLOATS * 8 + 16 * M * 8
+    assert noise_peak(on_step, M, nsteps) < bound < M * nsteps * 8
 
 
 def test_recording_budget_raises_before_allocating():
@@ -361,10 +414,18 @@ def time_dependent_derived(T=0.1):
 def test_derived_roots_are_kept_for_the_current_level_only(monkeypatch,
                                                            cores):
     # with one block the cache never holds more than the level being
-    # stepped, and none is left after the run; several blocks, inline or
-    # on the pool, give the same paths as a cache that forgets nothing
+    # stepped, and none is left after the run; several blocks (of groups
+    # of 32 paths), inline or on the pool, give the same paths as a cache
+    # that forgets nothing
+    monkeypatch.setattr(stochastic, "_GROUP", 32)
     f, sde_of = time_dependent_derived()
-    sizes = []
+    sizes, pools = [], []
+
+    class Pool(stochastic.ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+    monkeypatch.setattr(stochastic, "ThreadPoolExecutor", Pool)
     beta_at = SDE.beta_at
     monkeypatch.setattr(SDE, "beta_at", lambda self, y, t: sizes.append(
         len(self._beta_cache)) or beta_at(self, y, t))
@@ -380,6 +441,7 @@ def test_derived_roots_are_kept_for_the_current_level_only(monkeypatch,
         runs.append(simulate_paths(sde, UniformBoxSampler(f.domain), 2e-3,
                                    300, 4, record="all", block_size=100))
     assert len(sde._beta_cache) == 50    # the unbounded cache, one per level
+    assert pools == [2, 2] if cores == 2 else not pools
     assert_same_ensemble(runs[0], runs[1])
     for name in ("final_y", "tau", "discount"):
         assert np.array_equal(getattr(runs[0], name), getattr(one, name))
@@ -713,9 +775,9 @@ def recorded_phases(ens, panel):
 
 
 def streamed_layout(monkeypatch, block, noise, cores):
-    """Blocks of ``block`` paths, ``noise`` values in flight per block (a
-    budget below one block's noise sends the blocks to the pool) and
-    ``cores`` workers."""
+    """Blocks of about ``block`` paths on group bounds, ``noise`` values in
+    flight per block (a budget below one block's noise sends the blocks
+    to the pool) and ``cores`` workers."""
     simulate = stochastic.simulate_paths
     monkeypatch.setattr(stochastic, "simulate_paths",
                         lambda *args, **kwargs: simulate(
@@ -726,14 +788,25 @@ def streamed_layout(monkeypatch, block, noise, cores):
 
 def streamed_example(check, monkeypatch, *args):
     """One example with its patches undone after it, the workers
-    switching often."""
+    switching often, and noise groups of 32 paths (so that the 300 paths
+    of an example make ten groups, to be split into blocks); returns the
+    worker counts of the pools started."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
+    pools = []
+
+    class Pool(stochastic.ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
     try:
         with monkeypatch.context() as patch:
+            patch.setattr(stochastic, "_GROUP", 32)
+            patch.setattr(stochastic, "ThreadPoolExecutor", Pool)
             check(patch, *args)
     finally:
         sys.setswitchinterval(interval)
+    return pools
 
 
 STREAMED = dict(n=st.sampled_from([1, 2]), block=st.integers(1, 400),
@@ -781,6 +854,17 @@ def test_streamed_source_matches_feynman_kac(monkeypatch, n, block, noise,
                                              cores, seed):
     streamed_example(check_streamed_source, monkeypatch, n, block, noise,
                      cores, seed)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("check", ["panel", "source"])
+def test_streamed_examples_reach_the_pool(monkeypatch, check, n):
+    # ten groups in blocks of two groups, each block's noise over the
+    # budget: the hook reductions run across blocks on two workers
+    check = {"panel": check_streamed_panel,
+             "source": check_streamed_source}[check]
+    assert streamed_example(check, monkeypatch, n, 64, 32 * 25 * n, 2,
+                            7) == [2]
 
 
 def check_streamed_source(monkeypatch, n, block, noise, cores, seed):
