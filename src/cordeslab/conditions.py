@@ -17,15 +17,15 @@ essential supremum.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .fields import (CoefficientField, Decomposition, SampleSet, decompose,
-                     sample_set, sparsity_pattern, unique_b_hat,
-                     unique_rows, _covers, _memoized, _validate_gamma)
+                     sample_set, sparsity_pattern, unique_b_hat, unique_rows,
+                     _all_covers, _memoized, _sampled_matrices,
+                     _validate_gamma)
 from .linalg import symmetric_eigenvalues
 
 __all__ = [
@@ -103,33 +103,12 @@ class ConditionReport:
 # sampled matrix helpers
 
 
-def _stack_matrices(eval_fn, samples: SampleSet) -> np.ndarray:
-    blocks = [eval_fn(samples.points, t) for t in samples.times]
-    return np.concatenate(blocks, axis=0)
-
-
-def _unique_matrices(mats: np.ndarray) -> np.ndarray:
-    flat = mats.reshape(mats.shape[0], -1)
-    return unique_rows(flat).reshape(-1, *mats.shape[1:])
-
-
-def _unique_b(field: CoefficientField, samples: SampleSet) -> np.ndarray:
-    return _memoized(samples, "b", field, lambda: _unique_matrices(
-        _stack_matrices(field.eval_b, samples)))
-
-
-def _unique_b_bar(decomp: Decomposition, samples: SampleSet) -> np.ndarray:
-    return _memoized(samples, "b_bar", decomp.b_bar, lambda: _unique_matrices(
-        _stack_matrices(decomp.eval_b_bar, samples)))
-
-
-def _eigen_of_b(field: CoefficientField, samples: SampleSet) -> np.ndarray:
-    return _memoized(samples, "eig_b", field,
-                     lambda: symmetric_eigenvalues(_unique_b(field, samples)))
-
-
-def _eigen_table(mats: np.ndarray) -> np.ndarray:
-    return symmetric_eigenvalues(_unique_matrices(mats))
+def _eigenvalues(samples: SampleSet, key: tuple, evaluate) -> np.ndarray:
+    """Eigenvalues of the sampled matrix table of ``_sampled_matrices``
+    under ``key``, memoized under a tag of their own."""
+    return _memoized(samples, ("eig_" + key[0],) + key[1:],
+                     lambda: symmetric_eigenvalues(
+                         _sampled_matrices(samples, key, evaluate)))
 
 
 # ----------------------------------------------------------------------------
@@ -146,17 +125,15 @@ def ellipticity_delta(source, samples: SampleSet | None = None) -> float:
     if isinstance(source, Decomposition):
         if samples is None:
             samples = sample_set(source.field.sampling_box(), source.field.T)
-        eig = _memoized(samples, "eig_b_bar", source.b_bar,
-                        lambda: _eigen_table(_unique_b_bar(source, samples)))
+        eig = _eigenvalues(samples, ("b_bar", source.b_bar),
+                           source.eval_b_bar)
     elif isinstance(source, CoefficientField):
         if samples is None:
             samples = sample_set(source.sampling_box(), source.T)
-        eig = _eigen_of_b(source, samples)
+        eig = _eigenvalues(samples, ("b", source), source.eval_b)
     else:
         mats = np.asarray(source, dtype=float)
-        if mats.ndim == 2:
-            mats = mats[None]
-        eig = _eigen_table(mats)
+        eig = symmetric_eigenvalues(mats.reshape(-1, *mats.shape[-2:]))
     delta = float(eig[:, 0].min())
     if delta <= 0.0:
         raise ValueError(
@@ -324,10 +301,7 @@ def select_index_set(decomp: Decomposition, samples: SampleSet | None = None):
         return (), {}, 0.0, ""
     note = ""
     if n <= 16:
-        candidates = [combo
-                      for size in range(1, n + 1)
-                      for combo in itertools.combinations(range(1, n + 1), size)
-                      if _covers(combo, pattern)]
+        candidates = list(_all_covers(pattern))
     else:  # greedy cover, then its supersets along degree order
         note = "greedy cover heuristic (n > 16); not exhaustive"
         work = pattern.copy()
@@ -436,7 +410,8 @@ def check_classical(field: CoefficientField, which: str,
         decomp = (b_bar if isinstance(b_bar, Decomposition)
                   else decompose(field, "identity" if b_bar is None else b_bar,
                                  samples))
-        bbar = _unique_b_bar(decomp, samples)
+        bbar = _sampled_matrices(samples, ("b_bar", decomp.b_bar),
+                                 decomp.eval_b_bar)
         dev = np.abs(bbar - np.eye(n)).max()
         if dev > 1e-12:
             return Verdict(ok=None, margin=None, applicable=False,
@@ -445,7 +420,7 @@ def check_classical(field: CoefficientField, which: str,
         sq = (bh ** 2).sum(axis=(1, 2))
         margins, eps = _classical_margins(which, np.zeros((len(sq), n)), sq)
     else:
-        eig = _eigen_of_b(field, samples)
+        eig = _eigenvalues(samples, ("b", field), field.eval_b)
         margins, eps = _classical_margins(which, eig)
     i = int(np.argmin(margins))
     margin = float(margins[i])
@@ -474,9 +449,9 @@ def full_report(field: CoefficientField, split_spec="identity",
     for which in CLASSICAL:
         verdicts[which] = check_classical(field, which, samples,
                                           b_bar=decomp)
-    eig = _eigen_of_b(field, samples)
+    eig = _eigenvalues(samples, ("b", field), field.eval_b)
     eigen_range = (float(eig.min()), float(eig.max()))
-    mats = _unique_b(field, samples)
+    mats = _sampled_matrices(samples, ("b", field), field.eval_b)
     sup_b = float(np.sqrt((mats ** 2).sum(axis=(1, 2))).max())
     fv = np.concatenate([field.eval_f(samples.points, t)
                          for t in samples.times])

@@ -404,9 +404,8 @@ class Decomposition:
         return Decomposition(self.field, self.b_bar, self.index_set, gamma)
 
     def with_index_set(self, index_set, samples: SampleSet) -> "Decomposition":
-        pattern = sparsity_pattern(self, samples)
         index_set = tuple(sorted(int(k) for k in index_set))
-        if not _covers(index_set, pattern):
+        if not _covers(index_set, sparsity_pattern(self, samples)):
             raise FieldConstructionError(
                 f"index set {index_set} does not cover the remainder's "
                 f"sparsity pattern")
@@ -432,15 +431,14 @@ def _validate_gamma(gamma, index_set) -> dict:
     return gamma
 
 
-def _memoized(samples: SampleSet, tag: str, key_obj, builder):
-    """Per-sample-set cache; entries pin their key objects alive."""
-    key = (tag, id(key_obj))
-    hit = samples._memo.get(key)
-    if hit is not None and hit[0] is key_obj:
-        return hit[1]
-    data = builder()
-    samples._memo[key] = (key_obj, data)
-    return data
+def _memoized(samples: SampleSet, key: tuple, build):
+    """Per-sample-set cache.  ``key`` is a tag followed by the objects the
+    entry depends on; the entry pins them, so their ids stay unique."""
+    memo_key = (key[0],) + tuple(id(obj) for obj in key[1:])
+    hit = samples._memo.get(memo_key)
+    if hit is None:
+        hit = samples._memo[memo_key] = (key, build())
+    return hit[1]
 
 
 def unique_rows(flat: np.ndarray) -> np.ndarray:
@@ -454,14 +452,21 @@ def unique_rows(flat: np.ndarray) -> np.ndarray:
     return srt[keep]
 
 
-def unique_b_hat(decomp: Decomposition, samples: SampleSet) -> np.ndarray:
-    """Deduplicated remainder matrices over the sample set (memoized)."""
+def _sampled_matrices(samples: SampleSet, key: tuple, evaluate) -> np.ndarray:
+    """Deduplicated matrices ``evaluate(points, t)`` over the sample set,
+    memoized under ``key`` (a tag and everything ``evaluate`` reads)."""
     def build():
-        stacked = np.concatenate([decomp.eval_b_hat(samples.points, t)
+        stacked = np.concatenate([evaluate(samples.points, t)
                                   for t in samples.times], axis=0)
         flat = stacked.reshape(stacked.shape[0], -1)
         return unique_rows(flat).reshape(-1, *stacked.shape[1:])
-    return _memoized(samples, "b_hat", decomp.b_bar, build)
+    return _memoized(samples, key, build)
+
+
+def unique_b_hat(decomp: Decomposition, samples: SampleSet) -> np.ndarray:
+    """Deduplicated remainder matrices over the sample set (memoized)."""
+    return _sampled_matrices(samples, ("b_hat", decomp.field, decomp.b_bar),
+                             decomp.eval_b_hat)
 
 
 def sparsity_pattern(decomp: Decomposition, samples: SampleSet,
@@ -480,16 +485,19 @@ def _covers(index_set, pattern: np.ndarray) -> bool:
     return not viol.any()
 
 
-def minimal_vertex_cover(pattern: np.ndarray) -> tuple:
-    """Smallest (then lexicographically first) cover of the pattern."""
+def _all_covers(pattern: np.ndarray):
+    """Every index set covering the pattern, smallest first, then in
+    lexicographic order (the empty set covers an empty pattern)."""
     n = pattern.shape[0]
-    if not pattern.any():
-        return ()
-    for size in range(1, n + 1):
+    for size in range(n + 1):
         for combo in itertools.combinations(range(1, n + 1), size):
             if _covers(combo, pattern):
-                return combo
-    return tuple(range(1, n + 1))  # pragma: no cover
+                yield combo
+
+
+def minimal_vertex_cover(pattern: np.ndarray) -> tuple:
+    """Smallest (then lexicographically first) cover of the pattern."""
+    return next(_all_covers(pattern))
 
 
 def decompose(field: CoefficientField, spec="identity",
@@ -522,16 +530,10 @@ def decompose(field: CoefficientField, spec="identity",
         b_bar = tuple(tuple(as_scalar_field(spec[i][j]) for j in range(n))
                       for i in range(n))
     decomp = Decomposition(field, b_bar, ())
-    pattern = sparsity_pattern(decomp, samples)
-    if index_set is None:
-        chosen = minimal_vertex_cover(pattern)
-    else:
-        chosen = tuple(sorted(int(k) for k in index_set))
-        if not _covers(chosen, pattern):
-            raise FieldConstructionError(
-                f"index set {chosen} does not cover the remainder's "
-                f"sparsity pattern")
-    return Decomposition(field, b_bar, chosen)
+    if index_set is not None:
+        return decomp.with_index_set(index_set, samples)
+    return Decomposition(field, b_bar,
+                         minimal_vertex_cover(sparsity_pattern(decomp, samples)))
 
 
 # ----------------------------------------------------------------------------

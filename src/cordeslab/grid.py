@@ -10,7 +10,8 @@ rectangle rule, and sup-in-time norms take maxima over the stored slices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,10 +56,17 @@ class Grid:
         return self.lo[i] + self.h[i] * np.arange(1, self.m[i] + 1)
 
     def nodes(self) -> np.ndarray:
-        """All interior nodes as an (N, n) array in C order."""
+        """All interior nodes as a read-only (N, n) array in C order, built
+        once per grid."""
+        return self._nodes
+
+    @functools.cached_property
+    def _nodes(self) -> np.ndarray:
         mesh = np.meshgrid(*[self.axis_nodes(i) for i in range(self.n)],
                            indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        nodes = np.stack([m.ravel() for m in mesh], axis=-1)
+        nodes.setflags(write=False)
+        return nodes
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.nt + 1)
@@ -215,7 +223,6 @@ class NormBundle:
     C1: float
     Y2: float
     Yhat2: float
-    weights: NormWeights = dc_field(repr=False, default=None)
 
     def as_dict(self) -> dict:
         return {
@@ -284,7 +291,7 @@ def discrete_norms(u: GridFunction, weights: NormWeights | None = None) -> NormB
     C1 = float(H1.max())
     return NormBundle(H0=H0, H1=H1, W22=W22, Hhat2=Hhat2, X0=X0, X2=X2,
                       Xhat2=Xhat2, C0=C0, C1=C1, Y2=X2 + C1,
-                      Yhat2=Xhat2 + weights.alpha2 * C1, weights=weights)
+                      Yhat2=Xhat2 + weights.alpha2 * C1)
 
 
 def _trapezoid_weights(m: int) -> np.ndarray:

@@ -152,16 +152,20 @@ class BackwardProblem:
 
 @dataclass
 class DiscreteSolution:
-    """A grid solution with its space-time norm bundle.  ``norms`` is None
-    for the density of ``solve_forward_adjoint``: no caller reads its
-    norms, so they are not computed."""
+    """A grid solution.  Its space-time norm bundle ``norms``, under the
+    solution's own ``weights`` (``None``: the defaults), is computed on
+    first read."""
 
     v: GridFunction
-    norms: NormBundle | None
     meta: dict = dc_field(default_factory=dict)
+    weights: NormWeights | None = None
     # (phi spec, {t: L2 norm over space of phi at t}) of the source levels
     # the march evaluated
     _source: tuple | None = dc_field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def norms(self) -> NormBundle:
+        return discrete_norms(self.v, self.weights)
 
 
 @dataclass
@@ -390,7 +394,7 @@ class _StepSolver:
 
     def _lagged(self, B, rhs, x0, trans):
         lu = self._lu
-        mat = {"N": B, "T": B.T, "H": B.conj().T}[trans]
+        mat = B if trans == "N" else B.T if trans == "T" else B.conj().T
         precond = LinearOperator(B.shape, dtype=B.dtype,
                                  matvec=lambda r: lu.solve(r, trans=trans))
         # BiCGStab's breakdown tests are absolute; solve for unit data
@@ -505,8 +509,8 @@ class _Stepper:
         return p
 
 
-def solve_backward(problem: BackwardProblem, grid: Grid, theta: float = 1.0,
-                   weights: NormWeights | None = None) -> DiscreteSolution:
+def solve_backward(problem: BackwardProblem, grid: Grid,
+                   theta: float = 1.0) -> DiscreteSolution:
     """March the terminal-value problem down to ``t = 0``.
 
     The terminal slice is the sampled ``Phi`` exactly; each linear system
@@ -524,11 +528,10 @@ def solve_backward(problem: BackwardProblem, grid: Grid, theta: float = 1.0,
             levels[t] = _slice_l2(vals[None], grid)[0]
         return vals
     v = stepper.run_backward(phi_at, problem.eval_Phi(grid))
-    gf = GridFunction(grid, v)
-    norms = discrete_norms(gf, weights)
     meta = {"theta": theta, "dt": grid.dt, "rtol": LIN_RTOL,
             "time_dependent": problem.operator_time_dependent}
-    return DiscreteSolution(gf, norms, meta, _source=(problem.phi, levels))
+    return DiscreteSolution(GridFunction(grid, v), meta,
+                            _source=(problem.phi, levels))
 
 
 def solve_forward_adjoint(rho, problem: BackwardProblem, grid: Grid,
@@ -537,8 +540,7 @@ def solve_forward_adjoint(rho, problem: BackwardProblem, grid: Grid,
 
     Slices ``0 .. nt-1`` hold the densities paired with the backward
     sources; slice ``nt`` is the terminal density paired with ``Phi``.
-    A signed input density triggers a warning, not an error.  The result
-    carries no norm bundle.
+    A signed input density triggers a warning, not an error.
     """
     rho_arr = rho.values if isinstance(rho, GridFunction) else np.asarray(rho)
     if rho_arr.shape != grid.shape:
@@ -547,8 +549,7 @@ def solve_forward_adjoint(rho, problem: BackwardProblem, grid: Grid,
         warnings.warn("initial density has negative parts", RuntimeWarning)
     stepper = _Stepper(grid, theta, _FieldCoefficients(problem, grid))
     p = stepper.run_forward_adjoint(rho_arr)
-    gf = GridFunction(grid, p)
-    return DiscreteSolution(gf, None, {"theta": theta})
+    return DiscreteSolution(GridFunction(grid, p), {"theta": theta})
 
 
 # ----------------------------------------------------------------------------
@@ -690,14 +691,13 @@ def fixed_point_solve(problem: BackwardProblem, grid: Grid,
             f"sweeps (K={K:.4g}, contraction estimate {contraction:.3f})",
             RuntimeWarning)
 
-    gf = GridFunction(grid, v)
-    solution = DiscreteSolution(gf, discrete_norms(gf, weights),
+    solution = DiscreteSolution(GridFunction(grid, v),
                                 {"theta": theta, "eps": eps, "K": K,
-                                 "iterations": len(increments)})
+                                 "iterations": len(increments)}, weights)
     agreement = None
     if converged:
         if direct is None:
-            direct = solve_backward(problem, grid, theta, weights)
+            direct = solve_backward(problem, grid, theta)
         agreement = float(np.abs(direct.v.values - v).max())
     trace = FixedPointTrace(float(eps), K, increments, contraction,
                             bool(converged), agreement)
@@ -763,12 +763,11 @@ def apriori_ratio(solution: DiscreteSolution, phi, Phi,
     uniform a-priori bound.
     """
     grid = solution.v.grid
-    if weights is None:
-        weights = NormWeights.default(grid.n)
-    norms = solution.norms
-    if norms is None or norms.weights != weights:   # none, or of other weights
-        norms = discrete_norms(solution.v, weights)
-    num = norms.Yhat2
+    default = NormWeights.default(grid.n)
+    if (weights or default) == (solution.weights or default):
+        num = solution.norms.Yhat2
+    else:
+        num = discrete_norms(solution.v, weights).Yhat2
     spec, levels = solution._source or (None, {})
     if spec is not phi:     # the march's evaluations are of another source
         levels = {}

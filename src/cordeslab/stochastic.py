@@ -275,9 +275,11 @@ def _partition(M: int, block_size: int, path_floats: int):
     many as a multiple of the worker count (one worker per usable core,
     never more than there are blocks); returns the block bounds and the
     worker count.  The count is 1 when a block's noise (``path_floats``
-    values a path over its whole groups) fits in one chunk: each block
-    then costs one short fill, and passing the GIL between threads for it
-    costs more than the threads overlap."""
+    values a path over its whole groups) fits in one chunk: such blocks
+    run inline, one after the other, so that one block's buffers are alive
+    at a time.  On two cores, the characteristic panel's M = 1e5 1-D paths
+    of 100 steps ran faster on the pool (0.23 against 0.31 s), but the
+    whole command did not, and its peak RSS rose from 86.6 to 104.1 MB."""
     groups = -(-M // _GROUP)
     blocks = -(-M // block_size)
     workers = min(blocks, _usable_cores())

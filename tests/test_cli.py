@@ -198,6 +198,28 @@ def test_proof_mirror_solves_the_backward_problem_once(tmp_path, monkeypatch):
     assert norms["fixed_point"]["agreement_vs_direct"] <= 1e-8
 
 
+def test_proof_mirror_computes_no_bundle_of_the_fixed_point_solution(
+        tmp_path, monkeypatch):
+    # the backward solution's bundle for apriori_ratio, then norm(d) on
+    # every sweep and norm(v) on every sweep after the first; cmd_solve
+    # discards the fixed-point solution, so its bundle is never computed
+    blocks = []
+    norms = solver.discrete_norms
+
+    def counted(u, *args, **kwargs):
+        if u.is_spacetime:
+            blocks.append(u)
+        return norms(u, *args, **kwargs)
+    monkeypatch.setattr(solver, "discrete_norms", counted)
+    text = PROOF_MIRROR.format(out=tmp_path / "out")
+    assert run(tmp_path, "s.cfg", text, "solve", "--proof-mirror") == 0
+    trace = json.loads(
+        (tmp_path / "out" / "fixed_point_trace.json").read_text())["trace"]
+    assert trace["converged"] is True
+    sweeps = len(trace["increments"])
+    assert len(blocks) == 1 + sweeps + (sweeps - 1)
+
+
 def test_simulate_summary(tmp_path):
     text = ("problem.builtin = gaussian_free_space\n"
             "problem.param.n = 1\nproblem.param.T = 0.1\n"
@@ -350,6 +372,23 @@ def test_characteristic_records_no_trajectories(tmp_path, monkeypatch):
     text = TINY_MC + ("characteristic.panel = panel.csv\n"
                       f"out.dir = {tmp_path / 'out'}\n")
     assert run(tmp_path, "c.cfg", text, "characteristic") == 0
+
+
+def test_characteristic_computes_no_norms(tmp_path, monkeypatch):
+    # no backward solution of the panel is asked for its norm bundle
+    calls = []
+    norms = solver.discrete_norms
+    monkeypatch.setattr(solver, "discrete_norms",
+                        lambda *a, **k: calls.append(a) or norms(*a, **k))
+    (tmp_path / "panel.csv").write_text(
+        "func,t,xi1\n0,0.0,0.5\n1,0.0,1.0\n1,0.05,-1.0\n")
+    text = TINY_MC + ("characteristic.panel = panel.csv\n"
+                      f"out.dir = {tmp_path / 'out'}\n")
+    assert run(tmp_path, "c.cfg", text, "characteristic") == 0
+    rows = json.loads(
+        (tmp_path / "out" / "characteristic.json").read_text())["table"]
+    assert len(rows) == 2
+    assert calls == []
 
 
 def test_missing_config_exit_1(tmp_path):

@@ -7,8 +7,8 @@ from cordeslab.conditions import (check_classical, check_split_condition,
                                   ellipticity_delta, full_report, nu_hat,
                                   optimize_gamma, select_index_set,
                                   symmetric_eigenvalues)
-from cordeslab.fields import (Box, SampleSet, builtin_problem, decompose,
-                              make_field, sample_set)
+from cordeslab.fields import (Box, Decomposition, SampleSet, builtin_problem,
+                              decompose, make_field, sample_set)
 
 RNG = np.random.default_rng(371)
 
@@ -274,6 +274,39 @@ def test_split_condition_sufficient_frobenius_bound():
         samples = sample_set(f.sampling_box(), f.T, space=2, time=1)
         _, delta, value, verdict = check_split_condition(f, samples=samples)
         assert verdict.ok, (n, value, delta)
+
+
+def test_split_condition_of_a_field_sweep_on_one_sample_set():
+    # one reference part and one sample set shared by every field of the
+    # sweep: each nu_hat is that field's, not the first field's remainder
+    f0 = builtin_problem("paper_3x3", {"alpha": 0.1, "beta": 0.1})
+    shared = sample_set(f0.sampling_box(), f0.T)
+    d0 = decompose(f0, "identity", shared)
+    values, verdicts = [], []
+    for alpha in (0.1, 0.5, 0.9, 1.2):
+        f = builtin_problem("paper_3x3", {"alpha": alpha, "beta": 0.1})
+        _, delta, value, verdict = check_split_condition(
+            f, Decomposition(f, d0.b_bar, d0.index_set), shared)
+        fresh = sample_set(f.sampling_box(), f.T)
+        _, _, expected, _ = check_split_condition(
+            f, Decomposition(f, d0.b_bar, d0.index_set), fresh)
+        assert delta == 1.0 and value == expected
+        values.append(value)
+        verdicts.append(verdict.ok)
+    assert values == pytest.approx([0.02, 0.26, 0.82, 1.45], rel=1e-5)
+    assert verdicts == [True, True, True, False]
+
+
+def test_nu_hat_of_two_fields_sharing_a_reference_part():
+    box = Box((0.0, 0.0), (1.0, 1.0))
+    flat = make_field(2, 1.0, box, np.eye(2))
+    steep = make_field(2, 1.0, box, np.diag([1.9, 1.0]))
+    samples = sample_set(box, 1.0, space=3, time=1)
+    d_flat = decompose(flat, "identity", samples)
+    assert d_flat.index_set == () and nu_hat(d_flat, samples) == 0.0
+    d_steep = Decomposition(steep, d_flat.b_bar, (1,), {1: 1.0})
+    # 1/(2 gamma) * (bh11^2 + gamma/(2 - gamma) * bh11^2) with bh11 = 0.9
+    assert nu_hat(d_steep, samples) == pytest.approx(0.81, rel=1e-12)
 
 
 def test_classical_identity_all_pass():

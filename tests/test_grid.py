@@ -26,6 +26,15 @@ def test_build_grid_rejects_bad_input():
         build_grid(Box((1.0,), (1.0,)), 5, nt=2, T=1.0)
 
 
+def test_nodes_are_built_once_and_read_only():
+    g = build_grid(Box((0.0, -1.0), (1.0, 1.0)), (4, 3), nt=2, T=1.0)
+    pts = g.nodes()
+    assert g.nodes() is pts and pts.shape == (12, 2)
+    assert not pts.flags.writeable
+    with pytest.raises(ValueError):
+        pts[0, 0] = 5.0
+
+
 def grid_fn(g, fn):
     pts = g.nodes()
     return GridFunction(g, fn(pts).reshape(g.shape))

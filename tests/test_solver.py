@@ -381,6 +381,69 @@ def test_discrete_duality_random_problems(lam, theta):
     assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), 1e-300)
 
 
+def _symmetric_rough_field(rng, n):
+    """A rough field on [-1, 1]^n: diagonal jumps that move in time, small
+    symmetric off-diagonal sign jumps and a jumping drift."""
+    def u(lo, hi):
+        return f"{rng.uniform(lo, hi):.3f}"
+    off = {(i, j): f"{u(-0.1, 0.1)}*sign(x{i + 1} + x{j + 1})"
+           for i in range(n) for j in range(i + 1, n)}
+    b = [[f"1 + {u(-0.3, 0.3)}*step(x{i + 1} - {u(-0.5, 0.5)} + t)"
+          if i == j else off[min(i, j), max(i, j)] for j in range(n)]
+         for i in range(n)]
+    f = [f"{u(-1, 1)}*sign(x{i + 1} - {u(-0.5, 0.5)})" for i in range(n)]
+    return make_field(n, 0.5, Box((-1,) * n, (1,) * n), b, f=f)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.sampled_from([1, 2, 3]), theta=st.floats(0.5, 1.0),
+       seed=st.integers(0, 2 ** 31))
+def test_duality_on_random_fields_with_a_complex_moving_rate(n, theta, seed):
+    # the rate changes every level, so every level after the first is a
+    # BiCGStab solve on the lagged LU, with trans="H" in the adjoint march
+    rng = np.random.default_rng(seed)
+    f = _symmetric_rough_field(rng, n)
+    g = build_grid(f.domain, {1: (15,), 2: (7, 6), 3: (5, 4, 4)}[n], 6, f.T)
+    c, w = rng.uniform(0.0, 1.0), rng.uniform(-2.0, 2.0)
+    phi = rng.uniform(0.0, 1.0, (g.nt + 1,) + g.shape)
+    Phi = rng.uniform(0.5, 1.5, g.shape)
+    rho = rng.uniform(0.0, 1.0, g.shape)
+    prob = BackwardProblem(
+        f, phi=phi, Phi=Phi,
+        lambda_override=lambda x, t: c + 1j * w * np.arctan(x[:, 0] + t))
+    sol = solve_backward(prob, g, theta)
+    adj = solve_forward_adjoint(rho, prob, g, theta)
+    stepper = _Stepper(g, theta, _FieldCoefficients(prob, g), complex)
+    lhs = dot_h(sol.v.values[0], rho, g)
+    rhs = dot_h(Phi, adj.v.values[g.nt], g)
+    for k in range(g.nt):
+        rhs += g.dt * dot_h(prob.eval_phi(g, stepper.t_eval(k)),
+                            adj.v.values[k], g)
+    assert abs(lhs - rhs) <= 1e-9 * abs(lhs)
+
+
+def test_forward_march_makes_no_transpose(monkeypatch):
+    # a time-dependent operator's levels go through the lagged solve,
+    # which forms B^T or B^H only for the adjoint march
+    transposes = []
+    transpose = sparse.csr_matrix.transpose
+
+    def counted(self, *args, **kwargs):
+        transposes.append(self.shape)
+        return transpose(self, *args, **kwargs)
+    monkeypatch.setattr(sparse.csr_matrix, "transpose", counted)
+    f = make_field(2, 0.5, Box((0, 0), (1, 1)),
+                   [["1.2 + 0.2*sin(3.0*x1 + t)", 0.1],
+                    [0.1, "1.0 + 0.3*step(x2 - 0.5)"]], lam=0.4)
+    g = build_grid(f.domain, (9, 8), 6, f.T)
+    prob = BackwardProblem(f, Phi=lambda x: np.sin(np.pi * x[:, 0]))
+    sol = solve_backward(prob, g)
+    assert np.isfinite(sol.v.values).all()
+    assert transposes == []
+    solve_forward_adjoint(np.ones(g.shape), prob, g)
+    assert transposes
+
+
 # ----------------------------------------------------------------------------
 # fixed point
 
