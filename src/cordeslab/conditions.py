@@ -302,7 +302,7 @@ def select_index_set(decomp: Decomposition, samples: SampleSet | None = None):
     note = ""
     if n <= 16:
         candidates = list(_all_covers(pattern))
-    else:  # greedy cover, then its supersets along degree order
+    else:  # greedy cover: the coordinate of highest remaining degree first
         note = "greedy cover heuristic (n > 16); not exhaustive"
         work = pattern.copy()
         chosen: list = []

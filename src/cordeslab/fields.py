@@ -293,7 +293,8 @@ class CoefficientField:
 def _probe_points(box: Box, T: float):
     """Deterministic construction-time probe: corners, center, random fill."""
     rng = np.random.default_rng(1234)
-    corners = np.array(list(itertools.product(*zip(box.lo, box.hi)))[:16])
+    corners = np.array(list(itertools.islice(
+        itertools.product(*zip(box.lo, box.hi)), 16)))
     center = 0.5 * (np.asarray(box.lo) + np.asarray(box.hi))[None, :]
     rand = rng.uniform(box.lo, box.hi, size=(48, box.n))
     pts = np.concatenate([corners, center, rand], axis=0)

@@ -674,7 +674,9 @@ def fixed_point_solve(problem: BackwardProblem, grid: Grid,
         d = split.march(d)
         v = v + d
         increments.append(norm(d))
-        if increments[-1] <= tol * max(norm(v), 1e-300):
+        # Yhat2 is subadditive: norm(v) <= sum(increments), up to rounding
+        if increments[-1] <= tol * max(sum(increments), 1e-300) * (1 + 1e-12) \
+                and increments[-1] <= tol * max(norm(v), 1e-300):
             converged = True
             break
         grow = grow + 1 if increments[-1] > increments[-2] else 0

@@ -11,11 +11,12 @@ of step ``k``, path ``p`` and coordinate ``i`` sits at a fixed stream
 position.  Block bounds fall on group bounds, every group is drawn at
 full width and the values of dead or absent paths are dropped, so a
 path's trajectory depends on neither ``M`` nor the block it runs in.
-Each block streams its noise in chunks of steps under a fixed in-flight
-bound and steps only the paths still alive; blocks that need more than
-one chunk run on a thread pool sized by the CPU affinity of the process.
-Outputs are byte-identical whatever the worker count and the block
-partition.
+Every usable core (by the CPU affinity of the process) gets a block of
+at most ``_BLOCK`` paths, and more than one block runs on a thread pool;
+each block streams its noise in chunks of steps under its worker's share
+of one in-flight budget per simulation and steps only the paths still
+alive.  Outputs are byte-identical whatever the worker count and the
+block partition.
 
 With a constant ``beta`` and no drift, rate, records or per-step hook,
 a position is the start point plus the running sum of the increments:
@@ -54,8 +55,9 @@ __all__ = [
 ]
 
 _MAX_RECORD_FLOATS = 4e8
-_NOISE_FLOATS = 2 ** 23  # noise values in flight per path block (64 MiB)
+_NOISE_FLOATS = 2 ** 19  # noise values in flight per simulation (4 MiB)
 _GROUP = 512             # paths per noise stream
+_BLOCK = 2 ** 16         # paths per block at most: bounds the step temporaries
 
 
 # ----------------------------------------------------------------------------
@@ -269,24 +271,16 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _partition(M: int, block_size: int, path_floats: int):
-    """Contiguous path blocks of whole noise groups (the last one may end
-    mid-group), of about ``block_size`` paths and at least one group, as
-    many as a multiple of the worker count (one worker per usable core,
-    never more than there are blocks); returns the block bounds and the
-    worker count.  The count is 1 when a block's noise (``path_floats``
-    values a path over its whole groups) fits in one chunk: such blocks
-    run inline, one after the other, so that one block's buffers are alive
-    at a time.  On two cores, the characteristic panel's M = 1e5 1-D paths
-    of 100 steps ran faster on the pool (0.23 against 0.31 s), but the
-    whole command did not, and its peak RSS rose from 86.6 to 104.1 MB."""
+def _partition(M: int):
+    """Bounds of contiguous path blocks of whole noise groups (the last
+    one may end mid-group), and the worker count: one worker per usable
+    core, never more than there are groups.  A block holds at most
+    ``_BLOCK`` paths (a multiple of ``_GROUP``): the block count is the
+    least multiple of the worker count that allows it, or the group count
+    when that is smaller."""
     groups = -(-M // _GROUP)
-    blocks = -(-M // block_size)
-    workers = min(blocks, _usable_cores())
-    blocks = min(groups, -(-blocks // workers) * workers)
-    workers = min(workers, blocks)
-    if -(-groups // blocks) * _GROUP * path_floats <= _NOISE_FLOATS:
-        workers = 1
+    workers = min(_usable_cores(), groups)
+    blocks = min(groups, -(-M // (_BLOCK * workers)) * workers)
     return [min(M, groups * i // blocks * _GROUP)
             for i in range(blocks + 1)], workers
 
@@ -308,17 +302,16 @@ def _rows(start: int, ids: np.ndarray):
 
 
 def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
-                   record=None, block_size: int = 20000,
-                   _on_step=None) -> PathEnsemble:
+                   record=None, _on_step=None) -> PathEnsemble:
     """Run the weak explicit scheme for ``M`` paths.
 
     ``record`` selects stored snapshots: ``None`` (endpoints only),
     ``"all"`` (every step), or a sequence of times (snapped to steps).
     The step count is ``round(T / dt)`` so the horizon is hit exactly.
     Path ``p`` draws its noise from the stream of group ``p // _GROUP``.
-    Paths run in blocks of whole groups, of about ``block_size`` paths
-    and at least one group; blocks that need more than one noise chunk go
-    to a thread pool, and the result depends on neither the partition
+    Paths run in the blocks of ``_partition``, more than one on a thread
+    pool, each worker drawing at most its share of ``_NOISE_FLOATS``
+    noise values at a time; the result depends on neither the partition
     nor ``M``: the first paths of a larger ensemble are those of a
     smaller one.  With a constant beta, no drift, no rate, no ``record``
     and no hook, a block runs as running sums of one group at a time, in
@@ -371,6 +364,8 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
     lam_zero = (isinstance(sde.field.lam_re, ConstField)
                 and sde.field.lam_re.value == 0.0 and lam_real)
     sqdt = np.sqrt(dt)
+    bounds, workers = _partition(M)
+    budget = _NOISE_FLOATS // workers   # noise values in flight per worker
     sums = (const_beta is not None and f_zero and lam_zero and _on_step is None
             and rec_idx is None)
 
@@ -380,7 +375,7 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
         # scaled noise, added row by row in the step loop's order (a
         # cumsum along the steps is slower on this layout), then one exit
         # scan per chunk
-        chunk = min(nsteps, max(1, _NOISE_FLOATS // (_GROUP * n)))
+        chunk = min(nsteps, max(1, budget // (_GROUP * n)))
         buf = np.empty((chunk, _GROUP, n))
         for j, gen in enumerate(gens):
             lo = j * _GROUP
@@ -448,11 +443,12 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
             traj[start:end, rec_pos[0]] = y
         k = 0
         while k < nsteps:
-            # the next chunk of steps: at most _NOISE_FLOATS noise values
-            # over the block's whole groups, each group's drawn in place,
-            # step-major; a live path's row of step c is rows + c * _GROUP
+            # the next chunk of steps: at most the worker's budget of
+            # noise values over the block's whole groups, each group's
+            # drawn in place, step-major; a live path's row of step c is
+            # rows + c * _GROUP
             steps = min(nsteps - k,
-                        max(1, _NOISE_FLOATS // (len(gens) * _GROUP * n)))
+                        max(1, budget // (len(gens) * _GROUP * n)))
             buf = np.empty((len(gens), steps, _GROUP, n))
             # with no path left the streams are not read again
             for j, gen in enumerate(gens if len(ids) else ()):
@@ -494,19 +490,18 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
         y[ids] = y_live
         disc_b[ids] = disc_live
 
-    bounds, workers = _partition(M, block_size, nsteps * n)
-    blocks = list(zip(bounds[:-1], bounds[1:]))
     # derived roots are kept only for the time levels a block has yet to
-    # step: the lowest next level over the blocks
+    # step: the lowest next level over the blocks, so a block that has not
+    # started keeps every level
     next_level = (dict.fromkeys(bounds[:-1], 0) if sde.field.beta is None
                   and sde.field.time_dependent else None)
-    if workers == 1:
-        for start, end in blocks:
-            run_block(start, end)
+    if len(bounds) == 2:
+        run_block(0, M)
     else:
         pool = ThreadPoolExecutor(workers)
         try:
-            for job in [pool.submit(run_block, *b) for b in blocks]:
+            for job in [pool.submit(run_block, *b)
+                        for b in zip(bounds[:-1], bounds[1:])]:
                 job.result()
         finally:
             pool.shutdown(cancel_futures=True)

@@ -201,7 +201,8 @@ def test_proof_mirror_solves_the_backward_problem_once(tmp_path, monkeypatch):
 def test_proof_mirror_computes_no_bundle_of_the_fixed_point_solution(
         tmp_path, monkeypatch):
     # the backward solution's bundle for apriori_ratio, then norm(d) on
-    # every sweep and norm(v) on every sweep after the first; cmd_solve
+    # every sweep and norm(v) only where the increment is small against
+    # the sum of the increments, here on the last sweep alone; cmd_solve
     # discards the fixed-point solution, so its bundle is never computed
     blocks = []
     norms = solver.discrete_norms
@@ -217,7 +218,7 @@ def test_proof_mirror_computes_no_bundle_of_the_fixed_point_solution(
         (tmp_path / "out" / "fixed_point_trace.json").read_text())["trace"]
     assert trace["converged"] is True
     sweeps = len(trace["increments"])
-    assert len(blocks) == 1 + sweeps + (sweeps - 1)
+    assert len(blocks) == 1 + sweeps + 1
 
 
 def test_simulate_summary(tmp_path):
@@ -318,9 +319,8 @@ def test_expression_fault_exit_1(tmp_path, capsys):
 
 
 def test_fault_in_a_path_block_exit_1(tmp_path, capsys, monkeypatch):
-    # two workers (a noise budget below one block's forces the pool); the
-    # rate evaluation fails in the second of the two blocks (10000 and
-    # 10001 paths) and the fault reaches the caller
+    # two blocks (10240 and 9761 paths) on two workers; the rate
+    # evaluation fails in the first and the fault reaches the caller
     import cordeslab.stochastic as stochastic
     from cordeslab.fields import CoefficientField
     evaluate = CoefficientField.eval_lambda
@@ -331,7 +331,6 @@ def test_fault_in_a_path_block_exit_1(tmp_path, capsys, monkeypatch):
         return evaluate(self, x, t)
     monkeypatch.setattr(CoefficientField, "eval_lambda", faulty)
     monkeypatch.setattr(stochastic, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(stochastic, "_NOISE_FLOATS", 1000)
     text = ("n = 1\nT = 0.01\ndomain.lo = -8\ndomain.hi = 8\n"
             "b[1][1] = 1\nbeta[1][1] = 1.4142135623730951\n"
             'lambda.re = "0.5 + 0.1*x1"\n'

@@ -8,7 +8,8 @@ from cordeslab.conditions import (check_classical, check_split_condition,
                                   optimize_gamma, select_index_set,
                                   symmetric_eigenvalues)
 from cordeslab.fields import (Box, Decomposition, SampleSet, builtin_problem,
-                              decompose, make_field, sample_set)
+                              decompose, make_field, sample_set,
+                              sparsity_pattern)
 
 RNG = np.random.default_rng(371)
 
@@ -212,6 +213,22 @@ def test_value_batch_matches_pointwise_value():
             assert abs(v - _nu_hat_value(A, C, g)) <= 1e-12 * abs(v)
 
 
+def test_optimize_gamma_of_five_coordinates_audits_axis_lines():
+    # more than four covered coordinates: the audit walks the lattice
+    # along axis lines through the descent's point instead of the full
+    # lattice of 20^5 points
+    n = 5
+    b = [[f"1.1 + 0.2*x{i + 1}" if i == j else
+          0.05 * (abs(i - j) == 1) for j in range(n)] for i in range(n)]
+    f = make_field(n, 1.0, Box((0.0,) * n, (1.0,) * n), b)
+    samples = sample_set(f.sampling_box(), f.T, space=3, time=1)
+    d = decompose(f, "identity", samples, index_set=range(1, n + 1))
+    gamma, value = optimize_gamma(d, samples)
+    assert sorted(gamma) == list(range(1, n + 1))
+    assert value == nu_hat(d, samples, gamma)
+    assert value <= nu_hat(d, samples, dict.fromkeys(gamma, 1.0))
+
+
 def test_optimize_gamma_trivial():
     f = builtin_problem("identity_heat", {"n": 2})
     gamma, value = optimize_gamma(decompose(f, "identity"))
@@ -246,6 +263,27 @@ def test_select_index_set_tie_lexicographic():
     assert idx == (1,)
     _, v2 = optimize_gamma(d, index_set=(2,))
     assert abs(value - v2) <= 1e-12
+
+
+def test_select_index_set_beyond_sixteen_coordinates_is_greedy():
+    # 17 coordinates: a star around x5 and the pair (16, 17); the greedy
+    # cover takes the coordinate of highest remaining degree first
+    n = 17
+    b = np.eye(n).tolist()
+    for i, j, value in ((4, 0, 0.2), (4, 1, "0.1*x1"), (4, 2, 0.1),
+                        (15, 16, 0.3)):
+        b[i][j] = b[j][i] = value
+    f = make_field(n, 1.0, Box((0.0,) * n, (1.0,) * n), b)
+    samples = SampleSet(np.array([[0.2] * n, [0.7] * n]), np.array([0.5]))
+    d = decompose(f, "identity", samples)
+    idx, gamma, value, note = select_index_set(d, samples)
+    pattern = sparsity_pattern(d, samples)
+    outside = np.ones(n, dtype=bool)
+    outside[[k - 1 for k in idx]] = False
+    assert pattern.any() and not (pattern & outside[:, None]
+                                  & outside[None, :]).any()
+    assert idx == (5, 16) and sorted(gamma) == [5, 16]
+    assert note == "greedy cover heuristic (n > 16); not exhaustive"
 
 
 # ----------------------------------------------------------------------------

@@ -1,10 +1,13 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cordeslab.fields import (Box, FieldConstructionError, builtin_problem,
-                              builtin_solve_data, decompose, eval_field,
-                              make_field, minimal_vertex_cover, mollify,
-                              sample_set, sparsity_pattern)
+from cordeslab.fields import (Box, FieldConstructionError, _probe_points,
+                              builtin_problem, builtin_solve_data, decompose,
+                              eval_field, make_field, minimal_vertex_cover,
+                              mollify, sample_set, sparsity_pattern)
 
 RNG = np.random.default_rng(2024)
 
@@ -275,3 +278,19 @@ def test_time_dependent_is_decided_once(monkeypatch):
     first = len(calls)
     assert f.time_dependent
     assert first > 0 and len(calls) == first
+
+
+def test_probe_of_a_high_dimensional_field_takes_its_corners_lazily():
+    # 16 of the 2^18 box corners, the first in product order: building
+    # all of them peaked at about 50 MB
+    box = Box((0.0,) * 5, (1.0,) * 5)
+    corners = list(itertools.product(*zip(box.lo, box.hi)))[:16]
+    assert np.array_equal(_probe_points(box, 1.0)[0][0][:16], corners)
+    n = 18
+    tracemalloc.start()
+    try:
+        f = make_field(n, 1.0, Box((0.0,) * n, (1.0,) * n), np.eye(n).tolist())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.n == n and peak < 4e6

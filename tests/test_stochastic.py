@@ -10,7 +10,8 @@ from cordeslab import stochastic
 from cordeslab.fields import (Box, CoefficientField, builtin_problem,
                               make_field)
 from cordeslab.grid import GridFunction, build_grid
-from cordeslab.solver import BackwardProblem, solve_backward, solve_forward_adjoint
+from cordeslab.solver import (BackwardProblem, assemble_step, solve_backward,
+                              solve_forward_adjoint)
 from cordeslab.stochastic import (SDE, HatSampler, PointSampler,
                                   TruncatedGaussianSampler, UniformBoxSampler,
                                   characteristic_functional, density_compare,
@@ -44,29 +45,37 @@ def test_second_moment_matches_gaussian():
     assert abs(m2 - 2 * T) <= 3 * se
 
 
-def test_partitioning_determinism():
+def plan(monkeypatch, cores, block=2 ** 16):
+    """Blocks of about ``block`` paths on ``cores`` workers."""
+    monkeypatch.setattr(stochastic, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(stochastic, "_BLOCK", block)
+
+
+def test_partitioning_determinism(monkeypatch):
     # noise keyed by groups of paths, blocks on group bounds: trajectories
     # agree bitwise no matter how the path range is partitioned
     f = free_space(0.1)
     sampler = PointSampler([0.0])
-    full = simulate_paths(SDE(f), sampler, 1e-3, 10_000, 99, record="all",
-                          block_size=10_000)
-    eight = simulate_paths(SDE(f), sampler, 1e-3, 10_000, 99, record="all",
-                           block_size=1250)
+    plan(monkeypatch, 1)
+    full = simulate_paths(SDE(f), sampler, 1e-3, 10_000, 99, record="all")
+    plan(monkeypatch, 2, 1250)      # eight blocks of two or three groups
+    eight = simulate_paths(SDE(f), sampler, 1e-3, 10_000, 99, record="all")
     assert np.array_equal(full.traj, eight.traj)
-    ragged = simulate_paths(SDE(f), sampler, 1e-3, 10_000, 99, record="all",
-                            block_size=777)
+    plan(monkeypatch, 3, 777)       # fifteen blocks of one or two groups
+    ragged = simulate_paths(SDE(f), sampler, 1e-3, 10_000, 99, record="all")
     assert np.array_equal(full.traj, ragged.traj)
     assert np.array_equal(full.final_y, ragged.final_y)
 
 
-def test_seed_determinism_of_estimates():
+def test_seed_determinism_of_estimates(monkeypatch):
     f = free_space(0.1)
     sampler = TruncatedGaussianSampler([0.0], 1.0, f.sampling_box())
-    runs = [feynman_kac(simulate_paths(SDE(f), sampler, 1e-3, 5000, 7,
-                                       block_size=bs),
-                        Phi=lambda x: x[:, 0] ** 2)
-            for bs in (5000, 613)]
+    runs = []
+    for cores, block in ((1, 2 ** 16), (2, 613)):
+        plan(monkeypatch, cores, block)
+        runs.append(feynman_kac(simulate_paths(SDE(f), sampler, 1e-3, 5000,
+                                               7),
+                                Phi=lambda x: x[:, 0] ** 2))
     assert runs[0].value == runs[1].value
     assert runs[0].stderr == runs[1].stderr
 
@@ -195,10 +204,10 @@ def test_noise_chunks_do_not_change_paths(monkeypatch):
 
 @pytest.mark.parametrize("derived", [False, True])
 def test_worker_count_does_not_change_paths(monkeypatch, derived):
-    # more workers than cores, switching often, blocks of several noise
-    # chunks (so they go to the pool); with no beta given the root of 2b
-    # is derived per grid node and time level, and the blocks must share
-    # one computation of it per level
+    # more workers than cores, switching often, blocks of at most 1000
+    # paths in several noise chunks; with no beta given the root of 2b is
+    # derived per grid node and time level, and the blocks must share one
+    # computation of it per level
     if derived:
         f = make_field(2, 0.1, Box((0.0, 0.0), (1.0, 1.0)),
                        [["1 + 0.3*t", "0.2"], ["0.2", "1 + 0.2*x1"]],
@@ -218,11 +227,10 @@ def test_worker_count_does_not_change_paths(monkeypatch, derived):
     sys.setswitchinterval(1e-6)
     try:
         for cores in (1, 2, 4):
-            monkeypatch.setattr(stochastic, "_usable_cores", lambda: cores)
+            plan(monkeypatch, cores, 1000)
             del levels[:]
             runs.append(simulate_paths(sde_of(), UniformBoxSampler(f.domain),
-                                       5e-3, 3000, 3, record="all",
-                                       block_size=1000))
+                                       5e-3, 3000, 3, record="all"))
             assert len(levels) == len(set(levels)) == (20 if derived else 0)
     finally:
         sys.setswitchinterval(interval)
@@ -230,26 +238,41 @@ def test_worker_count_does_not_change_paths(monkeypatch, derived):
         assert_same_ensemble(run, runs[0])
 
 
-def test_only_blocks_of_several_chunks_go_to_the_pool(monkeypatch):
-    # 3000 paths of 80 noise values on two cores: four blocks of one or
-    # two groups of 512 paths, bounds 0, 512, 1536, 2048, 3000
-    pools = []
+def test_every_core_gets_a_block(monkeypatch):
+    # on two cores the characteristic panel's 1e5 1-D paths of 100 steps
+    # (through the step loop, as the panel runs them) start one pool of
+    # two workers and a one-group ensemble starts none; no plan puts more
+    # than _BLOCK paths in a block, and blocks lie on group bounds
+    pools, plans = [], []
 
     class Pool(stochastic.ThreadPoolExecutor):
         def __init__(self, workers):
             pools.append(workers)
             super().__init__(workers)
     monkeypatch.setattr(stochastic, "ThreadPoolExecutor", Pool)
+    partition = stochastic._partition
+    monkeypatch.setattr(stochastic, "_partition",
+                        lambda M: plans.append(partition(M)) or plans[-1])
     monkeypatch.setattr(stochastic, "_usable_cores", lambda: 2)
-    f = drifting_box_2d()
-    runs = []
-    for budget in (1024 * 80, 1024 * 80 - 1):
-        monkeypatch.setattr(stochastic, "_NOISE_FLOATS", budget)
-        runs.append(simulate_paths(SDE(f), UniformBoxSampler(f.domain),
-                                   5e-3, 3000, 4, record="all",
-                                   block_size=1000))
+    f = free_space(0.1)
+    for M in (100_000, 512):
+        simulate_paths(SDE(f), PointSampler([0.0]), 1e-3, M, 1,
+                       _on_step=no_step_hook)
     assert pools == [2]
-    assert_same_ensemble(runs[1], runs[0])
+    assert plans == [([0, 50176, 100_000], 2), ([0, 512], 1)]
+    group, block = stochastic._GROUP, stochastic._BLOCK
+    for cores in (1, 2, 3, 8):
+        monkeypatch.setattr(stochastic, "_usable_cores", lambda: cores)
+        for M in (1, 511, 513, 3 * group, block, block + 1, 2 * block + 1,
+                  10 ** 6):
+            bounds, workers = partition(M)
+            groups = -(-M // group)
+            sizes = np.diff(bounds)
+            assert workers == min(cores, groups)
+            assert bounds[0] == 0 and bounds[-1] == M and sizes.min() > 0
+            assert sizes.max() <= block and not any(np.mod(bounds[:-1],
+                                                           group))
+            assert len(sizes) % workers == 0 or len(sizes) == groups
 
 
 def no_step_hook(start, ids, y_live, disc_live, k):
@@ -295,12 +318,12 @@ def test_running_sums_match_the_step_loop(monkeypatch, n):
     monkeypatch.setattr(stochastic, "ThreadPoolExecutor", Pool)
 
     def both(f, cores, noise):
-        monkeypatch.setattr(stochastic, "_usable_cores", lambda: cores)
+        plan(monkeypatch, cores, 1100)
         monkeypatch.setattr(stochastic, "_NOISE_FLOATS", noise)
         del streams[:], draws[:]
-        sums = simulate_paths(SDE(f), sampler, 4e-3, 3000, 9, block_size=1100)
+        sums = simulate_paths(SDE(f), sampler, 4e-3, 3000, 9)
         built, summed = sorted(streams), sorted(draws)
-        loop = simulate_paths(SDE(f), sampler, 4e-3, 3000, 9, block_size=1100,
+        loop = simulate_paths(SDE(f), sampler, 4e-3, 3000, 9,
                               _on_step=no_step_hook)
         assert_same_ensemble(sums, loop)
         return sums, built, summed
@@ -315,36 +338,37 @@ def test_running_sums_match_the_step_loop(monkeypatch, n):
     assert built == per_group and summed == [(nsteps, 512, n)] * 6
     ens, _, _ = both(plain_box(n, domain=False), 1, NOISE_DEFAULT)
     assert not ens.exited.any()
-    # one group's noise at the budget: blocks of two groups go to the
-    # pool, the workers switching often
+    # one group's noise at each worker's share of the budget: blocks of
+    # one or two groups on the pool, the workers switching often
+    del pools[:]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for cores in (1, 2, 4):
-            both(f, cores, 512 * nsteps * n)
+            both(f, cores, cores * 512 * nsteps * n)
     finally:
         sys.setswitchinterval(interval)
-    assert pools == [2, 2, 3, 3]
-    # one group's noise over the budget: the sums run in chunks of steps
-    # of one group (the loop's chunks span the block's two groups), with
+    assert pools == [1, 1, 2, 2, 4, 4]
+    # one group's noise over a worker's share: the sums run in chunks of
+    # steps of one group (the loop's chunks span a block's groups), with
     # exits on both sides of chunk bounds, from the same streams
     for steps in (7, nsteps - 1):
-        ens, built, summed = both(f, 2, 512 * steps * n)
+        ens, built, summed = both(f, 2, 2 * 512 * steps * n)
         assert built == per_group and summed == sorted(
             [(steps, 512, n)] * (nsteps // steps) * 6
             + [(nsteps % steps, 512, n)] * 6)
 
 
-def test_first_paths_do_not_depend_on_the_path_count():
+def test_first_paths_do_not_depend_on_the_path_count(monkeypatch):
     # paths 0..699 of a 700-path and of a 1300-path ensemble, in blocks
     # ending mid-group (700 = 512 + 188) or on a group bound, through the
     # step loop and as running sums, some paths starting outside the box
     sampler = UniformBoxSampler(Box((-0.1, -0.1), (1.1, 1.1)))
     for f, record in ((drifting_box_2d(), "all"), (plain_box(2), None)):
-        for block_size in (512, 20000):
+        for cores, block in ((2, 512), (1, 2 ** 16)):
+            plan(monkeypatch, cores, block)
             small, large = (simulate_paths(SDE(f), sampler, 4e-3, M, 6,
-                                           record=record,
-                                           block_size=block_size)
+                                           record=record)
                             for M in (700, 1300))
             assert (small.tau == 0).sum() > 50 and small.exited.sum() > 200
             for name in ENSEMBLE_ARRAYS:
@@ -415,7 +439,7 @@ def test_derived_roots_are_kept_for_the_current_level_only(monkeypatch,
                                                            cores):
     # with one block the cache never holds more than the level being
     # stepped, and none is left after the run; several blocks (of groups
-    # of 32 paths), inline or on the pool, give the same paths as a cache
+    # of 32 paths), on one worker or two, give the same paths as a cache
     # that forgets nothing
     monkeypatch.setattr(stochastic, "_GROUP", 32)
     f, sde_of = time_dependent_derived()
@@ -430,21 +454,44 @@ def test_derived_roots_are_kept_for_the_current_level_only(monkeypatch,
     monkeypatch.setattr(SDE, "beta_at", lambda self, y, t: sizes.append(
         len(self._beta_cache)) or beta_at(self, y, t))
     sde = sde_of()
+    plan(monkeypatch, 1)
     one = simulate_paths(sde, UniformBoxSampler(f.domain), 2e-3, 300, 4)
     assert max(sizes) <= 1 and len(sde._beta_cache) <= 1
-    monkeypatch.setattr(stochastic, "_usable_cores", lambda: cores)
-    monkeypatch.setattr(stochastic, "_NOISE_FLOATS", 7 * 100 * 2)
+    plan(monkeypatch, cores, 100)
+    monkeypatch.setattr(stochastic, "_NOISE_FLOATS", cores * 7 * 100 * 2)
     runs = []
     for forget in (SDE._forget_levels_before, lambda self, t: None):
         monkeypatch.setattr(SDE, "_forget_levels_before", forget)
         sde = sde_of()
         runs.append(simulate_paths(sde, UniformBoxSampler(f.domain), 2e-3,
-                                   300, 4, record="all", block_size=100))
+                                   300, 4, record="all"))
     assert len(sde._beta_cache) == 50    # the unbounded cache, one per level
-    assert pools == [2, 2] if cores == 2 else not pools
+    assert pools == [cores, cores]
     assert_same_ensemble(runs[0], runs[1])
     for name in ("final_y", "tau", "discount"):
         assert np.array_equal(getattr(runs[0], name), getattr(one, name))
+
+
+def test_blocks_that_start_together_share_few_derived_roots(monkeypatch):
+    # two equal blocks on two workers switching often: the blocks step
+    # side by side, so the cache holds the levels between the slower and
+    # the faster block, not the whole horizon of 1000 levels (as blocks
+    # run one after the other would), and none after the run
+    f, _ = time_dependent_derived()
+    sde = SDE(f, grid=build_grid(f.domain, (31, 31), 4, f.T))
+    sizes = []
+    beta_at = SDE.beta_at
+    monkeypatch.setattr(SDE, "beta_at", lambda self, y, t: sizes.append(
+        len(self._beta_cache)) or beta_at(self, y, t))
+    plan(monkeypatch, 2)
+    assert stochastic._partition(1024) == ([0, 512, 1024], 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        simulate_paths(sde, UniformBoxSampler(f.domain), 1e-4, 1024, 5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert max(sizes) < 500 and not sde._beta_cache
 
 
 def test_simulate_validation():
@@ -737,6 +784,53 @@ def test_max_principle_random_nonnegative_problems():
         assert verdict == "pass", (trial, mn)
 
 
+@st.composite
+def sign_problems(draw):
+    """A 1-D or 2-D problem with a diagonal b (a jump in x1 and a slope in
+    t), a constant drift inside the cell Peclet bound |f_i| h_i < 2 b_ii,
+    a nonnegative real rate and nonnegative data, on a small grid."""
+    n = draw(st.sampled_from([1, 2]))
+    T = draw(st.sampled_from([0.1, 0.3]))
+    box = Box((0.0,) * n, (1.0,) * n)
+    g = build_grid(box, (draw(st.sampled_from([5, 9, 15])),) * n,
+                   draw(st.sampled_from([2, 6])), T)
+    hundredths = lambda lo, hi: st.integers(lo, hi).map(lambda k: k / 100)
+    diag, drift = [], []
+    for i in range(n):
+        low = draw(hundredths(20, 200))     # the entry's minimum
+        diag.append(f"{low} + {draw(hundredths(0, 100))}*step(x1 - 0.5)"
+                    f" + {draw(hundredths(0, 300))}*t")
+        drift.append(draw(hundredths(-95, 95)) * 2 * low / g.h[i])
+    b = [[diag[i] if i == j else 0.0 for j in range(n)] for i in range(n)]
+    lam = (f"{draw(hundredths(0, 200))}"
+           f" + {draw(hundredths(0, 200))}*step(x1 - 0.3)")
+    f = make_field(n, T, box, b, f=drift, lam=lam)
+    p, q, k = (draw(hundredths(0, 500)), draw(hundredths(0, 500)),
+               draw(hundredths(0, 800)))
+    return g, BackwardProblem(
+        f, phi=lambda x, t: p * (1.0 + np.cos(k * x[:, 0] + t)),
+        Phi=lambda x: q * np.prod(np.sin(np.pi * x) ** 2, axis=1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sign_problems())
+def test_sign_principle_on_m_matrix_problems(problem):
+    # theta = 1 with these coefficients makes every step matrix an
+    # M-matrix: off-diagonals <= 0, rows diagonally dominant; nonnegative
+    # data then give a nonnegative solution
+    g, prob = problem
+    for k in range(g.nt):
+        B = assemble_step(prob, g, k * g.dt, theta=1.0)[0].tocoo()
+        off = B.row != B.col
+        assert (B.data[off] <= 0.0).all()
+        dominance = np.zeros(g.size)
+        np.add.at(dominance, B.row, np.where(off, -np.abs(B.data), B.data))
+        assert (dominance >= 0.0).all()
+    sol = solve_backward(prob, g, theta=1.0)
+    mn, verdict = max_principle_check(sol, prob)
+    assert verdict == "pass", mn
+
+
 # ----------------------------------------------------------------------------
 # streamed functionals against the recorded reductions
 
@@ -775,14 +869,10 @@ def recorded_phases(ens, panel):
 
 
 def streamed_layout(monkeypatch, block, noise, cores):
-    """Blocks of about ``block`` paths on group bounds, ``noise`` values in
-    flight per block (a budget below one block's noise sends the blocks
-    to the pool) and ``cores`` workers."""
-    simulate = stochastic.simulate_paths
-    monkeypatch.setattr(stochastic, "simulate_paths",
-                        lambda *args, **kwargs: simulate(
-                            *args, block_size=block, **kwargs))
-    monkeypatch.setattr(stochastic, "_usable_cores", lambda: cores)
+    """Blocks of about ``block`` paths (and at least one group) on group
+    bounds, ``noise`` values in flight per simulation (a budget below a
+    block's noise runs it in chunks of steps) and ``cores`` workers."""
+    plan(monkeypatch, cores, block)
     monkeypatch.setattr(stochastic, "_NOISE_FLOATS", noise)
 
 
@@ -830,6 +920,7 @@ def check_streamed_panel(monkeypatch, n, block, noise, cores, seed):
     times = np.linspace(0.0, f.T, 4)
     panel = [(times, rng.uniform(-3, 3, (4, n))) for _ in range(3)]
     monkeypatch.setattr(stochastic, "_NOISE_FLOATS", NOISE_DEFAULT)
+    plan(monkeypatch, 1)     # the reference runs as one block
     ens = simulate_paths(sde_of(), sampler, 4e-3, 300, seed, record="all")
     assert ens.exited.any()
     ref = recorded_phases(ens, panel)
@@ -859,8 +950,9 @@ def test_streamed_source_matches_feynman_kac(monkeypatch, n, block, noise,
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("check", ["panel", "source"])
 def test_streamed_examples_reach_the_pool(monkeypatch, check, n):
-    # ten groups in blocks of two groups, each block's noise over the
-    # budget: the hook reductions run across blocks on two workers
+    # ten groups in six blocks of one or two groups, each block's noise
+    # over its worker's share of the budget: the hook reductions run
+    # across blocks on two workers
     check = {"panel": check_streamed_panel,
              "source": check_streamed_source}[check]
     assert streamed_example(check, monkeypatch, n, 64, 32 * 25 * n, 2,
@@ -875,6 +967,7 @@ def check_streamed_source(monkeypatch, n, block, noise, cores, seed):
         return np.cos(3.0 * x[:, 0]) * (1.0 + t) + x[:, -1] ** 2
 
     monkeypatch.setattr(stochastic, "_NOISE_FLOATS", NOISE_DEFAULT)
+    plan(monkeypatch, 1)     # the reference runs as one block
     ens = simulate_paths(sde_of(), sampler, 4e-3, 300, seed, record="all")
     assert ens.exited.any()
     seen = []
