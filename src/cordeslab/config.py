@@ -68,18 +68,34 @@ def _int_list(value) -> list:
 
 
 def _load_table(path: Path, n: int, box: Box, cells) -> list:
-    """Piecewise-constant matrix from CSV rows ``i1..in, b11..bnn``."""
-    rows = np.loadtxt(path, delimiter=",", ndmin=2)
-    if rows.shape[1] != n + n * n:
-        raise ConfigError(f"table {path} needs {n + n * n} columns")
+    """Piecewise-constant matrix from CSV rows ``i1..in, b11..bnn``: 0-based
+    cell indices, at most one row per cell (a cell with none holds zeros);
+    ``#`` starts a comment."""
     cells = tuple(int(c) for c in cells)
     values = np.zeros(cells + (n, n))
-    for row in rows:
+    seen = set()
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        where = f"table {path} line {lineno}"
+        try:
+            row = [float(v) for v in line.split(",")]
+        except ValueError:
+            raise ConfigError(f"{where}: non-numeric entry") from None
+        if len(row) != n + n * n:
+            raise ConfigError(f"{where}: needs {n + n * n} columns")
+        if not all(v.is_integer() and 0 <= v < c
+                   for v, c in zip(row[:n], cells)):
+            raise ConfigError(f"{where}: cell indices must be integers "
+                              f"in 0..cells-1 (b.table.cells)")
         idx = tuple(int(v) for v in row[:n])
-        values[idx] = row[n:].reshape(n, n)
-    entries = [[TableField(box, cells, values[..., i, j]) for j in range(n)]
-               for i in range(n)]
-    return entries
+        if idx in seen:
+            raise ConfigError(f"{where}: cell {list(idx)} is given twice")
+        seen.add(idx)
+        values[idx] = np.reshape(row[n:], (n, n))
+    return [[TableField(box, cells, values[..., i, j]) for j in range(n)]
+            for i in range(n)]
 
 
 def load_problem_mapping(kv: dict, base_dir: Path) -> CoefficientField:

@@ -71,6 +71,10 @@ class Grid:
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.nt + 1)
 
+    def level(self, t: float) -> int:
+        """The time level nearest to ``t`` (halves up), within 0..nt."""
+        return min(self.nt, max(0, int(np.floor(t / self.dt + 0.5))))
+
     @property
     def box(self) -> Box:
         return Box(self.lo, self.hi)

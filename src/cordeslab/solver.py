@@ -35,7 +35,7 @@ from scipy.sparse.linalg import LinearOperator, bicgstab, splu
 from .conditions import ellipticity_delta, nu_hat
 from .fields import CoefficientField, Decomposition, SampleSet, _smooth_parts
 from .grid import Grid, GridFunction, NormBundle, NormWeights, discrete_norms
-from .grid import _slice_l2, _time_l2
+from .grid import _slice_l2
 
 __all__ = [
     "SolverError", "BackwardProblem", "DiscreteSolution", "FixedPointTrace",
@@ -97,16 +97,11 @@ def _eval_space_fn(spec, grid: Grid, t: float | None):
         re = _eval_space_fn(spec[0], grid, t)
         im = _eval_space_fn(spec[1], grid, t)
         return re + 1j * im
-    if isinstance(spec, GridFunction):
-        spec = spec.values
     if isinstance(spec, np.ndarray):
         if spec.shape == grid.shape:
             return spec
         if spec.shape == (grid.nt + 1,) + grid.shape:
-            if t is None:
-                return spec[-1]
-            k = min(grid.nt, max(0, int(np.floor(t / grid.dt + 0.5))))
-            return spec[k]
+            return spec[-1 if t is None else grid.level(t)]
         raise ValueError(f"array source of shape {spec.shape} does not fit "
                          f"the grid")
     # terminal data (t is None) live at the horizon
@@ -426,18 +421,18 @@ class _StepSolver:
 class _Stepper:
     """Prepared marching machinery for one (grid, theta, coefficients).
 
-    Arithmetic starts in ``dtype`` and switches to complex once, the first
-    time a rate, a source slice or the terminal datum that the march
-    evaluates carries an imaginary part.  It holds one step system: the
-    static operator's for the whole march, or the current level's.
+    Arithmetic starts real and switches to complex once, the first time a
+    rate, a source slice or the terminal datum that the march evaluates
+    carries an imaginary part.  It holds one step system: the static
+    operator's for the whole march, or the current level's.
     """
 
-    def __init__(self, grid: Grid, theta: float, provider, dtype=float):
+    def __init__(self, grid: Grid, theta: float, provider):
         _check_theta(theta)
         self.grid = grid
         self.theta = theta
         self.provider = provider
-        self.dtype = complex if dtype is complex else float
+        self.dtype = float
         self.solver = _StepSolver()
         self._held = None  # (level key, B, C)
 
@@ -773,10 +768,11 @@ def apriori_ratio(solution: DiscreteSolution, phi, Phi,
     spec, levels = solution._source or (None, {})
     if spec is not phi:     # the march's evaluations are of another source
         levels = {}
-    phi_norm = _time_l2(np.array(
+    # X0 by the left rectangle rule: the levels before the horizon
+    phi_norm = float(np.sqrt(np.sum(np.array(
         [levels[t] if t in levels
          else _slice_l2(_eval_space_fn(phi, grid, t)[None], grid)[0]
-         for t in grid.times()]), grid)
+         for t in grid.times()[:-1]]) ** 2) * grid.dt))
     Phi_arr = _eval_space_fn(Phi, grid, None)
     Phi_norm = float(discrete_norms(GridFunction(grid, Phi_arr)).H1[0])
     denom = phi_norm + Phi_norm

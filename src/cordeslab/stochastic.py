@@ -18,6 +18,10 @@ of one in-flight budget per simulation and steps only the paths still
 alive.  Outputs are byte-identical whatever the worker count and the
 block partition.
 
+With no ``beta`` given, each block holds the root table of ``2 b`` at
+the grid level it is stepping (see ``SDE``), so blocks share nothing but
+the read-only field and their disjoint output rows.
+
 With a constant ``beta`` and no drift, rate, records or per-step hook,
 a position is the start point plus the running sum of the increments:
 such a block sums one group at a time in chunks of steps instead of
@@ -33,7 +37,6 @@ trajectories.  ``record=`` stays a user option, under a memory budget.
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
@@ -64,7 +67,12 @@ _BLOCK = 2 ** 16         # paths per block at most: bounds the step temporaries
 # initial-law samplers (each knows its own density)
 
 
-class UniformBoxSampler:
+class _GridDensity:
+    def grid_density(self, grid: Grid) -> np.ndarray:
+        return self.pdf(grid.nodes()).reshape(grid.shape)
+
+
+class UniformBoxSampler(_GridDensity):
     def __init__(self, box: Box):
         self.box = box
 
@@ -75,11 +83,8 @@ class UniformBoxSampler:
         vol = float(np.prod(self.box.sides))
         return self.box.contains(x).astype(float) / vol
 
-    def grid_density(self, grid: Grid) -> np.ndarray:
-        return self.pdf(grid.nodes()).reshape(grid.shape)
 
-
-class TruncatedGaussianSampler:
+class TruncatedGaussianSampler(_GridDensity):
     """Axis-aligned Gaussian restricted to a box, drawn by inverse CDF."""
 
     def __init__(self, mean, sigma, box: Box):
@@ -105,11 +110,8 @@ class TruncatedGaussianSampler:
         mass = float(np.prod(self._cdf_hi - self._cdf_lo))
         return dens * self.box.contains(x) / mass
 
-    def grid_density(self, grid: Grid) -> np.ndarray:
-        return self.pdf(grid.nodes()).reshape(grid.shape)
 
-
-class HatSampler:
+class HatSampler(_GridDensity):
     """Product of triangular bumps, normalized to unit mass."""
 
     def __init__(self, center, width):
@@ -126,9 +128,6 @@ class HatSampler:
         x = np.atleast_2d(x)
         z = np.abs(x - self.center) / self.width
         return np.prod(np.clip(1.0 - z, 0.0, None) / self.width, axis=-1)
-
-    def grid_density(self, grid: Grid) -> np.ndarray:
-        return self.pdf(grid.nodes()).reshape(grid.shape)
 
 
 class PointSampler:
@@ -154,13 +153,13 @@ class PointSampler:
 @dataclass
 class SDE:
     """Diffusion data: drift ``f``, factor ``beta`` (with ``b = 0.5 beta
-    beta^T``), killing rate ``lambda`` and exit domain from the field."""
+    beta^T``), killing rate ``lambda`` and exit domain from the field.
+
+    With no ``beta`` in the field it is the root of ``2 b`` on ``grid``,
+    read at the nearest node and time level (level 0 for a static field)."""
 
     field: CoefficientField
     grid: Grid | None = None         # only needed when beta must be derived
-    _beta_cache: dict = dc_field(default_factory=dict, repr=False)
-    _beta_lock: threading.Lock = dc_field(default_factory=threading.Lock,
-                                          repr=False, compare=False)
 
     @property
     def T(self) -> float:
@@ -171,44 +170,34 @@ class SDE:
         return self.field.domain
 
     def _const_beta(self):
-        if self.field.beta is None:
+        beta = self.field.beta
+        if beta is None or not all(isinstance(e, ConstField)
+                                   for row in beta for e in row):
             return None
-        entries = [e for row in self.field.beta for e in row]
-        if all(isinstance(e, ConstField) for e in entries):
-            n = self.field.n
-            return np.array([[self.field.beta[i][j].value for j in range(n)]
-                             for i in range(n)])
-        return None
+        return np.array([[e.value for e in row] for row in beta])
 
-    def beta_at(self, y: np.ndarray, t: float) -> np.ndarray:
-        if self.field.beta is not None:
-            return self.field.eval_beta(y, t)
-        # derived diffusion factor: symmetric root of 2 b, frozen per grid
-        # node and looked up at the nearest node
+    def beta_table(self, t: float, held: tuple | None = None) -> tuple:
+        """``(level, roots)``: the grid level the derived beta is read at
+        for time ``t`` and the ``(N, n, n)`` roots of ``2 b`` at its nodes;
+        ``held``, an earlier result, is returned if of the same level."""
         if self.grid is None:
             raise ValueError("deriving beta from b requires a reference grid")
-        key = round(float(t), 12) if self.field.time_dependent else 0.0
-        with self._beta_lock:    # path blocks share the cache
-            roots = self._beta_cache.get(key)
-            if roots is None:
-                b = self.field.eval_b(self.grid.nodes(), key)
-                roots = self._beta_cache[key] = symmetric_sqrt(2.0 * b)
-        idx = np.zeros(len(y), dtype=np.int64)
-        stride = 1
-        for ax in range(self.grid.n - 1, -1, -1):
-            pos = np.clip(np.round((y[:, ax] - self.grid.lo[ax])
-                                   / self.grid.h[ax] - 1.0).astype(int),
-                          0, self.grid.m[ax] - 1)
-            idx += pos * stride
-            stride *= self.grid.m[ax]
-        return roots[idx]
+        level = self.grid.level(t) if self.field.time_dependent else 0
+        if held is None or held[0] != level:
+            b = self.field.eval_b(self.grid.nodes(), level * self.grid.dt)
+            held = level, symmetric_sqrt(2.0 * b)
+        return held
 
-    def _forget_levels_before(self, t: float):
-        """Drop the derived roots of the time levels before ``t``."""
-        floor = round(float(t), 12)
-        with self._beta_lock:
-            for key in [key for key in self._beta_cache if key < floor]:
-                del self._beta_cache[key]
+    def beta_at(self, y: np.ndarray, t: float,
+                held: tuple | None = None) -> np.ndarray:
+        """The field's ``beta`` at ``y`` and ``t``, or the derived one frozen
+        per grid node and level (``held``: an earlier ``beta_table``)."""
+        if self.field.beta is not None:
+            return self.field.eval_beta(y, t)
+        roots = self.beta_table(t, held)[1]
+        pos = np.rint((y - self.grid.lo) / self.grid.h - 1.0).astype(int)
+        pos = np.clip(pos, 0, np.asarray(self.grid.m) - 1)
+        return roots[np.ravel_multi_index(pos.T, self.grid.m)]
 
 
 @dataclass
@@ -406,13 +395,13 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
                 pos[...] = part[-1]
             y[lo + cols] = pos[cols]
 
-    def increment(y_live, xi, t_k):
+    def increment(y_live, xi, t_k, held):
         # this order of operations fixes the bits of every path:
         # (sqdt * xi) @ beta^T, and f dt first, then the noise increment
         if const_beta is not None:
             incr = sqdt * xi @ const_beta.T
         else:
-            bmat = sde.beta_at(y_live, t_k)
+            bmat = sde.beta_at(y_live, t_k, held)
             incr = sqdt * np.einsum("pij,pj->pi", bmat,
                                     np.ascontiguousarray(xi))
         if f_zero:
@@ -439,6 +428,7 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
             return
         y_live = y[ids]
         disc_live = disc_b[ids]
+        held = None     # the block's derived beta table, one level's
         if 0 in rec_pos:
             traj[start:end, rec_pos[0]] = y
         k = 0
@@ -463,8 +453,10 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
                     if not lam_zero:
                         lam = sde.field.eval_lambda(y_live, t_k)
                         disc_live += (lam.real if lam_real else lam) * dt
+                    if sde.field.beta is None:     # derived beta
+                        held = sde.beta_table(t_k, held)
                     y_live += increment(
-                        y_live, flat[_rows(c * _GROUP, rows)], t_k)
+                        y_live, flat[_rows(c * _GROUP, rows)], t_k, held)
                     if domain is not None:
                         out = ~domain.contains(y_live, open_set=True)
                         if out.any():
@@ -477,9 +469,6 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
                                 ids[keep], rows[keep], y_live[keep],
                                 disc_live[keep])
                 k += 1
-                if next_level is not None:
-                    next_level[start] = k
-                    sde._forget_levels_before(min(next_level.values()) * dt)
                 if k in rec_pos:
                     y[ids] = y_live
                     traj[start:end, rec_pos[k]] = y
@@ -490,11 +479,6 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
         y[ids] = y_live
         disc_b[ids] = disc_live
 
-    # derived roots are kept only for the time levels a block has yet to
-    # step: the lowest next level over the blocks, so a block that has not
-    # started keeps every level
-    next_level = (dict.fromkeys(bounds[:-1], 0) if sde.field.beta is None
-                  and sde.field.time_dependent else None)
     if len(bounds) == 2:
         run_block(0, M)
     else:
@@ -642,8 +626,7 @@ def density_compare(ensemble: PathEnsemble, density, t: float) -> float:
     if abs(ensemble.record_times[k_rec] - t) > ensemble.dt:
         raise ValueError(f"time {t} was not recorded")
     if density.is_spacetime:
-        k_grid = min(grid.nt, max(0, int(round(t / grid.dt))))
-        p_ref = density.values[k_grid].real
+        p_ref = density.values[grid.level(t)].real
     else:
         p_ref = density.values.real
     alive = (~ensemble.exited) | (ensemble.tau > t)

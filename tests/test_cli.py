@@ -52,6 +52,26 @@ def test_analyze_identity_all_pass(tmp_path):
     assert run(tmp_path, "a.cfg", text, "analyze") == 0
 
 
+def test_analyze_with_supplied_gamma(tmp_path):
+    # the split check keeps the given index set and weights: nu_hat is the
+    # decomposition's under gamma = 1.9, with no search
+    from cordeslab.conditions import nu_hat
+    from cordeslab.fields import builtin_problem, decompose, sample_set
+    text = (BENCH.format(alpha=0.3, beta=0.2, out=tmp_path / "out")
+            + "conditions.N = 1\nconditions.gamma = 1.9\n")
+    assert run(tmp_path, "a.cfg", text, "analyze") == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    report = report["report"]
+    field = builtin_problem("paper_3x3", {"alpha": 0.3, "beta": 0.2})
+    samples = sample_set(field.sampling_box(), field.T, 5, 2)
+    decomp = decompose(field, "identity", samples, index_set=(1,))
+    assert report["N"] == [1] and report["gamma"] == [1.9]
+    assert report["nu_hat"] == nu_hat(decomp.with_gamma({1: 1.9}), samples)
+    split = report["verdicts"]["split_condition"]
+    assert split["ok"] is True
+    assert split["margin"] == report["delta"] ** 2 - report["nu_hat"]
+
+
 def test_analyze_gamma_out_of_range_exit_1(tmp_path, capsys):
     text = (BENCH.format(alpha=0.5, beta=0.0, out=tmp_path / "out")
             + "conditions.N = 1\nconditions.gamma = 2.5\n")
@@ -117,8 +137,8 @@ def test_solve_zero_data_zero_ratio(tmp_path):
 
 
 def test_solve_evaluates_phi_once_per_level(tmp_path, monkeypatch):
-    # the march evaluates phi on nt levels and apriori_ratio reuses them,
-    # evaluating only the level the march skips
+    # the march evaluates phi on the nt levels before the horizon and
+    # apriori_ratio reuses them: its left rectangle rule needs no other
     from cordeslab.fields import ExprField
     source = ExprField("x1 * (1 + t)").describe()
     calls = []
@@ -134,7 +154,7 @@ def test_solve_evaluates_phi_once_per_level(tmp_path, monkeypatch):
             'solve.phi = "x1 * (1 + t)"\n'
             f"out.dir = {tmp_path / 'out'}\n")
     assert run(tmp_path, "s.cfg", text, "solve") == 0
-    assert len(calls) == 8 + 1
+    assert len(calls) == len(set(calls)) == 8 and max(calls) < 1.0  # T = 1
     norms = json.loads((tmp_path / "out" / "norms.json").read_text())
     assert norms["apriori_ratio"] > 0.0
 
@@ -236,14 +256,17 @@ def test_simulate_summary(tmp_path):
     assert len(paths) == 501
 
 
-def test_verify_gaussian_pairing(tmp_path):
+@pytest.mark.parametrize("sampler", [
+    "gaussian\nmc.sampler.sigma = 1.0", "uniform", "hat"],
+    ids=["gaussian", "uniform", "hat"])
+def test_verify_gaussian_pairing(tmp_path, sampler):
     text = ("problem.builtin = gaussian_free_space\n"
             "problem.param.n = 1\nproblem.param.half_width = 8\n"
             "problem.param.T = 0.25\n"
             "grid.m = 255\ngrid.nt = 64\n"
             'solve.Phi = "x1^2"\n'
             "mc.M = 20000\nmc.dt = 0.001\nmc.seed = 42\n"
-            "mc.sampler = gaussian\nmc.sampler.sigma = 1.0\n"
+            f"mc.sampler = {sampler}\n"
             f"out.dir = {tmp_path / 'out'}\n")
     assert run(tmp_path, "v.cfg", text, "verify") == 0
     checks = json.loads((tmp_path / "out" / "verify.json").read_text())
@@ -409,6 +432,45 @@ def test_problem_file_roundtrip(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["problem"]["n"] == 2
     assert report["problem"]["b"][1][1] == "1.0 + 0.5 * step(x1 - 0.5)"
+
+
+TABLE_FILE = ("n = 2\nT = 1.0\ndomain.lo = 0 0\ndomain.hi = 1 1\n"
+              "b.table.file = cells.csv\nb.table.cells = {cells}\n")
+
+
+def test_table_file_matches_the_builtin_checkerboard(tmp_path):
+    from cordeslab.config import RunConfig
+    from cordeslab.fields import builtin_problem
+    rows = ["# i1, i2, b11, b12, b21, b22"]
+    for i in range(4):
+        for j in range(4):
+            v = 1.0 if (i + j) % 2 == 0 else 3.0
+            rows.append(f"{i},{j},{v},0,0,{v}")
+    (tmp_path / "cells.csv").write_text("\n".join(rows) + "\n")
+    (tmp_path / "field.cfg").write_text(TABLE_FILE.format(cells="4 4"))
+    (tmp_path / "a.cfg").write_text(f"problem.file = field.cfg\n"
+                                    f"out.dir = {tmp_path / 'out'}\n")
+    field = RunConfig.load(str(tmp_path / "a.cfg"), {}).field
+    ref = builtin_problem("checkerboard_2d", {"low": 1.0, "high": 3.0})
+    g = build_grid(ref.domain, 15, 2, ref.T)
+    for t in g.times():
+        assert np.array_equal(field.eval_b(g.nodes(), t),
+                              ref.eval_b(g.nodes(), t))
+
+
+@pytest.mark.parametrize("bad", ["1,5,1,0,0,1", "-1,1,1,0,0,1",
+                                 "0.5,1,1,0,0,1", "0,0,2,0,0,2",
+                                 "0,1,1,0,0", "0,1,one,0,0,1"])
+def test_bad_table_row_exit_1(tmp_path, capsys, bad):
+    # a 2x2 table whose third line is bad: an index out of range, negative
+    # or not an integer, a cell given twice, a short row, a non-number
+    (tmp_path / "cells.csv").write_text(f"0,0,1,0,0,1\n1,1,1,0,0,1\n{bad}\n")
+    (tmp_path / "field.cfg").write_text(TABLE_FILE.format(cells="2 2"))
+    text = f"problem.file = field.cfg\nout.dir = {tmp_path / 'out'}\n"
+    assert run(tmp_path, "a.cfg", text, "analyze") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: table ") and err.count("\n") == 1
+    assert "cells.csv line 3:" in err
 
 
 def test_theta_validation_exit_1(tmp_path):

@@ -372,7 +372,7 @@ def test_discrete_duality_random_problems(lam, theta):
     prob = BackwardProblem(f, phi=phi, Phi=Phi)
     sol = solve_backward(prob, g, theta)
     adj = solve_forward_adjoint(rho, prob, g, theta)
-    stepper = _Stepper(g, theta, _FieldCoefficients(prob, g), complex)
+    stepper = _Stepper(g, theta, _FieldCoefficients(prob, g))
     lhs = dot_h(sol.v.values[0], rho, g)
     rhs = dot_h(Phi, adj.v.values[g.nt], g)
     for k in range(g.nt):
@@ -413,7 +413,7 @@ def test_duality_on_random_fields_with_a_complex_moving_rate(n, theta, seed):
         lambda_override=lambda x, t: c + 1j * w * np.arctan(x[:, 0] + t))
     sol = solve_backward(prob, g, theta)
     adj = solve_forward_adjoint(rho, prob, g, theta)
-    stepper = _Stepper(g, theta, _FieldCoefficients(prob, g), complex)
+    stepper = _Stepper(g, theta, _FieldCoefficients(prob, g))
     lhs = dot_h(sol.v.values[0], rho, g)
     rhs = dot_h(Phi, adj.v.values[g.nt], g)
     for k in range(g.nt):

@@ -202,17 +202,24 @@ def test_noise_chunks_do_not_change_paths(monkeypatch):
         assert_same_ensemble(run, runs[0])
 
 
-@pytest.mark.parametrize("derived", [False, True])
+@pytest.mark.parametrize("derived", [False, True, None])
 def test_worker_count_does_not_change_paths(monkeypatch, derived):
     # more workers than cores, switching often, blocks of at most 1000
-    # paths in several noise chunks; with no beta given the root of 2b is
-    # derived per grid node and time level, and the blocks must share one
-    # computation of it per level
+    # paths in several noise chunks; beta is a given constant (False),
+    # derived from b (True) or given and moving with position (None).  A
+    # derived beta is the root of 2b per grid node and grid level, and each
+    # block evaluates b once per level it enters: 5 levels here
     if derived:
         f = make_field(2, 0.1, Box((0.0, 0.0), (1.0, 1.0)),
                        [["1 + 0.3*t", "0.2"], ["0.2", "1 + 0.2*x1"]],
                        lam="0.3")
         sde_of = lambda: SDE(f, grid=build_grid(f.domain, (9, 9), 4, f.T))
+    elif derived is None:
+        f = make_field(2, 0.1, Box((0.0, 0.0), (1.0, 1.0)),
+                       [["1 + 0.2*x1", "0"], ["0", "1"]], lam="0.3",
+                       beta=[["sqrt(2*(1 + 0.2*x1))", "0"],
+                             ["0", "sqrt(2)"]])
+        sde_of = lambda: SDE(f)
     else:
         f = drifting_box_2d()
         sde_of = lambda: SDE(f)
@@ -228,10 +235,12 @@ def test_worker_count_does_not_change_paths(monkeypatch, derived):
     try:
         for cores in (1, 2, 4):
             plan(monkeypatch, cores, 1000)
+            blocks = len(stochastic._partition(3000)[0]) - 1
             del levels[:]
             runs.append(simulate_paths(sde_of(), UniformBoxSampler(f.domain),
                                        5e-3, 3000, 3, record="all"))
-            assert len(levels) == len(set(levels)) == (20 if derived else 0)
+            assert len(levels) == (5 * blocks if derived else 0)
+            assert len(set(levels)) == (5 if derived else 0)
     finally:
         sys.setswitchinterval(interval)
     for run in runs[1:]:
@@ -427,71 +436,35 @@ def test_recording_budget_raises_before_allocating():
     assert peak < 1e6
 
 
-def time_dependent_derived(T=0.1):
-    # no beta given: the root of 2b is derived per grid node and level
-    f = make_field(2, T, Box((0.0, 0.0), (1.0, 1.0)),
-                   [["1 + 0.3*t", "0.2"], ["0.2", "1 + 0.2*x1"]], lam="0.3")
-    return f, lambda: SDE(f, grid=build_grid(f.domain, (9, 9), 4, T))
-
-
-@pytest.mark.parametrize("cores", [1, 2])
-def test_derived_roots_are_kept_for_the_current_level_only(monkeypatch,
-                                                           cores):
-    # with one block the cache never holds more than the level being
-    # stepped, and none is left after the run; several blocks (of groups
-    # of 32 paths), on one worker or two, give the same paths as a cache
-    # that forgets nothing
+def test_derived_beta_memory_does_not_grow_with_the_steps(monkeypatch):
+    # a time-dependent b with no beta given and no exits, four blocks of
+    # 64 paths on two workers, so two blocks wait for the first two; each
+    # running block holds the root table of the grid level it is stepping
+    # (5 levels of a 31^2 grid, 30 KB each), so a run of 1000 steps peaks
+    # as high as one of 100, and the paths do not depend on the partition
+    # or the worker count; the noise comes in chunks of 50 steps in both
     monkeypatch.setattr(stochastic, "_GROUP", 32)
-    f, sde_of = time_dependent_derived()
-    sizes, pools = [], []
-
-    class Pool(stochastic.ThreadPoolExecutor):
-        def __init__(self, workers):
-            pools.append(workers)
-            super().__init__(workers)
-    monkeypatch.setattr(stochastic, "ThreadPoolExecutor", Pool)
-    beta_at = SDE.beta_at
-    monkeypatch.setattr(SDE, "beta_at", lambda self, y, t: sizes.append(
-        len(self._beta_cache)) or beta_at(self, y, t))
-    sde = sde_of()
-    plan(monkeypatch, 1)
-    one = simulate_paths(sde, UniformBoxSampler(f.domain), 2e-3, 300, 4)
-    assert max(sizes) <= 1 and len(sde._beta_cache) <= 1
-    plan(monkeypatch, cores, 100)
-    monkeypatch.setattr(stochastic, "_NOISE_FLOATS", cores * 7 * 100 * 2)
-    runs = []
-    for forget in (SDE._forget_levels_before, lambda self, t: None):
-        monkeypatch.setattr(SDE, "_forget_levels_before", forget)
-        sde = sde_of()
-        runs.append(simulate_paths(sde, UniformBoxSampler(f.domain), 2e-3,
-                                   300, 4, record="all"))
-    assert len(sde._beta_cache) == 50    # the unbounded cache, one per level
-    assert pools == [cores, cores]
-    assert_same_ensemble(runs[0], runs[1])
-    for name in ("final_y", "tau", "discount"):
-        assert np.array_equal(getattr(runs[0], name), getattr(one, name))
-
-
-def test_blocks_that_start_together_share_few_derived_roots(monkeypatch):
-    # two equal blocks on two workers switching often: the blocks step
-    # side by side, so the cache holds the levels between the slower and
-    # the faster block, not the whole horizon of 1000 levels (as blocks
-    # run one after the other would), and none after the run
-    f, _ = time_dependent_derived()
-    sde = SDE(f, grid=build_grid(f.domain, (31, 31), 4, f.T))
-    sizes = []
-    beta_at = SDE.beta_at
-    monkeypatch.setattr(SDE, "beta_at", lambda self, y, t: sizes.append(
-        len(self._beta_cache)) or beta_at(self, y, t))
-    plan(monkeypatch, 2)
-    assert stochastic._partition(1024) == ([0, 512, 1024], 2)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        simulate_paths(sde, UniformBoxSampler(f.domain), 1e-4, 1024, 5)
-    finally:
-        sys.setswitchinterval(interval)
-    assert max(sizes) < 500 and not sde._beta_cache
+    monkeypatch.setattr(stochastic, "_NOISE_FLOATS", 2 * 50 * 64 * 2)
+    f = make_field(2, 0.1, None,
+                   [["1 + 0.3*t", "0.2"], ["0.2", "1 + 0.2*x1"]], lam="0.3")
+    box = Box((0.0, 0.0), (1.0, 1.0))
+    sde = SDE(f, grid=build_grid(box, (31, 31), 4, f.T))
+    sampler = UniformBoxSampler(box)
+    peaks, runs = {}, {}
+    for nsteps in (100, 1000):
+        plan(monkeypatch, 2, 64)
+        assert stochastic._partition(256) == ([0, 64, 128, 192, 256], 2)
+        tracemalloc.start()
+        try:
+            runs[nsteps] = simulate_paths(sde, sampler, 0.1 / nsteps, 256, 6)
+            peaks[nsteps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1000] < peaks[100] + 2 ** 20, peaks
+    for cores, block in ((1, 2 ** 16), (3, 32)):
+        plan(monkeypatch, cores, block)
+        assert_same_ensemble(simulate_paths(sde, sampler, 0.1 / 100, 256, 6),
+                             runs[100])
 
 
 def test_simulate_validation():
@@ -620,6 +593,19 @@ def test_verify_pairing_benchmark_box():
     prob = BackwardProblem(f, Phi=Phi)
     report = verify_pairing(prob, g, SDE(f), sampler, dt=5e-4, M=40_000,
                             master_seed=31, allowance=3e-2)
+    assert report["pass"], report
+
+
+def test_verify_pairing_time_dependent_derived_beta():
+    # no beta given and b moving in time: the paths read the root of 2b at
+    # the nearest grid node and level; the box is wide enough that exits
+    # are negligible, and a beta frozen at t = 0 would miss by 0.2
+    f = make_field(1, 0.25, Box((-6.0,), (6.0,)), [["1 + 0.6*sin(12*t)"]])
+    g = build_grid(f.domain, 255, 16, f.T)
+    sampler = TruncatedGaussianSampler([0.0], 1.0, f.domain)
+    prob = BackwardProblem(f, Phi=lambda x: x[:, 0] ** 2)
+    report = verify_pairing(prob, g, SDE(f, grid=g), sampler, dt=1e-3,
+                            M=20_000, master_seed=17, allowance=1e-2)
     assert report["pass"], report
 
 
