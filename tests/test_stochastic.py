@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -434,6 +435,86 @@ def test_recording_budget_raises_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+
+
+def time_dependent_derived(T=0.1):
+    # no beta given: the root of 2b is derived per grid node and level
+    f = make_field(2, T, Box((0.0, 0.0), (1.0, 1.0)),
+                   [["1 + 0.3*t", "0.2"], ["0.2", "1 + 0.2*x1"]], lam="0.3")
+    return f, lambda: SDE(f, grid=build_grid(f.domain, (9, 9), 4, T))
+
+
+def track_tables(monkeypatch):
+    """Watch ``SDE.beta_table``: returns the levels built, the most tables
+    alive at the start of a call, and the weak references of all built."""
+    built, most, refs = [], [0], []
+    beta_table = SDE.beta_table
+
+    def watched(self, t, held=None):
+        most[0] = max(most[0], sum(r() is not None for r in list(refs)))
+        got = beta_table(self, t, held)
+        assert got[0] == self.grid.level(t)
+        if got is not held:
+            built.append(got[0])
+            refs.append(weakref.ref(got[1]))
+        return got
+    monkeypatch.setattr(SDE, "beta_table", watched)
+    return built, most, refs
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_derived_roots_are_kept_for_the_current_level_only(monkeypatch,
+                                                           cores):
+    # each block holds the table of the level it is stepping and builds
+    # each of the 5 levels it enters once; one block holds at most one
+    # table, several (of groups of 32 paths, on one worker or two) at
+    # most one each plus one being swapped in by another, none is left
+    # after the run, and the paths are those of one block
+    monkeypatch.setattr(stochastic, "_GROUP", 32)
+    f, sde_of = time_dependent_derived()
+    built, most, refs = track_tables(monkeypatch)
+    plan(monkeypatch, 1)
+    one = simulate_paths(sde_of(), UniformBoxSampler(f.domain), 2e-3, 300, 4,
+                         record="all")
+    assert built == [0, 1, 2, 3, 4] and most[0] <= 1
+    assert all(r() is None for r in refs)
+    built.clear()
+    refs.clear()
+    most[0] = 0
+    plan(monkeypatch, cores, 100)
+    monkeypatch.setattr(stochastic, "_NOISE_FLOATS", cores * 7 * 100 * 2)
+    bounds, workers = stochastic._partition(300)
+    assert workers == cores and len(bounds) - 1 == 2 + cores
+    got = simulate_paths(sde_of(), UniformBoxSampler(f.domain), 2e-3, 300, 4,
+                         record="all")
+    assert sorted(built) == sorted(list(range(5)) * (len(bounds) - 1))
+    assert most[0] <= 2 * cores - 1
+    assert all(r() is None for r in refs)
+    assert_same_ensemble(got, one)
+
+
+def test_blocks_that_start_together_share_few_derived_roots(monkeypatch):
+    # two equal blocks on two workers switching often over 1000 steps:
+    # they share no table, each builds each of the 5 levels once (not one
+    # table per step), at most one table each is alive plus one being
+    # swapped in, and none after the run
+    f, _ = time_dependent_derived()
+    sde = SDE(f, grid=build_grid(f.domain, (31, 31), 4, f.T))
+    built, most, refs = track_tables(monkeypatch)
+    evals = []
+    eval_b = CoefficientField.eval_b
+    monkeypatch.setattr(CoefficientField, "eval_b", lambda self, x, t:
+                        evals.append(t) or eval_b(self, x, t))
+    plan(monkeypatch, 2)
+    assert stochastic._partition(1024) == ([0, 512, 1024], 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        simulate_paths(sde, UniformBoxSampler(f.domain), 1e-4, 1024, 5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(built) == sorted(list(range(5)) * 2) and len(evals) == 10
+    assert most[0] <= 3 and all(r() is None for r in refs)
 
 
 def test_derived_beta_memory_does_not_grow_with_the_steps(monkeypatch):
