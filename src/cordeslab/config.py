@@ -62,16 +62,59 @@ def _parse_value(value: str, lineno: int):
     return nums[0] if len(nums) == 1 else nums
 
 
-def _int_list(value) -> list:
+class _Keys(dict):
+    """Parsed pairs of one file that record the keys the loader reads;
+    ``check`` rejects those it never read."""
+
+    def __init__(self, kv: dict, where):
+        super().__init__(kv)
+        self.where, self.read = where, set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+    def under(self, prefix: str) -> dict:
+        """The open namespace ``prefix``, keyed by the rest of the names."""
+        return {key[len(prefix):]: self[key] for key in list(self)
+                if key.startswith(prefix)}
+
+    def check(self):
+        unread = [key for key in self if key not in self.read]
+        if unread:
+            raise ConfigError(f"{self.where}: unknown key {unread[0]!r}")
+
+
+def _numbers(kv: dict, key: str, default=None, integer=False,
+             count=None) -> list:
+    """``kv[key]`` (``default`` when absent, else ``KeyError``) as a list
+    of floats, or of ints when ``integer``; ``count`` fixes its length."""
+    value = kv[key] if default is None else kv.get(key, default)
     vals = value if isinstance(value, list) else [value]
-    return [int(v) for v in vals]
+    try:
+        nums = [float(v) for v in vals]
+    except (TypeError, ValueError):
+        nums = None
+    if (nums is None or count not in (None, len(nums))
+            or integer and not all(x.is_integer() for x in nums)):
+        what = "integer" if integer else "number"
+        raise ConfigError(f"{key} = {value!r}: expected {count or 'only'} "
+                          f"{what}" + "s" * (count != 1))
+    return [int(x) for x in nums] if integer else nums
+
+
+def _number(kv: dict, key: str, default=None, integer=False):
+    return _numbers(kv, key, default, integer, count=1)[0]
 
 
 def _load_table(path: Path, n: int, box: Box, cells) -> list:
     """Piecewise-constant matrix from CSV rows ``i1..in, b11..bnn``: 0-based
     cell indices, at most one row per cell (a cell with none holds zeros);
     ``#`` starts a comment."""
-    cells = tuple(int(c) for c in cells)
+    cells = tuple(cells)
     values = np.zeros(cells + (n, n))
     seen = set()
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
@@ -107,26 +150,18 @@ def load_problem_mapping(kv: dict, base_dir: Path) -> CoefficientField:
     piecewise-constant matrix.
     """
     try:
-        n = int(kv["n"])
-        T = float(kv["T"])
+        n = _number(kv, "n", integer=True)
+        T = _number(kv, "T")
+        domain = None if kv.get("domain") == "all" else Box(
+            tuple(_numbers(kv, "domain.lo", count=n)),
+            tuple(_numbers(kv, "domain.hi", count=n)))
     except KeyError as missing:
         raise ConfigError(f"problem file lacks key {missing}") from None
-    if kv.get("domain") == "all":
-        domain = None
-        table_box = Box((-1.0,) * n, (1.0,) * n)
-    else:
-        try:
-            lo = kv["domain.lo"]
-            hi = kv["domain.hi"]
-        except KeyError as missing:
-            raise ConfigError(f"problem file lacks key {missing}") from None
-        lo = lo if isinstance(lo, list) else [lo]
-        hi = hi if isinstance(hi, list) else [hi]
-        domain = Box(tuple(lo), tuple(hi))
-        table_box = domain
+    table_box = domain or Box((-1.0,) * n, (1.0,) * n)
 
     if "b.table.file" in kv:
-        cells = _int_list(kv.get("b.table.cells", [1] * n))
+        cells = _numbers(kv, "b.table.cells", [1] * n, integer=True,
+                         count=n)
         b = _load_table(base_dir / str(kv["b.table.file"]), n, table_box, cells)
     else:
         b = [[kv.get(f"b[{i + 1}][{j + 1}]", 1.0 if i == j else 0.0)
@@ -183,7 +218,7 @@ class RunConfig:
     @staticmethod
     def load(path, overrides: dict | None = None) -> "RunConfig":
         path = Path(path)
-        kv = parse_kv_text(path.read_text())
+        kv = _Keys(parse_kv_text(path.read_text()), path)
         kv.update(overrides or {})
         return RunConfig.from_mapping(kv, path.parent)
 
@@ -192,10 +227,10 @@ class RunConfig:
         from .fields import ExprField
 
         base_dir = Path(base_dir)
+        kv = kv if isinstance(kv, _Keys) else _Keys(kv, "run config")
         if "problem.builtin" in kv:
             name = str(kv["problem.builtin"])
-            params = {key.split(".", 2)[2]: val for key, val in kv.items()
-                      if key.startswith("problem.param.")}
+            params = kv.under("problem.param.")
             try:
                 field = builtin_problem(name, params)
             except KeyError as err:
@@ -205,8 +240,9 @@ class RunConfig:
             ppath = base_dir / str(kv["problem.file"])
             if not ppath.exists():
                 raise ConfigError(f"problem file {ppath} does not exist")
-            field = load_problem_mapping(parse_kv_text(ppath.read_text()),
-                                         ppath.parent)
+            pkv = _Keys(parse_kv_text(ppath.read_text()), ppath)
+            field = load_problem_mapping(pkv, ppath.parent)
+            pkv.check()
             solve_data = None
         else:
             field = load_problem_mapping(kv, base_dir)
@@ -217,10 +253,10 @@ class RunConfig:
             cfg.phi, cfg.Phi, cfg.exact = solve_data
 
         if "grid.m" in kv:
-            cfg.grid_m = tuple(_int_list(kv["grid.m"]))
+            cfg.grid_m = tuple(_numbers(kv, "grid.m", integer=True))
         if "grid.nt" in kv:
-            cfg.grid_nt = int(kv["grid.nt"])
-        cfg.theta = float(kv.get("scheme.theta", 1.0))
+            cfg.grid_nt = _number(kv, "grid.nt", integer=True)
+        cfg.theta = _number(kv, "scheme.theta", 1.0)
         if not 0.5 <= cfg.theta <= 1.0:
             raise ConfigError(f"scheme.theta={cfg.theta} outside [0.5, 1]")
 
@@ -228,84 +264,76 @@ class RunConfig:
         if cfg.split not in ("identity", "constant"):
             raise ConfigError(f"unknown split spec {cfg.split!r}")
         if "conditions.N" in kv:
-            cfg.index_set = tuple(_int_list(kv["conditions.N"]))
+            cfg.index_set = tuple(_numbers(kv, "conditions.N",
+                                           integer=True))
             if any(not 1 <= k <= field.n for k in cfg.index_set):
                 raise ConfigError("conditions.N indices outside 1..n")
         if "conditions.gamma" in kv:
-            gammas = kv["conditions.gamma"]
-            cfg.gamma = tuple(gammas if isinstance(gammas, list) else [gammas])
+            count = None if cfg.index_set is None else len(cfg.index_set)
+            cfg.gamma = tuple(_numbers(kv, "conditions.gamma", count=count))
             if any(not 0.0 < g < 2.0 for g in cfg.gamma):
                 raise ConfigError("conditions.gamma entries must lie in (0, 2)")
-            if cfg.index_set is not None and \
-                    len(cfg.gamma) != len(cfg.index_set):
-                raise ConfigError("conditions.gamma length != conditions.N")
-        cfg.samples_space = int(kv.get("conditions.samples.space", 9))
-        cfg.samples_time = int(kv.get("conditions.samples.time", 3))
+        cfg.samples_space = _number(kv, "conditions.samples.space", 9,
+                                    integer=True)
+        cfg.samples_time = _number(kv, "conditions.samples.time", 3,
+                                   integer=True)
 
         if "solve.phi" in kv or "solve.phi_im" in kv:
-            re = ExprField(str(kv.get("solve.phi", "0")))
+            cfg.phi = ExprField(str(kv.get("solve.phi", "0")))
             if "solve.phi_im" in kv:
-                cfg.phi = (re, ExprField(str(kv["solve.phi_im"])))
-            else:
-                cfg.phi = re
+                cfg.phi = (cfg.phi, ExprField(str(kv["solve.phi_im"])))
         if "solve.Phi" in kv:
             cfg.Phi = ExprField(str(kv["solve.Phi"]))
         if "solve.exact" in kv:
             cfg.exact = ExprField(str(kv["solve.exact"]))
         if "solve.proof_mirror.eps" in kv:
-            cfg.proof_eps = float(kv["solve.proof_mirror.eps"])
-        if "solve.proof_mirror.K" in kv:
-            raw = kv["solve.proof_mirror.K"]
-            cfg.proof_K = raw if raw == "auto" else float(raw)
+            cfg.proof_eps = _number(kv, "solve.proof_mirror.eps")
+        if kv.get("solve.proof_mirror.K", "auto") != "auto":
+            cfg.proof_K = _number(kv, "solve.proof_mirror.K")
 
-        cfg.mc_M = int(kv.get("mc.M", 10000))
+        cfg.mc_M = _number(kv, "mc.M", 10000, integer=True)
         if cfg.mc_M < 1:
             raise ConfigError("mc.M must be at least 1")
-        cfg.mc_dt = float(kv.get("mc.dt", 1e-3))
+        cfg.mc_dt = _number(kv, "mc.dt", 1e-3)
         if cfg.mc_dt <= 0:
             raise ConfigError("mc.dt must be positive")
-        cfg.mc_seed = int(kv.get("mc.seed", 1))
+        cfg.mc_seed = _number(kv, "mc.seed", 1, integer=True)
         cfg.sampler_kind = str(kv.get("mc.sampler", "uniform"))
-        cfg.sampler_params = {key.split(".", 2)[2]: val
-                              for key, val in kv.items()
-                              if key.startswith("mc.sampler.")}
+        cfg.sampler_params = kv.under("mc.sampler.")
         cfg.dump_paths = bool(kv.get("mc.dump_paths", False))
 
-        cfg.pairing_allowance = float(kv.get("verify.pairing.allowance", 2e-2))
+        cfg.pairing_allowance = _number(kv, "verify.pairing.allowance", 2e-2)
         if "verify.density.times" in kv:
-            times = kv["verify.density.times"]
-            cfg.density_times = list(times if isinstance(times, list)
-                                     else [times])
-        cfg.density_l1 = float(kv.get("verify.density.l1", 0.05))
+            cfg.density_times = _numbers(kv, "verify.density.times")
+        cfg.density_l1 = _number(kv, "verify.density.l1", 0.05)
         if "characteristic.panel" in kv:
             cfg.char_panel = base_dir / str(kv["characteristic.panel"])
-        cfg.char_allowance = float(kv.get("characteristic.allowance", 3e-2))
+        cfg.char_allowance = _number(kv, "characteristic.allowance", 3e-2)
         if "out.dir" in kv:
             cfg.out_dir = base_dir / str(kv["out.dir"])
+        kv.check()
         return cfg
 
     def make_sampler(self):
         from .stochastic import (HatSampler, PointSampler,
                                  TruncatedGaussianSampler, UniformBoxSampler)
-        box = self.field.sampling_box()
-        params = self.sampler_params
-        kind = self.sampler_kind
+        n, kind = self.field.n, self.sampler_kind
+        params = {"mc.sampler." + k: v for k, v in self.sampler_params.items()}
+
+        def numbers(name, default, count=None):
+            return _numbers(params, "mc.sampler." + name, default,
+                            count=count)
+        center = numbers("center", [0.0] * n)   # one value serves all axes
+        center = center * n if len(center) == 1 else center
         if kind == "uniform":
-            return UniformBoxSampler(box)
+            return UniformBoxSampler(self.field.sampling_box())
         if kind == "gaussian":
-            mean = params.get("center", [0.0] * self.field.n)
-            sigma = params.get("sigma", 1.0)
-            mean = mean if isinstance(mean, list) else [mean] * self.field.n
-            return TruncatedGaussianSampler(mean, sigma, box)
+            return TruncatedGaussianSampler(center, numbers("sigma", 1.0),
+                                            self.field.sampling_box())
         if kind == "hat":
-            center = params.get("center", [0.0] * self.field.n)
-            center = center if isinstance(center, list) \
-                else [center] * self.field.n
-            return HatSampler(center, params.get("width", 0.25))
+            return HatSampler(center, numbers("width", 0.25))
         if kind == "point":
-            point = params.get("at", [0.0] * self.field.n)
-            point = point if isinstance(point, list) else [point]
-            return PointSampler(point)
+            return PointSampler(numbers("at", [0.0] * n, count=n))
         raise ConfigError(f"unknown sampler {kind!r}")
 
     def make_grid(self):

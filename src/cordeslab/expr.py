@@ -38,11 +38,28 @@ class ExprEvalError(ArithmeticError):
     """Raised when an expression cannot be evaluated at the given point."""
 
 
-# name -> (min arity, max arity or None for unbounded)
+def _exp(u):
+    r = np.exp(u)
+    if not np.all(np.isfinite(r)):
+        raise ExprEvalError("exp overflow")
+    return r
+
+
+def _sqrt(u):
+    if np.any(np.asarray(u) < 0):
+        raise ExprEvalError("sqrt of a negative number")
+    return np.sqrt(u)
+
+
+# name -> (min arity, max arity or None for unbounded, evaluation)
 FUNCTIONS = {
-    "sin": (1, 1), "cos": (1, 1), "exp": (1, 1), "sqrt": (1, 1),
-    "abs": (1, 1), "sign": (1, 1), "step": (1, 1),
-    "min": (2, None), "max": (2, None),
+    "sin": (1, 1, np.sin), "cos": (1, 1, np.cos), "exp": (1, 1, _exp),
+    "sqrt": (1, 1, _sqrt), "abs": (1, 1, np.abs),
+    "sign": (1, 1, lambda u: np.sign(np.asarray(u, dtype=float))),
+    "step": (1, 1, lambda u: np.where(np.asarray(u, dtype=float) >= 0,
+                                      1.0, 0.0)),
+    "min": (2, None, lambda *a: np.minimum.reduce(np.broadcast_arrays(*a))),
+    "max": (2, None, lambda *a: np.maximum.reduce(np.broadcast_arrays(*a))),
 }
 
 _SUM, _TERM, _UNARY, _POW, _ATOM = 1, 2, 3, 4, 5
@@ -174,32 +191,7 @@ class Call(Expr):
     _prec = _ATOM
 
     def evaluate(self, env):
-        vals = [a.evaluate(env) for a in self.args]
-        fn = self.fn
-        if fn == "sin":
-            return np.sin(vals[0])
-        if fn == "cos":
-            return np.cos(vals[0])
-        if fn == "exp":
-            r = np.exp(vals[0])
-            if not np.all(np.isfinite(r)):
-                raise ExprEvalError("exp overflow")
-            return r
-        if fn == "sqrt":
-            if np.any(np.asarray(vals[0]) < 0):
-                raise ExprEvalError("sqrt of a negative number")
-            return np.sqrt(vals[0])
-        if fn == "abs":
-            return np.abs(vals[0])
-        if fn == "sign":
-            return np.sign(np.asarray(vals[0], dtype=float))
-        if fn == "step":
-            return np.where(np.asarray(vals[0], dtype=float) >= 0, 1.0, 0.0)
-        if fn == "min":
-            return np.minimum.reduce(np.broadcast_arrays(*vals))
-        if fn == "max":
-            return np.maximum.reduce(np.broadcast_arrays(*vals))
-        raise ExprEvalError(f"unknown function {fn!r}")  # pragma: no cover
+        return FUNCTIONS[self.fn][2](*[a.evaluate(env) for a in self.args])
 
     def variables(self):
         out: set = set()
@@ -357,7 +349,7 @@ class _Parser:
                     self.advance()
                     args.append(self.sum())
                 self.expect("rparen")
-                lo, hi = FUNCTIONS[tok.text]
+                lo, hi, _ = FUNCTIONS[tok.text]
                 if len(args) < lo or (hi is not None and len(args) > hi):
                     raise ExprSyntaxError(
                         f"{tok.text} takes {lo}{'+' if hi is None else ''} "

@@ -134,11 +134,14 @@ class BackwardProblem:
     def eval_Phi(self, grid: Grid) -> np.ndarray:
         return _eval_space_fn(self.Phi, grid, None)
 
-    def eval_lambda_nodes(self, grid: Grid, t: float) -> np.ndarray:
-        if self.lambda_override is not None:
-            vals = _eval_space_fn(self.lambda_override, grid, t)
-            return np.asarray(vals, dtype=complex).ravel()
-        return self.field.eval_lambda(grid.nodes(), t)
+    def coefficients(self, grid: Grid, t: float):
+        """``(b, f, lambda)`` at the nodes at time ``t``."""
+        nodes = grid.nodes()
+        b, f = self.field.eval_b(nodes, t), self.field.eval_f(nodes, t)
+        if self.lambda_override is None:
+            return b, f, self.field.eval_lambda(nodes, t)
+        lam = _eval_space_fn(self.lambda_override, grid, t)
+        return b, f, np.asarray(lam, dtype=complex).ravel()
 
     @property
     def operator_time_dependent(self) -> bool:
@@ -178,46 +181,6 @@ class FixedPointTrace:
                 "contraction_est": self.contraction_est,
                 "converged": self.converged,
                 "agreement_vs_direct": self.agreement}
-
-
-# ----------------------------------------------------------------------------
-# coefficient providers
-
-
-class _FieldCoefficients:
-    def __init__(self, problem: BackwardProblem, grid: Grid):
-        self.problem = problem
-        self.grid = grid
-        self.time_dependent = problem.operator_time_dependent
-
-    def at(self, t: float):
-        nodes = self.grid.nodes()
-        fld = self.problem.field
-        b = fld.eval_b(nodes, t)
-        f = fld.eval_f(nodes, t)
-        lam = self.problem.eval_lambda_nodes(self.grid, t)
-        return b, f, lam
-
-
-class _MollifiedCoefficients:
-    """Bump-smoothed reference part and low-order coefficients at the
-    nodes; the kernel carries three taps per radius along each axis."""
-
-    def __init__(self, decomp: Decomposition, grid: Grid, eps: float):
-        self.decomp = decomp
-        self.grid = grid
-        self.eps = float(eps)
-        self.time_dependent = decomp.field.time_dependent
-        self._cache = {}
-
-    def at(self, t: float):
-        key = 0.0 if not self.time_dependent else round(float(t), 12)
-        if key not in self._cache:
-            spacing = [self.eps / 3.0] * self.grid.n
-            self._cache[key] = _smooth_parts(
-                self.decomp.b_bar, self.decomp.field, self.grid.nodes(),
-                self.eps, spacing, t)
-        return self._cache[key]
 
 
 # ----------------------------------------------------------------------------
@@ -330,7 +293,7 @@ def _step_matrices(A: sparse.csr_matrix, dt: float, theta: float):
 def assemble_operator(problem: BackwardProblem, grid: Grid,
                       t: float) -> sparse.csr_matrix:
     """Sparse discretization of the spatial operator at time ``t``."""
-    b, f, lam = _FieldCoefficients(problem, grid).at(t)
+    b, f, lam = problem.coefficients(grid, t)
     lam = _real_if_possible(lam)
     return _assemble_from_arrays(grid, b, f, lam, lam.dtype)
 
@@ -419,7 +382,8 @@ class _StepSolver:
 
 
 class _Stepper:
-    """Prepared marching machinery for one (grid, theta, coefficients).
+    """Prepared marching machinery for one grid, theta and coefficient
+    function ``coefficients(t) -> (b, f, lambda)`` at the nodes.
 
     Arithmetic starts real and switches to complex once, the first time a
     rate, a source slice or the terminal datum that the march evaluates
@@ -427,11 +391,13 @@ class _Stepper:
     operator's for the whole march, or the current level's.
     """
 
-    def __init__(self, grid: Grid, theta: float, provider):
+    def __init__(self, grid: Grid, theta: float, coefficients,
+                 time_dependent: bool):
         _check_theta(theta)
         self.grid = grid
         self.theta = theta
-        self.provider = provider
+        self.coefficients = coefficients
+        self.time_dependent = time_dependent
         self.dtype = float
         self.solver = _StepSolver()
         self._held = None  # (level key, B, C)
@@ -451,9 +417,9 @@ class _Stepper:
         return values
 
     def system(self, k: int):
-        key = k if self.provider.time_dependent else 0
+        key = k if self.time_dependent else 0
         if self._held is None or self._held[0] != key:
-            b, f, lam = self.provider.at(self.t_eval(k))
+            b, f, lam = self.coefficients(self.t_eval(k))
             lam = self._admit(lam)
             A = _assemble_from_arrays(self.grid, b, f, lam, self.dtype)
             self._held = (key,) + _step_matrices(A, self.grid.dt, self.theta)
@@ -513,7 +479,8 @@ def solve_backward(problem: BackwardProblem, grid: Grid,
     ``_StepSolver``).  Complex arithmetic switches on
     automatically when the rate or the data have imaginary parts.
     """
-    stepper = _Stepper(grid, theta, _FieldCoefficients(problem, grid))
+    stepper = _Stepper(grid, theta, lambda t: problem.coefficients(grid, t),
+                       problem.operator_time_dependent)
     levels = {}     # the source levels' norms, kept for apriori_ratio
 
     def phi_at(k):
@@ -542,7 +509,8 @@ def solve_forward_adjoint(rho, problem: BackwardProblem, grid: Grid,
         raise ValueError("density shape does not match the grid")
     if np.min(rho_arr.real) < -1e-12:
         warnings.warn("initial density has negative parts", RuntimeWarning)
-    stepper = _Stepper(grid, theta, _FieldCoefficients(problem, grid))
+    stepper = _Stepper(grid, theta, lambda t: problem.coefficients(grid, t),
+                       problem.operator_time_dependent)
     p = stepper.run_forward_adjoint(rho_arr)
     return DiscreteSolution(GridFunction(grid, p), {"theta": theta})
 
@@ -557,35 +525,45 @@ class _Splitting:
     each step's ``t_eval`` exactly as the direct theta scheme freezes
     ``A``.
 
-    ``R`` is assembled by the same routine as ``A`` from the coefficient
-    differences: once for a static operator, one level at a time for a
-    time-dependent one.  One stepper serves every march of a solve or an
-    R-norm estimate, so a static operator's smooth step matrix is
-    factorized once.
+    The bump-smoothed coefficients (three kernel taps per radius along
+    each axis) are computed once per level, or once for a static field.
+    ``R``, assembled like ``A`` from the coefficient differences, is held
+    for the current level as a step system is.  One stepper serves every
+    march of a solve or an R-norm estimate, so a static operator's smooth
+    step matrix is factorized once.
     """
 
     def __init__(self, problem: BackwardProblem, grid: Grid,
                  decomp: Decomposition, eps: float, theta: float):
+        self.problem = problem
         self.grid = grid
         self.theta = theta
-        self.smooth = _MollifiedCoefficients(decomp, grid, eps)
-        self.stepper = _Stepper(grid, theta, self.smooth)
-        self.rough = _FieldCoefficients(problem, grid)
-        self.time_dependent = (self.rough.time_dependent
-                               or self.smooth.time_dependent)
-        self._static = None
+        self._smooth_at = functools.partial(
+            _smooth_parts, decomp.b_bar, decomp.field, grid.nodes(),
+            float(eps), [float(eps) / 3.0] * grid.n)
+        self._smoothed = {}  # level key -> smoothed (b, f, lambda)
+        self.stepper = _Stepper(grid, theta, self.smooth,
+                                decomp.field.time_dependent)
+        self.time_dependent = (problem.operator_time_dependent
+                               or decomp.field.time_dependent)
+        self._held = None  # (level key, R)
+
+    def smooth(self, t: float):
+        key = round(float(t), 12) if self.stepper.time_dependent else 0.0
+        if key not in self._smoothed:
+            self._smoothed[key] = self._smooth_at(t)
+        return self._smoothed[key]
 
     def remainder(self, k: int) -> sparse.csr_matrix:
-        if self._static is not None:
-            return self._static
-        t = self.stepper.t_eval(k)
-        b, f, lam = self.rough.at(t)
-        b_s, f_s, lam_s = self.smooth.at(t)
-        dl = _real_if_possible(lam - lam_s)
-        R = _assemble_from_arrays(self.grid, b - b_s, f - f_s, dl, dl.dtype)
-        if not self.time_dependent:
-            self._static = R
-        return R
+        key = k if self.time_dependent else 0
+        if self._held is None or self._held[0] != key:
+            t = self.stepper.t_eval(k)
+            b, f, lam = self.problem.coefficients(self.grid, t)
+            b_s, f_s, lam_s = self.smooth(t)
+            dl = _real_if_possible(lam - lam_s)
+            self._held = (key, _assemble_from_arrays(
+                self.grid, b - b_s, f - f_s, dl, dl.dtype))
+        return self._held[1]
 
     def march(self, d: np.ndarray) -> np.ndarray:
         """One smooth march from zero terminal data driven by
@@ -617,9 +595,8 @@ def _default_weights(decomp: Decomposition, grid: Grid) -> NormWeights:
 
 def fixed_point_solve(problem: BackwardProblem, grid: Grid,
                       decomp: Decomposition, eps: float | None = None,
-                      K="auto", theta: float = 1.0,
-                      weights: NormWeights | None = None,
-                      tol: float = 1e-8, max_iter: int = 200,
+                      K="auto", theta: float = 1.0, tol: float = 1e-8,
+                      max_iter: int = 200,
                       direct: DiscreteSolution | None = None):
     """Solve by the contraction construction with smoothed coefficients.
 
@@ -640,14 +617,13 @@ def fixed_point_solve(problem: BackwardProblem, grid: Grid,
     """
     if eps is None:
         eps = 2.0 * float(np.max(grid.h))
-    if weights is None:
-        weights = _default_weights(decomp, grid)
+    weights = _default_weights(decomp, grid)
     split = _Splitting(problem, grid, decomp, eps, theta)
     samples = SampleSet(grid.nodes(), grid.times()[:: max(1, grid.nt // 3)])
     _warn_if_condition_fails(decomp, samples)
     if K == "auto":     # delta is memoized on the samples
         delta = ellipticity_delta(decomp, samples)
-        lam0 = np.abs(problem.eval_lambda_nodes(grid, 0.0)).max()
+        lam0 = np.abs(problem.coefficients(grid, 0.0)[2]).max()
         f0 = np.sqrt((problem.field.eval_f(samples.points, 0.0)
                       ** 2).sum(axis=1)).max()
         K = lam0 + f0 ** 2 / delta + 1.0
@@ -719,8 +695,8 @@ def _warn_if_condition_fails(decomp: Decomposition, samples: SampleSet):
 
 def estimate_R_norm(problem: BackwardProblem, grid: Grid,
                     decomp: Decomposition, eps: float, K: float,
-                    trials: int = 8, seed: int = 0, theta: float = 1.0,
-                    weights: NormWeights | None = None) -> float:
+                    trials: int = 8, seed: int = 0,
+                    theta: float = 1.0) -> float:
     """Empirical norm of one fixed-point sweep in the weighted norm.
 
     ``K`` weights the norm, not the operator: the norm of a space-time
@@ -732,8 +708,7 @@ def estimate_R_norm(problem: BackwardProblem, grid: Grid,
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if weights is None:
-        weights = _default_weights(decomp, grid)
+    weights = _default_weights(decomp, grid)
     split = _Splitting(problem, grid, decomp, eps, theta)
     weight = _norm_weight(grid, float(K))
     rng = np.random.default_rng(seed)

@@ -12,8 +12,7 @@ from cordeslab.fields import (Box, builtin_problem, builtin_solve_data,
 from cordeslab.grid import GridFunction, build_grid, pair
 from cordeslab.solver import (BackwardProblem, apriori_ratio, estimate_R_norm,
                               fixed_point_solve, solve_backward,
-                              solve_forward_adjoint, _FieldCoefficients,
-                              _Stepper)
+                              solve_forward_adjoint, _Stepper)
 from cordeslab.stochastic import (SDE, HatSampler, PointSampler,
                                   TruncatedGaussianSampler,
                                   characteristic_functional, density_compare,
@@ -149,7 +148,8 @@ def test_criterion_05_discrete_duality():
         prob = BackwardProblem(f, phi=phi, Phi=Phi)
         sol = solve_backward(prob, g, theta)
         adj = solve_forward_adjoint(rho, prob, g, theta)
-        stepper = _Stepper(g, theta, _FieldCoefficients(prob, g))
+        stepper = _Stepper(g, theta, lambda t: prob.coefficients(g, t),
+                           prob.operator_time_dependent)
         lhs = dot_h(sol.v.values[0], rho, g)
         rhs = dot_h(Phi, adj.v.values[g.nt], g)
         for k in range(g.nt):

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -471,6 +472,65 @@ def test_bad_table_row_exit_1(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert err.startswith("error: table ") and err.count("\n") == 1
     assert "cells.csv line 3:" in err
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("line", ["mc.M = 2.7", "grid.m = 31.7",
+                                  "grid.nt = abc", "scheme.theta = abc"])
+def test_bad_numeric_value_exit_1(tmp_path, capsys, line):
+    key, _, value = line.partition(" = ")
+    text = (f"problem.builtin = manufactured_1d\n{line}\n"
+            f"out.dir = {tmp_path / 'out'}\n")
+    assert run(tmp_path, "a.cfg", text, "analyze") == 1
+    err = _one_error_line(capsys)
+    assert err.startswith(f"error: {key} = ") and value.split()[0] in err
+
+
+def test_table_cells_need_one_count_per_axis(tmp_path, capsys):
+    (tmp_path / "cells.csv").write_text("0,0,1,0,0,1\n")
+    (tmp_path / "field.cfg").write_text(TABLE_FILE.format(cells="2 2 2"))
+    text = f"problem.file = field.cfg\nout.dir = {tmp_path / 'out'}\n"
+    assert run(tmp_path, "a.cfg", text, "analyze") == 1
+    assert "b.table.cells" in _one_error_line(capsys)
+
+
+ONE_D = "n = 1\nT = 0.5\ndomain.lo = 0\ndomain.hi = 1\n"
+
+
+@pytest.mark.parametrize("problem, text, key", [
+    (ONE_D + 'lamda.re = "5"\n', "problem.file = field.cfg\n", "lamda.re"),
+    (None, ONE_D + 'f[2] = "1"\n', "f[2]"),
+    (None, 'problem.builtin = manufactured_1d\nb[1][1] = "5"\n', "b[1][1]"),
+    (None, "problem.builtin = manufactured_1d\nmc.m = 5\n", "mc.m"),
+])
+def test_unknown_key_exit_1(tmp_path, capsys, problem, text, key):
+    if problem is not None:
+        (tmp_path / "field.cfg").write_text(problem)
+    text += f"out.dir = {tmp_path / 'out'}\n"
+    assert run(tmp_path, "a.cfg", text, "analyze") == 1
+    err = _one_error_line(capsys)
+    where = "field.cfg" if problem is not None else "a.cfg"
+    assert f"{where}: unknown key {key!r}" in err
+
+
+def test_open_namespaces_take_any_key(tmp_path):
+    text = ("problem.builtin = manufactured_1d\nproblem.param.note = 1\n"
+            "mc.sampler.note = 2\n" f"out.dir = {tmp_path / 'out'}\n")
+    assert run(tmp_path, "a.cfg", text, "analyze") in (0, 2)
+
+
+def test_bench_configs_load(tmp_path, monkeypatch):
+    from cordeslab.config import RunConfig
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    import workloads
+    for name in workloads.WORKLOADS:
+        spec = workloads.write_inputs(name, 1, tmp_path / name)
+        RunConfig.load(spec["config"])
 
 
 def test_theta_validation_exit_1(tmp_path):

@@ -10,8 +10,7 @@ from cordeslab.fields import (Box, builtin_problem, builtin_solve_data,
 from cordeslab.grid import NormWeights, build_grid, discrete_norms
 from cordeslab.solver import (BackwardProblem, apriori_ratio, assemble_operator,
                               assemble_step, estimate_R_norm, fixed_point_solve,
-                              solve_backward, solve_forward_adjoint,
-                              _FieldCoefficients, _Stepper)
+                              solve_backward, solve_forward_adjoint, _Stepper)
 
 RNG = np.random.default_rng(1234)
 
@@ -276,7 +275,7 @@ def test_fixed_pattern_assembly_matches_stencil():
                     ["0.1*x2", "1.0 + 0.3*step(x2 - 0.5)"]],
                    f=["0.2*x2", "0"], lam=(0.4, "x1"))
     g = build_grid(f.domain, (5, 4), 4, f.T)
-    b, fv, lam = _FieldCoefficients(BackwardProblem(f), g).at(0.1)
+    b, fv, lam = BackwardProblem(f).coefficients(g, 0.1)
     A = solver._assemble_from_arrays(g, b, fv, lam, complex)
     # the stencil, node by node
     h = g.h
@@ -372,7 +371,8 @@ def test_discrete_duality_random_problems(lam, theta):
     prob = BackwardProblem(f, phi=phi, Phi=Phi)
     sol = solve_backward(prob, g, theta)
     adj = solve_forward_adjoint(rho, prob, g, theta)
-    stepper = _Stepper(g, theta, _FieldCoefficients(prob, g))
+    stepper = _Stepper(g, theta, lambda t: prob.coefficients(g, t),
+                       prob.operator_time_dependent)
     lhs = dot_h(sol.v.values[0], rho, g)
     rhs = dot_h(Phi, adj.v.values[g.nt], g)
     for k in range(g.nt):
@@ -413,7 +413,8 @@ def test_duality_on_random_fields_with_a_complex_moving_rate(n, theta, seed):
         lambda_override=lambda x, t: c + 1j * w * np.arctan(x[:, 0] + t))
     sol = solve_backward(prob, g, theta)
     adj = solve_forward_adjoint(rho, prob, g, theta)
-    stepper = _Stepper(g, theta, _FieldCoefficients(prob, g))
+    stepper = _Stepper(g, theta, lambda t: prob.coefficients(g, t),
+                       prob.operator_time_dependent)
     lhs = dot_h(sol.v.values[0], rho, g)
     rhs = dot_h(Phi, adj.v.values[g.nt], g)
     for k in range(g.nt):
@@ -528,6 +529,65 @@ def test_static_fixed_point_factorizes_once(monkeypatch):
         _, trace = fixed_point_solve(prob, g, d, direct=direct, max_iter=20)
     assert not trace.converged and trace.contraction_est > 1.0
     assert len(lus) == 1
+
+
+@pytest.mark.parametrize("case, theta", [(rough_timedep_2d, 1.0),
+                                         (rough_timedep_2d, 0.5),
+                                         (paper_benchmark, 1.0)])
+def test_fixed_point_smooths_each_level_once(monkeypatch, case, theta):
+    # however many sweeps run, the smoothed coefficients are computed once
+    # per level of a moving field and once for a static one
+    prob, g, d = case()
+    direct = solve_backward(prob, g, theta)
+    times = []
+    smooth = solver._smooth_parts
+    monkeypatch.setattr(solver, "_smooth_parts",
+                        lambda *a: times.append(a[-1]) or smooth(*a))
+    _, trace = fixed_point_solve(prob, g, d, theta=theta, direct=direct)
+    assert trace.converged and len(trace.increments) > 2
+    assert len(times) == (g.nt if prob.field.time_dependent else 1)
+
+
+@pytest.mark.parametrize("case", [rough_timedep_2d, paper_benchmark])
+def test_fixed_point_reads_the_rough_coefficients_once_per_level_and_sweep(
+        monkeypatch, case):
+    prob, g, d = case()
+    direct = solve_backward(prob, g)
+    times = []
+    coefficients = BackwardProblem.coefficients
+    monkeypatch.setattr(BackwardProblem, "coefficients",
+                        lambda self, grid, t: times.append(t)
+                        or coefficients(self, grid, t))
+    _, trace = fixed_point_solve(prob, g, d, direct=direct)
+    sweeps = len(trace.increments) - 1
+    # K = auto reads them at t = 0; the remainder of a moving operator
+    # reads each level once per sweep, a static one once in all
+    assert times[0] == 0.0
+    assert len(times) == 1 + (sweeps * g.nt if prob.operator_time_dependent
+                              else 1)
+
+
+def test_coefficients_take_the_rate_override():
+    f = make_field(2, 0.5, Box((0, 0), (1, 1)),
+                   [["1 + x1*t", 0.1], [0.1, "1"]], f=["x2", "0"], lam=0.4)
+    g = build_grid(f.domain, (5, 4), 4, f.T)
+    nodes, t = g.nodes(), 0.3
+    block = RNG.standard_normal((g.nt + 1,) + g.shape)
+    level = block[g.level(t)].ravel()
+    cases = [
+        (lambda x, s: 0.2 + 1j * np.sin(x[:, 0] + s),
+         0.2 + 1j * np.sin(nodes[:, 0] + t)),
+        (lambda x, s: np.full(len(x), 0.7), np.full(g.size, 0.7)),
+        (block, level),
+        ((block, 2.0 * block), level + 2j * level),
+        (None, f.eval_lambda(nodes, t)),
+    ]
+    for spec, expect in cases:
+        b, fv, lam = BackwardProblem(f, lambda_override=spec).coefficients(g, t)
+        assert np.array_equal(b, f.eval_b(nodes, t))
+        assert np.array_equal(fv, f.eval_f(nodes, t))
+        assert lam.dtype == complex and lam.shape == (g.size,)
+        assert np.array_equal(lam, expect)
 
 
 @pytest.mark.filterwarnings("ignore:fixed-point iteration did not converge")
