@@ -89,25 +89,32 @@ class _Keys(dict):
 
 
 def _numbers(kv: dict, key: str, default=None, integer=False,
-             count=None) -> list:
+             count=None, least=None) -> list:
     """``kv[key]`` (``default`` when absent, else ``KeyError``) as a list
-    of floats, or of ints when ``integer``; ``count`` fixes its length."""
+    of floats, or of ints when ``integer``; ``count`` fixes its length
+    (an int, or a tuple of the lengths allowed), ``least`` bounds every
+    entry from below."""
     value = kv[key] if default is None else kv.get(key, default)
     vals = value if isinstance(value, list) else [value]
+    counts = tuple(dict.fromkeys(count if isinstance(count, tuple)
+                                 else (count,)))
     try:
         nums = [float(v) for v in vals]
     except (TypeError, ValueError):
         nums = None
-    if (nums is None or count not in (None, len(nums))
-            or integer and not all(x.is_integer() for x in nums)):
+    if (nums is None or None not in counts and len(nums) not in counts
+            or integer and not all(x.is_integer() for x in nums)
+            or least is not None and min(nums) < least):
         what = "integer" if integer else "number"
-        raise ConfigError(f"{key} = {value!r}: expected {count or 'only'} "
-                          f"{what}" + "s" * (count != 1))
+        many = " or ".join(str(c) for c in counts) if count else "only"
+        raise ConfigError(f"{key} = {value!r}: expected {many} {what}"
+                          + "s" * (counts != (1,))
+                          + ("" if least is None else f" >= {least}"))
     return [int(x) for x in nums] if integer else nums
 
 
-def _number(kv: dict, key: str, default=None, integer=False):
-    return _numbers(kv, key, default, integer, count=1)[0]
+def _number(kv: dict, key: str, default=None, integer=False, least=None):
+    return _numbers(kv, key, default, integer, count=1, least=least)[0]
 
 
 def _load_table(path: Path, n: int, box: Box, cells) -> list:
@@ -161,7 +168,7 @@ def load_problem_mapping(kv: dict, base_dir: Path) -> CoefficientField:
 
     if "b.table.file" in kv:
         cells = _numbers(kv, "b.table.cells", [1] * n, integer=True,
-                         count=n)
+                         count=n, least=1)
         b = _load_table(base_dir / str(kv["b.table.file"]), n, table_box, cells)
     else:
         b = [[kv.get(f"b[{i + 1}][{j + 1}]", 1.0 if i == j else 0.0)
@@ -252,10 +259,11 @@ class RunConfig:
         if solve_data is not None:
             cfg.phi, cfg.Phi, cfg.exact = solve_data
 
-        if "grid.m" in kv:
-            cfg.grid_m = tuple(_numbers(kv, "grid.m", integer=True))
+        if "grid.m" in kv:   # one count serves every axis
+            cfg.grid_m = tuple(_numbers(kv, "grid.m", integer=True,
+                                        count=(1, field.n), least=3))
         if "grid.nt" in kv:
-            cfg.grid_nt = _number(kv, "grid.nt", integer=True)
+            cfg.grid_nt = _number(kv, "grid.nt", integer=True, least=1)
         cfg.theta = _number(kv, "scheme.theta", 1.0)
         if not 0.5 <= cfg.theta <= 1.0:
             raise ConfigError(f"scheme.theta={cfg.theta} outside [0.5, 1]")
@@ -274,9 +282,9 @@ class RunConfig:
             if any(not 0.0 < g < 2.0 for g in cfg.gamma):
                 raise ConfigError("conditions.gamma entries must lie in (0, 2)")
         cfg.samples_space = _number(kv, "conditions.samples.space", 9,
-                                    integer=True)
+                                    integer=True, least=2)
         cfg.samples_time = _number(kv, "conditions.samples.time", 3,
-                                   integer=True)
+                                   integer=True, least=1)
 
         if "solve.phi" in kv or "solve.phi_im" in kv:
             cfg.phi = ExprField(str(kv.get("solve.phi", "0")))
@@ -291,9 +299,7 @@ class RunConfig:
         if kv.get("solve.proof_mirror.K", "auto") != "auto":
             cfg.proof_K = _number(kv, "solve.proof_mirror.K")
 
-        cfg.mc_M = _number(kv, "mc.M", 10000, integer=True)
-        if cfg.mc_M < 1:
-            raise ConfigError("mc.M must be at least 1")
+        cfg.mc_M = _number(kv, "mc.M", 10000, integer=True, least=1)
         cfg.mc_dt = _number(kv, "mc.dt", 1e-3)
         if cfg.mc_dt <= 0:
             raise ConfigError("mc.dt must be positive")

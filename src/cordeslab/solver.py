@@ -24,8 +24,13 @@ which the increments are measured, not the operator.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import os
+import threading
 import warnings
+from collections import deque
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -51,6 +56,15 @@ MAX_KT = 200.0      # largest weight exponent K*T; exp(K*T) stays finite
 
 class SolverError(RuntimeError):
     pass
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on: the worker count of the path
+    blocks and of the fixed-point sweeps."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity interface on this platform
+        return os.cpu_count() or 1
 
 
 # ----------------------------------------------------------------------------
@@ -328,13 +342,17 @@ def _check_theta(theta: float):
 class _StepSolver:
     """One factorization per march, reused as a lagged preconditioner.
 
-    The first step matrix it is given is factorized.  A system with that
-    very matrix (a static operator's) is solved directly.  Any other
-    level's system is solved by BiCGStab preconditioned with the lagged
-    LU, started from the previous level and capped at ``LAGGED_MAXITER``
-    iterations; when the cap is hit or the residual check fails, that
-    level's matrix is factorized, solved directly, and becomes the lagged
-    factor.  Every step is deterministic.
+    The first step matrix it is given is factorized.  Every step matrix
+    has the symmetric pattern of the stencil, so the factor takes a
+    minimum-degree order of ``B + B^T`` with diagonal-preferring partial
+    pivots (about 0.6 times the fill of a column order on 3-D grids).  A
+    system with that very matrix (a static operator's) is solved
+    directly.  Any other level's system is solved by BiCGStab
+    preconditioned with the lagged LU, started from the previous level
+    and capped at ``LAGGED_MAXITER`` iterations; when the cap is hit or
+    the residual check fails, that level's matrix is factorized, solved
+    directly, and becomes the lagged factor.  Every step is
+    deterministic.
     """
 
     def __init__(self):
@@ -343,7 +361,8 @@ class _StepSolver:
 
     def _factorize(self, B):
         try:
-            self._lu = splu(B.tocsc())
+            self._lu = splu(B.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                            options={"SymmetricMode": True})
         except RuntimeError as err:
             raise SolverError(
                 f"step system of size {B.shape[0]} is singular "
@@ -434,24 +453,30 @@ class _Stepper:
                 f"coefficients for overflow")
         return level
 
-    def run_backward(self, source, Phi_arr: np.ndarray) -> np.ndarray:
-        """March from ``Phi_arr`` down to level 0; ``source(k)`` is the
-        source of the step onto level ``k``."""
+    def levels(self, source, Phi_arr: np.ndarray):
+        """Yield ``(k, v_k)`` (flat) from ``Phi_arr`` at level ``nt`` down
+        to level 0; ``source(k)`` is the source of the step onto level
+        ``k``."""
         grid = self.grid
-        nt, dt = grid.nt, grid.dt
-        Phi_arr = self._admit(Phi_arr)
-        v = np.zeros((nt + 1,) + grid.shape, dtype=self.dtype)
-        v[nt] = self._finite(Phi_arr, nt)
-        for k in range(nt - 1, -1, -1):
+        prev = self._finite(self._admit(Phi_arr), grid.nt).ravel()
+        yield grid.nt, prev
+        for k in range(grid.nt - 1, -1, -1):
             src = self._admit(source(k))
             B, C = self.system(k)
+            prev = prev.astype(self.dtype, copy=False)
+            rhs = prev if C is None else C @ prev
+            rhs = rhs + grid.dt * src.ravel()
+            prev = self._finite(self.solver.solve(B, rhs, prev), k)
+            yield k, prev
+
+    def run_backward(self, source, Phi_arr: np.ndarray) -> np.ndarray:
+        """The march of ``levels`` as one space-time block."""
+        grid = self.grid
+        v = np.zeros((grid.nt + 1,) + grid.shape)
+        for k, level in self.levels(source, Phi_arr):
             if v.dtype != self.dtype:
                 v = v.astype(self.dtype)
-            prev = v[k + 1].ravel()
-            rhs = prev if C is None else C @ prev
-            rhs = rhs + dt * src.ravel()
-            v[k] = self._finite(self.solver.solve(B, rhs, prev),
-                                k).reshape(grid.shape)
+            v[k] = level.reshape(grid.shape)
         return v
 
     def run_forward_adjoint(self, rho_arr: np.ndarray) -> np.ndarray:
@@ -565,16 +590,110 @@ class _Splitting:
                 self.grid, b - b_s, f - f_s, dl, dl.dtype))
         return self._held[1]
 
-    def march(self, d: np.ndarray) -> np.ndarray:
-        """One smooth march from zero terminal data driven by
-        ``R_k (theta d_k + (1-theta) d_{k+1})``: the next Picard
-        increment after ``d``."""
+    def source(self, d):
+        """The source ``R_k (theta d_k + (1-theta) d_{k+1})`` of the smooth
+        march from zero terminal data that makes the next Picard
+        increment after ``d``; level ``k`` of ``d`` is read as ``d[k]``."""
         shape, theta = self.grid.shape, self.theta
 
-        def source(k):
+        def at(k):
             x = theta * d[k] + (1.0 - theta) * d[k + 1]
             return (self.remainder(k) @ x.ravel()).reshape(shape)
-        return self.stepper.run_backward(source, np.zeros(shape))
+        return at
+
+    def march(self, d: np.ndarray) -> np.ndarray:
+        """The next Picard increment after ``d``."""
+        return self.stepper.run_backward(self.source(d),
+                                         np.zeros(self.grid.shape))
+
+    def freeze(self):
+        """Build a static operator's ``R``, smooth step system and factor
+        in the arithmetic every sweep uses, so that sweeps only read
+        them."""
+        self.stepper._admit(self.remainder(0).data)
+        B, _ = self.stepper.system(0)
+        if B is not self.stepper.solver._B:
+            self.stepper.solver._factorize(B)
+
+
+class _Published:
+    """The block of one pipelined sweep, filled from level ``nt`` down to
+    0 by its worker.  Reading level ``k`` waits until it is filled, and
+    raises ``CancelledError`` once the pipeline halts or the sweep ends
+    without it."""
+
+    def __init__(self, block: np.ndarray, cond: threading.Condition,
+                 halt: threading.Event):
+        self.block, self.cond, self.halt = block, cond, halt
+        self.low = len(block)   # the lowest filled level
+        self.dead = False
+
+    def fill(self, levels):
+        try:
+            for k, level in levels:
+                self.block[k] = level.reshape(self.block.shape[1:])
+                with self.cond:
+                    self.low = k
+                    self.cond.notify_all()
+        finally:
+            with self.cond:
+                self.dead = self.low > 0
+                self.cond.notify_all()
+        return self.block
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        with self.cond:
+            self.cond.wait_for(lambda: self.low <= k or self.dead
+                               or self.halt.is_set())
+            if self.low > k or self.halt.is_set():
+                raise CancelledError
+        return self.block[k]
+
+
+def _increments(split: _Splitting, d: np.ndarray, sweeps: int):
+    """Yield the increments of up to ``sweeps`` sweeps after ``d``, in
+    sweep order.
+
+    A static operator's sweeps share one read-only ``R``, step system and
+    factor, so they run on a pool of up to one worker per usable core:
+    sweep ``i + 1`` follows sweep ``i`` one level behind, since its level
+    ``k`` needs levels ``k`` and ``k + 1`` of sweep ``i`` and every march
+    goes down from ``nt``.  A time-dependent operator's sweeps run one
+    after the other.  Either way the increments are the same bits.
+    Closing the generator cancels and drops the sweeps ahead of the
+    consumer.
+    """
+    if sweeps < 1:
+        return
+    workers = 1
+    if not split.time_dependent:
+        split.freeze()
+        workers = min(_usable_cores(), sweeps)
+    if workers == 1:
+        for _ in range(sweeps):
+            d = split.march(d)
+            yield d
+        return
+    grid = split.grid
+    cond, halt = threading.Condition(), threading.Event()
+    pool = ThreadPoolExecutor(workers)
+    pending = deque()
+    try:
+        for i in range(sweeps):
+            while len(pending) < workers and i + len(pending) < sweeps:
+                out = _Published(np.zeros((grid.nt + 1,) + grid.shape,
+                                          dtype=split.stepper.dtype),
+                                 cond, halt)
+                levels = split.stepper.levels(split.source(d),
+                                              np.zeros(grid.shape))
+                pending.append(pool.submit(out.fill, levels))
+                d = out
+            yield pending.popleft().result()
+    finally:
+        with cond:
+            halt.set()
+            cond.notify_all()
+        pool.shutdown(cancel_futures=True)
 
 
 def _norm_weight(grid: Grid, K: float) -> np.ndarray:
@@ -613,7 +732,9 @@ def fixed_point_solve(problem: BackwardProblem, grid: Grid,
     own verdict (an increment below ``tol`` times the iterate), and a run
     that stops otherwise warns.  On convergence the max-node difference
     from the direct solve is stored in ``trace.agreement``.  ``direct``
-    passes in that direct solve when the caller already has it.
+    passes in that direct solve when the caller already has it.  The
+    sweeps of a static operator run pipelined on the usable cores (see
+    ``_increments``); the results are the bits of one sweep at a time.
     """
     if eps is None:
         eps = 2.0 * float(np.max(grid.h))
@@ -641,18 +762,19 @@ def fixed_point_solve(problem: BackwardProblem, grid: Grid,
     increments = [norm(d)]
     converged = increments[0] == 0.0
     grow = 0
-    for _ in range(1, max_iter):
-        d = split.march(d)
-        v = v + d
-        increments.append(norm(d))
-        # Yhat2 is subadditive: norm(v) <= sum(increments), up to rounding
-        if increments[-1] <= tol * max(sum(increments), 1e-300) * (1 + 1e-12) \
-                and increments[-1] <= tol * max(norm(v), 1e-300):
-            converged = True
-            break
-        grow = grow + 1 if increments[-1] > increments[-2] else 0
-        if grow >= 5:
-            break
+    with contextlib.closing(_increments(split, d, max_iter - 1)) as sweeps:
+        for d in sweeps:
+            v = v + d
+            increments.append(norm(d))
+            # Yhat2 is subadditive: norm(v) <= sum(increments), up to rounding
+            small = tol * max(sum(increments), 1e-300) * (1 + 1e-12)
+            if increments[-1] <= small \
+                    and increments[-1] <= tol * max(norm(v), 1e-300):
+                converged = True
+                break
+            grow = grow + 1 if increments[-1] > increments[-2] else 0
+            if grow >= 5:
+                break
     ratios = [b / a for a, b in zip(increments, increments[1:])
               if a > 1e-14 * max(increments[0], 1e-300)]
     contraction = float(max(ratios)) if ratios else 0.0

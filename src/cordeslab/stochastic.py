@@ -36,7 +36,6 @@ trajectories.  ``record=`` stays a user option, under a memory budget.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
@@ -48,7 +47,8 @@ from .fields import Box, CoefficientField, ConstField
 from .grid import Grid, GridFunction, pair
 from .linalg import symmetric_sqrt
 from .solver import (BackwardProblem, DiscreteSolution, _eval_points,
-                     _real_if_possible, apriori_ratio, solve_backward)
+                     _real_if_possible, _usable_cores, apriori_ratio,
+                     solve_backward)
 
 __all__ = [
     "SDE", "PathEnsemble", "Estimate",
@@ -251,13 +251,6 @@ def _stream(master_seed: int, *spawn_key: int) -> Generator:
     """The noise stream of a group of paths (``spawn_key = (group,)``), or
     with no key the initial law's."""
     return Generator(SFC64(SeedSequence(master_seed, spawn_key=spawn_key)))
-
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # no affinity interface on this platform
-        return os.cpu_count() or 1
 
 
 def _partition(M: int):

@@ -499,6 +499,25 @@ def test_table_cells_need_one_count_per_axis(tmp_path, capsys):
     assert "b.table.cells" in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("cells, line, key", [
+    (None, "conditions.samples.space = 0", "conditions.samples.space"),
+    (None, "grid.m = 15 16\ngrid.nt = 8", "grid.m"),    # a 1-D problem
+    ("2 -1", "", "b.table.cells"),
+    ("0 2", "", "b.table.cells"),
+], ids=["no_space_samples", "two_counts_in_1d", "negative_cells",
+        "zero_cells"])
+def test_unusable_count_exit_1(tmp_path, capsys, cells, line, key):
+    if cells is None:
+        text = f"problem.builtin = manufactured_1d\n{line}\n"
+    else:
+        (tmp_path / "cells.csv").write_text("0,0,1,0,0,1\n")
+        (tmp_path / "field.cfg").write_text(TABLE_FILE.format(cells=cells))
+        text = "problem.file = field.cfg\n"
+    text += f"out.dir = {tmp_path / 'out'}\n"
+    assert run(tmp_path, "a.cfg", text, "analyze") == 1
+    assert _one_error_line(capsys).startswith(f"error: {key} = ")
+
+
 ONE_D = "n = 1\nT = 0.5\ndomain.lo = 0\ndomain.hi = 1\n"
 
 

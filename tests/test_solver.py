@@ -1,3 +1,8 @@
+import json
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -269,6 +274,26 @@ def test_coefficient_jump_refactorizes_and_stays_exact(solve_counts):
     assert worst <= 1e-9
 
 
+def test_step_factor_has_less_fill_than_a_column_order():
+    # the rough static 3-D field of the proof-mirror benchmark at 17^3
+    b12, b13 = "0.1*step(x3)*sign(x2)", "0.05*sin(4*x2)*step(x1)"
+    f = make_field(3, 0.25, Box((-1,) * 3, (1,) * 3),
+                   [["1 + 0.2*sign(x1) + 0.05*sin(3*x3)", b12, b13],
+                    [b12, "1 - 0.15*step(x2 - 0.25)", 0], [b13, 0, 1]],
+                   f=["0.5*sign(x2)", "0.3*sin(2*x1)", "-0.2*step(x3)"],
+                   lam="1 + 0.5*sin(x1*x2) + 0.5*step(x3 - 0.2)")
+    g = build_grid(f.domain, 17, 48, f.T)
+    prob = BackwardProblem(f)
+    B, _ = _Stepper(g, 1.0, lambda t: prob.coefficients(g, t),
+                    False).system(0)
+    step_solver = solver._StepSolver()
+    rhs = np.sin(np.pi * g.nodes()[:, 0]) + g.nodes()[:, 2]
+    x = step_solver.solve(B, rhs, rhs)
+    assert np.linalg.norm(B @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+    lu, colamd = step_solver._lu, splu(B.tocsc(), permc_spec="COLAMD")
+    assert lu.L.nnz + lu.U.nnz <= 0.7 * (colamd.L.nnz + colamd.U.nnz)
+
+
 def test_fixed_pattern_assembly_matches_stencil():
     f = make_field(2, 0.5, Box((0, 0), (1, 1)),
                    [["1.2 + 0.2*sin(3.0*x1)", "0.1*x2"],
@@ -529,6 +554,80 @@ def test_static_fixed_point_factorizes_once(monkeypatch):
         _, trace = fixed_point_solve(prob, g, d, direct=direct, max_iter=20)
     assert not trace.converged and trace.contraction_est > 1.0
     assert len(lus) == 1
+
+
+def _pools(monkeypatch, cores):
+    """Run the sweeps with ``cores`` usable cores; the list returned
+    collects the worker count of every pool the sweeps start."""
+    pools = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+    monkeypatch.setattr(solver, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(solver, "_usable_cores", lambda: cores)
+    return pools
+
+
+@pytest.mark.filterwarnings("ignore:fixed-point iteration did not converge")
+@pytest.mark.parametrize("case, theta, max_iter", [
+    (paper_benchmark, 1.0, 200), (paper_benchmark, 0.5, 200),
+    (jump_1d, 1.0, 20), (paper_benchmark, 1.0, 1),
+    (paper_benchmark, 1.0, 2)])
+def test_pipelined_sweeps_give_the_bits_of_one_worker(monkeypatch, case,
+                                                      theta, max_iter):
+    prob, g, d = case()
+    direct = solve_backward(prob, g, theta)
+    bits, pools = [], []
+    for cores in (1, 2):
+        pools.append(_pools(monkeypatch, cores))
+        sol, trace = fixed_point_solve(prob, g, d, theta=theta,
+                                       max_iter=max_iter, direct=direct)
+        bits.append((sol.v.values.dtype, sol.v.values.tobytes(),
+                     json.dumps(trace.as_dict())))
+    assert bits[0] == bits[1]
+    assert pools == [[], [2] if max_iter > 2 else []]
+    if case is jump_1d:     # stopped by five growing sweeps
+        assert len(trace.increments) == 7
+
+
+def test_pipelined_sweeps_hold_under_thread_switches(monkeypatch):
+    # more workers than cores, and the interpreter switching threads
+    # every microsecond: a level read before its sweep filled it, or a
+    # sweep dropped out of order, changes the bits
+    prob, g, d = paper_benchmark()
+    direct = solve_backward(prob, g, 0.5)
+    _pools(monkeypatch, 1)
+    one, _ = fixed_point_solve(prob, g, d, theta=0.5, direct=direct)
+    pools = _pools(monkeypatch, 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many, _ = fixed_point_solve(prob, g, d, theta=0.5, direct=direct)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pools == [4]
+    assert many.v.values.tobytes() == one.v.values.tobytes()
+
+
+def test_non_finite_level_of_a_pipelined_sweep_names_it(monkeypatch):
+    # level 5 of the third sweep turns NaN on a worker thread
+    prob, g, d = jump_1d()
+    pools = _pools(monkeypatch, 2)
+    remainder = solver._Splitting.remainder
+    reads = []
+
+    def poisoned(self, k):
+        R = remainder(self, k)
+        if k != 5:
+            return R
+        reads.append(threading.current_thread() is threading.main_thread())
+        return R * np.nan if len(reads) == 3 else R
+    monkeypatch.setattr(solver._Splitting, "remainder", poisoned)
+    with pytest.raises(solver.SolverError, match="time level 5 "):
+        fixed_point_solve(prob, g, d, max_iter=20)
+    assert pools == [2] and reads[2] is False
 
 
 @pytest.mark.parametrize("case, theta", [(rough_timedep_2d, 1.0),
