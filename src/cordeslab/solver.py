@@ -52,6 +52,7 @@ __all__ = [
 LIN_RTOL = 1e-10
 LAGGED_MAXITER = 8  # BiCGStab iterations before a level is refactorized
 MAX_KT = 200.0      # largest weight exponent K*T; exp(K*T) stays finite
+SWEEP_WORKERS = 2   # pipelined sweeps in flight: one sweep runs ahead
 
 
 class SolverError(RuntimeError):
@@ -359,7 +360,10 @@ class _StepSolver:
         self._B = None
         self._lu = None
 
-    def _factorize(self, B):
+    def hold(self, B):
+        """Factorize ``B`` unless it is the held matrix already."""
+        if B is self._B:
+            return
         try:
             self._lu = splu(B.tocsc(), permc_spec="MMD_AT_PLUS_A",
                             options={"SymmetricMode": True})
@@ -392,11 +396,11 @@ class _StepSolver:
         if adjoint:
             trans = "H" if np.iscomplexobj(B.data) else "T"
         rhs = np.asarray(rhs, dtype=B.dtype)
-        if B is not self._B:
-            x = None if self._lu is None else self._lagged(B, rhs, x0, trans)
+        if B is not self._B and self._lu is not None:
+            x = self._lagged(B, rhs, x0, trans)
             if x is not None:
                 return x
-            self._factorize(B)
+        self.hold(B)
         return self._lu.solve(rhs, trans=trans)
 
 
@@ -611,9 +615,7 @@ class _Splitting:
         in the arithmetic every sweep uses, so that sweeps only read
         them."""
         self.stepper._admit(self.remainder(0).data)
-        B, _ = self.stepper.system(0)
-        if B is not self.stepper.solver._B:
-            self.stepper.solver._factorize(B)
+        self.stepper.solver.hold(self.stepper.system(0)[0])
 
 
 class _Published:
@@ -655,10 +657,12 @@ def _increments(split: _Splitting, d: np.ndarray, sweeps: int):
     sweep order.
 
     A static operator's sweeps share one read-only ``R``, step system and
-    factor, so they run on a pool of up to one worker per usable core:
-    sweep ``i + 1`` follows sweep ``i`` one level behind, since its level
-    ``k`` needs levels ``k`` and ``k + 1`` of sweep ``i`` and every march
-    goes down from ``nt``.  A time-dependent operator's sweeps run one
+    factor, so they run on a pool of up to ``SWEEP_WORKERS`` usable
+    cores: sweep ``i + 1`` follows sweep ``i`` one level behind, since its
+    level ``k`` needs levels ``k`` and ``k + 1`` of sweep ``i`` and every
+    march goes down from ``nt``.  Each sweep in flight holds a full
+    space-time block, and the ones past the stop are computed and
+    dropped, so the look-ahead stays at the one sweep that was measured.  A time-dependent operator's sweeps run one
     after the other.  Either way the increments are the same bits.
     Closing the generator cancels and drops the sweeps ahead of the
     consumer.
@@ -668,7 +672,7 @@ def _increments(split: _Splitting, d: np.ndarray, sweeps: int):
     workers = 1
     if not split.time_dependent:
         split.freeze()
-        workers = min(_usable_cores(), sweeps)
+        workers = min(SWEEP_WORKERS, _usable_cores(), sweeps)
     if workers == 1:
         for _ in range(sweeps):
             d = split.march(d)
@@ -733,7 +737,7 @@ def fixed_point_solve(problem: BackwardProblem, grid: Grid,
     that stops otherwise warns.  On convergence the max-node difference
     from the direct solve is stored in ``trace.agreement``.  ``direct``
     passes in that direct solve when the caller already has it.  The
-    sweeps of a static operator run pipelined on the usable cores (see
+    sweeps of a static operator run pipelined, one sweep ahead (see
     ``_increments``); the results are the bits of one sweep at a time.
     """
     if eps is None:
