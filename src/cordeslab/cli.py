@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -44,21 +43,14 @@ def _base_payload(cfg: RunConfig) -> dict:
             "problem": cfg.field.describe()}
 
 
-def _cells(values, spec: str = "{:.12g}") -> list:
-    """``values`` formatted one by one with ``spec``, exactly as an
-    f-string formats each of them."""
-    return list(map(spec.format, np.asarray(values).ravel().tolist()))
-
-
-def _node_cells(nodes: np.ndarray) -> list:
-    """The coordinate cells ``x1,..,xn`` of every node, joined per node."""
-    return [",".join(row) for row in zip(*(_cells(col) for col in nodes.T))]
-
-
-def _csv_rows(*columns) -> str:
-    """Rows of formatted cells, as ``csv.writer`` writes them (no cell
-    here needs quoting)."""
-    return "".join(",".join(row) + "\r\n" for row in zip(*columns))
+def _row_template(nodes: np.ndarray, cells: str, lead: str = "") -> str:
+    """One printf template for a block of CSV rows, one row per node:
+    ``lead``, the node's coordinates ``x1,..,xn`` formatted as
+    ``{:.12g}``, then ``cells``, ended by ``\\r\\n`` as ``csv.writer``
+    ends them (no cell here needs quoting).  ``%.12g`` and ``%.3e`` give
+    the same strings as the f-string specs of the same name."""
+    coords = zip(*(map("{:.12g}".format, col.tolist()) for col in nodes.T))
+    return "".join(f"{lead}{','.join(c)},{cells}\r\n" for c in coords)
 
 
 def _dump_solution_csv(path: Path, gf: GridFunction):
@@ -71,14 +63,18 @@ def _dump_solution_csv(path: Path, gf: GridFunction):
                          f"complex={int(is_complex)}"])
         writer.writerow(["t"] + [f"x{i + 1}" for i in range(grid.n)]
                         + ["re", "im"])
-        nodes = _node_cells(grid.nodes())
+        # "\0" stands for the time cell of each row
+        rows = _row_template(grid.nodes(),
+                             "%.12g,%.12g" if is_complex else "%.12g,0",
+                             lead="\0,")
         block = gf.values if gf.is_spacetime else gf.values[None]
         times = grid.times() if gf.is_spacetime else [0.0]
         for k, t in enumerate(times):
             flat = block[k].ravel()
-            im = _cells(flat.imag) if is_complex else itertools.repeat("0")
-            handle.write(_csv_rows(itertools.repeat(f"{t:.12g}"), nodes,
-                                   _cells(flat.real), im))
+            if is_complex:
+                flat = np.column_stack((flat.real, flat.imag))
+            handle.write(rows.replace("\0", f"{t:.12g}")
+                         % tuple(flat.ravel().tolist()))
 
 
 # ----------------------------------------------------------------------------
@@ -156,8 +152,9 @@ def _error_table(cfg: RunConfig, grid, solution) -> float:
         err = np.abs(num - exact)
         max_err = max(max_err, float(err.max()))
         if k == 0:
-            rows = _csv_rows(_node_cells(nodes), _cells(num.real),
-                             _cells(exact), _cells(err, "{:.3e}"))
+            rows = (_row_template(nodes, "%.12g,%.12g,%.3e")
+                    % tuple(np.column_stack((num.real, exact, err))
+                            .ravel().tolist()))
     out = cfg.out_dir / "error_table.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="") as handle:

@@ -16,6 +16,9 @@ from their textual form alone:
 
 from __future__ import annotations
 
+import functools
+import operator
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +73,15 @@ class Expr:
 
     _prec = _ATOM
 
+    @functools.cached_property
+    def program(self) -> "Program":
+        """This tree compiled once into its distinct subtrees."""
+        return Program.compile(self)
+
     def evaluate(self, env: dict):
-        raise NotImplementedError
+        """The value at ``env``, a map from variable names to scalars or
+        arrays of one length."""
+        return self.program.run(env)[0]
 
     def variables(self) -> set:
         return set()
@@ -101,9 +111,6 @@ class Num(Expr):
     value: float
     _prec = _ATOM
 
-    def evaluate(self, env):
-        return self.value
-
     def _fmt(self):
         return repr(self.value)
 
@@ -112,14 +119,6 @@ class Num(Expr):
 class Var(Expr):
     name: str
     _prec = _ATOM
-
-    def evaluate(self, env):
-        try:
-            return env[self.name]
-        except KeyError:
-            raise ExprEvalError(
-                f"variable {self.name!r} is not defined in this evaluation "
-                f"context (dimension too small?)") from None
 
     def variables(self):
         return {self.name}
@@ -132,9 +131,6 @@ class Var(Expr):
 class Neg(Expr):
     arg: Expr
     _prec = _UNARY
-
-    def evaluate(self, env):
-        return -self.arg.evaluate(env)
 
     def variables(self):
         return self.arg.variables()
@@ -153,26 +149,6 @@ class Bin(Expr):
     def _prec(self):  # type: ignore[override]
         return {"+": _SUM, "-": _SUM, "*": _TERM, "/": _TERM, "^": _POW}[self.op]
 
-    def evaluate(self, env):
-        a = self.lhs.evaluate(env)
-        b = self.rhs.evaluate(env)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            if np.any(b == 0):
-                raise ExprEvalError("division by zero")
-            return a / b
-        # power: guard domain faults such as 0^-1 and (-2)^0.5
-        with np.errstate(all="ignore"):
-            r = np.power(np.asarray(a, dtype=float), b)
-        if not np.all(np.isfinite(r)):
-            raise ExprEvalError("power evaluation left the real domain")
-        return r
-
     def variables(self):
         return self.lhs.variables() | self.rhs.variables()
 
@@ -190,9 +166,6 @@ class Call(Expr):
     args: tuple
     _prec = _ATOM
 
-    def evaluate(self, env):
-        return FUNCTIONS[self.fn][2](*[a.evaluate(env) for a in self.args])
-
     def variables(self):
         out: set = set()
         for a in self.args:
@@ -201,6 +174,118 @@ class Call(Expr):
 
     def _fmt(self):
         return f"{self.fn}({', '.join(a._fmt() for a in self.args)})"
+
+
+# ----------------------------------------------------------------------------
+# evaluation
+
+
+def _divide(a, b):
+    if np.any(b == 0):
+        raise ExprEvalError("division by zero")
+    return a / b
+
+
+def _power(a, b):
+    # guard domain faults such as 0^-1 and (-2)^0.5
+    with np.errstate(all="ignore"):
+        r = np.power(np.asarray(a, dtype=float), b)
+    if not np.all(np.isfinite(r)):
+        raise ExprEvalError("power evaluation left the real domain")
+    return r
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": _divide, "^": _power}
+
+
+def _apply(op, data, args, vals, env):
+    """One program entry, its operands read from ``vals`` by slot."""
+    if op == "num":
+        return data
+    if op == "var":
+        try:
+            return env[data]
+        except KeyError:
+            raise ExprEvalError(
+                f"variable {data!r} is not defined in this evaluation "
+                f"context (dimension too small?)") from None
+    operands = [vals[i] for i in args]
+    if op == "call":
+        return FUNCTIONS[data][2](*operands)
+    if op == "neg":
+        return -operands[0]
+    return _BINARY[op](*operands)
+
+
+@dataclass(frozen=True)
+class Program:
+    """The distinct subtrees of one tree in post-order, the root last.
+
+    Entry ``(op, data, args)`` is a literal (``op = "num"``, ``data`` its
+    value), a variable (``"var"``, its name), a negation (``"neg"``), a
+    binary operator (``op`` its symbol) or a call (``"call"``, the
+    function name); ``args`` are the slots of its operands.  Subtrees of
+    equal structure share one slot (literals are compared by their bits),
+    so a run evaluates each once, in the order a tree walk first reaches
+    it; the first fault a run meets is the one the walk would meet.
+    """
+
+    ops: tuple
+    timed: tuple      # slots of the entries that read t
+    frontier: tuple   # time-free slots read by timed entries; the root
+                      # alone when the whole tree is time-free
+
+    @classmethod
+    def compile(cls, tree: Expr) -> "Program":
+        slots: dict = {}
+        ops: list = []
+        reads_t: list = []
+
+        def visit(node) -> int:
+            if isinstance(node, Num):
+                key = ("num", struct.pack("<d", node.value))
+                entry, timed = ("num", node.value, ()), False
+            elif isinstance(node, Var):
+                key = entry = ("var", node.name, ())
+                timed = node.name == "t"
+            else:
+                if isinstance(node, Neg):
+                    op, data, children = "neg", None, (node.arg,)
+                elif isinstance(node, Bin):
+                    op, data, children = node.op, None, (node.lhs, node.rhs)
+                else:
+                    op, data, children = "call", node.fn, node.args
+                args = tuple(visit(c) for c in children)
+                key = entry = (op, data, args)
+                timed = any(reads_t[a] for a in args)
+            if key not in slots:
+                slots[key] = len(ops)
+                ops.append(entry)
+                reads_t.append(timed)
+            return slots[key]
+
+        root = visit(tree)
+        timed = tuple(i for i, flag in enumerate(reads_t) if flag)
+        frontier = (tuple(sorted({a for i in timed for a in ops[i][2]
+                                  if not reads_t[a]}))
+                    if reads_t[root] else (root,))
+        return cls(tuple(ops), timed, frontier)
+
+    def run(self, env: dict, held: tuple | None = None) -> tuple:
+        """``(root value, frontier values)`` at ``env``.  Given ``held``,
+        the frontier values of an earlier run at the same points, only the
+        timed entries are evaluated."""
+        vals: list = [None] * len(self.ops)
+        if held is None:
+            todo = range(len(self.ops))
+        else:
+            for slot, value in zip(self.frontier, held):
+                vals[slot] = value
+            todo = self.timed
+        for i in todo:
+            vals[i] = _apply(*self.ops[i], vals, env)
+        return vals[-1], tuple(vals[slot] for slot in self.frontier)
 
 
 # ----------------------------------------------------------------------------

@@ -94,10 +94,18 @@ class ConstField:
 
 
 class ExprField:
+    """An expression entry.  At a read-only points array that owns its
+    data (``Grid.nodes()``), the time-free values that time-dependent
+    subtrees read are held, read-only, for the next level's call at the
+    same array; at any other array every call evaluates afresh."""
+
     def __init__(self, expr):
         self.expr = parse_expression(expr) if isinstance(expr, str) else expr
         if not isinstance(self.expr, Expr):
             raise FieldConstructionError("expected an expression or text")
+        # (points, frontier values), replaced whole so concurrent callers
+        # always see a matching pair
+        self._hold = (None, None)
 
     @property
     def time_dependent(self) -> bool:
@@ -110,9 +118,17 @@ class ExprField:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         env = {f"x{i + 1}": x[:, i] for i in range(x.shape[1])}
         env["t"] = np.broadcast_to(np.asarray(t, dtype=float), (x.shape[0],))
+        points, held = self._hold
+        if points is not x:
+            held = None
         # overflow ends at the non-finite guards, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            value = self.expr.evaluate(env)
+            value, frontier = self.expr.program.run(env, held)
+        if held is None and not x.flags.writeable and x.flags.owndata:
+            for v in frontier:
+                if isinstance(v, np.ndarray):
+                    v.setflags(write=False)
+            self._hold = (x, frontier)
         return np.broadcast_to(np.asarray(value, dtype=float),
                                (x.shape[0],)).copy()
 

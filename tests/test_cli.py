@@ -160,6 +160,22 @@ def test_solve_evaluates_phi_once_per_level(tmp_path, monkeypatch):
     assert norms["apriori_ratio"] > 0.0
 
 
+def test_solve_holds_the_time_free_parts_of_phi(tmp_path, monkeypatch):
+    # sin(3*x1) and sin(2*x2) do not read t: the first level evaluates them
+    # at the grid's nodes and the later levels read them back
+    from cordeslab import expr
+    calls = []
+    lo, hi, sin = expr.FUNCTIONS["sin"]
+    monkeypatch.setitem(expr.FUNCTIONS, "sin",
+                        (lo, hi, lambda u: calls.append(u) or sin(u)))
+    text = ("problem.builtin = identity_heat\nproblem.param.n = 2\n"
+            "grid.m = 9\ngrid.nt = 8\n"
+            'solve.phi = "sin(3*x1)*sin(2*x2)*exp(-t)"\n'
+            f"out.dir = {tmp_path / 'out'}\n")
+    assert run(tmp_path, "s.cfg", text, "solve") == 0
+    assert len(calls) == 2
+
+
 def test_solve_computes_the_solution_norms_once(tmp_path, monkeypatch):
     # apriori_ratio takes Yhat2 from the bundle solve_backward computed with
     # the same default weights
@@ -607,6 +623,47 @@ def test_solution_csv_bytes_match_reference_writer(tmp_path):
         _dump_solution_csv(tmp_path / "got.csv", gf)
         _reference_solution_csv(tmp_path / "want.csv", gf)
         assert (tmp_path / "got.csv").read_bytes() == \
+            (tmp_path / "want.csv").read_bytes()
+
+
+def _reference_error_table(path, grid, num, exact):
+    """The per-node ``csv.writer`` loop that fixes error_table.csv's format."""
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow([f"x{i + 1}" for i in range(grid.n)]
+                        + ["numeric_t0", "exact_t0", "abs_err"])
+        for idx, node in enumerate(grid.nodes()):
+            writer.writerow([f"{c:.12g}" for c in node]
+                            + [f"{num[idx].real:.12g}", f"{exact[idx]:.12g}",
+                               f"{np.abs(num[idx] - exact[idx]):.3e}"])
+
+
+def test_csv_writers_match_reference_writers_on_edge_values(tmp_path):
+    from types import SimpleNamespace
+    from cordeslab.cli import _dump_solution_csv, _error_table
+    edge = np.array([0.0, -0.0, 1e16, 1e-5, 123456789012.5, 5e-324])
+    g2 = build_grid(Box((0.0, -1.0), (1.0, 1.0)), (3, 4), 2, 0.3)
+    real = np.resize(np.concatenate([edge, -edge]), (g2.nt + 1,) + g2.shape)
+    cplx = real + 1j * np.roll(real, 1)
+    exact = np.resize(edge[::-1], g2.shape).ravel()
+
+    class Exact:
+        @staticmethod
+        def eval_raw(x, t):
+            return exact.copy()
+    for gf in (GridFunction(g2, real), GridFunction(g2, cplx),
+               GridFunction(g2, cplx[1])):
+        _dump_solution_csv(tmp_path / "got.csv", gf)
+        _reference_solution_csv(tmp_path / "want.csv", gf)
+        assert (tmp_path / "got.csv").read_bytes() == \
+            (tmp_path / "want.csv").read_bytes()
+        if not gf.is_spacetime:
+            continue
+        cfg = SimpleNamespace(exact=Exact, out_dir=tmp_path / "got")
+        _error_table(cfg, g2, SimpleNamespace(v=gf))
+        _reference_error_table(tmp_path / "want.csv", g2,
+                               gf.values[0].ravel(), exact)
+        assert (tmp_path / "got" / "error_table.csv").read_bytes() == \
             (tmp_path / "want.csv").read_bytes()
 
 

@@ -178,3 +178,88 @@ def test_printed_trees_parse_back_to_themselves(tree):
     again = parse_expression(text)
     assert again == tree, text
     assert str(again) == text
+
+
+def _walk(node, env):
+    """Reference tree walk, the oracle of the compiled program."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        if node.name not in env:
+            raise ExprEvalError(
+                f"variable {node.name!r} is not defined in this evaluation "
+                f"context (dimension too small?)")
+        return env[node.name]
+    if isinstance(node, Neg):
+        return -_walk(node.arg, env)
+    if isinstance(node, Call):
+        return FUNCTIONS[node.fn][2](*[_walk(a, env) for a in node.args])
+    a, b = _walk(node.lhs, env), _walk(node.rhs, env)
+    if node.op == "+":
+        return a + b
+    if node.op == "-":
+        return a - b
+    if node.op == "*":
+        return a * b
+    if node.op == "/":
+        if np.any(b == 0):
+            raise ExprEvalError("division by zero")
+        return a / b
+    with np.errstate(all="ignore"):
+        r = np.power(np.asarray(a, dtype=float), b)
+    if not np.all(np.isfinite(r)):
+        raise ExprEvalError("power evaluation left the real domain")
+    return r
+
+
+def _outcome(fn):
+    """``fn()`` as ``(dtype, shape, bytes)`` of its value, or its fault."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = np.asarray(fn())
+    except ExprEvalError as err:
+        return str(err)
+    return value.dtype, value.shape, value.tobytes()
+
+
+# nine of the twelve variables of TREES, so undefined ones fault too
+_POINTS = np.random.default_rng(7).uniform(-2.0, 2.0, size=(16, 9))
+_POINTS[3] = 0.0
+_ENV = {f"x{i + 1}": _POINTS[:, i] for i in range(9)}
+_ENV["t"] = np.broadcast_to(0.7, (16,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=TREES)
+def test_program_gives_the_bits_or_the_fault_of_the_tree_walk(tree):
+    assert _outcome(lambda: tree.evaluate(_ENV)) == \
+        _outcome(lambda: _walk(tree, _ENV))
+
+
+def test_program_evaluates_shared_subtrees_once(monkeypatch):
+    calls = []
+    sin = FUNCTIONS["sin"]
+    monkeypatch.setitem(FUNCTIONS, "sin", (1, 1, lambda u: calls.append(u)
+                                           or sin[2](u)))
+    tree = Bin("-", parse_expression("sin(x1)*sin(x1) + sin(x1)^2"),
+               Bin("*", Call("sin", (Num(0.0),)), Call("sin", (Num(-0.0),))))
+    assert tree.evaluate({"x1": np.linspace(0, 1, 5)}).shape == (5,)
+    # sin(x1) once; sin(0.0) and sin(-0.0) apart, literals compare by bits
+    assert len(calls) == 3
+    program = tree.program
+    assert program.timed == () and program.frontier == (len(program.ops) - 1,)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=TREES)
+def test_held_field_gives_the_bits_of_a_fresh_evaluation(tree):
+    from cordeslab.fields import ExprField
+    nodes = np.random.default_rng(8).uniform(-2.0, 2.0, size=(32, 12))
+    nodes[3] = 0.0
+    nodes.setflags(write=False)    # read-only and owning: held
+    field = ExprField(tree)
+    for t in (0.0, 0.3, 0.3, 1.7):
+        want = _outcome(lambda: ExprField(tree).eval_raw(nodes.copy(), t))
+        assert _outcome(lambda: field.eval_raw(nodes, t)) == want
+        if not isinstance(want, str):
+            assert field._hold[0] is nodes

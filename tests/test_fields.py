@@ -1,13 +1,17 @@
 import itertools
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cordeslab.fields import (Box, FieldConstructionError, _probe_points,
-                              builtin_problem, builtin_solve_data, decompose,
+from cordeslab.fields import (Box, ExprField, FieldConstructionError,
+                              _probe_points, builtin_problem, builtin_solve_data, decompose,
                               eval_field, make_field, minimal_vertex_cover,
                               mollify, sample_set, sparsity_pattern)
+from cordeslab.grid import build_grid
 
 RNG = np.random.default_rng(2024)
 
@@ -250,6 +254,96 @@ def test_builtin_solve_data_manufactured():
     assert abs(Phi.eval_raw(x, 0.0)[0] - np.exp(-f.T)) <= 1e-12
     assert abs(phi.eval_raw(x, 0.0)[0] - (1 + np.pi ** 2)) <= 1e-12
     assert builtin_solve_data("identity_heat", 1.0) is None
+
+
+def _fresh(text, x, t):
+    """``text`` evaluated with no hold, at a writable copy of ``x``."""
+    return ExprField(text).eval_raw(np.array(x), t)
+
+
+TIMED = "sin(3*x1)*cos(x2) + exp(-t)*sin(3*x1) - step(x2 - t)"
+
+
+def test_a_writable_array_changed_in_place_is_evaluated_afresh():
+    f = ExprField(TIMED)
+    x = RNG.uniform(0, 1, size=(6, 2))
+    for t in (0.1, 0.2):
+        assert np.array_equal(f.eval_raw(x, t), _fresh(TIMED, x, t))
+        x += 0.5
+        assert np.array_equal(f.eval_raw(x, t), _fresh(TIMED, x, t))
+    assert f._hold[0] is None
+
+
+def test_alternating_grids_give_each_grid_its_values():
+    f = ExprField(TIMED)
+    box = Box((0.0, 0.0), (1.0, 1.0))
+    grids = [build_grid(box, m, 4, 1.0) for m in (5, 7)]
+    for t in (0.0, 0.25, 0.5):
+        for g in grids + grids[::-1]:
+            got = f.eval_raw(g.nodes(), t)
+            assert f._hold[0] is g.nodes()
+            assert np.array_equal(got, _fresh(TIMED, g.nodes(), t))
+
+
+def test_held_values_are_read_only_and_results_fresh():
+    nodes = build_grid(Box((0.0, 0.0), (1.0, 1.0)), 5, 4, 1.0).nodes()
+    for text in (TIMED, "sin(x1) + x2"):
+        f = ExprField(text)
+        out = f.eval_raw(nodes, 0.5)
+        held = [v for v in f._hold[1] if isinstance(v, np.ndarray)]
+        assert held and not any(v.flags.writeable for v in held)
+        first = out.copy()
+        out += 1.0    # the caller's array is its own
+        assert np.array_equal(f.eval_raw(nodes, 0.5), first)
+
+
+def test_fields_of_one_text_do_not_share_a_hold():
+    box = Box((0.0, 0.0), (1.0, 1.0))
+    a, b = (build_grid(box, m, 4, 1.0).nodes() for m in (5, 7))
+    f, g = ExprField(TIMED), ExprField(TIMED)
+    f.eval_raw(a, 0.5)
+    g.eval_raw(b, 0.5)
+    assert f._hold[0] is a and g._hold[0] is b
+    assert np.array_equal(f.eval_raw(a, 0.75), _fresh(TIMED, a, 0.75))
+
+
+def test_concurrent_callers_see_matching_holds():
+    # six threads alternate three grids and two times on one field; a hold
+    # stored in two steps would pair one grid's values with another's
+    box = Box((0.0, 0.0), (1.0, 1.0))
+    grids = [build_grid(box, m, 4, 1.0).nodes() for m in (5, 7, 9)]
+    times = (0.1, 0.2)
+    want = {(i, t): _fresh(TIMED, g, t) for i, g in enumerate(grids)
+            for t in times}
+    f = ExprField(TIMED)
+
+    def work(k):
+        for r in range(3000):
+            i, t = (k + r) % len(grids), times[r % 2]
+            if not np.array_equal(f.eval_raw(grids[i], t), want[i, t]):
+                return False
+        return True
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(6) as pool:
+            results = list(pool.map(work, range(6), timeout=120))
+    finally:
+        sys.setswitchinterval(switch)
+    assert results == [True] * 6
+
+
+def test_held_bytes_of_the_timedep_workload_source(monkeypatch):
+    # the source of bench workload solve_timedep_2d at its 95^2 nodes: only
+    # the time-free values that time-dependent subtrees read are held
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    import workloads
+    phi, _ = workloads._td2_source_text(0.2)
+    nodes = build_grid(Box((0.0, 0.0), (1.0, 1.0)), 95, 48, 0.25).nodes()
+    f = ExprField(phi)
+    f.eval_raw(nodes, 0.0)
+    held = sum(v.nbytes for v in f._hold[1] if isinstance(v, np.ndarray))
+    assert 0 < held <= 13 * len(nodes) * 8
 
 
 def test_lambda_is_real_is_decided_once(monkeypatch):
