@@ -10,9 +10,11 @@ hash (never timestamps), so identical configs reproduce identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +24,9 @@ from .config import ConfigError, RunConfig
 from .expr import ExprEvalError
 from .fields import decompose, sample_set
 from .grid import GridFunction
-from .solver import (BackwardProblem, apriori_ratio, fixed_point_solve,
-                     solve_backward, solve_forward_adjoint, SolverError)
+from .solver import (BackwardProblem, FixedPointTrace, SolverError,
+                     _usable_cores, apriori_ratio, fixed_point_solve,
+                     solve_backward, solve_forward_adjoint)
 from .stochastic import (SDE, _characteristic_panel_mc, _streamed_source,
                          characteristic_functional, density_compare,
                          feynman_kac, max_principle_check, simulate_paths,
@@ -107,35 +110,61 @@ def cmd_analyze(cfg: RunConfig) -> int:
     return 0 if report.satisfied else 2
 
 
+def _proof_mirror(cfg: RunConfig, problem: BackwardProblem, grid,
+                  direct) -> FixedPointTrace:
+    """The fixed-point construction of ``solve --proof-mirror``; ``direct``
+    is the direct solution, or a callable that returns it, read after the
+    last sweep."""
+    samples = sample_set(cfg.field.sampling_box(), cfg.field.T,
+                         cfg.samples_space, cfg.samples_time)
+    decomp = decompose(cfg.field, cfg.split, samples,
+                       index_set=cfg.index_set)
+    gamma = cfg.gamma_map()
+    if gamma is not None:
+        decomp = decomp.with_gamma(gamma)
+    _, trace = fixed_point_solve(problem, grid, decomp, eps=cfg.proof_eps,
+                                 K=cfg.proof_K, theta=cfg.theta,
+                                 direct=direct)
+    return trace
+
+
 def cmd_solve(cfg: RunConfig, proof_mirror: bool = False) -> int:
     grid = cfg.make_grid()
+    grid.nodes()    # built once, before a second thread reads it
     problem = BackwardProblem(cfg.field, phi=cfg.phi, Phi=cfg.Phi)
-    solution = solve_backward(problem, grid, cfg.theta)
-    ratio = apriori_ratio(solution, cfg.phi, cfg.Phi)
-    payload = _base_payload(cfg)
-    payload["norms"] = solution.norms.as_dict()
-    payload["apriori_ratio"] = ratio
-    payload["meta"] = {k: v for k, v in solution.meta.items()}
-    _dump_solution_csv(cfg.out_dir / "solution.csv", solution.v)
+    # with a second core the construction runs on a worker beside the
+    # direct solve, its norms and solution.csv; it waits for the direct
+    # solution only after its last sweep.  The direct solve's fault is
+    # raised first, as when the two run one after the other.
+    beside = proof_mirror and _usable_cores() > 1
+    direct = Future()
+    with (ThreadPoolExecutor(1, thread_name_prefix="proof-mirror") if beside
+          else contextlib.nullcontext()) as pool:
+        mirror = (pool.submit(_proof_mirror, cfg, problem, grid,
+                              direct.result) if beside else None)
+        try:
+            solution = solve_backward(problem, grid, cfg.theta)
+        except BaseException as err:
+            direct.set_exception(err)
+            raise
+        direct.set_result(solution)
+        ratio = apriori_ratio(solution, cfg.phi, cfg.Phi)
+        payload = _base_payload(cfg)
+        payload["norms"] = solution.norms.as_dict()
+        payload["apriori_ratio"] = ratio
+        payload["meta"] = {k: v for k, v in solution.meta.items()}
+        _dump_solution_csv(cfg.out_dir / "solution.csv", solution.v)
 
-    if cfg.exact is not None:
-        err = _error_table(cfg, grid, solution)
-        payload["max_error_vs_exact"] = err
-    if proof_mirror:
-        samples = sample_set(cfg.field.sampling_box(), cfg.field.T,
-                             cfg.samples_space, cfg.samples_time)
-        decomp = decompose(cfg.field, cfg.split, samples,
-                           index_set=cfg.index_set)
-        gamma = cfg.gamma_map()
-        if gamma is not None:
-            decomp = decomp.with_gamma(gamma)
-        _, trace = fixed_point_solve(problem, grid, decomp,
-                                     eps=cfg.proof_eps, K=cfg.proof_K,
-                                     theta=cfg.theta, direct=solution)
-        _write_json(cfg.out_dir / "fixed_point_trace.json",
-                    {"schema": "v1", "config_hash": cfg.hash(),
-                     "trace": trace.as_dict()})
-        payload["fixed_point"] = trace.as_dict()
+        if cfg.exact is not None:
+            err = _error_table(cfg, grid, solution)
+            payload["max_error_vs_exact"] = err
+        if proof_mirror:
+            trace = (mirror.result() if beside else
+                     _proof_mirror(cfg, problem, grid, solution))
+            _write_json(cfg.out_dir / "fixed_point_trace.json",
+                        {"schema": "v1", "config_hash": cfg.hash(),
+                         "trace": trace.as_dict()})
+            payload["fixed_point"] = trace.as_dict()
     _write_json(cfg.out_dir / "norms.json", payload)
     print(f"apriori ratio {ratio:.6g}; artifacts in {cfg.out_dir}")
     return 0

@@ -146,7 +146,8 @@ def _nu_hat_terms(decomp: Decomposition, samples: SampleSet, index_set):
 
     Returns ``(A, C)`` with ``A[s, k] = sum_{i in N} bh[i,k]^2 +
     4 sum_{i not in N} bh[i,k]^2`` and ``C[s, k] = bh[k,k]^2`` for the
-    deduplicated sample rows ``s`` and the covered coordinates ``k``.
+    deduplicated, undominated sample rows ``s`` (see ``_undominated``)
+    and the covered coordinates ``k``.
     """
     n = decomp.field.n
     bh = unique_b_hat(decomp, samples)
@@ -162,7 +163,31 @@ def _nu_hat_terms(decomp: Decomposition, samples: SampleSet, index_set):
     # deduplicate again in the reduced (A, C) representation
     joined = unique_rows(np.concatenate([A, C], axis=1))
     m = len(cols)
-    return joined[:, :m], joined[:, m:]
+    return _undominated(joined[:, :m], joined[:, m:])
+
+
+def _undominated(A: np.ndarray, C: np.ndarray):
+    """``(A, C)`` without the rows that a pivot row bounds from above
+    entry by entry and exceeds somewhere; the pivots are the row of the
+    largest sum and the row of the largest entry in each column.
+
+    Every weighted row value of ``nu_hat`` adds ``A`` and ``C`` with
+    weights ``gamma/(2-gamma) >= 0`` and rounding is monotone, so a
+    dropped row never scores above the pivot that drops it, and a pivot
+    is dropped only by a pivot that scores as high: the maximum over the
+    rows, and with it every ``nu_hat`` value, keeps its bits.  The kept
+    rows include every Pareto-maximal one.
+    """
+    rows = np.concatenate([A, C], axis=1)
+    if len(rows) <= 1:
+        return A, C
+    pivots = {int(np.argmax(rows.sum(axis=1)))}
+    pivots.update(int(p) for p in np.argmax(rows, axis=0))
+    dropped = np.zeros(len(rows), dtype=bool)
+    for p in pivots:
+        dropped |= ((rows <= rows[p]).all(axis=1)
+                    & (rows < rows[p]).any(axis=1))
+    return A[~dropped], C[~dropped]
 
 
 def _nu_hat_value(A: np.ndarray, C: np.ndarray, gamma_vec: np.ndarray) -> float:
@@ -225,8 +250,16 @@ def optimize_gamma(decomp: Decomposition, samples: SampleSet | None = None,
                       sorted(int(k) for k in index_set))
     if not index_set:
         return {}, 0.0
-    A, C = _nu_hat_terms(decomp, samples, index_set)
-    m = len(index_set)
+    best_g, best_v = _optimal_weights(*_nu_hat_terms(decomp, samples,
+                                                     index_set))
+    gamma = {k: float(g) for k, g in zip(index_set, best_g)}
+    return gamma, float(best_v)
+
+
+def _optimal_weights(A: np.ndarray, C: np.ndarray):
+    """The search of ``optimize_gamma`` on the terms ``(A, C)`` of a
+    nonempty index set: ``(gamma vector, value)``."""
+    m = A.shape[1]
 
     def value(gvec):
         return _nu_hat_value(A, C, gvec)
@@ -252,13 +285,21 @@ def optimize_gamma(decomp: Decomposition, samples: SampleSet | None = None,
                 best_g, best_v = audit_g, audit_v
         else:
             break
-    gamma = {k: float(g) for k, g in zip(index_set, best_g)}
-    return gamma, float(best_v)
+    return best_g, best_v
 
 
 def _value_batch(A, C, gammas: np.ndarray) -> np.ndarray:
-    """Vectorized ``nu_hat`` over a (G, m) batch of gamma vectors."""
-    inner = A.sum(axis=1)[None, :] + (gammas / (2.0 - gammas)) @ C.T
+    """Vectorized ``nu_hat`` over a (G, m) batch of gamma vectors.
+
+    Each (gamma, row) entry is summed column by column on its own, so its
+    bits do not depend on the other rows: a matrix product would pick
+    its BLAS kernel by shape (a matrix-vector kernel for one row).
+    """
+    w = gammas / (2.0 - gammas)
+    inner = np.multiply.outer(w[:, 0], C[:, 0])
+    for k in range(1, w.shape[1]):
+        inner += np.multiply.outer(w[:, k], C[:, k])
+    inner += A.sum(axis=1)
     return np.sum(0.5 / gammas, axis=1) * inner.max(axis=1)
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .fields import (Box, CoefficientField, TableField, builtin_problem,
                      builtin_solve_data, make_field)
+from .solver import MAX_KT
 
 __all__ = ["ConfigError", "parse_kv_text", "load_problem_mapping",
            "RunConfig", "config_hash"]
@@ -296,8 +297,16 @@ class RunConfig:
             cfg.exact = ExprField(str(kv["solve.exact"]))
         if "solve.proof_mirror.eps" in kv:
             cfg.proof_eps = _number(kv, "solve.proof_mirror.eps")
+            if not 0.0 < cfg.proof_eps < np.inf:
+                raise ConfigError(f"solve.proof_mirror.eps = "
+                                  f"{cfg.proof_eps!r}: expected a finite "
+                                  f"number > 0")
         if kv.get("solve.proof_mirror.K", "auto") != "auto":
             cfg.proof_K = _number(kv, "solve.proof_mirror.K")
+            if not abs(cfg.proof_K) * field.T <= MAX_KT:
+                raise ConfigError(f"solve.proof_mirror.K = {cfg.proof_K!r}: "
+                                  f"expected a finite number with |K|*T <= "
+                                  f"{MAX_KT:g}")
 
         cfg.mc_M = _number(kv, "mc.M", 10000, integer=True, least=1)
         cfg.mc_dt = _number(kv, "mc.dt", 1e-3)

@@ -130,11 +130,13 @@ def _padded(values: np.ndarray, n: int) -> np.ndarray:
     return np.pad(values, [(0, 0)] * (values.ndim - n) + [(1, 1)] * n)
 
 
-def _diff(padded: np.ndarray, grid: Grid, i: int,
-          j: int | None = None) -> np.ndarray:
+def _diff(padded: np.ndarray, grid: Grid, i: int, j: int | None = None,
+          out: np.ndarray | None = None) -> np.ndarray:
     """Central difference at the interior nodes of a padded block, along
     0-based axes: the first (``j`` is None), second (``j == i``) or mixed
-    (``j != i``) one.  Every stencil point is a view of ``padded``."""
+    (``j != i``) one.  Every stencil point is a view of ``padded``; the
+    difference is formed in ``out`` (a new array when None), one ufunc
+    at a time in the order of ``(a - 2.0*b + c) / h**2`` and its kin."""
     lead = padded.ndim - grid.n
     h = grid.h
 
@@ -145,12 +147,20 @@ def _diff(padded: np.ndarray, grid: Grid, i: int,
             sl[lead + ax] = slice(1 + s, padded.shape[lead + ax] - 1 + s)
         return padded[tuple(sl)]
 
+    if out is None:
+        out = np.empty(at().shape, np.result_type(padded, np.float64))
     if j is None:
-        return (at((i, 1)) - at((i, -1))) / (2.0 * h[i])
+        np.subtract(at((i, 1)), at((i, -1)), out=out)
+        return np.divide(out, 2.0 * h[i], out=out)
     if i == j:
-        return (at((i, 1)) - 2.0 * at() + at((i, -1))) / h[i] ** 2
-    return (at((i, 1), (j, 1)) - at((i, 1), (j, -1)) - at((i, -1), (j, 1))
-            + at((i, -1), (j, -1))) / (4.0 * h[i] * h[j])
+        np.multiply(2.0, at(), out=out)
+        np.subtract(at((i, 1)), out, out=out)
+        np.add(out, at((i, -1)), out=out)
+        return np.divide(out, h[i] ** 2, out=out)
+    np.subtract(at((i, 1), (j, 1)), at((i, 1), (j, -1)), out=out)
+    np.subtract(out, at((i, -1), (j, 1)), out=out)
+    np.add(out, at((i, -1), (j, -1)), out=out)
+    return np.divide(out, 4.0 * h[i] * h[j], out=out)
 
 
 def apply_stencil(u: GridFunction, kind: str, i: int,
@@ -263,12 +273,26 @@ def discrete_norms(u: GridFunction, weights: NormWeights | None = None) -> NormB
     block = u.values if u.is_spacetime else u.values[None, ...]
     nslices = block.shape[0]
 
-    H0 = _slice_l2(block, grid)
-    # one padded block and one difference block alive at a time: these set
-    # the peak memory of the fixed-point iteration, which takes two norms a
-    # sweep
+    # one padded block and one difference buffer (plus its moduli for a
+    # complex block) hold every difference and its square in turn: these
+    # set the peak memory of the fixed-point iteration, which takes two
+    # norms a sweep
+    diff = np.empty(block.shape, np.result_type(block, np.float64))
+    square = diff if diff.dtype.kind == "f" else np.empty(block.shape)
+    axes = tuple(range(1, n + 1))
+
+    def l2(d):
+        """``_slice_l2(d)``, squaring in ``square``: ``x*x`` is
+        ``abs(x)**2`` bit for bit for real ``x``"""
+        if square is diff:
+            np.multiply(d, d, out=square)
+        else:
+            np.multiply(np.abs(d, out=square), square, out=square)
+        return np.sqrt(square.sum(axis=axes) * grid.cell_volume)
+
+    H0 = l2(block)
     padded = _padded(block, n)
-    grad_sq = sum(_slice_l2(_diff(padded, grid, i), grid) ** 2
+    grad_sq = sum(l2(_diff(padded, grid, i, out=diff)) ** 2
                   for i in range(n))
     H1 = np.sqrt(H0 ** 2 + grad_sq)
 
@@ -276,10 +300,8 @@ def discrete_norms(u: GridFunction, weights: NormWeights | None = None) -> NormB
     bracket = np.zeros(nslices)
     inset = set(weights.index_set)
     for k in range(n):
-        row_sq = []
-        for i in range(n):
-            d = _diff(padded, grid, k, i)
-            row_sq.append(_slice_l2(d, grid) ** 2)
+        row_sq = [l2(_diff(padded, grid, k, i, out=diff)) ** 2
+                  for i in range(n)]
         second_sq += sum(row_sq)
         if (k + 1) in inset:
             g = weights.gamma[k + 1]

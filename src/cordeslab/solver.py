@@ -564,6 +564,9 @@ class _Splitting:
 
     def __init__(self, problem: BackwardProblem, grid: Grid,
                  decomp: Decomposition, eps: float, theta: float):
+        if not 0.0 < eps < np.inf:
+            raise ValueError(f"mollification radius eps = {eps} must be "
+                             f"finite and positive")
         self.problem = problem
         self.grid = grid
         self.theta = theta
@@ -703,7 +706,9 @@ def _increments(split: _Splitting, d: np.ndarray, sweeps: int):
 def _norm_weight(grid: Grid, K: float) -> np.ndarray:
     """The weight ``exp(-K (T - t_k))`` of level ``k``, shaped to scale a
     space-time block."""
-    if K * grid.T > MAX_KT:
+    if not np.isfinite(K):
+        raise SolverError(f"weight rate K = {K} is not finite; fix K")
+    if abs(K) * grid.T > MAX_KT:
         raise SolverError(f"weight exponent K*T = {K * grid.T:.3g} would "
                           f"overflow; shorten the horizon or fix K")
     return np.exp(-K * (grid.T - grid.times())).reshape((-1,) + (1,) * grid.n)
@@ -720,7 +725,7 @@ def fixed_point_solve(problem: BackwardProblem, grid: Grid,
                       decomp: Decomposition, eps: float | None = None,
                       K="auto", theta: float = 1.0, tol: float = 1e-8,
                       max_iter: int = 200,
-                      direct: DiscreteSolution | None = None):
+                      direct=None):
     """Solve by the contraction construction with smoothed coefficients.
 
     The operator splits as ``A = A_s + R``: the bump-smoothed part ``A_s``
@@ -736,8 +741,10 @@ def fixed_point_solve(problem: BackwardProblem, grid: Grid,
     own verdict (an increment below ``tol`` times the iterate), and a run
     that stops otherwise warns.  On convergence the max-node difference
     from the direct solve is stored in ``trace.agreement``.  ``direct``
-    passes in that direct solve when the caller already has it.  The
-    sweeps of a static operator run pipelined, one sweep ahead (see
+    passes in that direct solve when the caller already has it, or a
+    zero-argument callable (such as ``Future.result``) that returns it;
+    either is read only then, after the last sweep.  The sweeps of a
+    static operator run pipelined, one sweep ahead (see
     ``_increments``); the results are the bits of one sweep at a time.
     """
     if eps is None:
@@ -795,6 +802,8 @@ def fixed_point_solve(problem: BackwardProblem, grid: Grid,
                                  "iterations": len(increments)}, weights)
     agreement = None
     if converged:
+        if callable(direct):
+            direct = direct()
         if direct is None:
             direct = solve_backward(problem, grid, theta)
         agreement = float(np.abs(direct.v.values - v).max())

@@ -1,5 +1,6 @@
 import csv
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -256,6 +257,109 @@ def test_proof_mirror_computes_no_bundle_of_the_fixed_point_solution(
     assert trace["converged"] is True
     sweeps = len(trace["increments"])
     assert len(blocks) == 1 + sweeps + 1
+
+
+@pytest.mark.parametrize("line", [
+    "solve.proof_mirror.K = nan", "solve.proof_mirror.K = -1e6",
+    "solve.proof_mirror.eps = 0", "solve.proof_mirror.eps = -1",
+    "solve.proof_mirror.eps = nan"])
+def test_bad_proof_mirror_parameter_exit_1(tmp_path, capsys, line):
+    key = line.split(" = ")[0]
+    text = PROOF_MIRROR.format(out=tmp_path / "out") + line + "\n"
+    assert run(tmp_path, "s.cfg", text, "solve", "--proof-mirror") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {key} = ")
+
+
+def _cores(monkeypatch, cores):
+    """Run with ``cores`` usable cores; the list returned collects the
+    name of every thread started."""
+    import cordeslab.cli as cli
+    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(solver, "_usable_cores", lambda: cores)
+    started = []
+    start = threading.Thread.start
+
+    def counted(self):
+        started.append(self.name)
+        start(self)
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
+def _beside(started):
+    return any(name.startswith("proof-mirror") for name in started)
+
+
+def test_proof_mirror_artifacts_do_not_depend_on_the_cores(tmp_path,
+                                                           monkeypatch):
+    artifacts = {}
+    for cores in (1, 2):
+        started = _cores(monkeypatch, cores)
+        out = tmp_path / f"out{cores}"
+        assert run(tmp_path, "s.cfg", PROOF_MIRROR.format(out="out"),
+                   "solve", "--proof-mirror", "--out", str(out)) == 0
+        assert _beside(started) == (cores == 2)
+        assert bool(started) == (cores == 2)
+        artifacts[cores] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(artifacts[1]) == ["fixed_point_trace.json", "norms.json",
+                                    "solution.csv"]
+    assert artifacts[1] == artifacts[2]
+
+
+def _overflowing_direct_solve(monkeypatch):
+    """The direct march turns non-finite at level 7; the construction's
+    march keeps its source."""
+    import cordeslab.cli as cli
+    from cordeslab.fields import ExprField
+    direct = cli.solve_backward
+
+    def overflowing(problem, grid, theta):
+        bad = solver.BackwardProblem(
+            problem.field, phi=ExprField("exp(700)*exp(700)*x1"),
+            Phi=problem.Phi)
+        return direct(bad, grid, theta)
+    monkeypatch.setattr(cli, "solve_backward", overflowing)
+
+
+@pytest.mark.parametrize("fault", ["direct", "construction", "both"])
+def test_proof_mirror_fault_prints_the_line_of_a_serial_run(
+        tmp_path, monkeypatch, capsys, fault):
+    if fault != "construction":
+        _overflowing_direct_solve(monkeypatch)
+    if fault != "direct":   # the weight guard trips on the automatic K
+        monkeypatch.setattr(solver, "MAX_KT", 1e-3)
+    lines = {}
+    for cores in (1, 2):
+        started = _cores(monkeypatch, cores)
+        out = tmp_path / f"out{cores}"
+        assert run(tmp_path, "s.cfg", PROOF_MIRROR.format(out="out"),
+                   "solve", "--proof-mirror", "--out", str(out)) == 1
+        assert _beside(started) == (cores == 2)
+        lines[cores] = capsys.readouterr().err.splitlines()
+        assert (out / "solution.csv").exists() == (fault == "construction")
+        assert not (out / "norms.json").exists()
+    assert len(lines[1]) == 1 and lines[2] == lines[1]
+    assert ("non-finite at time level 7" if fault != "construction"
+            else "weight exponent K*T") in lines[1][0]
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_proof_mirror_warning_reaches_the_caller(tmp_path, monkeypatch,
+                                                 cores):
+    import cordeslab.cli as cli
+    on_main = []
+    construct = cli.fixed_point_solve
+
+    def capped(*args, **kwargs):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return construct(*args, max_iter=2, **kwargs)
+    monkeypatch.setattr(cli, "fixed_point_solve", capped)
+    _cores(monkeypatch, cores)
+    with pytest.warns(RuntimeWarning, match="did not converge"):
+        assert run(tmp_path, "s.cfg", PROOF_MIRROR.format(out="out"),
+                   "solve", "--proof-mirror") == 0
+    assert on_main == [cores == 1]
 
 
 def test_simulate_summary(tmp_path):

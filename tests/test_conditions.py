@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cordeslab.conditions import (check_classical, check_split_condition,
                                   ellipticity_delta, full_report, nu_hat,
@@ -211,6 +212,64 @@ def test_value_batch_matches_pointwise_value():
         assert batch.shape == (60,)
         for g, v in zip(gammas, batch):
             assert abs(v - _nu_hat_value(A, C, g)) <= 1e-12 * abs(v)
+
+
+@st.composite
+def nu_hat_terms(draw):
+    """Nonnegative ``(A, C)`` rows with duplicate, tied and dominated rows:
+    base rows, then copies scaled down entry by entry by factors in
+    [0, 1] (some exactly 1, which tie), then exact repeats."""
+    m = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    levels = np.array([0.0, 0.25, 1.0, 1.5, 3.0])
+    base = rng.uniform(0.0, 3.0, (draw(st.sampled_from([1, 1, 2, 3, 6])),
+                                  2 * m))
+    base = np.where(rng.random(base.shape) < 0.4,
+                    rng.choice(levels, base.shape), base)
+    pick = rng.integers(0, len(base), draw(st.integers(0, 12)))
+    factors = rng.choice([0.0, 0.5, 1.0, rng.uniform()], (len(pick), 2 * m))
+    rows = np.concatenate([base, base[pick] * factors])
+    rows = np.concatenate([rows, rows[rng.integers(0, len(rows),
+                                                   draw(st.integers(0, 4)))]])
+    rows = rows[rng.permutation(len(rows))]
+    return rows[:, :m], rows[:, m:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=nu_hat_terms(), seed=st.integers(0, 2 ** 32 - 1))
+def test_pruned_terms_give_the_bits_of_all_rows(terms, seed):
+    from cordeslab.conditions import (GAMMA_MAX, GAMMA_MIN, _nu_hat_value,
+                                      _optimal_weights, _undominated,
+                                      _value_batch)
+    A, C = terms
+    kept_A, kept_C = _undominated(A, C)
+    assert 1 <= len(kept_A) <= len(A)
+    rng = np.random.default_rng(seed)
+    gammas = rng.uniform(GAMMA_MIN, GAMMA_MAX,
+                         (int(rng.integers(1, 50)), A.shape[1]))
+    for g in gammas[:5]:
+        assert _nu_hat_value(A, C, g).hex() == \
+            _nu_hat_value(kept_A, kept_C, g).hex()
+    assert _value_batch(A, C, gammas).tobytes() == \
+        _value_batch(kept_A, kept_C, gammas).tobytes()
+    g_all, v_all = _optimal_weights(A, C)
+    g_kept, v_kept = _optimal_weights(kept_A, kept_C)
+    assert g_all.tobytes() == g_kept.tobytes()
+    assert float(v_all).hex() == float(v_kept).hex()
+
+
+def test_undominated_keeps_an_antichain_and_drops_a_chain():
+    from cordeslab.conditions import _undominated
+    # anti-correlated rows: each is the largest in some entry
+    t = np.linspace(0.0, 1.0, 50)
+    A, C = np.column_stack([t, 1.0 - t]), np.column_stack([(1.0 - t) ** 2,
+                                                          t ** 2])
+    kept_A, kept_C = _undominated(A, C)
+    assert np.array_equal(kept_A, A) and np.array_equal(kept_C, C)
+    # rows scaled down from one row: that row alone is kept
+    kept_A, kept_C = _undominated(np.outer(t, [1.0, 0.5]),
+                                  np.outer(t, [2.0, 0.25]))
+    assert kept_A.tolist() == [[1.0, 0.5]] and kept_C.tolist() == [[2.0, 0.25]]
 
 
 def test_optimize_gamma_of_five_coordinates_audits_axis_lines():

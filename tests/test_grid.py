@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -161,10 +164,14 @@ def test_norms_match_pad_per_difference_reference(lo, hi, m, complex_values,
     bundles = [discrete_norms(GridFunction(g, v), w)
                for v in values for w in weights]
 
-    def unpadded_diff(padded, grid, i, j=None):
+    def unpadded_diff(padded, grid, i, j=None, out=None):
         interior = (slice(None),) * (padded.ndim - grid.n) + \
             (slice(1, -1),) * grid.n
-        return reference_diff(padded[interior], grid, i, j)
+        d = reference_diff(padded[interior], grid, i, j)
+        if out is None:
+            return d
+        out[...] = d
+        return out
     monkeypatch.setattr(grid_module, "_diff", unpadded_diff)
     expected = [discrete_norms(GridFunction(g, v), w)
                 for v in values for w in weights]
@@ -240,6 +247,93 @@ def test_weights_validation():
         NormWeights((1,), {2: 1.0})
     with pytest.raises(ValueError):
         NormWeights((1,), {1: 1.0}, alpha1=0.0)
+
+
+# discrete_norms as it stood before the differences shared one buffer:
+# every difference, modulus and square is a new array; the reference for
+# the bits of the buffered route
+
+
+def reference_norms(u, weights=None):
+    grid, n = u.grid, u.grid.n
+    if weights is None:
+        weights = NormWeights.default(n)
+    block = u.values if u.is_spacetime else u.values[None, ...]
+    nslices = block.shape[0]
+
+    def slice_l2(b):
+        axes = tuple(range(b.ndim - n, b.ndim))
+        return np.sqrt((np.abs(b) ** 2).sum(axis=axes) * grid.cell_volume)
+
+    padded = np.pad(block, [(0, 0)] + [(1, 1)] * n)
+    h = grid.h
+
+    def at(*shifts):
+        sl = [slice(None)] + [slice(1, -1)] * n
+        for ax, s in shifts:
+            sl[1 + ax] = slice(1 + s, padded.shape[1 + ax] - 1 + s)
+        return padded[tuple(sl)]
+
+    def diff(i, j=None):
+        if j is None:
+            return (at((i, 1)) - at((i, -1))) / (2.0 * h[i])
+        if i == j:
+            return (at((i, 1)) - 2.0 * at() + at((i, -1))) / h[i] ** 2
+        return (at((i, 1), (j, 1)) - at((i, 1), (j, -1))
+                - at((i, -1), (j, 1)) + at((i, -1), (j, -1))) / \
+            (4.0 * h[i] * h[j])
+
+    H0 = slice_l2(block)
+    grad_sq = sum(slice_l2(diff(i)) ** 2 for i in range(n))
+    H1 = np.sqrt(H0 ** 2 + grad_sq)
+    second_sq = np.zeros(nslices)
+    bracket = np.zeros(nslices)
+    for k in range(n):
+        row_sq = [slice_l2(diff(k, i)) ** 2 for i in range(n)]
+        second_sq += sum(row_sq)
+        if (k + 1) in weights.index_set:
+            g = weights.gamma[k + 1]
+            bracket += sum(row_sq) - 0.5 * g * row_sq[k]
+    W22 = np.sqrt(H1 ** 2 + second_sq)
+    bracket = np.maximum(bracket, 0.0)
+    Hhat2 = np.sqrt(bracket) + weights.alpha1 * W22
+    X2 = grid_module._time_l2(W22, grid)
+    Xhat2 = grid_module._time_l2(Hhat2, grid)
+    C1 = float(H1.max())
+    return grid_module.NormBundle(
+        H0=H0, H1=H1, W22=W22, Hhat2=Hhat2,
+        X0=grid_module._time_l2(H0, grid), X2=X2, Xhat2=Xhat2,
+        C0=float(H0.max()), C1=C1, Y2=X2 + C1,
+        Yhat2=Xhat2 + weights.alpha2 * C1)
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+@pytest.mark.parametrize("lo,hi,m", STENCIL_GRIDS)
+def test_norms_give_the_bits_of_the_reference_norms(lo, hi, m,
+                                                    complex_values):
+    g = build_grid(Box(lo, hi), m, nt=3, T=0.5)
+    inset = tuple(range(1, g.n + 1, 2))
+    for weights in (None, NormWeights(inset, {k: 0.3 + 0.5 * k
+                                              for k in inset},
+                                      alpha1=0.37, alpha2=1.9)):
+        for shape in (g.shape, (g.nt + 1,) + g.shape):
+            u = GridFunction(g, random_values(shape, complex_values))
+            assert json.dumps(discrete_norms(u, weights).as_dict()) == \
+                json.dumps(reference_norms(u, weights).as_dict())
+
+
+def test_norms_of_a_block_peak_below_three_block_sizes():
+    # the proof mirror's 49 x 17^3 blocks: one padded block and one
+    # difference buffer, no temporaries of the block's size
+    g = build_grid(Box((-1.0,) * 3, (1.0,) * 3), 17, nt=48, T=0.25)
+    u = GridFunction(g, RNG.standard_normal((g.nt + 1,) + g.shape))
+    tracemalloc.start()
+    try:
+        discrete_norms(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * u.values.nbytes
 
 
 # ----------------------------------------------------------------------------

@@ -748,6 +748,23 @@ def test_fixed_point_violated_condition_is_logged_not_asserted():
     assert isinstance(trace.converged, bool)
 
 
+@pytest.mark.parametrize("bad", [{"K": np.nan}, {"K": np.inf},
+                                 {"K": -1e6}, {"K": 1e6}, {"eps": 0.0},
+                                 {"eps": -1.0}, {"eps": np.nan}])
+def test_fixed_point_and_R_norm_reject_bad_eps_and_K(bad):
+    f = builtin_problem("paper_3x3", {"alpha": 0.5, "beta": 0.0, "T": 0.25})
+    d = decompose(f, "identity", index_set=(1,)).with_gamma({1: 1.9})
+    g = build_grid(f.domain, (5, 5, 5), 4, f.T)
+    prob = BackwardProblem(f, Phi=bump_2d_or_3d)
+    kwargs = {"eps": 0.5, "K": 2.0, **bad}
+    fault = (ValueError, "eps = ") if "eps" in bad else (solver.SolverError,
+                                                         "K")
+    with pytest.raises(fault[0], match=fault[1]):
+        fixed_point_solve(prob, g, d, **kwargs)
+    with pytest.raises(fault[0], match=fault[1]):
+        estimate_R_norm(prob, g, d, trials=1, **kwargs)
+
+
 def test_estimate_R_norm_zero_remainder():
     f = builtin_problem("identity_heat", {"n": 1})
     d = decompose(f, "identity")
