@@ -113,8 +113,8 @@ def cmd_analyze(cfg: RunConfig) -> int:
 def _proof_mirror(cfg: RunConfig, problem: BackwardProblem, grid,
                   direct) -> FixedPointTrace:
     """The fixed-point construction of ``solve --proof-mirror``; ``direct``
-    is the direct solution, or a callable that returns it, read after the
-    last sweep."""
+    is the direct solution, or a ``Future`` of it read after the last
+    sweep, whose fault stops the construction before its next sweep."""
     samples = sample_set(cfg.field.sampling_box(), cfg.field.T,
                          cfg.samples_space, cfg.samples_time)
     decomp = decompose(cfg.field, cfg.split, samples,
@@ -135,13 +135,14 @@ def cmd_solve(cfg: RunConfig, proof_mirror: bool = False) -> int:
     # with a second core the construction runs on a worker beside the
     # direct solve, its norms and solution.csv; it waits for the direct
     # solution only after its last sweep.  The direct solve's fault is
-    # raised first, as when the two run one after the other.
+    # raised first, as when the two run one after the other, and stops the
+    # construction before its next sweep.
     beside = proof_mirror and _usable_cores() > 1
     direct = Future()
     with (ThreadPoolExecutor(1, thread_name_prefix="proof-mirror") if beside
           else contextlib.nullcontext()) as pool:
         mirror = (pool.submit(_proof_mirror, cfg, problem, grid,
-                              direct.result) if beside else None)
+                              direct) if beside else None)
         try:
             solution = solve_backward(problem, grid, cfg.theta)
         except BaseException as err:

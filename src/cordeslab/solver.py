@@ -30,7 +30,7 @@ import os
 import threading
 import warnings
 from collections import deque
-from concurrent.futures import CancelledError, ThreadPoolExecutor
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -349,9 +349,10 @@ class _StepSolver:
     pivots (about 0.6 times the fill of a column order on 3-D grids).  A
     system with that very matrix (a static operator's) is solved
     directly.  Any other level's system is solved by BiCGStab
-    preconditioned with the lagged LU, started from the previous level
-    and capped at ``LAGGED_MAXITER`` iterations; when the cap is hit or
-    the residual check fails, that level's matrix is factorized, solved
+    preconditioned with the lagged LU, started from the caller's ``x0``
+    (a march passes the start ``_start`` picks from its last levels) and
+    capped at ``LAGGED_MAXITER`` iterations; when the cap is hit or the
+    residual check fails, that level's matrix is factorized, solved
     directly, and becomes the lagged factor.  Every step is
     deterministic.
     """
@@ -404,6 +405,19 @@ class _StepSolver:
         return self._lu.solve(rhs, trans=trans)
 
 
+def _start(mat, rhs: np.ndarray, recent) -> np.ndarray:
+    """The start of a march's lagged solve of ``mat x = rhs``: of the
+    last level ``u_1``, the linear extrapolation ``2 u_1 - u_2`` and the
+    quadratic one ``3 (u_1 - u_2) + u_3`` from the last levels ``recent``
+    (newest first, as many as exist), the one of least residual."""
+    starts = [recent[0]]
+    if len(recent) >= 2:
+        starts.append(2.0 * recent[0] - recent[1])
+    if len(recent) >= 3:
+        starts.append(3.0 * (recent[0] - recent[1]) + recent[2])
+    return min(starts, key=lambda x: np.linalg.norm(mat @ x - rhs))
+
+
 class _Stepper:
     """Prepared marching machinery for one grid, theta and coefficient
     function ``coefficients(t) -> (b, f, lambda)`` at the nodes.
@@ -411,7 +425,9 @@ class _Stepper:
     Arithmetic starts real and switches to complex once, the first time a
     rate, a source slice or the terminal datum that the march evaluates
     carries an imaginary part.  It holds one step system: the static
-    operator's for the whole march, or the current level's.
+    operator's for the whole march, or the current level's.  A
+    time-dependent operator's lagged solves start from the level that
+    ``_start`` picks from the march's last three.
     """
 
     def __init__(self, grid: Grid, theta: float, coefficients,
@@ -460,17 +476,24 @@ class _Stepper:
     def levels(self, source, Phi_arr: np.ndarray):
         """Yield ``(k, v_k)`` (flat) from ``Phi_arr`` at level ``nt`` down
         to level 0; ``source(k)`` is the source of the step onto level
-        ``k``."""
+        ``k``.  A time-dependent operator's lagged solve of level ``k``
+        starts from ``v_{k+1}``, ``2 v_{k+1} - v_{k+2}`` or
+        ``3 (v_{k+1} - v_{k+2}) + v_{k+3}``, whichever has the least
+        residual (``_start``); a static operator's direct solves need no
+        start."""
         grid = self.grid
         prev = self._finite(self._admit(Phi_arr), grid.nt).ravel()
         yield grid.nt, prev
+        recent = deque([prev], maxlen=3)    # v_{k+1}, v_{k+2}, v_{k+3}
         for k in range(grid.nt - 1, -1, -1):
             src = self._admit(source(k))
             B, C = self.system(k)
             prev = prev.astype(self.dtype, copy=False)
             rhs = prev if C is None else C @ prev
             rhs = rhs + grid.dt * src.ravel()
-            prev = self._finite(self.solver.solve(B, rhs, prev), k)
+            x0 = _start(B, rhs, recent) if self.time_dependent else prev
+            prev = self._finite(self.solver.solve(B, rhs, x0), k)
+            recent.appendleft(prev)
             yield k, prev
 
     def run_backward(self, source, Phi_arr: np.ndarray) -> np.ndarray:
@@ -484,15 +507,22 @@ class _Stepper:
         return v
 
     def run_forward_adjoint(self, rho_arr: np.ndarray) -> np.ndarray:
+        """The adjoint march up from ``rho_arr``; a time-dependent
+        operator's lagged solves start as ``levels`` starts them, from
+        the march's own last ``p_hat`` levels."""
         grid = self.grid
         nt = grid.nt
         q = self._admit(rho_arr).ravel()
         p = np.zeros((nt + 1,) + grid.shape, dtype=self.dtype)
+        recent = deque(maxlen=3)    # p_hat of levels k-1, k-2, k-3
         for k in range(nt):
             B, C = self.system(k)
             if p.dtype != self.dtype:
                 p = p.astype(self.dtype)
-            p_hat = self._finite(self.solver.solve(B, q, q, adjoint=True), k)
+            x0 = (_start(B.getH(), q, recent)
+                  if recent and self.time_dependent else q)
+            p_hat = self._finite(self.solver.solve(B, q, x0, adjoint=True), k)
+            recent.appendleft(p_hat)
             p[k] = p_hat.reshape(grid.shape)
             q = p_hat if C is None else (C.getH() @ p_hat)
         p[nt] = self._finite(q, nt).reshape(grid.shape)
@@ -655,7 +685,8 @@ class _Published:
         return self.block[k]
 
 
-def _increments(split: _Splitting, d: np.ndarray, sweeps: int):
+def _increments(split: _Splitting, d: np.ndarray, sweeps: int,
+                before_sweep):
     """Yield the increments of up to ``sweeps`` sweeps after ``d``, in
     sweep order.
 
@@ -665,10 +696,12 @@ def _increments(split: _Splitting, d: np.ndarray, sweeps: int):
     level ``k`` needs levels ``k`` and ``k + 1`` of sweep ``i`` and every
     march goes down from ``nt``.  Each sweep in flight holds a full
     space-time block, and the ones past the stop are computed and
-    dropped, so the look-ahead stays at the one sweep that was measured.  A time-dependent operator's sweeps run one
-    after the other.  Either way the increments are the same bits.
-    Closing the generator cancels and drops the sweeps ahead of the
-    consumer.
+    dropped, so the look-ahead stays at the one sweep that was measured.
+    A time-dependent operator's sweeps run one after the other.  Either
+    way the increments are the same bits.  Closing the generator cancels
+    and drops the sweeps ahead of the consumer.  ``before_sweep()`` is
+    called before each sweep starts; an exception it raises ends the
+    sweeps.
     """
     if sweeps < 1:
         return
@@ -678,6 +711,7 @@ def _increments(split: _Splitting, d: np.ndarray, sweeps: int):
         workers = min(SWEEP_WORKERS, _usable_cores(), sweeps)
     if workers == 1:
         for _ in range(sweeps):
+            before_sweep()
             d = split.march(d)
             yield d
         return
@@ -691,6 +725,7 @@ def _increments(split: _Splitting, d: np.ndarray, sweeps: int):
                 out = _Published(np.zeros((grid.nt + 1,) + grid.shape,
                                           dtype=split.stepper.dtype),
                                  cond, halt)
+                before_sweep()
                 levels = split.stepper.levels(split.source(d),
                                               np.zeros(grid.shape))
                 pending.append(pool.submit(out.fill, levels))
@@ -742,10 +777,11 @@ def fixed_point_solve(problem: BackwardProblem, grid: Grid,
     that stops otherwise warns.  On convergence the max-node difference
     from the direct solve is stored in ``trace.agreement``.  ``direct``
     passes in that direct solve when the caller already has it, or a
-    zero-argument callable (such as ``Future.result``) that returns it;
-    either is read only then, after the last sweep.  The sweeps of a
-    static operator run pipelined, one sweep ahead (see
-    ``_increments``); the results are the bits of one sweep at a time.
+    ``Future`` of it, read only then, after the last sweep; once that
+    future holds an exception, the construction raises it before its
+    next sweep.  The sweeps of a static operator run pipelined, one
+    sweep ahead (see ``_increments``); the results are the bits of one
+    sweep at a time.
     """
     if eps is None:
         eps = 2.0 * float(np.max(grid.h))
@@ -766,6 +802,11 @@ def fixed_point_solve(problem: BackwardProblem, grid: Grid,
         return discrete_norms(GridFunction(grid, weight * block),
                               weights).Yhat2
 
+    def before_sweep():
+        if isinstance(direct, Future) and direct.done():
+            direct.result()     # raises the direct solve's fault
+
+    before_sweep()
     v = split.stepper.run_backward(
         lambda k: problem.eval_phi(grid, split.stepper.t_eval(k)),
         problem.eval_Phi(grid))
@@ -773,7 +814,8 @@ def fixed_point_solve(problem: BackwardProblem, grid: Grid,
     increments = [norm(d)]
     converged = increments[0] == 0.0
     grow = 0
-    with contextlib.closing(_increments(split, d, max_iter - 1)) as sweeps:
+    with contextlib.closing(_increments(split, d, max_iter - 1,
+                                        before_sweep)) as sweeps:
         for d in sweeps:
             v = v + d
             increments.append(norm(d))
@@ -802,8 +844,8 @@ def fixed_point_solve(problem: BackwardProblem, grid: Grid,
                                  "iterations": len(increments)}, weights)
     agreement = None
     if converged:
-        if callable(direct):
-            direct = direct()
+        if isinstance(direct, Future):
+            direct = direct.result()
         if direct is None:
             direct = solve_backward(problem, grid, theta)
         agreement = float(np.abs(direct.v.values - v).max())

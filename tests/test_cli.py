@@ -309,33 +309,58 @@ def test_proof_mirror_artifacts_do_not_depend_on_the_cores(tmp_path,
 
 def _overflowing_direct_solve(monkeypatch):
     """The direct march turns non-finite at level 7; the construction's
-    march keeps its source."""
+    march keeps its source.  The event returned is set once the direct
+    march has failed."""
     import cordeslab.cli as cli
     from cordeslab.fields import ExprField
     direct = cli.solve_backward
+    failed = threading.Event()
 
     def overflowing(problem, grid, theta):
         bad = solver.BackwardProblem(
             problem.field, phi=ExprField("exp(700)*exp(700)*x1"),
             Phi=problem.Phi)
-        return direct(bad, grid, theta)
+        try:
+            return direct(bad, grid, theta)
+        finally:
+            failed.set()
     monkeypatch.setattr(cli, "solve_backward", overflowing)
+    return failed
+
+
+def _construction_marches(monkeypatch, failed):
+    """The list returned gets, for each march the construction starts
+    (its first march and every sweep), whether ``failed`` was set then."""
+    marches = []
+    levels = solver._Stepper.levels
+
+    def counted(self, *args):
+        if threading.current_thread() is not threading.main_thread():
+            marches.append(failed.is_set())
+        return levels(self, *args)
+    monkeypatch.setattr(solver._Stepper, "levels", counted)
+    return marches
 
 
 @pytest.mark.parametrize("fault", ["direct", "construction", "both"])
 def test_proof_mirror_fault_prints_the_line_of_a_serial_run(
         tmp_path, monkeypatch, capsys, fault):
+    failed = threading.Event()
     if fault != "construction":
-        _overflowing_direct_solve(monkeypatch)
+        failed = _overflowing_direct_solve(monkeypatch)
     if fault != "direct":   # the weight guard trips on the automatic K
         monkeypatch.setattr(solver, "MAX_KT", 1e-3)
     lines = {}
     for cores in (1, 2):
         started = _cores(monkeypatch, cores)
+        failed.clear()
+        marches = _construction_marches(monkeypatch, failed)
         out = tmp_path / f"out{cores}"
         assert run(tmp_path, "s.cfg", PROOF_MIRROR.format(out="out"),
                    "solve", "--proof-mirror", "--out", str(out)) == 1
         assert _beside(started) == (cores == 2)
+        # a failed direct solve stops the construction at its next sweep
+        assert sum(marches) <= 1
         lines[cores] = capsys.readouterr().err.splitlines()
         assert (out / "solution.csv").exists() == (fault == "construction")
         assert not (out / "norms.json").exists()

@@ -274,6 +274,63 @@ def test_coefficient_jump_refactorizes_and_stays_exact(solve_counts):
     assert worst <= 1e-9
 
 
+@pytest.fixture
+def lu_counts(monkeypatch):
+    """Counts of ``splu`` factorizations and of LU applications
+    (``solve`` calls on a factor) made by the solver."""
+    counts = {"splu": 0, "lu_solve": 0}
+
+    class Counted:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def solve(self, *args, **kwargs):
+            counts["lu_solve"] += 1
+            return self._lu.solve(*args, **kwargs)
+
+    def counted(*args, **kwargs):
+        counts["splu"] += 1
+        return Counted(splu(*args, **kwargs))
+    monkeypatch.setattr(solver, "splu", counted)
+    return counts
+
+
+def test_extrapolated_start_bounds_the_lu_applications(lu_counts):
+    # the moving b22 jump of the solve_timedep_2d benchmark with its
+    # manufactured u = exp(-t) sin(pi x1) sin(pi x2), smooth in time.
+    # Started from the previous level the march made 275 LU applications
+    # on this grid; from the extrapolated level it makes 132.
+    f = make_field(2, 0.25, Box((0, 0), (1, 1)),
+                   [["1 + 0.3*sin(3*x2 + 2*t)", "0.1*sin(x1 + x2)"],
+                    ["0.1*sin(x1 + x2)", "1 + 0.6*step(x1 - 0.4 - 0.4*t)"]],
+                   f=["0.3*x2", "-0.2"], lam="0.5 + t")
+    pi = np.pi
+
+    def u(x, t):
+        return np.exp(-t) * np.sin(pi * x[:, 0]) * np.sin(pi * x[:, 1])
+
+    def phi(x, t):      # -(u_t + A u), with u_t = -u
+        x1, x2 = x[:, 0], x[:, 1]
+        s1, s2 = np.sin(pi * x1), np.sin(pi * x2)
+        c1, c2 = np.cos(pi * x1), np.cos(pi * x2)
+        b11 = 1 + 0.3 * np.sin(3 * x2 + 2 * t)
+        b12 = 0.1 * np.sin(x1 + x2)
+        b22 = 1 + 0.6 * (x1 - 0.4 - 0.4 * t >= 0)
+        Au = np.exp(-t) * (-pi ** 2 * (b11 + b22) * s1 * s2
+                           + 2 * pi ** 2 * b12 * c1 * c2
+                           + 0.3 * x2 * pi * c1 * s2 - 0.2 * pi * s1 * c2
+                           - (0.5 + t) * s1 * s2)
+        return u(x, t) - Au
+    g = build_grid(f.domain, 63, 48, f.T)
+    sol = solve_backward(BackwardProblem(f, phi=phi, Phi=lambda x: u(x, f.T)),
+                         g)
+    assert lu_counts["splu"] == 1
+    assert lu_counts["lu_solve"] <= 150
+    err = max(np.abs(sol.v.values[k].ravel() - u(g.nodes(), t)).max()
+              for k, t in enumerate(g.times()))
+    assert err <= 5e-4
+
+
 def test_step_factor_has_less_fill_than_a_column_order():
     # the rough static 3-D field of the proof-mirror benchmark at 17^3
     b12, b13 = "0.1*step(x3)*sign(x2)", "0.05*sin(4*x2)*step(x1)"
@@ -521,6 +578,29 @@ def rough_timedep_2d():
     prob = BackwardProblem(f, phi=lambda x, t: np.cos(x[:, 0]) * (1 + t),
                            Phi=bump_2d_or_3d)
     return prob, g, decompose(f, "identity")
+
+
+def test_rough_moving_marches_factorize_once(lu_counts):
+    # jumps that cross nodes every level: each march keeps its one
+    # factorization, and the extrapolated starts take fewer LU
+    # applications than the previous-level starts did (270 direct, 1846
+    # over the fixed-point sweeps and 394 adjoint on this grid; now 248,
+    # 1799 and 372)
+    prob, _, d = rough_timedep_2d()
+    g = build_grid(prob.field.domain, (63, 63), 48, prob.field.T)
+    counts = []
+
+    def counted(march):
+        lu_counts.update(splu=0, lu_solve=0)
+        out = march()
+        counts.append(dict(lu_counts))
+        return out
+    direct = counted(lambda: solve_backward(prob, g))
+    counted(lambda: fixed_point_solve(prob, g, d, direct=direct))
+    counted(lambda: solve_forward_adjoint(np.ones(g.shape), prob, g))
+    assert [c["splu"] for c in counts] == [1, 1, 1]
+    assert all(c["lu_solve"] <= bound
+               for c, bound in zip(counts, (270, 1846, 394)))
 
 
 @pytest.mark.parametrize("theta", [1.0, 0.5])
