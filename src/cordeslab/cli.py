@@ -133,10 +133,10 @@ def cmd_solve(cfg: RunConfig, proof_mirror: bool = False) -> int:
     grid.nodes()    # built once, before a second thread reads it
     problem = BackwardProblem(cfg.field, phi=cfg.phi, Phi=cfg.Phi)
     # with a second core the construction runs on a worker beside the
-    # direct solve, its norms and solution.csv; it waits for the direct
-    # solution only after its last sweep.  The direct solve's fault is
-    # raised first, as when the two run one after the other, and stops the
-    # construction before its next sweep.
+    # direct solve, its norms, solution.csv and error table; it waits for
+    # the direct solution only after its last sweep.  A fault of that work
+    # is raised first, as when the two run one after the other, and stops
+    # the construction before its next sweep.
     beside = proof_mirror and _usable_cores() > 1
     direct = Future()
     with (ThreadPoolExecutor(1, thread_name_prefix="proof-mirror") if beside
@@ -145,20 +145,19 @@ def cmd_solve(cfg: RunConfig, proof_mirror: bool = False) -> int:
                               direct) if beside else None)
         try:
             solution = solve_backward(problem, grid, cfg.theta)
+            ratio = apriori_ratio(solution, cfg.phi, cfg.Phi)
+            payload = _base_payload(cfg)
+            payload["norms"] = solution.norms.as_dict()
+            payload["apriori_ratio"] = ratio
+            payload["meta"] = {k: v for k, v in solution.meta.items()}
+            _dump_solution_csv(cfg.out_dir / "solution.csv", solution.v)
+            if cfg.exact is not None:
+                payload["max_error_vs_exact"] = _error_table(cfg, grid,
+                                                             solution)
         except BaseException as err:
             direct.set_exception(err)
             raise
         direct.set_result(solution)
-        ratio = apriori_ratio(solution, cfg.phi, cfg.Phi)
-        payload = _base_payload(cfg)
-        payload["norms"] = solution.norms.as_dict()
-        payload["apriori_ratio"] = ratio
-        payload["meta"] = {k: v for k, v in solution.meta.items()}
-        _dump_solution_csv(cfg.out_dir / "solution.csv", solution.v)
-
-        if cfg.exact is not None:
-            err = _error_table(cfg, grid, solution)
-            payload["max_error_vs_exact"] = err
         if proof_mirror:
             trace = (mirror.result() if beside else
                      _proof_mirror(cfg, problem, grid, solution))
@@ -352,8 +351,16 @@ def cmd_characteristic(cfg: RunConfig) -> int:
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a command-line usage error as a ``ConfigError``: one
+    ``error:`` line and exit code 1, as for a bad config."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cordeslab",
         description="Cordes-type solvability analysis, backward solves and "
                     "Monte Carlo cross-validation for nondivergent parabolic "
@@ -366,12 +373,12 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None)
         if name == "solve":
             p.add_argument("--proof-mirror", action="store_true")
-    args = parser.parse_args(argv)
 
-    overrides: dict = {}
-    if args.seed is not None:
-        overrides["mc.seed"] = args.seed
     try:
+        args = parser.parse_args(argv)
+        overrides: dict = {}
+        if args.seed is not None:
+            overrides["mc.seed"] = args.seed
         cfg = RunConfig.load(args.config, overrides)
         if args.out is not None:
             cfg.out_dir = Path(args.out)

@@ -27,10 +27,9 @@ from __future__ import annotations
 import contextlib
 import functools
 import os
-import threading
 import warnings
 from collections import deque
-from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -652,36 +651,34 @@ class _Splitting:
 
 
 class _Published:
-    """The block of one pipelined sweep, filled from level ``nt`` down to
-    0 by its worker.  Reading level ``k`` waits until it is filled, and
-    raises ``CancelledError`` once the pipeline halts or the sweep ends
-    without it."""
+    """The block of one sweep in flight, filled from level ``nt`` down to
+    0 by its worker, which publishes each level through that level's
+    future.  Reading level ``k`` waits for it, and raises
+    ``CancelledError`` once the sweep is cancelled or ends without it."""
 
-    def __init__(self, block: np.ndarray, cond: threading.Condition,
-                 halt: threading.Event):
-        self.block, self.cond, self.halt = block, cond, halt
-        self.low = len(block)   # the lowest filled level
-        self.dead = False
+    def __init__(self, block: np.ndarray):
+        self.block = block
+        self.filled = [Future() for _ in block]
 
     def fill(self, levels):
         try:
             for k, level in levels:
+                if np.iscomplexobj(level) and not np.iscomplexobj(self.block):
+                    self.block = self.block.astype(complex)    # widen only
                 self.block[k] = level.reshape(self.block.shape[1:])
-                with self.cond:
-                    self.low = k
-                    self.cond.notify_all()
+                self.filled[k].set_result(None)
         finally:
-            with self.cond:
-                self.dead = self.low > 0
-                self.cond.notify_all()
+            self.cancel()
         return self.block
 
+    def cancel(self):
+        """Cancel the levels not filled yet; a worker still filling them
+        stops at its next level."""
+        for level in self.filled:
+            level.cancel()
+
     def __getitem__(self, k: int) -> np.ndarray:
-        with self.cond:
-            self.cond.wait_for(lambda: self.low <= k or self.dead
-                               or self.halt.is_set())
-            if self.low > k or self.halt.is_set():
-                raise CancelledError
+        self.filled[k].result()
         return self.block[k]
 
 
@@ -690,18 +687,20 @@ def _increments(split: _Splitting, d: np.ndarray, sweeps: int,
     """Yield the increments of up to ``sweeps`` sweeps after ``d``, in
     sweep order.
 
-    A static operator's sweeps share one read-only ``R``, step system and
-    factor, so they run on a pool of up to ``SWEEP_WORKERS`` usable
-    cores: sweep ``i + 1`` follows sweep ``i`` one level behind, since its
-    level ``k`` needs levels ``k`` and ``k + 1`` of sweep ``i`` and every
-    march goes down from ``nt``.  Each sweep in flight holds a full
-    space-time block, and the ones past the stop are computed and
-    dropped, so the look-ahead stays at the one sweep that was measured.
-    A time-dependent operator's sweeps run one after the other.  Either
-    way the increments are the same bits.  Closing the generator cancels
-    and drops the sweeps ahead of the consumer.  ``before_sweep()`` is
-    called before each sweep starts; an exception it raises ends the
-    sweeps.
+    Every sweep runs on a pool and publishes its levels as it fills them
+    (``_Published``).  A static operator's sweeps share one read-only
+    ``R``, step system and factor, so the pool takes up to
+    ``SWEEP_WORKERS`` usable cores: sweep ``i + 1`` follows sweep ``i``
+    one level behind, since its level ``k`` needs levels ``k`` and
+    ``k + 1`` of sweep ``i`` and every march goes down from ``nt``.
+    Each sweep in flight holds a full space-time block, and the ones
+    past the stop are cancelled, so the look-ahead stays at the one
+    sweep that was measured.  A time-dependent operator builds its
+    levels as it goes, so its pool has one worker and its sweeps run one
+    after the other.  Either way the increments are the same bits.
+    Closing the generator cancels the sweeps ahead of the consumer.
+    ``before_sweep()`` is called before each sweep starts; an exception
+    it raises ends the sweeps.
     """
     if sweeps < 1:
         return
@@ -709,32 +708,25 @@ def _increments(split: _Splitting, d: np.ndarray, sweeps: int,
     if not split.time_dependent:
         split.freeze()
         workers = min(SWEEP_WORKERS, _usable_cores(), sweeps)
-    if workers == 1:
-        for _ in range(sweeps):
-            before_sweep()
-            d = split.march(d)
-            yield d
-        return
     grid = split.grid
-    cond, halt = threading.Condition(), threading.Event()
     pool = ThreadPoolExecutor(workers)
-    pending = deque()
+    pending = deque()   # (block, pool future) of each sweep in flight
     try:
         for i in range(sweeps):
             while len(pending) < workers and i + len(pending) < sweeps:
+                # the worker may widen the block to complex: a moving
+                # remainder can turn complex after the zero terminal level
                 out = _Published(np.zeros((grid.nt + 1,) + grid.shape,
-                                          dtype=split.stepper.dtype),
-                                 cond, halt)
+                                          dtype=split.stepper.dtype))
                 before_sweep()
                 levels = split.stepper.levels(split.source(d),
                                               np.zeros(grid.shape))
-                pending.append(pool.submit(out.fill, levels))
+                pending.append((out, pool.submit(out.fill, levels)))
                 d = out
-            yield pending.popleft().result()
+            yield pending.popleft()[1].result()
     finally:
-        with cond:
-            halt.set()
-            cond.notify_all()
+        for out, _ in pending:
+            out.cancel()
         pool.shutdown(cancel_futures=True)
 
 

@@ -300,7 +300,7 @@ def test_proof_mirror_artifacts_do_not_depend_on_the_cores(tmp_path,
         assert run(tmp_path, "s.cfg", PROOF_MIRROR.format(out="out"),
                    "solve", "--proof-mirror", "--out", str(out)) == 0
         assert _beside(started) == (cores == 2)
-        assert bool(started) == (cores == 2)
+        assert len(started) - _beside(started) == cores   # sweep workers
         artifacts[cores] = {p.name: p.read_bytes() for p in out.iterdir()}
     assert sorted(artifacts[1]) == ["fixed_point_trace.json", "norms.json",
                                     "solution.csv"]
@@ -328,6 +328,22 @@ def _overflowing_direct_solve(monkeypatch):
     return failed
 
 
+def _failing_error_table(monkeypatch):
+    """The error table, made after solution.csv, fails on ``solve.exact``;
+    the event returned is set once it has failed."""
+    import cordeslab.cli as cli
+    table = cli._error_table
+    failed = threading.Event()
+
+    def failing(*args):
+        try:
+            return table(*args)
+        finally:
+            failed.set()
+    monkeypatch.setattr(cli, "_error_table", failing)
+    return failed
+
+
 def _construction_marches(monkeypatch, failed):
     """The list returned gets, for each march the construction starts
     (its first march and every sweep), whether ``failed`` was set then."""
@@ -342,31 +358,41 @@ def _construction_marches(monkeypatch, failed):
     return marches
 
 
-@pytest.mark.parametrize("fault", ["direct", "construction", "both"])
+@pytest.mark.parametrize("fault", ["direct", "construction", "both",
+                                   "exact"])
 def test_proof_mirror_fault_prints_the_line_of_a_serial_run(
         tmp_path, monkeypatch, capsys, fault):
     failed = threading.Event()
-    if fault != "construction":
+    text = PROOF_MIRROR.format(out="out")
+    if fault in ("direct", "both"):
         failed = _overflowing_direct_solve(monkeypatch)
-    if fault != "direct":   # the weight guard trips on the automatic K
+    if fault in ("construction", "both"):
+        # the weight guard trips on the automatic K
         monkeypatch.setattr(solver, "MAX_KT", 1e-3)
+    if fault == "exact":
+        failed = _failing_error_table(monkeypatch)
+        text += 'solve.exact = "sqrt(x1 - 0.5)"\n'
     lines = {}
     for cores in (1, 2):
         started = _cores(monkeypatch, cores)
         failed.clear()
         marches = _construction_marches(monkeypatch, failed)
         out = tmp_path / f"out{cores}"
-        assert run(tmp_path, "s.cfg", PROOF_MIRROR.format(out="out"),
+        assert run(tmp_path, "s.cfg", text,
                    "solve", "--proof-mirror", "--out", str(out)) == 1
         assert _beside(started) == (cores == 2)
-        # a failed direct solve stops the construction at its next sweep
+        # a fault on the main thread stops the construction at its next
+        # sweep
         assert sum(marches) <= 1
         lines[cores] = capsys.readouterr().err.splitlines()
-        assert (out / "solution.csv").exists() == (fault == "construction")
+        assert (out / "solution.csv").exists() == (
+            fault in ("construction", "exact"))
         assert not (out / "norms.json").exists()
     assert len(lines[1]) == 1 and lines[2] == lines[1]
-    assert ("non-finite at time level 7" if fault != "construction"
-            else "weight exponent K*T") in lines[1][0]
+    assert {"direct": "non-finite at time level 7",
+            "construction": "weight exponent K*T",
+            "both": "non-finite at time level 7",
+            "exact": "sqrt of a negative number"}[fault] in lines[1][0]
 
 
 @pytest.mark.parametrize("cores", [1, 2])
@@ -561,6 +587,25 @@ def test_characteristic_computes_no_norms(tmp_path, monkeypatch):
 
 def test_missing_config_exit_1(tmp_path):
     assert main(["analyze", "--config", str(tmp_path / "nope.cfg")]) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--config", "run.cfg", "--bogus"],
+     "unrecognized arguments: --bogus"),
+    (["solve"], "the following arguments are required: --config"),
+    (["simulate", "--config", "run.cfg", "--seed", "x"],
+     "argument --seed: invalid int value: 'x'")])
+def test_usage_error_exit_1(capsys, argv, message):
+    # exit code 2 is kept for a failed check
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_help_exit_0(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["solve", "-h"])
+    assert stop.value.code == 0
+    assert "--proof-mirror" in capsys.readouterr().out
 
 
 def test_problem_file_roundtrip(tmp_path):

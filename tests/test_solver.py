@@ -615,6 +615,26 @@ def test_fixed_point_limit_is_the_direct_solve(case, theta):
     assert trace.agreement <= 1e-8 * scale
 
 
+def test_complex_fixed_point_on_a_moving_operator(monkeypatch):
+    # the remainder of a complex moving rate turns complex after the real
+    # zero terminal level, so the first sweep widens its block
+    prob, g, d = rough_timedep_2d()
+    prob = BackwardProblem(
+        prob.field, phi=prob.phi, Phi=prob.Phi,
+        lambda_override=lambda x, t: 1 + 0.8j * np.arctan(x[:, 0] + t))
+    direct = solve_backward(prob, g)
+    bits, pools = [], []
+    for cores in (1, 2):
+        pools.append(_pools(monkeypatch, cores))
+        sol, trace = fixed_point_solve(prob, g, d, direct=direct)
+        bits.append(sol.v.values.tobytes())
+    scale = np.abs(direct.v.values).max()
+    assert np.iscomplexobj(sol.v.values) and trace.converged
+    assert np.abs(sol.v.values - direct.v.values).max() <= 1e-8 * scale
+    assert bits[0] == bits[1]
+    assert pools == [[1], [1]]     # a moving operator's one sweep worker
+
+
 def jump_1d():
     """A 1-D diffusion jump on which the sweeps do not contract."""
     f = make_field(1, 0.5, Box((-1,), (1,)), [["1 + 1.5*step(x1)"]],
@@ -667,7 +687,9 @@ def test_pipelined_sweeps_give_the_bits_of_one_worker(monkeypatch, case,
         bits.append((sol.v.values.dtype, sol.v.values.tobytes(),
                      json.dumps(trace.as_dict())))
     assert bits[0] == bits[1]
-    assert pools == [[], [2] if max_iter > 2 else []]
+    # one sweep worker on one core, two on two once two sweeps can run
+    assert pools == ([[1], [min(2, max_iter - 1)]] if max_iter > 1
+                     else [[], []])
     if case is jump_1d:     # stopped by five growing sweeps
         assert len(trace.increments) == 7
 
