@@ -350,10 +350,10 @@ class _StepSolver:
     directly.  Any other level's system is solved by BiCGStab
     preconditioned with the lagged LU, started from the caller's ``x0``
     (a march passes the start ``_start`` picks from its last levels) and
-    capped at ``LAGGED_MAXITER`` iterations; when the cap is hit or the
-    residual check fails, that level's matrix is factorized, solved
-    directly, and becomes the lagged factor.  Every step is
-    deterministic.
+    capped at ``LAGGED_MAXITER`` iterations; when the cap is hit, the
+    residual check fails or the norm of the data overflows, that level's
+    matrix is factorized, solved directly, and becomes the lagged factor.
+    Every step is deterministic.
     """
 
     def __init__(self):
@@ -379,9 +379,12 @@ class _StepSolver:
         precond = LinearOperator(B.shape, dtype=B.dtype,
                                  matvec=lambda r: lu.solve(r, trans=trans))
         # BiCGStab's breakdown tests are absolute; solve for unit data
-        scale = np.linalg.norm(rhs)
+        with np.errstate(over="ignore"):
+            scale = np.linalg.norm(rhs)
         if scale == 0.0:
             return np.zeros_like(rhs)
+        if not np.isfinite(scale):  # entries above ~1e154: solve directly
+            return None
         x, info = bicgstab(mat, rhs / scale, x0 / scale, rtol=LIN_RTOL,
                            atol=0.0, maxiter=LAGGED_MAXITER, M=precond)
         x *= scale
@@ -409,22 +412,27 @@ def _start(mat, rhs: np.ndarray, recent) -> np.ndarray:
     last level ``u_1``, the linear extrapolation ``2 u_1 - u_2`` and the
     quadratic one ``3 (u_1 - u_2) + u_3`` from the last levels ``recent``
     (newest first, as many as exist), the one of least residual."""
-    starts = [recent[0]]
-    if len(recent) >= 2:
-        starts.append(2.0 * recent[0] - recent[1])
-    if len(recent) >= 3:
-        starts.append(3.0 * (recent[0] - recent[1]) + recent[2])
-    return min(starts, key=lambda x: np.linalg.norm(mat @ x - rhs))
+    # huge levels may overflow a start or a residual norm to inf, and an
+    # infinite step matrix makes it nan; min prefers neither to a finite one
+    with np.errstate(over="ignore", invalid="ignore"):
+        starts = [recent[0]]
+        if len(recent) >= 2:
+            starts.append(2.0 * recent[0] - recent[1])
+        if len(recent) >= 3:
+            starts.append(3.0 * (recent[0] - recent[1]) + recent[2])
+        return min(starts, key=lambda x: np.linalg.norm(mat @ x - rhs))
 
 
 class _Stepper:
     """Prepared marching machinery for one grid, theta and coefficient
     function ``coefficients(t) -> (b, f, lambda)`` at the nodes.
 
+    ``levels`` is the one loop that solves step systems, for the backward
+    and the adjoint march; ``run`` copies it into a space-time block.
     Arithmetic starts real and switches to complex once, the first time a
-    rate, a source slice or the terminal datum that the march evaluates
-    carries an imaginary part.  It holds one step system: the static
-    operator's for the whole march, or the current level's.  A
+    rate, a source slice or the datum (terminal data or density) that the
+    march evaluates carries an imaginary part.  It holds one step system:
+    the static operator's for the whole march, or the current level's.  A
     time-dependent operator's lagged solves start from the level that
     ``_start`` picks from the march's last three.
     """
@@ -472,60 +480,52 @@ class _Stepper:
                 f"coefficients for overflow")
         return level
 
-    def levels(self, source, Phi_arr: np.ndarray):
-        """Yield ``(k, v_k)`` (flat) from ``Phi_arr`` at level ``nt`` down
-        to level 0; ``source(k)`` is the source of the step onto level
-        ``k``.  A time-dependent operator's lagged solve of level ``k``
-        starts from ``v_{k+1}``, ``2 v_{k+1} - v_{k+2}`` or
-        ``3 (v_{k+1} - v_{k+2}) + v_{k+3}``, whichever has the least
-        residual (``_start``); a static operator's direct solves need no
-        start."""
-        grid = self.grid
-        prev = self._finite(self._admit(Phi_arr), grid.nt).ravel()
-        yield grid.nt, prev
-        recent = deque([prev], maxlen=3)    # v_{k+1}, v_{k+2}, v_{k+3}
-        for k in range(grid.nt - 1, -1, -1):
-            src = self._admit(source(k))
-            B, C = self.system(k)
-            prev = prev.astype(self.dtype, copy=False)
-            rhs = prev if C is None else C @ prev
-            rhs = rhs + grid.dt * src.ravel()
-            x0 = _start(B, rhs, recent) if self.time_dependent else prev
-            prev = self._finite(self.solver.solve(B, rhs, x0), k)
-            recent.appendleft(prev)
-            yield k, prev
+    def levels(self, first: np.ndarray, source=None, adjoint: bool = False):
+        """Yield the march's levels ``(k, x_k)`` (flat) in solve order.
 
-    def run_backward(self, source, Phi_arr: np.ndarray) -> np.ndarray:
-        """The march of ``levels`` as one space-time block."""
-        grid = self.grid
-        v = np.zeros((grid.nt + 1,) + grid.shape)
-        for k, level in self.levels(source, Phi_arr):
-            if v.dtype != self.dtype:
-                v = v.astype(self.dtype)
-            v[k] = level.reshape(grid.shape)
-        return v
-
-    def run_forward_adjoint(self, rho_arr: np.ndarray) -> np.ndarray:
-        """The adjoint march up from ``rho_arr``; a time-dependent
-        operator's lagged solves start as ``levels`` starts them, from
-        the march's own last ``p_hat`` levels."""
-        grid = self.grid
-        nt = grid.nt
-        q = self._admit(rho_arr).ravel()
-        p = np.zeros((nt + 1,) + grid.shape, dtype=self.dtype)
-        recent = deque(maxlen=3)    # p_hat of levels k-1, k-2, k-3
-        for k in range(nt):
+        Backward: ``first`` is ``Phi`` at level ``nt``, and ``B_k v_k =
+        C_k v_{k+1} + dt*source(k)`` (``source`` ``None``: zero) is solved
+        down to level 0.  Adjoint: ``B_k^H p_k = q_k`` is solved up from
+        ``q_0 = first`` (the density), with ``q_{k+1} = C_k^H p_k``, and
+        ``q_nt`` comes last.  A time-dependent operator's lagged solve
+        starts from the last level ``x_1``, ``2 x_1 - x_2`` or ``3 (x_1 -
+        x_2) + x_3`` (as many as the march has), whichever has the least
+        residual (``_start``, given ``B^H`` in the adjoint); the adjoint's
+        first solve starts from ``q_0``.  A static operator's direct
+        solves need no start."""
+        nt = self.grid.nt
+        x = self._finite(self._admit(first), 0 if adjoint else nt).ravel()
+        recent = deque(maxlen=3)    # the last solved levels, newest first
+        if not adjoint:
+            yield nt, x
+            recent.append(x)
+        for k in range(nt) if adjoint else range(nt - 1, -1, -1):
+            src = None if source is None else self._admit(source(k))
             B, C = self.system(k)
-            if p.dtype != self.dtype:
-                p = p.astype(self.dtype)
-            x0 = (_start(B.getH(), q, recent)
-                  if recent and self.time_dependent else q)
-            p_hat = self._finite(self.solver.solve(B, q, x0, adjoint=True), k)
-            recent.appendleft(p_hat)
-            p[k] = p_hat.reshape(grid.shape)
-            q = p_hat if C is None else (C.getH() @ p_hat)
-        p[nt] = self._finite(q, nt).reshape(grid.shape)
-        return p
+            x = x.astype(self.dtype, copy=False)
+            rhs = x if adjoint or C is None else C @ x
+            if src is not None:
+                rhs = rhs + self.grid.dt * src.ravel()
+            x0 = (_start(B.getH() if adjoint else B, rhs, recent)
+                  if recent and self.time_dependent else rhs)
+            x = self._finite(self.solver.solve(B, rhs, x0, adjoint), k)
+            recent.appendleft(x)
+            yield k, x
+            if adjoint and C is not None:
+                x = C.getH() @ x
+        if adjoint:
+            yield nt, self._finite(x, nt)
+
+    def run(self, first: np.ndarray, source=None, adjoint: bool = False):
+        """The march of ``levels`` as one space-time block, widened to
+        complex when the march turns complex."""
+        grid = self.grid
+        block = np.zeros((grid.nt + 1,) + grid.shape)
+        for k, level in self.levels(first, source, adjoint):
+            if block.dtype != self.dtype:
+                block = block.astype(self.dtype)
+            block[k] = level.reshape(grid.shape)
+        return block
 
 
 def solve_backward(problem: BackwardProblem, grid: Grid,
@@ -547,7 +547,7 @@ def solve_backward(problem: BackwardProblem, grid: Grid,
         if problem.phi is not None:
             levels[t] = _slice_l2(vals[None], grid)[0]
         return vals
-    v = stepper.run_backward(phi_at, problem.eval_Phi(grid))
+    v = stepper.run(problem.eval_Phi(grid), phi_at)
     meta = {"theta": theta, "dt": grid.dt, "rtol": LIN_RTOL,
             "time_dependent": problem.operator_time_dependent}
     return DiscreteSolution(GridFunction(grid, v), meta,
@@ -565,11 +565,13 @@ def solve_forward_adjoint(rho, problem: BackwardProblem, grid: Grid,
     rho_arr = rho.values if isinstance(rho, GridFunction) else np.asarray(rho)
     if rho_arr.shape != grid.shape:
         raise ValueError("density shape does not match the grid")
+    if not np.isfinite(rho_arr).all():
+        raise ValueError("density has non-finite values")
     if np.min(rho_arr.real) < -1e-12:
         warnings.warn("initial density has negative parts", RuntimeWarning)
     stepper = _Stepper(grid, theta, lambda t: problem.coefficients(grid, t),
                        problem.operator_time_dependent)
-    p = stepper.run_forward_adjoint(rho_arr)
+    p = stepper.run(rho_arr, adjoint=True)
     return DiscreteSolution(GridFunction(grid, p), {"theta": theta})
 
 
@@ -636,11 +638,6 @@ class _Splitting:
             x = theta * d[k] + (1.0 - theta) * d[k + 1]
             return (self.remainder(k) @ x.ravel()).reshape(shape)
         return at
-
-    def march(self, d: np.ndarray) -> np.ndarray:
-        """The next Picard increment after ``d``."""
-        return self.stepper.run_backward(self.source(d),
-                                         np.zeros(self.grid.shape))
 
     def freeze(self):
         """Build a static operator's ``R``, smooth step system and factor
@@ -719,8 +716,8 @@ def _increments(split: _Splitting, d: np.ndarray, sweeps: int,
                 out = _Published(np.zeros((grid.nt + 1,) + grid.shape,
                                           dtype=split.stepper.dtype))
                 before_sweep()
-                levels = split.stepper.levels(split.source(d),
-                                              np.zeros(grid.shape))
+                levels = split.stepper.levels(np.zeros(grid.shape),
+                                              split.source(d))
                 pending.append((out, pool.submit(out.fill, levels)))
                 d = out
             yield pending.popleft()[1].result()
@@ -799,9 +796,9 @@ def fixed_point_solve(problem: BackwardProblem, grid: Grid,
             direct.result()     # raises the direct solve's fault
 
     before_sweep()
-    v = split.stepper.run_backward(
-        lambda k: problem.eval_phi(grid, split.stepper.t_eval(k)),
-        problem.eval_Phi(grid))
+    v = split.stepper.run(
+        problem.eval_Phi(grid),
+        lambda k: problem.eval_phi(grid, split.stepper.t_eval(k)))
     d = v
     increments = [norm(d)]
     converged = increments[0] == 0.0
@@ -871,9 +868,10 @@ def estimate_R_norm(problem: BackwardProblem, grid: Grid,
     ``K`` weights the norm, not the operator: the norm of a space-time
     field ``w`` is ``Yhat2`` of ``exp(-K (T-t)) w``.  Returns the maximum
     over ``trials`` random fields of unit weighted norm of the weighted
-    norm after one sweep (the remainder applied as a source that the
-    smooth solver absorbs).  Deterministic for a fixed seed.  A diagnostic
-    only: ``fixed_point_solve`` does not call it.
+    norm after one sweep of the construction's own driver
+    (``_increments``; the remainder applied as a source that the smooth
+    solver absorbs), all trials on one splitting.  Deterministic for a
+    fixed seed.  A diagnostic only: ``fixed_point_solve`` does not call it.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -885,7 +883,7 @@ def estimate_R_norm(problem: BackwardProblem, grid: Grid,
     for _ in range(trials):
         w = rng.standard_normal((grid.nt + 1,) + grid.shape)
         w /= max(discrete_norms(GridFunction(grid, w), weights).Yhat2, 1e-300)
-        rw = split.march(w / weight)
+        rw, = _increments(split, w / weight, 1, lambda: None)
         worst = max(worst, discrete_norms(GridFunction(grid, weight * rw),
                                           weights).Yhat2)
     return float(worst)

@@ -439,6 +439,59 @@ def test_adjoint_warns_on_signed_density():
         solve_forward_adjoint(rho, BackwardProblem(f), g)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_adjoint_rejects_a_non_finite_density(bad):
+    f = builtin_problem("identity_heat", {"n": 1})
+    g = build_grid(f.domain, 15, nt=4, T=1.0)
+    rho = np.ones(g.shape)
+    rho[7] = bad
+    with pytest.raises(ValueError, match="density has non-finite values"):
+        solve_forward_adjoint(rho, BackwardProblem(f), g)
+
+
+def _march(prob, g, adjoint, theta=1.0):
+    """The backward solution, or the adjoint one with ``prob.Phi`` as the
+    density."""
+    if adjoint:
+        return solve_forward_adjoint(prob.Phi, prob, g, theta).v.values
+    return solve_backward(prob, g, theta).v.values
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_huge_finite_data_solve_as_on_a_static_operator(adjoint, scale):
+    # the norm of the lagged solve's right-hand side overflows, so those
+    # levels go to the direct LU and the moving operator gives the
+    # static one's bits; no overflow warning is raised on the way
+    f = make_field(1, 1.0, Box((0,), (1,)), [[1.0]], lam=-40.0)
+    g = build_grid(f.domain, 15, nt=6, T=f.T)
+    data = np.full(g.shape, scale)
+    moving = BackwardProblem(f, Phi=data, lambda_override=lambda x, t:
+                             np.full(len(x), -40.0))
+    static = _march(BackwardProblem(f, Phi=data), g, adjoint)
+    assert moving.operator_time_dependent and np.isfinite(static).all()
+    assert np.array_equal(_march(moving, g, adjoint), static)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_march_names_its_non_finite_level(adjoint):
+    # an infinite rate in the step onto level 3 (theta = 0.5 freezes it
+    # at t = 3.5 dt) makes C_3 infinite: the backward march carries that
+    # into v_3, the adjoint into q_4 and so into p_4; no numpy warning
+    # comes before the error
+    f = builtin_problem("identity_heat", {"n": 1})
+    g = build_grid(f.domain, 15, nt=6, T=1.0)
+
+    def rate(x, t):
+        return np.full(len(x), np.inf if abs(t - 3.5 * g.dt) < 1e-9 else 0.5)
+    prob = BackwardProblem(f, Phi=np.ones(g.shape), lambda_override=rate)
+    level = 4 if adjoint else 3
+    with pytest.raises(solver.SolverError, match=f"time level {level} "):
+        _march(prob, g, adjoint, theta=0.5)
+
+
 @pytest.mark.parametrize("lam,theta", [(0.4, 1.0), ((0.2, 0.7), 1.0),
                                        (0.1, 0.5)])
 def test_discrete_duality_random_problems(lam, theta):
@@ -899,6 +952,29 @@ def test_estimate_R_norm_benchmark_below_one():
     est = estimate_R_norm(BackwardProblem(f), g, d, eps=2 * max(g.h), K=4.0,
                           trials=5, seed=3)
     assert est < 1.0
+
+
+def _moving_smooth_field(f1):
+    return make_field(2, 1.0, Box((0, 0), (1, 1)), [[1.0, 0.0], [0.0, 1.0]],
+                      f=[f1, "-0.1"], lam="0.3 + t")
+
+
+def test_estimate_R_norm_zero_remainder_on_a_moving_operator():
+    f = _moving_smooth_field("0.2*t")
+    g = build_grid(f.domain, (9, 9), 8, f.T)
+    assert f.time_dependent
+    est = estimate_R_norm(BackwardProblem(f), g, decompose(f, "identity"),
+                          eps=0.2, K=1.0)
+    assert est <= 1e-10
+
+
+def test_estimate_R_norm_repeats_its_bits_on_a_moving_operator():
+    f = _moving_smooth_field("0.2*t*step(x1 - 0.5)")
+    g = build_grid(f.domain, (9, 9), 8, f.T)
+    d = decompose(f, "identity")
+    est = [estimate_R_norm(BackwardProblem(f), g, d, eps=0.2, K=1.0,
+                           trials=3, seed=4) for _ in range(2)]
+    assert est[0] > 1e-6 and est[0].hex() == est[1].hex()
 
 
 def test_estimate_R_norm_requires_trials():
