@@ -27,10 +27,10 @@ from .grid import GridFunction
 from .solver import (BackwardProblem, FixedPointTrace, SolverError,
                      _usable_cores, apriori_ratio, fixed_point_solve,
                      solve_backward, solve_forward_adjoint)
-from .stochastic import (SDE, _characteristic_panel_mc, _streamed_source,
-                         characteristic_functional, density_compare,
-                         feynman_kac, max_principle_check, simulate_paths,
-                         verify_pairing)
+from .stochastic import (SDE, _characteristic_panel_mc,
+                         _characteristic_panel_pde, _streamed_source,
+                         density_compare, feynman_kac, max_principle_check,
+                         simulate_paths, verify_pairing)
 
 __all__ = ["main"]
 
@@ -266,7 +266,10 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def _read_panel(path: Path, n: int):
-    """Panel CSV: columns ``t, xi1..xin`` (single) or ``func, t, xi1..``."""
+    """Panel CSV: columns ``t, xi1..xin`` (single) or ``func, t, xi1..``.
+
+    Every entry must be finite, a ``func`` id an integer, and the times of
+    each function must increase strictly down the file."""
     try:
         with path.open() as handle:
             rows = list(csv.reader(handle))
@@ -276,21 +279,29 @@ def _read_panel(path: Path, n: int):
         raise ConfigError(f"panel {path} is empty")
     header = [c.strip().lower() for c in rows[0]]
     has_func = header[0] == "func"
-    body = rows[1:] if not _is_number_row(rows[0]) else rows
+    first = 1 if _is_number_row(rows[0]) else 2     # line of the first row
     panels: dict = {}
-    for lineno, row in enumerate(body, start=2):
+
+    def bad(lineno, why):
+        return ConfigError(f"panel {path} line {lineno}: {why}")
+    for lineno, row in enumerate(rows[first - 1:], start=first):
         if not row or all(not c.strip() for c in row):
             continue
         try:
             vals = [float(c) for c in row]
         except ValueError:
-            raise ConfigError(f"panel {path} line {lineno}: non-numeric "
-                              f"entry") from None
+            raise bad(lineno, "non-numeric entry") from None
+        if not np.isfinite(vals).all():
+            raise bad(lineno, "non-finite entry")
+        if has_func and not vals[0].is_integer():
+            raise bad(lineno, f"func id {row[0].strip()} is not an integer")
         fid = int(vals[0]) if has_func else 0
         data = vals[1:] if has_func else vals
         if len(data) != n + 1:
-            raise ConfigError(f"panel {path} line {lineno}: expected t and "
-                              f"{n} components")
+            raise bad(lineno, f"expected t and {n} components")
+        if fid in panels and data[0] <= panels[fid][-1][0]:
+            raise bad(lineno, f"time {data[0]:g} does not follow "
+                      f"{panels[fid][-1][0]:g} of func {fid}")
         panels.setdefault(fid, []).append(data)
     out = []
     for fid in sorted(panels):
@@ -313,16 +324,15 @@ def cmd_characteristic(cfg: RunConfig) -> int:
     grid = cfg.make_grid()
     panel = _read_panel(cfg.char_panel, cfg.field.n)
     sampler = cfg.make_sampler()
-    # one unrecorded ensemble serves every panel function
+    # one unrecorded ensemble and one batched march serve every function
+    xis = [row[1:] for row in panel]
     mcs = _characteristic_panel_mc(SDE(cfg.field, grid), sampler, cfg.mc_dt,
-                                   cfg.mc_M, cfg.mc_seed,
-                                   [row[1:] for row in panel])
+                                   cfg.mc_M, cfg.mc_seed, xis)
+    pdes = _characteristic_panel_pde(grid, cfg.field, sampler, cfg.theta,
+                                     xis)
     rows = []
     ok = True
-    for (fid, times, values), mc in zip(panel, mcs):
-        pde = characteristic_functional(times, values, "pde", grid=grid,
-                                        sampler=sampler, field=cfg.field,
-                                        theta=cfg.theta)
+    for (fid, _, _), mc, pde in zip(panel, mcs, pdes):
         diff = abs(complex(mc.value) - complex(pde.value))
         tol = 3.0 * mc.stderr + cfg.char_allowance
         rows.append({"func": fid, "mc": mc.as_dict(), "pde": pde.as_dict(),

@@ -465,7 +465,13 @@ class _Stepper:
     def system(self, k: int):
         key = k if self.time_dependent else 0
         if self._held is None or self._held[0] != key:
-            b, f, lam = self.coefficients(self.t_eval(k))
+            t = self.t_eval(k)
+            b, f, lam = self.coefficients(t)
+            if not all(np.isfinite(c).all() for c in (b, f, lam)):
+                raise SolverError(
+                    f"non-finite coefficients in the step between time "
+                    f"level {k} and time level {k + 1} (frozen at t = "
+                    f"{t:.6g}); check b, f and the rate")
             lam = self._admit(lam)
             A = _assemble_from_arrays(self.grid, b, f, lam, self.dtype)
             self._held = (key,) + _step_matrices(A, self.grid.dt, self.theta)

@@ -36,6 +36,7 @@ trajectories.  ``record=`` stays a user option, under a memory budget.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
@@ -47,8 +48,8 @@ from .fields import Box, CoefficientField, ConstField
 from .grid import Grid, GridFunction, pair
 from .linalg import symmetric_sqrt
 from .solver import (BackwardProblem, DiscreteSolution, _eval_points,
-                     _real_if_possible, _usable_cores, apriori_ratio,
-                     solve_backward)
+                     _real_if_possible, _Stepper, _usable_cores,
+                     apriori_ratio, solve_backward)
 
 __all__ = [
     "SDE", "PathEnsemble", "Estimate",
@@ -61,6 +62,7 @@ _MAX_RECORD_FLOATS = 4e8
 _NOISE_FLOATS = 2 ** 19  # noise values in flight per simulation (4 MiB)
 _GROUP = 512             # paths per noise stream
 _BLOCK = 2 ** 16         # paths per block at most: bounds the step temporaries
+_PANEL_UNKNOWNS = 2 ** 11  # step unknowns of one panel march at most
 
 
 # ----------------------------------------------------------------------------
@@ -276,8 +278,7 @@ def _step_count(T: float, dt: float):
 
 def _rows(start: int, ids: np.ndarray):
     """Rows ``start + ids`` (``ids`` ascending, not empty), a slice when
-    they are contiguous: the output rows of a block's live paths, or their
-    rows of one step in the block's noise buffer."""
+    they are contiguous: the output rows of a block's live paths."""
     if ids[-1] - ids[0] == len(ids) - 1:
         return slice(start + ids[0], start + ids[-1] + 1)
     return start + ids
@@ -390,13 +391,18 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
 
     def increment(y_live, xi, t_k, held):
         # this order of operations fixes the bits of every path:
-        # (sqdt * xi) @ beta^T, and f dt first, then the noise increment
-        if const_beta is not None:
-            incr = sqdt * xi @ const_beta.T
-        else:
+        # (sqdt * xi) @ beta^T, and f dt first, then the noise increment;
+        # xi is the caller's own contiguous copy
+        if const_beta is None:
             bmat = sde.beta_at(y_live, t_k, held)
-            incr = sqdt * np.einsum("pij,pj->pi", bmat,
-                                    np.ascontiguousarray(xi))
+            incr = sqdt * np.einsum("pij,pj->pi", bmat, xi)
+        else:
+            xi *= sqdt
+            if n == 1:      # a 1x1 product is one rounded multiply
+                xi *= const_beta[0, 0]
+                incr = xi
+            else:
+                incr = xi @ const_beta.T
         if f_zero:
             return incr
         ydot = sde.field.eval_f(y_live, t_k) * dt
@@ -449,7 +455,8 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
                     if sde.field.beta is None:     # derived beta
                         held = sde.beta_table(t_k, held)
                     y_live += increment(
-                        y_live, flat[_rows(c * _GROUP, rows)], t_k, held)
+                        y_live, np.take(flat, rows + c * _GROUP, axis=0),
+                        t_k, held)
                     if domain is not None:
                         out = ~domain.contains(y_live, open_set=True)
                         if out.any():
@@ -633,13 +640,18 @@ def density_compare(ensemble: PathEnsemble, density, t: float) -> float:
 
 
 def _xi_interpolant(xi_times, xi_values):
-    """Panel ``xi(t)``, linear in time between the given rows."""
+    """Panel ``xi(t)``, linear in time between the given rows; the times
+    must increase strictly and every entry must be finite."""
     xi_times = np.asarray(xi_times, dtype=float)
     xi_values = np.atleast_2d(np.asarray(xi_values, dtype=float))
     if xi_values.shape[0] != xi_times.shape[0]:
         xi_values = xi_values.T
-    if xi_values.shape[0] != xi_times.shape[0]:
+    if xi_times.ndim != 1 or xi_values.shape[0] != xi_times.shape[0]:
         raise ValueError("xi panel shapes do not line up")
+    if not (np.isfinite(xi_times).all() and np.isfinite(xi_values).all()):
+        raise ValueError("xi panel has non-finite entries")
+    if (np.diff(xi_times) <= 0).any():
+        raise ValueError("xi panel times must increase strictly")
 
     def xi_at(t: float) -> np.ndarray:
         return np.array([np.interp(t, xi_times, xi_values[:, c])
@@ -689,6 +701,58 @@ def _characteristic_panel_mc(sde: SDE, sampler, dt: float, M: int,
                      {"route": "mc", "dt": dt}) for row in phase]
 
 
+def _characteristic_panel_pde(grid: Grid, field: CoefficientField, sampler,
+                              theta: float, panel) -> list:
+    """PDE characteristic functionals of a panel, a sequence of
+    ``(xi_times, xi_values)`` functions: per function ``1 - i (V(., 0),
+    rho)``, where ``V`` solves the complex backward problem with source
+    ``xi(t) . arctan(x)``, a rate of ``i`` times that source and zero
+    terminal data.
+
+    The functions differ only in rate and source, so a batch of them
+    marches as uncoupled blocks of one step system: the grid gains a
+    leading axis of one node per function, along which every coefficient
+    is zero, so its couplings drop from the step matrices as exact zeros.
+    A batch holds at most ``_PANEL_UNKNOWNS`` unknowns (and at least one
+    function), and of each march only level 0 is kept.
+    """
+    xi_ats = [_xi_interpolant(t, v) for t, v in panel]
+    if any(xi_at(0.0).shape != (grid.n,) for xi_at in xi_ats):
+        raise ValueError("xi panel shapes do not line up")
+    nodes = grid.nodes()
+    z = np.arctan(nodes)
+    n, N = grid.n, grid.size
+    rho = sampler.grid_density(grid)
+    width = max(1, _PANEL_UNKNOWNS // N)
+    values = []
+    for lo in range(0, len(xi_ats), width):
+        batch = xi_ats[lo:lo + width]
+        F = len(batch)
+        wide = Grid(n + 1, (0.0,) + tuple(grid.lo),
+                    (F + 1.0,) + tuple(grid.hi), (F,) + tuple(grid.m),
+                    grid.nt, grid.T)
+
+        @functools.lru_cache(maxsize=1)     # the source, then the rate
+        def phi(t):     # (F, N): xi(t) . arctan(x) of each function
+            return np.stack([z @ xi_at(t) for xi_at in batch])
+
+        def coefficients(t):
+            b = np.zeros((F, N, n + 1, n + 1))
+            b[:, :, 1:, 1:] = field.eval_b(nodes, t)
+            f = np.zeros((F, N, n + 1))
+            f[:, :, 1:] = field.eval_f(nodes, t)
+            return (b.reshape(-1, n + 1, n + 1), f.reshape(-1, n + 1),
+                    (1j * phi(t)).ravel())
+
+        stepper = _Stepper(wide, theta, coefficients, True)
+        for k, level in stepper.levels(np.zeros(wide.shape),
+                                       lambda k: phi(stepper.t_eval(k))):
+            pass    # the last level is level 0
+        values += [1.0 - 1j * pair(GridFunction(grid, v), rho)
+                   for v in level.reshape((F,) + grid.shape)]
+    return [Estimate(complex(v), 0.0, 0, {"route": "pde"}) for v in values]
+
+
 def characteristic_functional(xi_times, xi_values, via: str, *,
                               sde: SDE | None = None, sampler=None,
                               dt: float | None = None, M: int | None = None,
@@ -703,33 +767,19 @@ def characteristic_functional(xi_times, xi_values, via: str, *,
     the simulation steps).  ``via="pde"``: one complex backward solve with
     source ``xi(t) . arctan(x)`` and a purely imaginary rate equal to
     ``i`` times the source, paired with the initial density:
-    ``1 - i (V(., 0), rho)``.
+    ``1 - i (V(., 0), rho)``.  Each is its panel route for one function.
     """
-    xi_at = _xi_interpolant(xi_times, xi_values)
+    panel = [(xi_times, xi_values)]
     if via == "mc":
         if None in (sde, sampler, dt, M, master_seed):
             raise ValueError("mc route needs sde, sampler, dt, M, master_seed")
         return _characteristic_panel_mc(sde, sampler, dt, M, master_seed,
-                                        [(xi_times, xi_values)])[0]
-
+                                        panel)[0]
     if via == "pde":
         if None in (grid, sampler, field):
             raise ValueError("pde route needs grid, sampler, field")
-
-        def phi_fn(x, t):
-            return np.arctan(np.atleast_2d(x)) @ xi_at(t)
-
-        def lam_fn(x, t):
-            return 1j * phi_fn(x, t)
-
-        problem = BackwardProblem(field, phi=phi_fn, Phi=None,
-                                  lambda_override=lam_fn)
-        solution = solve_backward(problem, grid, theta)
-        rho_grid = sampler.grid_density(grid)
-        value = 1.0 - 1j * pair(GridFunction(grid, solution.v.values[0]),
-                                rho_grid)
-        return Estimate(complex(value), 0.0, 0, {"route": "pde"})
-
+        return _characteristic_panel_pde(grid, field, sampler, theta,
+                                         panel)[0]
     raise ValueError("via must be 'mc' or 'pde'")
 
 

@@ -502,6 +502,30 @@ def test_characteristic_malformed_panel_exit_1(tmp_path, capsys):
     assert "panel" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("panel, line, message", [
+    ("func,t,xi1\n0,0.0,1.0\n0,0.2,1.0\n0,0.1,1.0\n", 4, "does not follow"),
+    ("func,t,xi1\n0,0.0,1.0\n1,0.0,1.0\n0,0.0,2.0\n", 4, "does not follow"),
+    ("func,t,xi1\n0,0.0,1.0\n0,inf,1.0\n", 3, "non-finite"),
+    ("func,t,xi1\n0,0.0,nan\n", 2, "non-finite"),
+    ("func,t,xi1\nnan,0.0,1.0\n", 2, "non-finite"),
+    ("func,t,xi1\n1.5,0.0,1.0\n", 2, "func id 1.5 is not an integer"),
+    ("0.0,1.0\n0.1,-inf\n", 2, "non-finite"),
+    ("t,xi1\n0.1,1.0\n0.1,2.0\n", 3, "does not follow")])
+def test_characteristic_bad_panel_exit_1(tmp_path, capsys, panel, line,
+                                         message):
+    # one error line naming the panel file and the line at fault
+    path = tmp_path / "panel.csv"
+    path.write_text(panel)
+    text = ("problem.builtin = gaussian_free_space\nproblem.param.n = 1\n"
+            "grid.m = 31\ngrid.nt = 8\n"
+            "characteristic.panel = panel.csv\n"
+            f"out.dir = {tmp_path / 'out'}\n")
+    assert run(tmp_path, "c.cfg", text, "characteristic") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert f"panel {path} line {line}: " in err[0] and message in err[0]
+
+
 def test_expression_fault_exit_1(tmp_path, capsys):
     # the probe set holds x1 = 0.5, where the entry divides by zero
     (tmp_path / "field.cfg").write_text(

@@ -492,6 +492,36 @@ def test_march_names_its_non_finite_level(adjoint):
         _march(prob, g, adjoint, theta=0.5)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_step_rejects_non_finite_coefficients(monkeypatch, bad, theta,
+                                              adjoint):
+    # a rate that is bad only where the step between levels 2 and 3 is
+    # frozen stops either march there, before that step is assembled
+    f = builtin_problem("identity_heat", {"n": 1})
+    g = build_grid(f.domain, 15, nt=6, T=1.0)
+    t_bad = (3.0 - theta) * g.dt
+    assembled = []
+    assemble = solver._assemble_from_arrays
+
+    def checked(grid, b, fv, lam, dtype):
+        assembled.append(np.isfinite(lam).all())
+        return assemble(grid, b, fv, lam, dtype)
+    monkeypatch.setattr(solver, "_assemble_from_arrays", checked)
+
+    def rate(x, t):
+        return np.full(len(x), bad if abs(t - t_bad) < 1e-9 else 0.5)
+    prob = BackwardProblem(f, Phi=np.ones(g.shape), lambda_override=rate)
+    with pytest.raises(solver.SolverError,
+                       match=rf"non-finite coefficients in the step between "
+                             rf"time level 2 and time level 3 \(frozen at "
+                             rf"t = {t_bad:.6g}\)"):
+        _march(prob, g, adjoint, theta)
+    assert all(assembled) and len(assembled) == (2 if adjoint else 3)
+
+
 @pytest.mark.parametrize("lam,theta", [(0.4, 1.0), ((0.2, 0.7), 1.0),
                                        (0.1, 0.5)])
 def test_discrete_duality_random_problems(lam, theta):

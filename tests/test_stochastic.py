@@ -10,7 +10,7 @@ from numpy.random import SFC64, Generator, SeedSequence
 from cordeslab import stochastic
 from cordeslab.fields import (Box, CoefficientField, builtin_problem,
                               make_field)
-from cordeslab.grid import GridFunction, build_grid
+from cordeslab.grid import GridFunction, build_grid, pair
 from cordeslab.solver import (BackwardProblem, assemble_step, solve_backward,
                               solve_forward_adjoint)
 from cordeslab.stochastic import (SDE, HatSampler, PointSampler,
@@ -183,6 +183,19 @@ def test_streamed_engine_matches_whole_block_reference():
     sampler = UniformBoxSampler(f.domain)
     got = simulate_paths(SDE(f), sampler, 2e-3, 1500, 5, record="all")
     ref = reference_paths(SDE(f), sampler, 2e-3, 1500, 5)
+    assert got.exited.sum() > 300 and not got.exited.all()
+    assert_same_ensemble(got, ref)
+
+
+def test_one_dimensional_step_loop_matches_the_reference():
+    # with n = 1 the step loop scales the noise by one rounded multiply
+    # instead of a 1x1 product: the same bits as the reference's matmul
+    f = make_field(1, 0.2, Box((0.0,), (1.0,)), [[0.845]],
+                   f=["0.5*sin(3*x1)"], lam="0.5 + 0.4*sin(x1)",
+                   beta=[[1.3]])
+    sampler = UniformBoxSampler(f.domain)
+    got = simulate_paths(SDE(f), sampler, 2e-3, 1500, 6, record="all")
+    ref = reference_paths(SDE(f), sampler, 2e-3, 1500, 6)
     assert got.exited.sum() > 300 and not got.exited.all()
     assert_same_ensemble(got, ref)
 
@@ -798,6 +811,106 @@ def test_weak_uniqueness_proxy_step_halving():
         diff = abs(ests[0].value - ests[1].value)
         tol = 3 * np.hypot(ests[0].stderr, ests[1].stderr) + 0.02
         assert diff <= tol
+
+
+def panel_marches(monkeypatch):
+    """Record the grid shape of every panel march (one per batch)."""
+    shapes = []
+    stepper = stochastic._Stepper
+
+    def counted(grid, *args):
+        shapes.append(grid.shape)
+        return stepper(grid, *args)
+    monkeypatch.setattr(stochastic, "_Stepper", counted)
+    return shapes
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+def test_panel_march_matches_each_functions_own(monkeypatch, theta):
+    # five functions in one batch: zero, tiny beside large, a switch and a
+    # ramp; each agrees with its own march, and the zero one is exactly 1
+    T = 0.2
+    f = free_space(T)
+    sampler = TruncatedGaussianSampler([0.3], 1.0, f.sampling_box())
+    g = build_grid(f.domain, 127, 40, T)
+    xi_t = np.linspace(0.0, T, 9)
+    panel = [(xi_t, np.zeros((9, 1))),
+             (xi_t, 1e-3 * np.cos(20 * xi_t).reshape(-1, 1)),
+             (xi_t, 5.0 * np.ones((9, 1))),
+             (xi_t, np.where(xi_t < T / 2, 2.0, -1.5).reshape(-1, 1)),
+             (xi_t, np.linspace(-1.0, 3.0, 9).reshape(-1, 1))]
+    shapes = panel_marches(monkeypatch)
+    got = stochastic._characteristic_panel_pde(g, f, sampler, theta, panel)
+    assert shapes == [(5,) + g.shape]
+    assert got[0].value == 1.0 + 0.0j
+    for est, (times, values) in zip(got, panel):
+        own = characteristic_functional(times, values, "pde", grid=g,
+                                        sampler=sampler, field=f, theta=theta)
+        assert abs(est.value - own.value) <= 1e-9
+    assert shapes[1:] == [(1,) + g.shape] * 5
+    assert abs(got[1].value - 1.0) < 1e-3 < abs(got[2].value - 1.0)
+
+
+def test_panel_above_the_bound_marches_in_batches(monkeypatch):
+    # a 2-D panel of three functions under a bound of two grids' unknowns
+    # runs as batches of two and one, with the values of one batch
+    T = 0.1
+    f = builtin_problem("gaussian_free_space",
+                        {"n": 2, "half_width": 4.0, "T": T})
+    sampler = TruncatedGaussianSampler([0.2, -0.1], 1.0, f.sampling_box())
+    g = build_grid(f.domain, 15, 8, T)
+    xi_t = np.linspace(0.0, T, 5)
+    rng = np.random.default_rng(3)
+    panel = [(xi_t, rng.uniform(-3, 3, (5, 2))) for _ in range(3)]
+    shapes = panel_marches(monkeypatch)
+    whole = stochastic._characteristic_panel_pde(g, f, sampler, 1.0, panel)
+    monkeypatch.setattr(stochastic, "_PANEL_UNKNOWNS", 2 * g.size + 1)
+    split = stochastic._characteristic_panel_pde(g, f, sampler, 1.0, panel)
+    assert shapes == [(3,) + g.shape, (2,) + g.shape, (1,) + g.shape]
+    for a, b in zip(whole, split):
+        assert abs(a.value - b.value) <= 1e-9
+
+
+@pytest.mark.parametrize("n, theta", [(1, 1.0), (1, 0.5), (2, 1.0)])
+def test_pde_route_is_the_one_function_backward_solve(n, theta):
+    # the one-function panel march gives the bits of the complex backward
+    # problem with source xi . arctan(x) and rate i times that source
+    T = 0.1
+    f = builtin_problem("gaussian_free_space",
+                        {"n": n, "half_width": 4.0, "T": T})
+    sampler = TruncatedGaussianSampler([0.2] * n, 1.0, f.sampling_box())
+    g = build_grid(f.domain, 31 if n == 1 else 15, 12, T)
+    xi_t = np.linspace(0.0, T, 4)
+    xi_v = np.random.default_rng(n).uniform(-3, 3, (4, n))
+    xi_at = stochastic._xi_interpolant(xi_t, xi_v)
+
+    def phi(x, t):
+        return np.arctan(np.atleast_2d(x)) @ xi_at(t)
+    problem = BackwardProblem(f, phi=phi,
+                              lambda_override=lambda x, t: 1j * phi(x, t))
+    v0 = solve_backward(problem, g, theta).v.values[0]
+    ref = 1.0 - 1j * pair(GridFunction(g, v0), sampler.grid_density(g))
+    got = characteristic_functional(xi_t, xi_v, "pde", grid=g,
+                                    sampler=sampler, field=f, theta=theta)
+    assert got.value == ref
+
+
+@pytest.mark.parametrize("times, values, message", [
+    ([0.0, 0.1, 0.05], [1.0, 2.0, 3.0], "increase strictly"),
+    ([0.0, 0.1, 0.1], [1.0, 2.0, 3.0], "increase strictly"),
+    ([0.0, np.inf], [1.0, 2.0], "non-finite"),
+    ([0.0, 0.1], [np.nan, 2.0], "non-finite"),
+    ([0.0, 0.1], [1.0, -np.inf], "non-finite")])
+@pytest.mark.parametrize("via", ["mc", "pde"])
+def test_characteristic_rejects_bad_panels(times, values, message, via):
+    T = 0.1
+    f = free_space(T)
+    sampler = TruncatedGaussianSampler([0.0], 1.0, f.sampling_box())
+    with pytest.raises(ValueError, match=message):
+        characteristic_functional(
+            np.array(times), np.array(values).reshape(-1, 1), via,
+            sde=SDE(f), sampler=sampler, dt=0.01, M=10, master_seed=1,
+            grid=build_grid(f.domain, 15, 4, T), field=f)
 
 
 # ----------------------------------------------------------------------------
