@@ -12,13 +12,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import fcntl
+import io
 import json
+import subprocess
 import sys
 from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
+from . import _csvout
 from .conditions import full_report
 from .config import ConfigError, RunConfig
 from .expr import ExprEvalError
@@ -46,38 +50,107 @@ def _base_payload(cfg: RunConfig) -> dict:
             "problem": cfg.field.describe()}
 
 
-def _row_template(nodes: np.ndarray, cells: str, lead: str = "") -> str:
-    """One printf template for a block of CSV rows, one row per node:
-    ``lead``, the node's coordinates ``x1,..,xn`` formatted as
-    ``{:.12g}``, then ``cells``, ended by ``\\r\\n`` as ``csv.writer``
-    ends them (no cell here needs quoting).  ``%.12g`` and ``%.3e`` give
-    the same strings as the f-string specs of the same name."""
-    coords = zip(*(map("{:.12g}".format, col.tolist()) for col in nodes.T))
-    return "".join(f"{lead}{','.join(c)},{cells}\r\n" for c in coords)
+class _SolutionWriter:
+    """``solution.csv``, formatted by a helper interpreter (``_csvout``)
+    from the levels given to ``level`` while the caller computes the next
+    ones.  ``finish`` waits for the file.  Leaving the ``with`` block
+    without it stops the helper and removes what it wrote.  A fault of
+    the helper raises an ``OSError`` that names the file and gives the
+    last line of the helper's report."""
+
+    helper = _csvout.__file__
+
+    def __init__(self, path: Path, grid, times):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self.path = path
+        self._times = times
+        self._ended = False     # the whole stream is sent
+        self._proc = subprocess.Popen(
+            [sys.executable, "-I", "-S", self.helper, str(path)],
+            stdin=subprocess.PIPE, stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE)
+        self._live = True       # not yet waited for
+        # a 1 MiB pipe holds about 14 levels of 95^2 nodes, so the march
+        # need not wait while the helper formats a level (64 KiB, the
+        # default, holds less than one)
+        with contextlib.suppress(OSError, AttributeError):
+            fcntl.fcntl(self._proc.stdin.fileno(), fcntl.F_SETPIPE_SZ,
+                        1 << 20)
+        head = io.StringIO()
+        writer = csv.writer(head)
+        writer.writerow([f"# n={grid.n} m={list(grid.m)} nt={grid.nt} "
+                         f"complex=%d"])
+        writer.writerow(["t"] + [f"x{i + 1}" for i in range(grid.n)]
+                        + ["re", "im"])
+        header = head.getvalue().encode()
+        nodes = grid.nodes()
+        try:
+            self._send(_csvout.HEAD.pack(grid.n, len(nodes), len(header)),
+                       header, nodes.T.tobytes())
+        except BaseException:
+            self.__exit__()
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._live:      # left without finish: stop the helper
+            self._proc.kill()
+            with contextlib.suppress(OSError):
+                self._wait()
+
+    def level(self, k: int, values):
+        """Send time level ``k``; a real level prints ``re,0``."""
+        values = np.asarray(values)
+        cplx = np.iscomplexobj(values)
+        t = f"{self._times[k]:.12g}".encode()
+        self._send(_csvout.LEVEL.pack(k, len(t), cplx), t,
+                   values.astype(complex if cplx else float,
+                                 copy=False).tobytes())
+
+    def finish(self):
+        self._ended = True
+        self._send(_csvout.LEVEL.pack(-1, 0, 0))
+        self._wait()
+
+    def _send(self, *parts):
+        try:
+            for part in parts:
+                self._proc.stdin.write(part)
+            self._proc.stdin.flush()
+        except OSError:     # a broken pipe: the helper stopped early,
+            self._wait()    # which this raises
+
+    def _wait(self):
+        """Wait for the helper; unless it wrote the whole file, remove
+        its files and raise its fault."""
+        proc = self._proc
+        err = proc.communicate()[1]
+        self._live = False
+        if proc.returncode == 0 and self._ended:
+            return
+        part = self.path.with_name(self.path.name + ".part")
+        for path in [part, self.path] if self._ended else [part]:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        lines = err.decode(errors="replace").strip().splitlines()
+        code = proc.returncode
+        reason = (lines[-1] if lines else
+                  f"the writer stopped on signal {-code}" if code < 0 else
+                  f"the writer exited with code {code}")
+        raise OSError(f"cannot write {self.path}: {reason}")
 
 
 def _dump_solution_csv(path: Path, gf: GridFunction):
-    grid = gf.grid
-    path.parent.mkdir(parents=True, exist_ok=True)
-    is_complex = np.iscomplexobj(gf.values)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([f"# n={grid.n} m={list(grid.m)} nt={grid.nt} "
-                         f"complex={int(is_complex)}"])
-        writer.writerow(["t"] + [f"x{i + 1}" for i in range(grid.n)]
-                        + ["re", "im"])
-        # "\0" stands for the time cell of each row
-        rows = _row_template(grid.nodes(),
-                             "%.12g,%.12g" if is_complex else "%.12g,0",
-                             lead="\0,")
-        block = gf.values if gf.is_spacetime else gf.values[None]
-        times = grid.times() if gf.is_spacetime else [0.0]
-        for k, t in enumerate(times):
-            flat = block[k].ravel()
-            if is_complex:
-                flat = np.column_stack((flat.real, flat.imag))
-            handle.write(rows.replace("\0", f"{t:.12g}")
-                         % tuple(flat.ravel().tolist()))
+    """Write ``gf`` as ``solution.csv`` through ``_SolutionWriter``, its
+    levels sent in march order (``nt`` down to 0)."""
+    block = gf.values if gf.is_spacetime else gf.values[None]
+    times = gf.grid.times() if gf.is_spacetime else [0.0]
+    with _SolutionWriter(path, gf.grid, times) as out:
+        for k in range(len(block) - 1, -1, -1):
+            out.level(k, block[k])
+        out.finish()
 
 
 # ----------------------------------------------------------------------------
@@ -144,13 +217,18 @@ def cmd_solve(cfg: RunConfig, proof_mirror: bool = False) -> int:
         mirror = (pool.submit(_proof_mirror, cfg, problem, grid,
                               direct) if beside else None)
         try:
-            solution = solve_backward(problem, grid, cfg.theta)
-            ratio = apriori_ratio(solution, cfg.phi, cfg.Phi)
-            payload = _base_payload(cfg)
-            payload["norms"] = solution.norms.as_dict()
-            payload["apriori_ratio"] = ratio
-            payload["meta"] = {k: v for k, v in solution.meta.items()}
-            _dump_solution_csv(cfg.out_dir / "solution.csv", solution.v)
+            # a helper process formats each level of solution.csv while
+            # the march solves the next
+            with _SolutionWriter(cfg.out_dir / "solution.csv", grid,
+                                 grid.times()) as csv_out:
+                solution = solve_backward(problem, grid, cfg.theta,
+                                          _on_level=csv_out.level)
+                ratio = apriori_ratio(solution, cfg.phi, cfg.Phi)
+                payload = _base_payload(cfg)
+                payload["norms"] = solution.norms.as_dict()
+                payload["apriori_ratio"] = ratio
+                payload["meta"] = {k: v for k, v in solution.meta.items()}
+                csv_out.finish()
             if cfg.exact is not None:
                 payload["max_error_vs_exact"] = _error_table(cfg, grid,
                                                              solution)
@@ -181,7 +259,8 @@ def _error_table(cfg: RunConfig, grid, solution) -> float:
         err = np.abs(num - exact)
         max_err = max(max_err, float(err.max()))
         if k == 0:
-            rows = (_row_template(nodes, "%.12g,%.12g,%.3e")
+            rows = (_csvout._row_template(nodes.T.tolist(),
+                                          "%.12g,%.12g,%.3e")
                     % tuple(np.column_stack((num.real, exact, err))
                             .ravel().tolist()))
     out = cfg.out_dir / "error_table.csv"

@@ -208,7 +208,8 @@ class _Pattern:
     neighbours in every coordinate plane and itself; no two couplings
     share a matrix position.  Assembly stacks one value array per
     coupling (in the order below) and ``source`` picks each stored entry
-    from that stack.
+    from that stack; ``diagonal`` holds the stored positions of the
+    diagonal entries.
     """
 
     def __init__(self, m: tuple):
@@ -248,8 +249,15 @@ class _Pattern:
         self.indices = order.indices
         self.indptr = order.indptr
         self.source = stack_at[order.data.astype(np.int64)]
-        for arr in (self.indices, self.indptr, self.source):
+        self.diagonal = np.flatnonzero(
+            self.source >= (self.couplings - 1) * N)
+        for arr in (self.indices, self.indptr, self.source, self.diagonal):
             arr.setflags(write=False)  # shared by every matrix of the shape
+
+    def matrix(self, data: np.ndarray) -> sparse.csr_matrix:
+        """The matrix with the stored entries ``data`` (in CSR order)."""
+        return sparse.csr_matrix(
+            (data, self.indices.copy(), self.indptr.copy()), shape=self.shape)
 
 
 @functools.lru_cache(maxsize=4)
@@ -258,7 +266,9 @@ def _pattern(m: tuple) -> _Pattern:
 
 
 def _assemble_from_arrays(grid: Grid, b_arr, f_arr, lam_arr,
-                          dtype) -> sparse.csr_matrix:
+                          dtype) -> np.ndarray:
+    """The operator's stored entries on the grid's ``_pattern``, in its
+    CSR order, every diagonal entry included."""
     n, h = grid.n, grid.h
     pattern = _pattern(tuple(grid.m))
     values = []  # one array over all nodes per coupling, in pattern order
@@ -273,43 +283,47 @@ def _assemble_from_arrays(grid: Grid, b_arr, f_arr, lam_arr,
             cc = 2.0 * b_arr[:, i, j] / (4.0 * h[i] * h[j])
             values += [cc, cc, -cc, -cc]
     values.append(diag)
-    data = np.take(np.array(values, dtype=dtype), pattern.source)
-    return sparse.csr_matrix(
-        (data, pattern.indices.copy(), pattern.indptr.copy()),
-        shape=pattern.shape)
+    return np.array(values, dtype=dtype).ravel()[pattern.source]
 
 
-def _step_matrices(A: sparse.csr_matrix, dt: float, theta: float):
+def _step_matrices(pattern: _Pattern, data: np.ndarray, dt: float,
+                   theta: float):
     """``B = I - theta dt A`` and ``C = I + (1-theta) dt A`` (``None`` for
-    the implicit scheme, where ``C`` is the identity).
+    the implicit scheme, where ``C`` is the identity) from the stored
+    entries ``data`` of ``A`` on ``pattern``.
 
-    Both are formed on the pattern of ``A`` (which stores every diagonal
-    entry), each entry rounded as scipy's sparse sum ``eye -/+ s*A``
-    rounds it and exact zeros dropped, so they equal that sum bit for bit.
+    Each entry is rounded as scipy's sparse sum ``eye -/+ s*A`` rounds it
+    and exact zeros are dropped, so both equal that sum bit for bit.
     """
-    on_diag = A.indices == np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-
-    def on_pattern(data):
-        mat = sparse.csr_matrix((data, A.indices.copy(), A.indptr.copy()),
-                                shape=A.shape)
-        mat.eliminate_zeros()
+    def on_pattern(values):
+        mat = pattern.matrix(values)
+        if not values.all():
+            mat.eliminate_zeros()
         return mat
 
-    y = theta * dt * A.data
-    B = on_pattern(np.where(on_diag, 1.0 - y, 0.0 - y))
+    diag = pattern.diagonal
+    y = theta * dt * data
+    b = -y
+    b[diag] = 1.0 - y[diag]
     C = None
     if theta < 1.0:
-        z = (1.0 - theta) * dt * A.data
-        C = on_pattern(np.where(on_diag, 1.0 + z, 0.0 + z))
-    return B, C
+        z = (1.0 - theta) * dt * data
+        z[diag] += 1.0
+        C = on_pattern(z)
+    return on_pattern(b), C
+
+
+def _operator_values(problem: BackwardProblem, grid: Grid,
+                     t: float) -> np.ndarray:
+    b, f, lam = problem.coefficients(grid, t)
+    lam = _real_if_possible(lam)
+    return _assemble_from_arrays(grid, b, f, lam, lam.dtype)
 
 
 def assemble_operator(problem: BackwardProblem, grid: Grid,
                       t: float) -> sparse.csr_matrix:
     """Sparse discretization of the spatial operator at time ``t``."""
-    b, f, lam = problem.coefficients(grid, t)
-    lam = _real_if_possible(lam)
-    return _assemble_from_arrays(grid, b, f, lam, lam.dtype)
+    return _pattern(tuple(grid.m)).matrix(_operator_values(problem, grid, t))
 
 
 def assemble_step(problem: BackwardProblem, grid: Grid, t: float,
@@ -322,10 +336,10 @@ def assemble_step(problem: BackwardProblem, grid: Grid, t: float,
     _check_theta(theta)
     dt = grid.dt
     t_eval = t + (1.0 - theta) * dt
-    A = assemble_operator(problem, grid, t_eval)
-    B, C = _step_matrices(A, dt, theta)
+    data = _operator_values(problem, grid, t_eval)
+    B, C = _step_matrices(_pattern(tuple(grid.m)), data, dt, theta)
     if C is None:
-        C = sparse.identity(grid.size, dtype=A.dtype, format="csr")
+        C = sparse.identity(grid.size, dtype=data.dtype, format="csr")
     phi_bar = problem.eval_phi(grid, t_eval)
     return B, C, phi_bar
 
@@ -473,8 +487,9 @@ class _Stepper:
                     f"level {k} and time level {k + 1} (frozen at t = "
                     f"{t:.6g}); check b, f and the rate")
             lam = self._admit(lam)
-            A = _assemble_from_arrays(self.grid, b, f, lam, self.dtype)
-            self._held = (key,) + _step_matrices(A, self.grid.dt, self.theta)
+            data = _assemble_from_arrays(self.grid, b, f, lam, self.dtype)
+            self._held = (key,) + _step_matrices(
+                _pattern(tuple(self.grid.m)), data, self.grid.dt, self.theta)
         return self._held[1:]
 
     def _finite(self, level: np.ndarray, k: int) -> np.ndarray:
@@ -522,26 +537,32 @@ class _Stepper:
         if adjoint:
             yield nt, self._finite(x, nt)
 
-    def run(self, first: np.ndarray, source=None, adjoint: bool = False):
+    def run(self, first: np.ndarray, source=None, adjoint: bool = False,
+            on_level=None):
         """The march of ``levels`` as one space-time block, widened to
-        complex when the march turns complex."""
+        complex when the march turns complex; ``on_level(k, x_k)`` (flat
+        ``x_k``), when given, gets each level as it is solved."""
         grid = self.grid
         block = np.zeros((grid.nt + 1,) + grid.shape)
         for k, level in self.levels(first, source, adjoint):
             if block.dtype != self.dtype:
                 block = block.astype(self.dtype)
             block[k] = level.reshape(grid.shape)
+            if on_level is not None:
+                on_level(k, level)
         return block
 
 
 def solve_backward(problem: BackwardProblem, grid: Grid,
-                   theta: float = 1.0) -> DiscreteSolution:
+                   theta: float = 1.0, _on_level=None) -> DiscreteSolution:
     """March the terminal-value problem down to ``t = 0``.
 
     The terminal slice is the sampled ``Phi`` exactly; each linear system
     is solved directly or to a relative residual of 1e-10 (see
     ``_StepSolver``).  Complex arithmetic switches on
     automatically when the rate or the data have imaginary parts.
+    ``_on_level(k, v_k)`` (private), when given, gets each level (flat)
+    as the march solves it, from ``nt`` down to 0.
     """
     stepper = _Stepper(grid, theta, lambda t: problem.coefficients(grid, t),
                        problem.operator_time_dependent)
@@ -553,7 +574,7 @@ def solve_backward(problem: BackwardProblem, grid: Grid,
         if problem.phi is not None:
             levels[t] = _slice_l2(vals[None], grid)[0]
         return vals
-    v = stepper.run(problem.eval_Phi(grid), phi_at)
+    v = stepper.run(problem.eval_Phi(grid), phi_at, on_level=_on_level)
     meta = {"theta": theta, "dt": grid.dt, "rtol": LIN_RTOL,
             "time_dependent": problem.operator_time_dependent}
     return DiscreteSolution(GridFunction(grid, v), meta,
@@ -630,8 +651,9 @@ class _Splitting:
             b, f, lam = self.problem.coefficients(self.grid, t)
             b_s, f_s, lam_s = self.smooth(t)
             dl = _real_if_possible(lam - lam_s)
-            self._held = (key, _assemble_from_arrays(
-                self.grid, b - b_s, f - f_s, dl, dl.dtype))
+            self._held = (key, _pattern(tuple(self.grid.m)).matrix(
+                _assemble_from_arrays(self.grid, b - b_s, f - f_s, dl,
+                                      dl.dtype)))
         return self._held[1]
 
     def source(self, d):

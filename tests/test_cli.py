@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -26,6 +29,27 @@ def run(tmp_path, name, text, command, *extra):
     cfg = tmp_path / name
     cfg.write_text(text)
     return main([command, "--config", str(cfg), *extra])
+
+
+@pytest.fixture
+def writers(monkeypatch):
+    """Every ``solution.csv`` writer the test starts."""
+    import cordeslab.cli as cli
+    started = []
+    init = cli._SolutionWriter.__init__
+
+    def recorded(self, *args):
+        started.append(self)
+        init(self, *args)
+    monkeypatch.setattr(cli._SolutionWriter, "__init__", recorded)
+    return started
+
+
+def _nothing_left(out, writers):
+    """No solution.csv or part file in ``out``, and no helper running."""
+    assert not (out / "solution.csv").is_file()
+    assert not (out / "solution.csv.part").is_file()
+    assert writers and all(w._proc.poll() is not None for w in writers)
 
 
 def test_analyze_satisfied_case(tmp_path, capsys):
@@ -316,12 +340,12 @@ def _overflowing_direct_solve(monkeypatch):
     direct = cli.solve_backward
     failed = threading.Event()
 
-    def overflowing(problem, grid, theta):
+    def overflowing(problem, grid, theta, _on_level=None):
         bad = solver.BackwardProblem(
             problem.field, phi=ExprField("exp(700)*exp(700)*x1"),
             Phi=problem.Phi)
         try:
-            return direct(bad, grid, theta)
+            return direct(bad, grid, theta, _on_level=_on_level)
         finally:
             failed.set()
     monkeypatch.setattr(cli, "solve_backward", overflowing)
@@ -361,7 +385,7 @@ def _construction_marches(monkeypatch, failed):
 @pytest.mark.parametrize("fault", ["direct", "construction", "both",
                                    "exact"])
 def test_proof_mirror_fault_prints_the_line_of_a_serial_run(
-        tmp_path, monkeypatch, capsys, fault):
+        tmp_path, monkeypatch, capsys, writers, fault):
     failed = threading.Event()
     text = PROOF_MIRROR.format(out="out")
     if fault in ("direct", "both"):
@@ -388,6 +412,8 @@ def test_proof_mirror_fault_prints_the_line_of_a_serial_run(
         assert (out / "solution.csv").exists() == (
             fault in ("construction", "exact"))
         assert not (out / "norms.json").exists()
+        assert not (out / "solution.csv.part").exists()
+        assert all(w._proc.poll() is not None for w in writers)
     assert len(lines[1]) == 1 and lines[2] == lines[1]
     assert {"direct": "non-finite at time level 7",
             "construction": "weight exponent K*T",
@@ -804,7 +830,18 @@ def _reference_solution_csv(path, gf):
                                    f"{np.imag(flat[idx]):.12g}"])
 
 
+def _streamed_solution_csv(path, grid, levels):
+    """solution.csv through the one writer, ``levels[k]`` sent in march
+    order, ``nt`` down to 0."""
+    from cordeslab.cli import _SolutionWriter
+    with _SolutionWriter(path, grid, grid.times()) as out:
+        for k in range(grid.nt, -1, -1):
+            out.level(k, levels[k])
+        out.finish()
+
+
 def test_solution_csv_bytes_match_reference_writer(tmp_path):
+    # _dump_solution_csv sends the levels in march order, nt down to 0
     from cordeslab.cli import _dump_solution_csv
     rng = np.random.default_rng(5)
     special = [-0.0, 1e-300, -1e-300, 0.1234567890123456, 1 / 3,
@@ -822,6 +859,16 @@ def test_solution_csv_bytes_match_reference_writer(tmp_path):
         _reference_solution_csv(tmp_path / "want.csv", gf)
         assert (tmp_path / "got.csv").read_bytes() == \
             (tmp_path / "want.csv").read_bytes()
+    # a march that turns complex at level 1: its real levels print "re,0",
+    # as the block widened to complex prints them
+    turned = real.astype(complex)
+    turned[:2] += 1j * rng.standard_normal((2,) + g2.shape)
+    _streamed_solution_csv(tmp_path / "got.csv", g2,
+                           [turned[k] if k < 2 else real[k]
+                            for k in range(g2.nt + 1)])
+    _reference_solution_csv(tmp_path / "want.csv", GridFunction(g2, turned))
+    assert (tmp_path / "got.csv").read_bytes() == \
+        (tmp_path / "want.csv").read_bytes()
 
 
 def _reference_error_table(path, grid, num, exact):
@@ -863,6 +910,15 @@ def test_csv_writers_match_reference_writers_on_edge_values(tmp_path):
                                gf.values[0].ravel(), exact)
         assert (tmp_path / "got" / "error_table.csv").read_bytes() == \
             (tmp_path / "want.csv").read_bytes()
+    # the march turns complex at level 1
+    turned = cplx.copy()
+    turned[2:] = real[2:]
+    _streamed_solution_csv(tmp_path / "got.csv", g2,
+                           [cplx[k] if k < 2 else real[k]
+                            for k in range(g2.nt + 1)])
+    _reference_solution_csv(tmp_path / "want.csv", GridFunction(g2, turned))
+    assert (tmp_path / "got.csv").read_bytes() == \
+        (tmp_path / "want.csv").read_bytes()
 
 
 def test_verify_solves_the_backward_problem_once(tmp_path, monkeypatch):
@@ -889,7 +945,7 @@ def test_verify_solves_the_backward_problem_once(tmp_path, monkeypatch):
     assert checks["checks"]["max_principle"]["verdict"] == "pass"
 
 
-def test_non_finite_solution_exit_1(tmp_path, capsys, recwarn):
+def test_non_finite_solution_exit_1(tmp_path, capsys, recwarn, writers):
     # the source overflows to inf (nan at x1 = 0) on every level; stderr
     # holds the one error line, and no numpy warning (which pytest would
     # record instead of printing) is raised
@@ -902,6 +958,85 @@ def test_non_finite_solution_exit_1(tmp_path, capsys, recwarn):
     assert "non-finite at time level 7" in err[0]
     assert not recwarn.list
     assert not (tmp_path / "out" / "solution.csv").exists()
+    _nothing_left(tmp_path / "out", writers)
+
+
+SMALL_SOLVE = ("problem.builtin = identity_heat\nproblem.param.n = 2\n"
+               "grid.m = 31\ngrid.nt = 16\n"
+               'solve.phi = "sin(3*x1)*sin(2*x2)*exp(-t)"\n')
+
+
+@pytest.mark.parametrize("fault", ["exit", "killed", "directory", "late"])
+def test_writer_fault_is_one_line_and_leaves_nothing(tmp_path, monkeypatch,
+                                                      capsys, writers, fault):
+    import cordeslab.cli as cli
+    out = tmp_path / "out"
+    if fault == "exit":         # a helper that exits with code 3
+        stub = tmp_path / "stub.py"
+        stub.write_text("import sys\nsys.stdin.buffer.read()\nsys.exit(3)\n")
+        monkeypatch.setattr(cli._SolutionWriter, "helper", str(stub))
+    if fault == "killed":       # dies after the first level: a broken pipe
+        level = cli._SolutionWriter.level
+
+        def killing(self, k, values):
+            level(self, k, values)
+            self._proc.kill()
+            self._proc.wait()
+        monkeypatch.setattr(cli._SolutionWriter, "level", killing)
+    if fault == "directory":    # cannot write in the output directory
+        (out / "solution.csv.part").mkdir(parents=True)
+    if fault == "late":         # cannot write solution.csv itself
+        (out / "solution.csv").mkdir(parents=True)
+    assert run(tmp_path, "s.cfg", SMALL_SOLVE + f"out.dir = {out}\n",
+               "solve") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: cannot write {out / 'solution.csv'}: ")
+    assert {"exit": "the writer exited with code 3",
+            "killed": "the writer stopped on signal 9",
+            "directory": "IsADirectoryError",
+            "late": "IsADirectoryError"}[fault] in err[0]
+    _nothing_left(out, writers)
+    assert not (out / "norms.json").exists()
+
+
+def test_interrupted_solve_leaves_nothing(tmp_path, monkeypatch, writers):
+    import cordeslab.cli as cli
+    level = cli._SolutionWriter.level
+
+    def interrupted(self, k, values):
+        if k < 12:
+            raise KeyboardInterrupt
+        level(self, k, values)
+    monkeypatch.setattr(cli._SolutionWriter, "level", interrupted)
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        run(tmp_path, "s.cfg", SMALL_SOLVE + f"out.dir = {out}\n", "solve")
+    _nothing_left(out, writers)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no affinity interface on this platform")
+def test_solve_on_one_core_writes_the_same_bytes(tmp_path):
+    import cordeslab
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(SMALL_SOLVE + "out.dir = out\n")
+    assert main(["solve", "--config", str(cfg), "--out",
+                 str(tmp_path / "all")]) == 0
+    # the command and its helper share one core
+    code = ("import os, sys\n"
+            f"os.sched_setaffinity(0, {{{min(os.sched_getaffinity(0))}}})\n"
+            "from cordeslab.cli import main\n"
+            "from cordeslab.solver import _usable_cores\n"
+            "assert _usable_cores() == 1\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    subprocess.run([sys.executable, "-c", code, "solve", "--config", str(cfg),
+                    "--out", str(tmp_path / "one")], check=True,
+                   env=dict(os.environ, PYTHONPATH=str(
+                       Path(cordeslab.__file__).parents[1])))
+    for name in ("solution.csv", "norms.json"):
+        assert (tmp_path / "one" / name).read_bytes() == \
+            (tmp_path / "all" / name).read_bytes()
 
 
 def test_verify_simulates_its_ensemble_once(tmp_path, monkeypatch):

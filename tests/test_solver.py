@@ -214,9 +214,10 @@ def _step_sequence(g, scales):
         b[:, 1, 1] = 1.0 + 0.5 * (x[:, 0] > 0.5)
         b[:, 0, 1] = b[:, 1, 0] = 0.1
         f = np.stack([0.3 * x[:, 1], np.full(n_nodes, -0.2)], axis=1)
-        A = solver._assemble_from_arrays(g, b, f, np.full(n_nodes, 0.5),
-                                         float)
-        out.append(solver._step_matrices(A, g.dt, 1.0)[0])
+        data = solver._assemble_from_arrays(g, b, f, np.full(n_nodes, 0.5),
+                                            float)
+        out.append(solver._step_matrices(solver._pattern(tuple(g.m)), data,
+                                         g.dt, 1.0)[0])
     return out
 
 
@@ -358,7 +359,9 @@ def test_fixed_pattern_assembly_matches_stencil():
                    f=["0.2*x2", "0"], lam=(0.4, "x1"))
     g = build_grid(f.domain, (5, 4), 4, f.T)
     b, fv, lam = BackwardProblem(f).coefficients(g, 0.1)
-    A = solver._assemble_from_arrays(g, b, fv, lam, complex)
+    pattern = solver._pattern(tuple(g.m))
+    data = solver._assemble_from_arrays(g, b, fv, lam, complex)
+    A = pattern.matrix(data)
     # the stencil, node by node
     h = g.h
     m = g.shape
@@ -382,7 +385,7 @@ def test_fixed_pattern_assembly_matches_stencil():
     assert np.array_equal(A.toarray(), dense)
     # step matrices equal scipy's sparse sums, exact zeros dropped
     for theta in (1.0, 0.5):
-        B, C = solver._step_matrices(A, g.dt, theta)
+        B, C = solver._step_matrices(pattern, data, g.dt, theta)
         eye = sparse.identity(g.size, dtype=complex, format="csr")
         assert (B - (eye - theta * g.dt * A)).nnz == 0
         assert np.array_equal(B.toarray(),
