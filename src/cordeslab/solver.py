@@ -442,7 +442,7 @@ class _Stepper:
     function ``coefficients(t) -> (b, f, lambda)`` at the nodes.
 
     ``levels`` is the one loop that solves step systems, for the backward
-    and the adjoint march; ``run`` copies it into a space-time block.
+    and the adjoint march; ``_fill`` copies it into a space-time block.
     Arithmetic starts real and switches to complex once, the first time a
     rate, a source slice or the datum (terminal data or density) that the
     march evaluates carries an imaginary part.  It holds one step system:
@@ -492,6 +492,10 @@ class _Stepper:
                 _pattern(tuple(self.grid.m)), data, self.grid.dt, self.theta)
         return self._held[1:]
 
+    def block(self) -> np.ndarray:
+        """A zero space-time block in the march's current arithmetic."""
+        return np.zeros((self.grid.nt + 1,) + self.grid.shape, self.dtype)
+
     def _finite(self, level: np.ndarray, k: int) -> np.ndarray:
         """The march's time level ``k``; raises when it is not finite."""
         if not np.isfinite(level).all():
@@ -537,20 +541,18 @@ class _Stepper:
         if adjoint:
             yield nt, self._finite(x, nt)
 
-    def run(self, first: np.ndarray, source=None, adjoint: bool = False,
-            on_level=None):
-        """The march of ``levels`` as one space-time block, widened to
-        complex when the march turns complex; ``on_level(k, x_k)`` (flat
-        ``x_k``), when given, gets each level as it is solved."""
-        grid = self.grid
-        block = np.zeros((grid.nt + 1,) + grid.shape)
-        for k, level in self.levels(first, source, adjoint):
-            if block.dtype != self.dtype:
-                block = block.astype(self.dtype)
-            block[k] = level.reshape(grid.shape)
-            if on_level is not None:
-                on_level(k, level)
-        return block
+
+def _fill(block: np.ndarray, levels, on_level=None) -> np.ndarray:
+    """``block`` with a march's ``levels`` ``(k, x_k)`` (flat) stored in
+    it, widened to complex (a copy) once a level is complex;
+    ``on_level(k, block)``, when given, follows the store of level ``k``."""
+    for k, level in levels:
+        if np.iscomplexobj(level) and not np.iscomplexobj(block):
+            block = block.astype(complex)
+        block[k] = level.reshape(block.shape[1:])
+        if on_level is not None:
+            on_level(k, block)
+    return block
 
 
 def solve_backward(problem: BackwardProblem, grid: Grid,
@@ -561,8 +563,8 @@ def solve_backward(problem: BackwardProblem, grid: Grid,
     is solved directly or to a relative residual of 1e-10 (see
     ``_StepSolver``).  Complex arithmetic switches on
     automatically when the rate or the data have imaginary parts.
-    ``_on_level(k, v_k)`` (private), when given, gets each level (flat)
-    as the march solves it, from ``nt`` down to 0.
+    ``_on_level(k, v_k)`` (private), when given, gets each level as the
+    march solves it, from ``nt`` down to 0.
     """
     stepper = _Stepper(grid, theta, lambda t: problem.coefficients(grid, t),
                        problem.operator_time_dependent)
@@ -574,7 +576,8 @@ def solve_backward(problem: BackwardProblem, grid: Grid,
         if problem.phi is not None:
             levels[t] = _slice_l2(vals[None], grid)[0]
         return vals
-    v = stepper.run(problem.eval_Phi(grid), phi_at, on_level=_on_level)
+    v = _fill(stepper.block(), stepper.levels(problem.eval_Phi(grid), phi_at),
+              on_level=_on_level and (lambda k, out: _on_level(k, out[k])))
     meta = {"theta": theta, "dt": grid.dt, "rtol": LIN_RTOL,
             "time_dependent": problem.operator_time_dependent}
     return DiscreteSolution(GridFunction(grid, v), meta,
@@ -598,7 +601,7 @@ def solve_forward_adjoint(rho, problem: BackwardProblem, grid: Grid,
         warnings.warn("initial density has negative parts", RuntimeWarning)
     stepper = _Stepper(grid, theta, lambda t: problem.coefficients(grid, t),
                        problem.operator_time_dependent)
-    p = stepper.run(rho_arr, adjoint=True)
+    p = _fill(stepper.block(), stepper.levels(rho_arr, adjoint=True))
     return DiscreteSolution(GridFunction(grid, p), {"theta": theta})
 
 
@@ -610,24 +613,35 @@ class _Splitting:
     """``A = A_s + R`` for the fixed-point construction: a stepper of the
     smoothed operator ``A_s`` and the rough remainder ``R``, both frozen at
     each step's ``t_eval`` exactly as the direct theta scheme freezes
-    ``A``.
+    ``A``, and the weighted norm of the increments (``norm``).
 
     The bump-smoothed coefficients (three kernel taps per radius along
     each axis) are computed once per level, or once for a static field.
     ``R``, assembled like ``A`` from the coefficient differences, is held
-    for the current level as a step system is.  One stepper serves every
-    march of a solve or an R-norm estimate, so a static operator's smooth
-    step matrix is factorized once.
+    for the current level as a step system is.  Every cache is keyed by
+    the level ``k`` (0 for a static operator), never by a time.  One
+    stepper serves every march of a solve or an R-norm estimate, so a
+    static operator's smooth step matrix is factorized once.
     """
 
     def __init__(self, problem: BackwardProblem, grid: Grid,
-                 decomp: Decomposition, eps: float, theta: float):
+                 decomp: Decomposition, eps: float, theta: float, K: float):
         if not 0.0 < eps < np.inf:
             raise ValueError(f"mollification radius eps = {eps} must be "
                              f"finite and positive")
+        if not np.isfinite(K):
+            raise SolverError(f"weight rate K = {K} is not finite; fix K")
+        if abs(K) * grid.T > MAX_KT:
+            raise SolverError(f"weight exponent K*T = {K * grid.T:.3g} would "
+                              f"overflow; shorten the horizon or fix K")
         self.problem = problem
         self.grid = grid
         self.theta = theta
+        gamma = decomp.gamma or {k: 1.0 for k in decomp.index_set}
+        self.weights = (NormWeights(decomp.index_set, gamma)
+                        if decomp.index_set else NormWeights.default(grid.n))
+        self.weight = np.exp(-K * (grid.T - grid.times())).reshape(
+            (-1,) + (1,) * grid.n)
         self._smooth_at = functools.partial(
             _smooth_parts, decomp.b_bar, decomp.field, grid.nodes(),
             float(eps), [float(eps) / 3.0] * grid.n)
@@ -638,11 +652,19 @@ class _Splitting:
                                or decomp.field.time_dependent)
         self._held = None  # (level key, R)
 
+    def norm(self, block: np.ndarray) -> float:
+        """``Yhat2`` of ``exp(-K (T-t)) block`` in the index-set weights."""
+        return discrete_norms(GridFunction(self.grid, self.weight * block),
+                              self.weights).Yhat2
+
     def smooth(self, t: float):
-        key = round(float(t), 12) if self.stepper.time_dependent else 0.0
-        if key not in self._smoothed:
-            self._smoothed[key] = self._smooth_at(t)
-        return self._smoothed[key]
+        """The smoothed ``(b, f, lambda)`` at ``t``, the ``t_eval`` of
+        level ``k = round(t/dt - 1 + theta)``, which keys the cache."""
+        k = (round(t / self.grid.dt - 1.0 + self.theta)
+             if self.stepper.time_dependent else 0)
+        if k not in self._smoothed:
+            self._smoothed[k] = self._smooth_at(t)
+        return self._smoothed[k]
 
     def remainder(self, k: int) -> sparse.csr_matrix:
         key = k if self.time_dependent else 0
@@ -667,34 +689,70 @@ class _Splitting:
             return (self.remainder(k) @ x.ravel()).reshape(shape)
         return at
 
-    def freeze(self):
-        """Build a static operator's ``R``, smooth step system and factor
-        in the arithmetic every sweep uses, so that sweeps only read
-        them."""
-        self.stepper._admit(self.remainder(0).data)
-        self.stepper.solver.hold(self.stepper.system(0)[0])
+    def increments(self, d: np.ndarray, sweeps: int, before_sweep):
+        """Yield the increments of up to ``sweeps`` sweeps after ``d``, in
+        sweep order.
+
+        Every sweep runs on a pool and publishes its levels as it fills
+        them (``_Published``).  A static operator's sweeps share one
+        read-only ``R``, step system and factor, built first in the
+        arithmetic every sweep uses, so the pool takes up to
+        ``SWEEP_WORKERS`` usable cores: sweep ``i + 1`` follows sweep
+        ``i`` one level behind, since its level ``k`` needs levels ``k``
+        and ``k + 1`` of sweep ``i`` and every march goes down from
+        ``nt``.  Each sweep in flight holds a full space-time block, and
+        the ones past the stop are cancelled, so the look-ahead stays at
+        the one sweep that was measured.  A time-dependent operator
+        builds its levels as it goes, so its pool has one worker and its
+        sweeps run one after the other.  Either way the increments are
+        the same bits.  Closing the generator cancels the sweeps ahead of
+        the consumer.  ``before_sweep()`` is called before each sweep
+        starts; an exception it raises ends the sweeps.
+        """
+        if sweeps < 1:
+            return
+        workers = 1
+        if not self.time_dependent:
+            self.stepper._admit(self.remainder(0).data)
+            self.stepper.solver.hold(self.stepper.system(0)[0])
+            workers = min(SWEEP_WORKERS, _usable_cores(), sweeps)
+        pool = ThreadPoolExecutor(workers)
+        pending = deque()   # (block, pool future) of each sweep in flight
+        try:
+            for i in range(sweeps):
+                while len(pending) < workers and i + len(pending) < sweeps:
+                    out = _Published(self.grid.nt)
+                    before_sweep()
+                    # the worker may widen the block: a moving remainder
+                    # can turn complex after the zero terminal level
+                    levels = self.stepper.levels(np.zeros(self.grid.shape),
+                                                 self.source(d))
+                    pending.append((out, pool.submit(
+                        out.fill, self.stepper.block(), levels)))
+                    d = out
+                yield pending.popleft()[1].result()
+        finally:
+            for out, _ in pending:
+                out.cancel()
+            pool.shutdown(cancel_futures=True)
 
 
 class _Published:
     """The block of one sweep in flight, filled from level ``nt`` down to
     0 by its worker, which publishes each level through that level's
-    future.  Reading level ``k`` waits for it, and raises
-    ``CancelledError`` once the sweep is cancelled or ends without it."""
+    future, set to the block that holds the level.  Reading level ``k``
+    waits for it, and raises ``CancelledError`` once the sweep is
+    cancelled or ends without it."""
 
-    def __init__(self, block: np.ndarray):
-        self.block = block
-        self.filled = [Future() for _ in block]
+    def __init__(self, nt: int):
+        self.filled = [Future() for _ in range(nt + 1)]
 
-    def fill(self, levels):
+    def fill(self, block: np.ndarray, levels):
         try:
-            for k, level in levels:
-                if np.iscomplexobj(level) and not np.iscomplexobj(self.block):
-                    self.block = self.block.astype(complex)    # widen only
-                self.block[k] = level.reshape(self.block.shape[1:])
-                self.filled[k].set_result(None)
+            return _fill(block, levels,
+                         lambda k, out: self.filled[k].set_result(out))
         finally:
             self.cancel()
-        return self.block
 
     def cancel(self):
         """Cancel the levels not filled yet; a worker still filling them
@@ -703,74 +761,7 @@ class _Published:
             level.cancel()
 
     def __getitem__(self, k: int) -> np.ndarray:
-        self.filled[k].result()
-        return self.block[k]
-
-
-def _increments(split: _Splitting, d: np.ndarray, sweeps: int,
-                before_sweep):
-    """Yield the increments of up to ``sweeps`` sweeps after ``d``, in
-    sweep order.
-
-    Every sweep runs on a pool and publishes its levels as it fills them
-    (``_Published``).  A static operator's sweeps share one read-only
-    ``R``, step system and factor, so the pool takes up to
-    ``SWEEP_WORKERS`` usable cores: sweep ``i + 1`` follows sweep ``i``
-    one level behind, since its level ``k`` needs levels ``k`` and
-    ``k + 1`` of sweep ``i`` and every march goes down from ``nt``.
-    Each sweep in flight holds a full space-time block, and the ones
-    past the stop are cancelled, so the look-ahead stays at the one
-    sweep that was measured.  A time-dependent operator builds its
-    levels as it goes, so its pool has one worker and its sweeps run one
-    after the other.  Either way the increments are the same bits.
-    Closing the generator cancels the sweeps ahead of the consumer.
-    ``before_sweep()`` is called before each sweep starts; an exception
-    it raises ends the sweeps.
-    """
-    if sweeps < 1:
-        return
-    workers = 1
-    if not split.time_dependent:
-        split.freeze()
-        workers = min(SWEEP_WORKERS, _usable_cores(), sweeps)
-    grid = split.grid
-    pool = ThreadPoolExecutor(workers)
-    pending = deque()   # (block, pool future) of each sweep in flight
-    try:
-        for i in range(sweeps):
-            while len(pending) < workers and i + len(pending) < sweeps:
-                # the worker may widen the block to complex: a moving
-                # remainder can turn complex after the zero terminal level
-                out = _Published(np.zeros((grid.nt + 1,) + grid.shape,
-                                          dtype=split.stepper.dtype))
-                before_sweep()
-                levels = split.stepper.levels(np.zeros(grid.shape),
-                                              split.source(d))
-                pending.append((out, pool.submit(out.fill, levels)))
-                d = out
-            yield pending.popleft()[1].result()
-    finally:
-        for out, _ in pending:
-            out.cancel()
-        pool.shutdown(cancel_futures=True)
-
-
-def _norm_weight(grid: Grid, K: float) -> np.ndarray:
-    """The weight ``exp(-K (T - t_k))`` of level ``k``, shaped to scale a
-    space-time block."""
-    if not np.isfinite(K):
-        raise SolverError(f"weight rate K = {K} is not finite; fix K")
-    if abs(K) * grid.T > MAX_KT:
-        raise SolverError(f"weight exponent K*T = {K * grid.T:.3g} would "
-                          f"overflow; shorten the horizon or fix K")
-    return np.exp(-K * (grid.T - grid.times())).reshape((-1,) + (1,) * grid.n)
-
-
-def _default_weights(decomp: Decomposition, grid: Grid) -> NormWeights:
-    if not decomp.index_set:
-        return NormWeights.default(grid.n)
-    gamma = decomp.gamma or {k: 1.0 for k in decomp.index_set}
-    return NormWeights(decomp.index_set, gamma)
+        return self.filled[k].result()[k]
 
 
 def fixed_point_solve(problem: BackwardProblem, grid: Grid,
@@ -797,13 +788,11 @@ def fixed_point_solve(problem: BackwardProblem, grid: Grid,
     ``Future`` of it, read only then, after the last sweep; once that
     future holds an exception, the construction raises it before its
     next sweep.  The sweeps of a static operator run pipelined, one
-    sweep ahead (see ``_increments``); the results are the bits of one
-    sweep at a time.
+    sweep ahead (see ``_Splitting.increments``); the results are the bits
+    of one sweep at a time.
     """
     if eps is None:
         eps = 2.0 * float(np.max(grid.h))
-    weights = _default_weights(decomp, grid)
-    split = _Splitting(problem, grid, decomp, eps, theta)
     samples = SampleSet(grid.nodes(), grid.times()[:: max(1, grid.nt // 3)])
     _warn_if_condition_fails(decomp, samples)
     if K == "auto":     # delta is memoized on the samples
@@ -813,33 +802,29 @@ def fixed_point_solve(problem: BackwardProblem, grid: Grid,
                       ** 2).sum(axis=1)).max()
         K = lam0 + f0 ** 2 / delta + 1.0
     K = float(K)
-    weight = _norm_weight(grid, K)
-
-    def norm(block):
-        return discrete_norms(GridFunction(grid, weight * block),
-                              weights).Yhat2
+    split = _Splitting(problem, grid, decomp, eps, theta, K)
 
     def before_sweep():
         if isinstance(direct, Future) and direct.done():
             direct.result()     # raises the direct solve's fault
 
     before_sweep()
-    v = split.stepper.run(
+    v = _fill(split.stepper.block(), split.stepper.levels(
         problem.eval_Phi(grid),
-        lambda k: problem.eval_phi(grid, split.stepper.t_eval(k)))
+        lambda k: problem.eval_phi(grid, split.stepper.t_eval(k))))
     d = v
-    increments = [norm(d)]
+    increments = [split.norm(d)]
     converged = increments[0] == 0.0
     grow = 0
-    with contextlib.closing(_increments(split, d, max_iter - 1,
-                                        before_sweep)) as sweeps:
+    with contextlib.closing(split.increments(d, max_iter - 1,
+                                             before_sweep)) as sweeps:
         for d in sweeps:
             v = v + d
-            increments.append(norm(d))
+            increments.append(split.norm(d))
             # Yhat2 is subadditive: norm(v) <= sum(increments), up to rounding
             small = tol * max(sum(increments), 1e-300) * (1 + 1e-12)
             if increments[-1] <= small \
-                    and increments[-1] <= tol * max(norm(v), 1e-300):
+                    and increments[-1] <= tol * max(split.norm(v), 1e-300):
                 converged = True
                 break
             grow = grow + 1 if increments[-1] > increments[-2] else 0
@@ -858,7 +843,8 @@ def fixed_point_solve(problem: BackwardProblem, grid: Grid,
 
     solution = DiscreteSolution(GridFunction(grid, v),
                                 {"theta": theta, "eps": eps, "K": K,
-                                 "iterations": len(increments)}, weights)
+                                 "iterations": len(increments)},
+                                split.weights)
     agreement = None
     if converged:
         if isinstance(direct, Future):
@@ -897,23 +883,21 @@ def estimate_R_norm(problem: BackwardProblem, grid: Grid,
     field ``w`` is ``Yhat2`` of ``exp(-K (T-t)) w``.  Returns the maximum
     over ``trials`` random fields of unit weighted norm of the weighted
     norm after one sweep of the construction's own driver
-    (``_increments``; the remainder applied as a source that the smooth
-    solver absorbs), all trials on one splitting.  Deterministic for a
-    fixed seed.  A diagnostic only: ``fixed_point_solve`` does not call it.
+    (``_Splitting.increments``; the remainder applied as a source that the
+    smooth solver absorbs), all trials on one splitting.  Deterministic for
+    a fixed seed.  A diagnostic only: ``fixed_point_solve`` does not call it.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    weights = _default_weights(decomp, grid)
-    split = _Splitting(problem, grid, decomp, eps, theta)
-    weight = _norm_weight(grid, float(K))
+    split = _Splitting(problem, grid, decomp, eps, theta, float(K))
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         w = rng.standard_normal((grid.nt + 1,) + grid.shape)
-        w /= max(discrete_norms(GridFunction(grid, w), weights).Yhat2, 1e-300)
-        rw, = _increments(split, w / weight, 1, lambda: None)
-        worst = max(worst, discrete_norms(GridFunction(grid, weight * rw),
-                                          weights).Yhat2)
+        w /= max(discrete_norms(GridFunction(grid, w), split.weights).Yhat2,
+                 1e-300)
+        rw, = split.increments(w / split.weight, 1, lambda: None)
+        worst = max(worst, split.norm(rw))
     return float(worst)
 
 

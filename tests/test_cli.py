@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -315,16 +316,31 @@ def _beside(started):
     return any(name.startswith("proof-mirror") for name in started)
 
 
+def _sweep_pools(monkeypatch):
+    """The list returned collects the worker count of every sweep pool the
+    construction starts (an idle pool thread may serve two sweeps, so the
+    threads started do not count them)."""
+    pools = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+    monkeypatch.setattr(solver, "ThreadPoolExecutor", Pool)
+    return pools
+
+
 def test_proof_mirror_artifacts_do_not_depend_on_the_cores(tmp_path,
                                                            monkeypatch):
     artifacts = {}
     for cores in (1, 2):
         started = _cores(monkeypatch, cores)
+        pools = _sweep_pools(monkeypatch)
         out = tmp_path / f"out{cores}"
         assert run(tmp_path, "s.cfg", PROOF_MIRROR.format(out="out"),
                    "solve", "--proof-mirror", "--out", str(out)) == 0
         assert _beside(started) == (cores == 2)
-        assert len(started) - _beside(started) == cores   # sweep workers
+        assert pools == [cores]     # the sweep workers
         artifacts[cores] = {p.name: p.read_bytes() for p in out.iterdir()}
     assert sorted(artifacts[1]) == ["fixed_point_trace.json", "norms.json",
                                     "solution.csv"]
@@ -594,6 +610,62 @@ TINY_MC = ("problem.builtin = gaussian_free_space\n"
            "problem.param.T = 0.1\ngrid.m = 31\ngrid.nt = 8\n"
            "mc.M = 400\nmc.dt = 0.01\nmc.seed = 3\n"
            "mc.sampler = gaussian\nmc.sampler.sigma = 1.0\n")
+
+
+def test_solve_phi_im_makes_the_solution_complex(tmp_path):
+    from cordeslab.config import RunConfig
+    from cordeslab.fields import ExprField
+    text = ("problem.builtin = identity_heat\nproblem.param.n = 1\n"
+            "grid.m = 15\ngrid.nt = 8\n"
+            'solve.phi = "x1 * (1 + t)"\nsolve.phi_im = "cos(x1) * t"\n'
+            f"out.dir = {tmp_path / 'out'}\n")
+    assert run(tmp_path, "s.cfg", text, "solve") == 0
+    cfg = RunConfig.load(tmp_path / "s.cfg")
+    sol = solver.solve_backward(solver.BackwardProblem(
+        cfg.field, phi=(ExprField("x1 * (1 + t)"), ExprField("cos(x1) * t"))),
+        cfg.make_grid())
+    assert np.iscomplexobj(sol.v.values)
+    _reference_solution_csv(tmp_path / "want.csv", sol.v)
+    got = (tmp_path / "out" / "solution.csv").read_bytes()
+    assert got.splitlines()[0].endswith(b"complex=1")
+    assert got == (tmp_path / "want.csv").read_bytes()
+
+
+def test_problem_file_lambda_im_makes_the_march_complex(tmp_path):
+    im = []
+    for extra in ("", 'lambda.im = "0.5*x1"\n'):
+        (tmp_path / "field.cfg").write_text(
+            ONE_D + 'b[1][1] = "1"\nlambda.re = "0.3"\n' + extra)
+        text = ("problem.file = field.cfg\ngrid.m = 15\ngrid.nt = 8\n"
+                'solve.Phi = "sin(3.141592653589793*x1)"\n'
+                f"out.dir = {tmp_path / 'out'}\n")
+        assert run(tmp_path, "s.cfg", text, "solve") == 0
+        lines = (tmp_path / "out" / "solution.csv").read_text().splitlines()
+        im.append((lines[0][-1], max(abs(float(row.split(",")[-1]))
+                                     for row in lines[2:])))
+    assert im[0] == ("0", 0.0)
+    assert im[1][0] == "1" and im[1][1] > 0.0
+
+
+@pytest.mark.parametrize("command, key, table, tol", [
+    ("verify", "verify.pairing.allowance",
+     lambda out: [json.loads((out / "verify.json").read_text())
+                  ["checks"]["pairing"]], "tolerance"),
+    ("characteristic", "characteristic.allowance",
+     lambda out: json.loads((out / "characteristic.json").read_text())
+     ["table"], "tol")])
+def test_allowance_moves_the_tolerance_by_its_value(tmp_path, command, key,
+                                                    table, tol):
+    (tmp_path / "panel.csv").write_text("func,t,xi1\n0,0.0,1.0\n"
+                                        "1,0.0,0.5\n1,0.1,-1.0\n")
+    tols = {}
+    for allowance in (0.0, 0.375):
+        text = (TINY_MC + "characteristic.panel = panel.csv\n"
+                f"{key} = {allowance}\nout.dir = out{allowance}\n")
+        assert run(tmp_path, "c.cfg", text, command) in (0, 2)
+        tols[allowance] = [row[tol] for row in
+                           table(tmp_path / f"out{allowance}")]
+    assert tols[0.375] == [t + 0.375 for t in tols[0.0]]
 
 
 def test_recording_budget_exit_1(tmp_path, capsys, monkeypatch):

@@ -818,9 +818,22 @@ def test_non_finite_level_of_a_pipelined_sweep_names_it(monkeypatch):
     assert pools == [2] and reads[2] is False
 
 
+def fast_moving_1d():
+    """A 1-D diffusion jump that crosses half the domain in T = 1e-10, on
+    200 levels 5e-13 apart: levels whose times agree to 12 decimals are
+    still different levels."""
+    f = make_field(1, 1e-10, Box((0.0,), (0.2,)),
+                   [["1 + 0.3*step(x1 - 1e9*t)"]])
+    g = build_grid(f.domain, 15, 200, f.T)
+    prob = BackwardProblem(f, Phi=lambda x: np.cos(0.5 * np.pi * x[:, 0]))
+    return prob, g, decompose(f, "identity")
+
+
 @pytest.mark.parametrize("case, theta", [(rough_timedep_2d, 1.0),
                                          (rough_timedep_2d, 0.5),
-                                         (paper_benchmark, 1.0)])
+                                         (paper_benchmark, 1.0),
+                                         (fast_moving_1d, 1.0),
+                                         (fast_moving_1d, 0.5)])
 def test_fixed_point_smooths_each_level_once(monkeypatch, case, theta):
     # however many sweeps run, the smoothed coefficients are computed once
     # per level of a moving field and once for a static one
@@ -832,6 +845,7 @@ def test_fixed_point_smooths_each_level_once(monkeypatch, case, theta):
                         lambda *a: times.append(a[-1]) or smooth(*a))
     _, trace = fixed_point_solve(prob, g, d, theta=theta, direct=direct)
     assert trace.converged and len(trace.increments) > 2
+    assert trace.agreement <= 1e-8 * np.abs(direct.v.values).max()
     assert len(times) == (g.nt if prob.field.time_dependent else 1)
 
 
