@@ -27,7 +27,6 @@ from .conditions import full_report
 from .config import ConfigError, RunConfig
 from .expr import ExprEvalError
 from .fields import decompose, sample_set
-from .grid import GridFunction
 from .solver import (BackwardProblem, FixedPointTrace, SolverError,
                      _usable_cores, apriori_ratio, fixed_point_solve,
                      solve_backward, solve_forward_adjoint)
@@ -140,17 +139,6 @@ class _SolutionWriter:
                   f"the writer stopped on signal {-code}" if code < 0 else
                   f"the writer exited with code {code}")
         raise OSError(f"cannot write {self.path}: {reason}")
-
-
-def _dump_solution_csv(path: Path, gf: GridFunction):
-    """Write ``gf`` as ``solution.csv`` through ``_SolutionWriter``, its
-    levels sent in march order (``nt`` down to 0)."""
-    block = gf.values if gf.is_spacetime else gf.values[None]
-    times = gf.grid.times() if gf.is_spacetime else [0.0]
-    with _SolutionWriter(path, gf.grid, times) as out:
-        for k in range(len(block) - 1, -1, -1):
-            out.level(k, block[k])
-        out.finish()
 
 
 # ----------------------------------------------------------------------------

@@ -193,8 +193,7 @@ def _undominated(A: np.ndarray, C: np.ndarray):
 def _nu_hat_value(A: np.ndarray, C: np.ndarray, gamma_vec: np.ndarray) -> float:
     if gamma_vec.size == 0:
         return 0.0
-    inner = A + (gamma_vec / (2.0 - gamma_vec)) * C
-    return float(np.sum(0.5 / gamma_vec) * inner.sum(axis=1).max())
+    return float(_value_batch(A, C, gamma_vec[None])[0])
 
 
 def nu_hat(decomp: Decomposition, samples: SampleSet | None = None,
@@ -291,15 +290,18 @@ def _optimal_weights(A: np.ndarray, C: np.ndarray):
 def _value_batch(A, C, gammas: np.ndarray) -> np.ndarray:
     """Vectorized ``nu_hat`` over a (G, m) batch of gamma vectors.
 
-    Each (gamma, row) entry is summed column by column on its own, so its
-    bits do not depend on the other rows: a matrix product would pick
-    its BLAS kernel by shape (a matrix-vector kernel for one row).
+    Each (gamma, row) entry adds its terms ``A_k + w_k C_k`` column by
+    column, in order, so its bits do not depend on the other rows: a
+    matrix product would pick its BLAS kernel by shape (a matrix-vector
+    kernel for one row).
     """
     w = gammas / (2.0 - gammas)
     inner = np.multiply.outer(w[:, 0], C[:, 0])
+    inner += A[:, 0]
     for k in range(1, w.shape[1]):
-        inner += np.multiply.outer(w[:, k], C[:, k])
-    inner += A.sum(axis=1)
+        term = np.multiply.outer(w[:, k], C[:, k])
+        term += A[:, k]
+        inner += term
     return np.sum(0.5 / gammas, axis=1) * inner.max(axis=1)
 
 

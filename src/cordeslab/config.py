@@ -265,11 +265,11 @@ class RunConfig:
                                         count=(1, field.n), least=3))
         if "grid.nt" in kv:
             cfg.grid_nt = _number(kv, "grid.nt", integer=True, least=1)
-        cfg.theta = _number(kv, "scheme.theta", 1.0)
+        cfg.theta = _number(kv, "scheme.theta", cfg.theta)
         if not 0.5 <= cfg.theta <= 1.0:
             raise ConfigError(f"scheme.theta={cfg.theta} outside [0.5, 1]")
 
-        cfg.split = str(kv.get("conditions.split", "identity"))
+        cfg.split = str(kv.get("conditions.split", cfg.split))
         if cfg.split not in ("identity", "constant"):
             raise ConfigError(f"unknown split spec {cfg.split!r}")
         if "conditions.N" in kv:
@@ -282,10 +282,10 @@ class RunConfig:
             cfg.gamma = tuple(_numbers(kv, "conditions.gamma", count=count))
             if any(not 0.0 < g < 2.0 for g in cfg.gamma):
                 raise ConfigError("conditions.gamma entries must lie in (0, 2)")
-        cfg.samples_space = _number(kv, "conditions.samples.space", 9,
-                                    integer=True, least=2)
-        cfg.samples_time = _number(kv, "conditions.samples.time", 3,
-                                   integer=True, least=1)
+        cfg.samples_space = _number(kv, "conditions.samples.space",
+                                    cfg.samples_space, integer=True, least=2)
+        cfg.samples_time = _number(kv, "conditions.samples.time",
+                                   cfg.samples_time, integer=True, least=1)
 
         if "solve.phi" in kv or "solve.phi_im" in kv:
             cfg.phi = ExprField(str(kv.get("solve.phi", "0")))
@@ -308,22 +308,24 @@ class RunConfig:
                                   f"expected a finite number with |K|*T <= "
                                   f"{MAX_KT:g}")
 
-        cfg.mc_M = _number(kv, "mc.M", 10000, integer=True, least=1)
-        cfg.mc_dt = _number(kv, "mc.dt", 1e-3)
+        cfg.mc_M = _number(kv, "mc.M", cfg.mc_M, integer=True, least=1)
+        cfg.mc_dt = _number(kv, "mc.dt", cfg.mc_dt)
         if cfg.mc_dt <= 0:
             raise ConfigError("mc.dt must be positive")
-        cfg.mc_seed = _number(kv, "mc.seed", 1, integer=True)
-        cfg.sampler_kind = str(kv.get("mc.sampler", "uniform"))
+        cfg.mc_seed = _number(kv, "mc.seed", cfg.mc_seed, integer=True)
+        cfg.sampler_kind = str(kv.get("mc.sampler", cfg.sampler_kind))
         cfg.sampler_params = kv.under("mc.sampler.")
-        cfg.dump_paths = bool(kv.get("mc.dump_paths", False))
+        cfg.dump_paths = bool(kv.get("mc.dump_paths", cfg.dump_paths))
 
-        cfg.pairing_allowance = _number(kv, "verify.pairing.allowance", 2e-2)
+        cfg.pairing_allowance = _number(kv, "verify.pairing.allowance",
+                                        cfg.pairing_allowance)
         if "verify.density.times" in kv:
             cfg.density_times = _numbers(kv, "verify.density.times")
-        cfg.density_l1 = _number(kv, "verify.density.l1", 0.05)
+        cfg.density_l1 = _number(kv, "verify.density.l1", cfg.density_l1)
         if "characteristic.panel" in kv:
             cfg.char_panel = base_dir / str(kv["characteristic.panel"])
-        cfg.char_allowance = _number(kv, "characteristic.allowance", 3e-2)
+        cfg.char_allowance = _number(kv, "characteristic.allowance",
+                                     cfg.char_allowance)
         if "out.dir" in kv:
             cfg.out_dir = base_dir / str(kv["out.dir"])
         kv.check()

@@ -79,48 +79,43 @@ def _real_if_possible(values) -> np.ndarray:
     return values
 
 
-def _eval_points(spec, pts: np.ndarray, t: float, terminal: bool = False):
-    """Evaluate a source, rate or terminal spec at arbitrary points.
+def _eval_points(spec, pts: np.ndarray, t: float, terminal: bool = False,
+                 grid: Grid | None = None):
+    """Evaluate a source or terminal spec at the points ``pts``.
 
-    The one convention for callables: sources and rates are called as
-    ``spec(points, t)``, terminal data as ``spec(points)``.  Objects with
-    ``eval_raw`` are evaluated at ``(points, t)``; ``(re, im)`` pairs of
-    either combine into complex values.
+    The one convention for callables: sources are called as ``spec(points,
+    t)``, terminal data as ``spec(points)``.  Objects with ``eval_raw`` are
+    evaluated at ``(points, t)``; ``(re, im)`` pairs of any spec combine
+    into complex values.  Given the ``grid`` whose nodes ``pts`` are, it
+    also takes the grid-only forms: ``None`` (zero), a slice of the
+    grid's shape and a space-time block ``(nt+1, *m)``, read at the level
+    nearest ``t`` (terminal data: the last).
     """
     if isinstance(spec, tuple) and len(spec) == 2:
-        return (_eval_points(spec[0], pts, t, terminal)
-                + 1j * _eval_points(spec[1], pts, t, terminal))
+        return (_eval_points(spec[0], pts, t, terminal, grid)
+                + 1j * _eval_points(spec[1], pts, t, terminal, grid))
     if hasattr(spec, "eval_raw"):
         return spec.eval_raw(pts, t)
     if callable(spec):
         return spec(pts) if terminal else spec(pts, t)
+    if grid is not None:
+        if spec is None:
+            return np.zeros(grid.size)
+        if isinstance(spec, np.ndarray):
+            if spec.shape == grid.shape:
+                return spec.ravel()
+            if spec.shape == (grid.nt + 1,) + grid.shape:
+                return spec[-1 if terminal else grid.level(t)].ravel()
+            raise ValueError(f"array source of shape {spec.shape} does not "
+                             f"fit the grid")
     raise TypeError(f"cannot interpret source spec {spec!r}")
 
 
 def _eval_space_fn(spec, grid: Grid, t: float | None):
-    """Evaluate a source/terminal spec on the interior nodes.
-
-    ``t=None`` asks for terminal data.  Accepts ``None`` (zero), the specs
-    of ``_eval_points``, space-time blocks ``(nt+1, *m)`` (sliced at the
-    nearest time level), single-slice arrays, and ``(re, im)`` pairs of
-    any of these.
-    """
-    if spec is None:
-        return np.zeros(grid.shape)
-    if isinstance(spec, tuple) and len(spec) == 2:
-        re = _eval_space_fn(spec[0], grid, t)
-        im = _eval_space_fn(spec[1], grid, t)
-        return re + 1j * im
-    if isinstance(spec, np.ndarray):
-        if spec.shape == grid.shape:
-            return spec
-        if spec.shape == (grid.nt + 1,) + grid.shape:
-            return spec[-1 if t is None else grid.level(t)]
-        raise ValueError(f"array source of shape {spec.shape} does not fit "
-                         f"the grid")
-    # terminal data (t is None) live at the horizon
+    """``_eval_points`` on the interior nodes, shaped like the grid;
+    ``t=None`` asks for terminal data, which live at the horizon."""
     vals = _eval_points(spec, grid.nodes(), grid.T if t is None else t,
-                        terminal=t is None)
+                        terminal=t is None, grid=grid)
     return np.asarray(vals).reshape(grid.shape)
 
 
@@ -128,19 +123,17 @@ def _eval_space_fn(spec, grid: Grid, t: float | None):
 class BackwardProblem:
     """Data of one terminal-value problem on a coefficient field.
 
-    ``phi`` and ``Phi`` follow the conventions of ``_eval_space_fn``:
-    callables are ``phi(points, t)`` and ``Phi(points)``;
-    ``lambda_override`` (same conventions as ``phi``, complex allowed)
-    replaces the field's zero-order coefficient, which the
-    characteristic-functional route uses to inject a purely imaginary
-    rate.  Whether the solve runs in complex arithmetic is decided by the
-    march from the values it evaluates.
+    The field is the operator: its ``b``, ``f`` and rate ``lambda`` (real
+    or complex) are read at the nodes, and it alone says whether the
+    operator moves in time.  ``phi`` and ``Phi`` follow the conventions
+    of ``_eval_points``: callables are ``phi(points, t)`` and
+    ``Phi(points)``.  Whether the solve runs in complex arithmetic is
+    decided by the march from the values it evaluates.
     """
 
     field: CoefficientField
     phi: object = None
     Phi: object = None
-    lambda_override: object = None
 
     def eval_phi(self, grid: Grid, t: float) -> np.ndarray:
         return _eval_space_fn(self.phi, grid, t)
@@ -151,15 +144,8 @@ class BackwardProblem:
     def coefficients(self, grid: Grid, t: float):
         """``(b, f, lambda)`` at the nodes at time ``t``."""
         nodes = grid.nodes()
-        b, f = self.field.eval_b(nodes, t), self.field.eval_f(nodes, t)
-        if self.lambda_override is None:
-            return b, f, self.field.eval_lambda(nodes, t)
-        lam = _eval_space_fn(self.lambda_override, grid, t)
-        return b, f, np.asarray(lam, dtype=complex).ravel()
-
-    @property
-    def operator_time_dependent(self) -> bool:
-        return self.field.time_dependent or self.lambda_override is not None
+        return (self.field.eval_b(nodes, t), self.field.eval_f(nodes, t),
+                self.field.eval_lambda(nodes, t))
 
 
 @dataclass
@@ -171,8 +157,8 @@ class DiscreteSolution:
     v: GridFunction
     meta: dict = dc_field(default_factory=dict)
     weights: NormWeights | None = None
-    # (phi spec, {t: L2 norm over space of phi at t}) of the source levels
-    # the march evaluated
+    # (phi spec, theta, L2 norms over space of the source at the levels
+    # 0 .. nt-1 the march evaluated)
     _source: tuple | None = dc_field(default=None, repr=False, compare=False)
 
     @functools.cached_property
@@ -567,21 +553,19 @@ def solve_backward(problem: BackwardProblem, grid: Grid,
     march solves it, from ``nt`` down to 0.
     """
     stepper = _Stepper(grid, theta, lambda t: problem.coefficients(grid, t),
-                       problem.operator_time_dependent)
-    levels = {}     # the source levels' norms, kept for apriori_ratio
+                       problem.field.time_dependent)
+    norms = np.zeros(grid.nt)   # the source levels' L2 norms, by level
 
     def phi_at(k):
-        t = stepper.t_eval(k)
-        vals = problem.eval_phi(grid, t)
-        if problem.phi is not None:
-            levels[t] = _slice_l2(vals[None], grid)[0]
+        vals = problem.eval_phi(grid, stepper.t_eval(k))
+        norms[k] = _slice_l2(vals[None], grid)[0]
         return vals
     v = _fill(stepper.block(), stepper.levels(problem.eval_Phi(grid), phi_at),
               on_level=_on_level and (lambda k, out: _on_level(k, out[k])))
     meta = {"theta": theta, "dt": grid.dt, "rtol": LIN_RTOL,
-            "time_dependent": problem.operator_time_dependent}
+            "time_dependent": problem.field.time_dependent}
     return DiscreteSolution(GridFunction(grid, v), meta,
-                            _source=(problem.phi, levels))
+                            _source=(problem.phi, theta, norms))
 
 
 def solve_forward_adjoint(rho, problem: BackwardProblem, grid: Grid,
@@ -600,7 +584,7 @@ def solve_forward_adjoint(rho, problem: BackwardProblem, grid: Grid,
     if np.min(rho_arr.real) < -1e-12:
         warnings.warn("initial density has negative parts", RuntimeWarning)
     stepper = _Stepper(grid, theta, lambda t: problem.coefficients(grid, t),
-                       problem.operator_time_dependent)
+                       problem.field.time_dependent)
     p = _fill(stepper.block(), stepper.levels(rho_arr, adjoint=True))
     return DiscreteSolution(GridFunction(grid, p), {"theta": theta})
 
@@ -648,7 +632,7 @@ class _Splitting:
         self._smoothed = {}  # level key -> smoothed (b, f, lambda)
         self.stepper = _Stepper(grid, theta, self.smooth,
                                 decomp.field.time_dependent)
-        self.time_dependent = (problem.operator_time_dependent
+        self.time_dependent = (problem.field.time_dependent
                                or decomp.field.time_dependent)
         self._held = None  # (level key, R)
 
@@ -919,14 +903,14 @@ def apriori_ratio(solution: DiscreteSolution, phi, Phi,
         num = solution.norms.Yhat2
     else:
         num = discrete_norms(solution.v, weights).Yhat2
-    spec, levels = solution._source or (None, {})
-    if spec is not phi:     # the march's evaluations are of another source
-        levels = {}
-    # X0 by the left rectangle rule: the levels before the horizon
-    phi_norm = float(np.sqrt(np.sum(np.array(
-        [levels[t] if t in levels
-         else _slice_l2(_eval_space_fn(phi, grid, t)[None], grid)[0]
-         for t in grid.times()[:-1]]) ** 2) * grid.dt))
+    # X0 by the left rectangle rule: the levels before the horizon.  At
+    # theta = 1 the march froze its own source at exactly those times;
+    # otherwise between them
+    spec, theta, norms = solution._source or (None, None, None)
+    if spec is not phi or theta != 1.0:
+        norms = [_slice_l2(_eval_space_fn(phi, grid, t)[None], grid)[0]
+                 for t in grid.times()[:-1]]
+    phi_norm = float(np.sqrt(np.sum(np.array(norms) ** 2) * grid.dt))
     Phi_arr = _eval_space_fn(Phi, grid, None)
     Phi_norm = float(discrete_norms(GridFunction(grid, Phi_arr)).H1[0])
     denom = phi_norm + Phi_norm

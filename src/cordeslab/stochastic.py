@@ -352,6 +352,16 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
     sums = (const_beta is not None and f_zero and lam_zero and _on_step is None
             and rec_idx is None)
 
+    def scale(xi):
+        # (sqdt * xi) @ beta^T of the constant beta, in place in the
+        # caller's own rows xi; a 1x1 product is one rounded multiply
+        xi *= sqdt
+        if n == 1:
+            xi *= const_beta[0, 0]
+        else:
+            np.matmul(xi, const_beta.T, out=xi)
+        return xi
+
     def run_sums(y, tau_b, ids, gens):
         # one group at a time, in chunks of steps under the in-flight
         # bound drawn into one buffer: positions as running sums of the
@@ -368,12 +378,7 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
             pos[cols] = y[lo + cols]
             for k in range(0, nsteps, chunk):
                 part = gen.standard_normal(out=buf[:nsteps - k])
-                flat = part.reshape(-1, n)
-                flat *= sqdt
-                if n == 1:      # a 1x1 product is one rounded multiply
-                    flat *= const_beta[0, 0]
-                else:
-                    flat[...] = flat @ const_beta.T
+                flat = scale(part.reshape(-1, n))
                 part[0] += pos
                 for c in range(1, len(part)):
                     part[c] += part[c - 1]
@@ -397,12 +402,7 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
             bmat = sde.beta_at(y_live, t_k, held)
             incr = sqdt * np.einsum("pij,pj->pi", bmat, xi)
         else:
-            xi *= sqdt
-            if n == 1:      # a 1x1 product is one rounded multiply
-                xi *= const_beta[0, 0]
-                incr = xi
-            else:
-                incr = xi @ const_beta.T
+            incr = scale(xi)
         if f_zero:
             return incr
         ydot = sde.field.eval_f(y_live, t_k) * dt
@@ -639,14 +639,15 @@ def density_compare(ensemble: PathEnsemble, density, t: float) -> float:
     return float(np.sum(np.abs(p_hat - p_ref)) * grid.cell_volume)
 
 
-def _xi_interpolant(xi_times, xi_values):
-    """Panel ``xi(t)``, linear in time between the given rows; the times
-    must increase strictly and every entry must be finite."""
+def _xi_interpolant(xi_times, xi_values, n: int):
+    """Panel ``xi(t)`` of ``n`` components, linear in time between the
+    given rows; the times must increase strictly and every entry must be
+    finite."""
     xi_times = np.asarray(xi_times, dtype=float)
     xi_values = np.atleast_2d(np.asarray(xi_values, dtype=float))
     if xi_values.shape[0] != xi_times.shape[0]:
         xi_values = xi_values.T
-    if xi_times.ndim != 1 or xi_values.shape[0] != xi_times.shape[0]:
+    if xi_times.ndim != 1 or xi_values.shape != (len(xi_times), n):
         raise ValueError("xi panel shapes do not line up")
     if not (np.isfinite(xi_times).all() and np.isfinite(xi_values).all()):
         raise ValueError("xi panel has non-finite entries")
@@ -672,11 +673,9 @@ def _characteristic_panel_mc(sde: SDE, sampler, dt: float, M: int,
     phase does not depend on the rows it is stepped with.
     """
     nsteps, dt = _step_count(sde.T, dt)
-    xi_ats = [_xi_interpolant(t, v) for t, v in panel]
+    xi_ats = [_xi_interpolant(t, v, sde.field.n) for t, v in panel]
     xi = np.array([[xi_at(k * dt) for xi_at in xi_ats]
                    for k in range(nsteps)])     # (step, function, coordinate)
-    if xi.shape[2] != sde.field.n:
-        raise ValueError("xi panel shapes do not line up")
     phase = np.zeros((len(panel), M))     # one row per panel function
 
     def add(rows, z, k):
@@ -716,9 +715,7 @@ def _characteristic_panel_pde(grid: Grid, field: CoefficientField, sampler,
     A batch holds at most ``_PANEL_UNKNOWNS`` unknowns (and at least one
     function), and of each march only level 0 is kept.
     """
-    xi_ats = [_xi_interpolant(t, v) for t, v in panel]
-    if any(xi_at(0.0).shape != (grid.n,) for xi_at in xi_ats):
-        raise ValueError("xi panel shapes do not line up")
+    xi_ats = [_xi_interpolant(t, v, grid.n) for t, v in panel]
     nodes = grid.nodes()
     z = np.arctan(nodes)
     n, N = grid.n, grid.size
@@ -798,7 +795,6 @@ def max_principle_check(solution: DiscreteSolution,
         return not np.iscomplexobj(vals) and vals.min() >= -1e-12
 
     applicable = (problem.field.lambda_is_real
-                  and problem.lambda_override is None
                   and all(nonnegative(problem.eval_phi(grid, t))
                           for t in grid.times())
                   and nonnegative(problem.eval_Phi(grid)))

@@ -17,3 +17,17 @@ def no_thread_left_running():
     yield
     left = [t.name for t in threading.enumerate() if t not in before]
     assert not left, f"threads left running: {left}"
+
+
+class FnEntry:
+    """A moving scalar field entry given by a function ``fn(points, t)``:
+    a coefficient the expression language cannot write, set on a field
+    with ``dataclasses.replace``."""
+
+    time_dependent = True
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def eval_raw(self, x, t):
+        return self.fn(x, t)

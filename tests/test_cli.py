@@ -186,6 +186,39 @@ def test_solve_evaluates_phi_once_per_level(tmp_path, monkeypatch):
     assert norms["apriori_ratio"] > 0.0
 
 
+@pytest.mark.parametrize("theta, evaluations", [(1.0, 8), (0.5, 16)])
+def test_solve_reads_the_source_norms_by_level(tmp_path, monkeypatch, theta,
+                                               evaluations):
+    # at theta = 1 apriori_ratio reads the norms of the march's source
+    # levels by index; at theta = 0.5 the march froze the source between
+    # the grid times, so X0 evaluates it again.  Either way the ratio is
+    # the one of a fresh evaluation at the grid times
+    from cordeslab.config import RunConfig
+    from cordeslab.fields import ExprField
+    source = ExprField("x1 * (1 + t)").describe()
+    calls = []
+    eval_raw = ExprField.eval_raw
+
+    def counted(self, x, t):
+        if self.describe() == source:
+            calls.append(t)
+        return eval_raw(self, x, t)
+    monkeypatch.setattr(ExprField, "eval_raw", counted)
+    text = ("problem.builtin = identity_heat\nproblem.param.n = 1\n"
+            f"grid.m = 15\ngrid.nt = 8\nscheme.theta = {theta}\n"
+            'solve.phi = "x1 * (1 + t)"\n'
+            f"out.dir = {tmp_path / 'out'}\n")
+    assert run(tmp_path, "s.cfg", text, "solve") == 0
+    assert len(calls) == evaluations
+    norms = json.loads((tmp_path / "out" / "norms.json").read_text())
+    cfg = RunConfig.load(tmp_path / "s.cfg")
+    grid = cfg.make_grid()
+    v = solver.solve_backward(solver.BackwardProblem(cfg.field, cfg.phi),
+                              grid, theta).v
+    fresh = solver.apriori_ratio(solver.DiscreteSolution(v), cfg.phi, cfg.Phi)
+    assert norms["apriori_ratio"] == fresh > 0.0
+
+
 def test_solve_holds_the_time_free_parts_of_phi(tmp_path, monkeypatch):
     # sin(3*x1) and sin(2*x2) do not read t: the first level evaluates them
     # at the grid's nodes and the later levels read them back
@@ -891,10 +924,8 @@ def _reference_solution_csv(path, gf):
         writer.writerow(["t"] + [f"x{i + 1}" for i in range(grid.n)]
                         + ["re", "im"])
         nodes = grid.nodes()
-        block = gf.values if gf.is_spacetime else gf.values[None]
-        times = grid.times() if gf.is_spacetime else [0.0]
-        for k, t in enumerate(times):
-            flat = block[k].ravel()
+        for k, t in enumerate(grid.times()):
+            flat = gf.values[k].ravel()
             for idx in range(len(nodes)):
                 writer.writerow([f"{t:.12g}"]
                                 + [f"{c:.12g}" for c in nodes[idx]]
@@ -913,8 +944,6 @@ def _streamed_solution_csv(path, grid, levels):
 
 
 def test_solution_csv_bytes_match_reference_writer(tmp_path):
-    # _dump_solution_csv sends the levels in march order, nt down to 0
-    from cordeslab.cli import _dump_solution_csv
     rng = np.random.default_rng(5)
     special = [-0.0, 1e-300, -1e-300, 0.1234567890123456, 1 / 3,
                -2.718281828459045e-7, 123456789012.345, 0.0]
@@ -925,9 +954,9 @@ def test_solution_csv_bytes_match_reference_writer(tmp_path):
     cplx = rng.standard_normal(g1.shape) + 1j * rng.standard_normal(g1.shape)
     cplx[:4] = [complex(-0.0, -0.0), complex(1e-300, -0.0),
                 complex(0.0, 1 / 3), complex(np.pi, -1e-300)]
-    for gf in (GridFunction(g2, real), GridFunction(g1, cplx),
+    for gf in (GridFunction(g2, real),
                GridFunction(g1, np.stack([cplx] * (g1.nt + 1)))):
-        _dump_solution_csv(tmp_path / "got.csv", gf)
+        _streamed_solution_csv(tmp_path / "got.csv", gf.grid, gf.values)
         _reference_solution_csv(tmp_path / "want.csv", gf)
         assert (tmp_path / "got.csv").read_bytes() == \
             (tmp_path / "want.csv").read_bytes()
@@ -957,7 +986,7 @@ def _reference_error_table(path, grid, num, exact):
 
 def test_csv_writers_match_reference_writers_on_edge_values(tmp_path):
     from types import SimpleNamespace
-    from cordeslab.cli import _dump_solution_csv, _error_table
+    from cordeslab.cli import _error_table
     edge = np.array([0.0, -0.0, 1e16, 1e-5, 123456789012.5, 5e-324])
     g2 = build_grid(Box((0.0, -1.0), (1.0, 1.0)), (3, 4), 2, 0.3)
     real = np.resize(np.concatenate([edge, -edge]), (g2.nt + 1,) + g2.shape)
@@ -968,14 +997,11 @@ def test_csv_writers_match_reference_writers_on_edge_values(tmp_path):
         @staticmethod
         def eval_raw(x, t):
             return exact.copy()
-    for gf in (GridFunction(g2, real), GridFunction(g2, cplx),
-               GridFunction(g2, cplx[1])):
-        _dump_solution_csv(tmp_path / "got.csv", gf)
+    for gf in (GridFunction(g2, real), GridFunction(g2, cplx)):
+        _streamed_solution_csv(tmp_path / "got.csv", g2, gf.values)
         _reference_solution_csv(tmp_path / "want.csv", gf)
         assert (tmp_path / "got.csv").read_bytes() == \
             (tmp_path / "want.csv").read_bytes()
-        if not gf.is_spacetime:
-            continue
         cfg = SimpleNamespace(exact=Exact, out_dir=tmp_path / "got")
         _error_table(cfg, g2, SimpleNamespace(v=gf))
         _reference_error_table(tmp_path / "want.csv", g2,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 import threading
@@ -9,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
+from conftest import FnEntry
 from cordeslab import solver
-from cordeslab.fields import (Box, builtin_problem, builtin_solve_data,
-                              decompose, make_field)
+from cordeslab.fields import (Box, ConstField, builtin_problem,
+                              builtin_solve_data, decompose, make_field)
 from cordeslab.grid import NormWeights, build_grid, discrete_norms
 from cordeslab.solver import (BackwardProblem, apriori_ratio, assemble_operator,
                               assemble_step, estimate_R_norm, fixed_point_solve,
@@ -164,17 +166,16 @@ def test_imaginary_rate_rotates_phase_only():
 
 
 def test_iterative_path_matches_direct_factorization():
-    # a rate override marks the operator time-dependent, so every level
+    # the rate 0.7 + 0*t marks the operator time-dependent, so every level
     # but the first runs through BiCGStab preconditioned with the lagged
     # factorization
     f = builtin_problem("identity_heat", {"n": 3})
     g = build_grid(f.domain, (13, 13, 13), 6, 0.2)
     Phi = lambda x: np.prod(np.sin(np.pi * x), axis=1)
-    lam_const = np.full(g.shape, 0.7)
-    prob_iter = BackwardProblem(f, Phi=Phi, lambda_override=lam_const)
-    f_direct = make_field(3, 1.0, f.domain,
-                          [[1.0 if i == j else 0.0 for j in range(3)]
-                           for i in range(3)], lam=0.7)
+    eye = [[1.0 if i == j else 0.0 for j in range(3)] for i in range(3)]
+    prob_iter = BackwardProblem(
+        make_field(3, 1.0, f.domain, eye, lam="0.7 + 0*t"), Phi=Phi)
+    f_direct = make_field(3, 1.0, f.domain, eye, lam=0.7)
     prob_direct = BackwardProblem(f_direct, Phi=Phi)
     v_iter = solve_backward(prob_iter, g).v.values
     v_direct = solve_backward(prob_direct, g).v.values
@@ -470,10 +471,10 @@ def test_huge_finite_data_solve_as_on_a_static_operator(adjoint, scale):
     f = make_field(1, 1.0, Box((0,), (1,)), [[1.0]], lam=-40.0)
     g = build_grid(f.domain, 15, nt=6, T=f.T)
     data = np.full(g.shape, scale)
-    moving = BackwardProblem(f, Phi=data, lambda_override=lambda x, t:
-                             np.full(len(x), -40.0))
+    moving = BackwardProblem(
+        make_field(1, 1.0, f.domain, [[1.0]], lam="-40 + 0*t"), Phi=data)
     static = _march(BackwardProblem(f, Phi=data), g, adjoint)
-    assert moving.operator_time_dependent and np.isfinite(static).all()
+    assert moving.field.time_dependent and np.isfinite(static).all()
     assert np.array_equal(_march(moving, g, adjoint), static)
 
 
@@ -489,7 +490,8 @@ def test_march_names_its_non_finite_level(adjoint):
 
     def rate(x, t):
         return np.full(len(x), np.inf if abs(t - 3.5 * g.dt) < 1e-9 else 0.5)
-    prob = BackwardProblem(f, Phi=np.ones(g.shape), lambda_override=rate)
+    prob = BackwardProblem(dataclasses.replace(f, lam_re=FnEntry(rate)),
+                           Phi=np.ones(g.shape))
     level = 4 if adjoint else 3
     with pytest.raises(solver.SolverError, match=f"time level {level} "):
         _march(prob, g, adjoint, theta=0.5)
@@ -516,7 +518,8 @@ def test_step_rejects_non_finite_coefficients(monkeypatch, bad, theta,
 
     def rate(x, t):
         return np.full(len(x), bad if abs(t - t_bad) < 1e-9 else 0.5)
-    prob = BackwardProblem(f, Phi=np.ones(g.shape), lambda_override=rate)
+    prob = BackwardProblem(dataclasses.replace(f, lam_re=FnEntry(rate)),
+                           Phi=np.ones(g.shape))
     with pytest.raises(solver.SolverError,
                        match=rf"non-finite coefficients in the step between "
                              rf"time level 2 and time level 3 \(frozen at "
@@ -540,7 +543,7 @@ def test_discrete_duality_random_problems(lam, theta):
     sol = solve_backward(prob, g, theta)
     adj = solve_forward_adjoint(rho, prob, g, theta)
     stepper = _Stepper(g, theta, lambda t: prob.coefficients(g, t),
-                       prob.operator_time_dependent)
+                       prob.field.time_dependent)
     lhs = dot_h(sol.v.values[0], rho, g)
     rhs = dot_h(Phi, adj.v.values[g.nt], g)
     for k in range(g.nt):
@@ -577,12 +580,12 @@ def test_duality_on_random_fields_with_a_complex_moving_rate(n, theta, seed):
     Phi = rng.uniform(0.5, 1.5, g.shape)
     rho = rng.uniform(0.0, 1.0, g.shape)
     prob = BackwardProblem(
-        f, phi=phi, Phi=Phi,
-        lambda_override=lambda x, t: c + 1j * w * np.arctan(x[:, 0] + t))
+        dataclasses.replace(f, lam_re=ConstField(c), lam_im=FnEntry(
+            lambda x, t: w * np.arctan(x[:, 0] + t))), phi=phi, Phi=Phi)
     sol = solve_backward(prob, g, theta)
     adj = solve_forward_adjoint(rho, prob, g, theta)
     stepper = _Stepper(g, theta, lambda t: prob.coefficients(g, t),
-                       prob.operator_time_dependent)
+                       prob.field.time_dependent)
     lhs = dot_h(sol.v.values[0], rho, g)
     rhs = dot_h(Phi, adj.v.values[g.nt], g)
     for k in range(g.nt):
@@ -706,8 +709,10 @@ def test_complex_fixed_point_on_a_moving_operator(monkeypatch):
     # zero terminal level, so the first sweep widens its block
     prob, g, d = rough_timedep_2d()
     prob = BackwardProblem(
-        prob.field, phi=prob.phi, Phi=prob.Phi,
-        lambda_override=lambda x, t: 1 + 0.8j * np.arctan(x[:, 0] + t))
+        dataclasses.replace(prob.field, lam_re=ConstField(1.0),
+                            lam_im=FnEntry(lambda x, t:
+                                           0.8 * np.arctan(x[:, 0] + t))),
+        phi=prob.phi, Phi=prob.Phi)
     direct = solve_backward(prob, g)
     bits, pools = [], []
     for cores in (1, 2):
@@ -864,31 +869,8 @@ def test_fixed_point_reads_the_rough_coefficients_once_per_level_and_sweep(
     # K = auto reads them at t = 0; the remainder of a moving operator
     # reads each level once per sweep, a static one once in all
     assert times[0] == 0.0
-    assert len(times) == 1 + (sweeps * g.nt if prob.operator_time_dependent
+    assert len(times) == 1 + (sweeps * g.nt if prob.field.time_dependent
                               else 1)
-
-
-def test_coefficients_take_the_rate_override():
-    f = make_field(2, 0.5, Box((0, 0), (1, 1)),
-                   [["1 + x1*t", 0.1], [0.1, "1"]], f=["x2", "0"], lam=0.4)
-    g = build_grid(f.domain, (5, 4), 4, f.T)
-    nodes, t = g.nodes(), 0.3
-    block = RNG.standard_normal((g.nt + 1,) + g.shape)
-    level = block[g.level(t)].ravel()
-    cases = [
-        (lambda x, s: 0.2 + 1j * np.sin(x[:, 0] + s),
-         0.2 + 1j * np.sin(nodes[:, 0] + t)),
-        (lambda x, s: np.full(len(x), 0.7), np.full(g.size, 0.7)),
-        (block, level),
-        ((block, 2.0 * block), level + 2j * level),
-        (None, f.eval_lambda(nodes, t)),
-    ]
-    for spec, expect in cases:
-        b, fv, lam = BackwardProblem(f, lambda_override=spec).coefficients(g, t)
-        assert np.array_equal(b, f.eval_b(nodes, t))
-        assert np.array_equal(fv, f.eval_f(nodes, t))
-        assert lam.dtype == complex and lam.shape == (g.size,)
-        assert np.array_equal(lam, expect)
 
 
 @pytest.mark.filterwarnings("ignore:fixed-point iteration did not converge")

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import tracemalloc
 import weakref
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from numpy.random import SFC64, Generator, SeedSequence
 
+from conftest import FnEntry
 from cordeslab import stochastic
-from cordeslab.fields import (Box, CoefficientField, builtin_problem,
-                              make_field)
+from cordeslab.fields import (Box, CoefficientField, ConstField,
+                              builtin_problem, make_field)
 from cordeslab.grid import GridFunction, build_grid, pair
 from cordeslab.solver import (BackwardProblem, assemble_step, solve_backward,
                               solve_forward_adjoint)
@@ -882,12 +884,12 @@ def test_pde_route_is_the_one_function_backward_solve(n, theta):
     g = build_grid(f.domain, 31 if n == 1 else 15, 12, T)
     xi_t = np.linspace(0.0, T, 4)
     xi_v = np.random.default_rng(n).uniform(-3, 3, (4, n))
-    xi_at = stochastic._xi_interpolant(xi_t, xi_v)
+    xi_at = stochastic._xi_interpolant(xi_t, xi_v, n)
 
     def phi(x, t):
         return np.arctan(np.atleast_2d(x)) @ xi_at(t)
-    problem = BackwardProblem(f, phi=phi,
-                              lambda_override=lambda x, t: 1j * phi(x, t))
+    problem = BackwardProblem(dataclasses.replace(
+        f, lam_re=ConstField(0.0), lam_im=FnEntry(phi)), phi=phi)
     v0 = solve_backward(problem, g, theta).v.values[0]
     ref = 1.0 - 1j * pair(GridFunction(g, v0), sampler.grid_density(g))
     got = characteristic_functional(xi_t, xi_v, "pde", grid=g,
@@ -910,6 +912,18 @@ def test_characteristic_rejects_bad_panels(times, values, message, via):
         characteristic_functional(
             np.array(times), np.array(values).reshape(-1, 1), via,
             sde=SDE(f), sampler=sampler, dt=0.01, M=10, master_seed=1,
+            grid=build_grid(f.domain, 15, 4, T), field=f)
+
+
+@pytest.mark.parametrize("via", ["mc", "pde"])
+def test_characteristic_rejects_a_panel_of_another_dimension(via):
+    T = 0.1
+    f = free_space(T)
+    sampler = TruncatedGaussianSampler([0.0], 1.0, f.sampling_box())
+    with pytest.raises(ValueError, match="shapes do not line up"):
+        characteristic_functional(
+            np.array([0.0, 0.1]), np.ones((2, 2)), via, sde=SDE(f),
+            sampler=sampler, dt=0.01, M=10, master_seed=1,
             grid=build_grid(f.domain, 15, 4, T), field=f)
 
 
@@ -1035,7 +1049,7 @@ def recorded_phases(ens, panel):
     exit, the dot product summed from the first coordinate."""
     out = []
     for times, values in panel:
-        xi_at = stochastic._xi_interpolant(times, values)
+        xi_at = stochastic._xi_interpolant(times, values, ens.n)
         phase = np.zeros(ens.M)
         for k in range(ens.nsteps):
             z = np.arctan(ens.traj[:, k, :])
