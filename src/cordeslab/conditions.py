@@ -6,7 +6,8 @@ Two families are decided against a shared sampling set:
   uniformly elliptic continuous reference part, the weighted measure
   ``nu_hat`` of the remainder must stay strictly below ``delta**2``
   (``delta`` = infimum of the smallest eigenvalue of ``b_bar``).  The
-  index set and the weights ``gamma`` are optimized here.
+  index set is searched over covers; each cover's weights ``gamma`` come
+  from a convex dual whose value, ``nu_hat_bound``, certifies them.
 * four classical eigenvalue-spread checks (cordes, talenti, landis,
   gihman_skorohod), each decided by a sampled margin.
 
@@ -23,9 +24,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fields import (CoefficientField, Decomposition, SampleSet, decompose,
-                     sample_set, sparsity_pattern, unique_b_hat, unique_rows,
-                     _all_covers, _memoized, _sampled_matrices,
-                     _validate_gamma)
+                     sample_set, sparsity_pattern, unique_b_hat, _all_covers,
+                     _memoized, _sampled_matrices, _validate_gamma)
 from .linalg import symmetric_eigenvalues
 
 __all__ = [
@@ -38,8 +38,7 @@ __all__ = [
 STRICT_TOL = 1e-10
 GAMMA_MIN = 1e-6
 GAMMA_MAX = 2.0 - 1e-6
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-_AUDIT_CHUNK = 1024  # gamma rows per batch; a batch holds rows x samples floats
+_FW_STEPS = 10_000  # cap on the Frank-Wolfe steps of the weight search
 
 CLASSICAL = ("cordes", "talenti", "landis", "gihman_skorohod")
 
@@ -73,6 +72,7 @@ class ConditionReport:
     params: dict
     samples_info: dict
     split: dict = dc_field(default_factory=dict)
+    nu_hat_bound: float | None = None
 
     @property
     def satisfied(self) -> bool:
@@ -83,6 +83,7 @@ class ConditionReport:
             "schema": "v1",
             "delta": self.delta,
             "nu_hat": self.nu_hat,
+            "nu_hat_bound": self.nu_hat_bound,
             "N": list(self.index_set),
             "gamma": [self.gamma[k] for k in self.index_set],
             "verdicts": {k: v.as_dict() for k, v in self.verdicts.items()},
@@ -146,54 +147,29 @@ def _nu_hat_terms(decomp: Decomposition, samples: SampleSet, index_set):
 
     Returns ``(A, C)`` with ``A[s, k] = sum_{i in N} bh[i,k]^2 +
     4 sum_{i not in N} bh[i,k]^2`` and ``C[s, k] = bh[k,k]^2`` for the
-    deduplicated, undominated sample rows ``s`` (see ``_undominated``)
-    and the covered coordinates ``k``.
+    deduplicated sample rows ``s`` and the covered coordinates ``k``.
     """
-    n = decomp.field.n
-    bh = unique_b_hat(decomp, samples)
-    inset = np.zeros(n, dtype=bool)
-    for k in index_set:
-        inset[k - 1] = True
-    sq = bh ** 2
     cols = [k - 1 for k in index_set]
-    a_in = sq[:, inset, :][:, :, cols].sum(axis=1)
-    a_out = sq[:, ~inset, :][:, :, cols].sum(axis=1)
-    A = a_in + 4.0 * a_out
-    C = sq[:, cols, cols]
-    # deduplicate again in the reduced (A, C) representation
-    joined = unique_rows(np.concatenate([A, C], axis=1))
-    m = len(cols)
-    return _undominated(joined[:, :m], joined[:, m:])
-
-
-def _undominated(A: np.ndarray, C: np.ndarray):
-    """``(A, C)`` without the rows that a pivot row bounds from above
-    entry by entry and exceeds somewhere; the pivots are the row of the
-    largest sum and the row of the largest entry in each column.
-
-    Every weighted row value of ``nu_hat`` adds ``A`` and ``C`` with
-    weights ``gamma/(2-gamma) >= 0`` and rounding is monotone, so a
-    dropped row never scores above the pivot that drops it, and a pivot
-    is dropped only by a pivot that scores as high: the maximum over the
-    rows, and with it every ``nu_hat`` value, keeps its bits.  The kept
-    rows include every Pareto-maximal one.
-    """
-    rows = np.concatenate([A, C], axis=1)
-    if len(rows) <= 1:
-        return A, C
-    pivots = {int(np.argmax(rows.sum(axis=1)))}
-    pivots.update(int(p) for p in np.argmax(rows, axis=0))
-    dropped = np.zeros(len(rows), dtype=bool)
-    for p in pivots:
-        dropped |= ((rows <= rows[p]).all(axis=1)
-                    & (rows < rows[p]).any(axis=1))
-    return A[~dropped], C[~dropped]
+    inset = np.isin(np.arange(decomp.field.n), cols)
+    sq = unique_b_hat(decomp, samples)[:, :, cols] ** 2
+    A = sq[:, inset].sum(axis=1) + 4.0 * sq[:, ~inset].sum(axis=1)
+    return A, sq[:, cols, range(len(cols))]
 
 
 def _nu_hat_value(A: np.ndarray, C: np.ndarray, gamma_vec: np.ndarray) -> float:
+    """``nu_hat`` of the terms ``(A, C)`` at one weight vector.  Each row
+    adds ``A_k + w_k C_k`` column by column, so its bits do not depend on
+    the row count, as a matrix product's BLAS kernel would."""
     if gamma_vec.size == 0:
         return 0.0
-    return float(_value_batch(A, C, gamma_vec[None])[0])
+    w = gamma_vec / (2.0 - gamma_vec)
+    inner = w[0] * C[:, 0]
+    inner += A[:, 0]
+    for k in range(1, len(w)):
+        term = w[k] * C[:, k]
+        term += A[:, k]
+        inner += term
+    return float(np.sum(0.5 / gamma_vec) * inner.max())
 
 
 def nu_hat(decomp: Decomposition, samples: SampleSet | None = None,
@@ -217,31 +193,12 @@ def nu_hat(decomp: Decomposition, samples: SampleSet | None = None,
     return _nu_hat_value(A, C, gvec)
 
 
-def _golden_min(fn, lo: float, hi: float, iters: int = 48):
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    x = c if fc <= fd else d
-    return x, min(fc, fd)
-
-
 def optimize_gamma(decomp: Decomposition, samples: SampleSet | None = None,
                    index_set=None):
-    """Minimize ``nu_hat`` over the weights, clamped to ``(0, 2)``.
-
-    Coordinate-wise golden-section descent (three sweeps) followed by a
-    20-point-per-axis audit lattice; if the lattice beats the descent the
-    search restarts from the lattice point.  Returns ``(gamma, value)``.
+    """Minimize ``nu_hat`` over the weights, clamped to ``[GAMMA_MIN,
+    GAMMA_MAX]``, by solving the convex dual (``_optimal_weights``) to a
+    relative duality gap of about ``2e-12``.  Returns ``(gamma, value)``;
+    ``value`` is ``nu_hat`` at the returned weights.
     """
     if samples is None:
         samples = sample_set(decomp.field.sampling_box(), decomp.field.T)
@@ -249,82 +206,76 @@ def optimize_gamma(decomp: Decomposition, samples: SampleSet | None = None,
                       sorted(int(k) for k in index_set))
     if not index_set:
         return {}, 0.0
-    best_g, best_v = _optimal_weights(*_nu_hat_terms(decomp, samples,
-                                                     index_set))
-    gamma = {k: float(g) for k, g in zip(index_set, best_g)}
-    return gamma, float(best_v)
+    A, C = _nu_hat_terms(decomp, samples, index_set)
+    gvec, _ = _optimal_weights(A, C)
+    gamma = {k: float(g) for k, g in zip(index_set, gvec)}
+    return gamma, _nu_hat_value(A, C, gvec)
 
 
 def _optimal_weights(A: np.ndarray, C: np.ndarray):
-    """The search of ``optimize_gamma`` on the terms ``(A, C)`` of a
-    nonempty index set: ``(gamma vector, value)``."""
-    m = A.shape[1]
+    """``(gamma, bound)`` for the terms ``(A, C)`` of a nonempty index
+    set: the weights that minimize ``nu_hat``, and a lower bound on it.
 
-    def value(gvec):
-        return _nu_hat_value(A, C, gvec)
-
-    def descent(start):
-        g = start.copy()
-        for _ in range(3):
-            for j in range(m):
-                def along(x, j=j):
-                    g2 = g.copy()
-                    g2[j] = x
-                    return value(g2)
-                g[j], _ = _golden_min(along, GAMMA_MIN, GAMMA_MAX)
-        return g, value(g)
-
-    best_g, best_v = descent(np.ones(m))
-    lattice = np.linspace(GAMMA_MIN, GAMMA_MAX, 20)
-    for _ in range(3):
-        audit_g, audit_v = _audit_lattice(A, C, lattice, m, best_g)
-        if audit_v < best_v - 1e-12:
-            best_g, best_v = descent(audit_g)
-            if audit_v < best_v:
-                best_g, best_v = audit_g, audit_v
-        else:
-            break
-    return best_g, best_v
-
-
-def _value_batch(A, C, gammas: np.ndarray) -> np.ndarray:
-    """Vectorized ``nu_hat`` over a (G, m) batch of gamma vectors.
-
-    Each (gamma, row) entry adds its terms ``A_k + w_k C_k`` column by
-    column, in order, so its bits do not depend on the other rows: a
-    matrix product would pick its BLAS kernel by shape (a matrix-vector
-    kernel for one row).
+    With ``w_k = gamma_k/(2-gamma_k)`` and ``a_s = sum_k A_sk``, ``nu_hat =
+    (m + sum_k 1/w_k) max_s (a_s + sum_k C_sk w_k) / 4``.  Cauchy-Schwarz
+    bounds it below by ``h(y)^2/4``, ``h(y) = sum_j sqrt(y_j)``, at every
+    ``y`` in the hull of the rows ``(m a_s, C_s1, ..., C_sm)``, with
+    equality at ``w_k = sqrt(y_0/y_k)/m`` for the ``y`` that maximizes
+    ``h``.  Pairwise Frank-Wolfe (Lacoste-Julien and Jaggi, NeurIPS 2015)
+    maximizes the concave ``h`` from the row of the largest ``h`` until
+    its gap is at most ``1e-12 h(y)``; the unclamped weights then score
+    within ``2e-12`` of the bound.  One row is the closed form at step 0.
     """
-    w = gammas / (2.0 - gammas)
-    inner = np.multiply.outer(w[:, 0], C[:, 0])
-    inner += A[:, 0]
-    for k in range(1, w.shape[1]):
-        term = np.multiply.outer(w[:, k], C[:, k])
-        term += A[:, k]
-        inner += term
-    return np.sum(0.5 / gammas, axis=1) * inner.max(axis=1)
+    m = A.shape[1]
+    rows = np.column_stack([m * A.sum(axis=1), C])
+    lam = np.zeros(len(rows))
+    lam[np.argmax(np.sqrt(rows).sum(axis=1))] = 1.0
+    for _ in range(_FW_STEPS):
+        y = lam @ rows
+        grad = 0.5 / np.sqrt(np.maximum(y, np.finfo(float).tiny))
+        score = rows @ grad
+        up = int(np.argmax(score))
+        if score[up] - y @ grad <= 1e-12 * np.sqrt(y).sum():
+            break
+        held = np.flatnonzero(lam)
+        down = held[np.argmin(score[held])]
+        t = _line_search(y, rows[up] - rows[down], lam[down])
+        lam[up] += t
+        lam[down] -= t
+    y = lam @ rows
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gamma = 2.0 / (1.0 + m * np.sqrt(y[1:] / y[0]))
+    gamma = np.clip(np.where(y[1:] > 0.0, gamma, GAMMA_MAX),
+                    GAMMA_MIN, GAMMA_MAX)
+    # at a zero gap, rounding may put h^2/4 an ulp above the value
+    bound = min(np.sqrt(y).sum() ** 2 / 4.0, _nu_hat_value(A, C, gamma))
+    return gamma, float(bound)
 
 
-def _audit_lattice(A, C, lattice, m, center):
-    """Best point of the full lattice (m <= 4) or of axis lines through center."""
-    if m <= 4:
-        combos = np.stack(np.meshgrid(*([lattice] * m), indexing="ij"),
-                          axis=-1).reshape(-1, m)
-    else:
-        combos = [center]
-        for j in range(m):
-            block = np.tile(center, (len(lattice), 1))
-            block[:, j] = lattice
-            combos.append(block)
-        combos = np.concatenate([np.atleast_2d(c) for c in combos], axis=0)
-    best_v, best_g = np.inf, center
-    for start in range(0, len(combos), _AUDIT_CHUNK):
-        chunk = combos[start:start + _AUDIT_CHUNK]
-        vals = _value_batch(A, C, chunk)
-        i = int(np.argmin(vals))
-        if vals[i] < best_v:
-            best_v, best_g = float(vals[i]), chunk[i].copy()
-    return best_g, best_v
+def _line_search(y: np.ndarray, d: np.ndarray, t_max: float) -> float:
+    """The step ``t`` in ``[0, t_max]`` that maximizes the concave
+    ``h(y + t d)``: all of it where ``h`` still rises at ``t_max``, else
+    Newton on the decreasing slope from 0, bisecting the bracket where a
+    Newton step leaves it."""
+    live = d != 0.0
+    y, d = y[live], d[live]
+    lo, hi, t = 0.0, t_max, t_max
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(60):
+            z = np.sqrt(np.maximum(y + t * d, 0.0))
+            slope = d @ (1.0 / z)   # twice the slope of h at t
+            if slope == 0.0 or (slope > 0.0 and t == t_max):
+                return t
+            lo, hi = (t, hi) if slope > 0.0 else (lo, t)
+            step = t + 2.0 * slope / ((d * d) @ z ** -3.0)
+            if t == t_max:
+                step = 0.0
+            elif not lo < step < hi:
+                step = 0.5 * (lo + hi)
+            if abs(step - t) <= 1e-12 * step:
+                return step
+            t = step
+    return t
 
 
 def select_index_set(decomp: Decomposition, samples: SampleSet | None = None):
@@ -508,9 +459,14 @@ def full_report(field: CoefficientField, split_spec="identity",
         "sup_f": float(np.sqrt((fv ** 2).sum(axis=1)).max()),
         "sup_lambda": float(np.abs(lv).max()),
     }
+    bound = None   # the dual bound certifies searched weights only
+    if gamma is None:
+        terms = _nu_hat_terms(decomp, samples, decomp.index_set)
+        bound = _optimal_weights(*terms)[1] if decomp.index_set else 0.0
     gamma_map = decomp.gamma or {}
     return ConditionReport(
-        delta=delta, nu_hat=value, index_set=decomp.index_set,
+        delta=delta, nu_hat=value, nu_hat_bound=bound,
+        index_set=decomp.index_set,
         gamma={k: gamma_map.get(k, 1.0) for k in decomp.index_set},
         verdicts=verdicts, eigen_range=eigen_range, params=params,
         samples_info={"count": samples.count, "grid": samples.descriptor},

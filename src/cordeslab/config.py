@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import (Box, CoefficientField, TableField, builtin_problem,
-                     builtin_solve_data, make_field)
+from .fields import (GAMMA_RANGE, Box, CoefficientField, TableField,
+                     builtin_problem, builtin_solve_data, make_field)
 from .solver import MAX_KT
 
 __all__ = ["ConfigError", "parse_kv_text", "load_problem_mapping",
@@ -280,8 +280,10 @@ class RunConfig:
         if "conditions.gamma" in kv:
             count = None if cfg.index_set is None else len(cfg.index_set)
             cfg.gamma = tuple(_numbers(kv, "conditions.gamma", count=count))
-            if any(not 0.0 < g < 2.0 for g in cfg.gamma):
-                raise ConfigError("conditions.gamma entries must lie in (0, 2)")
+            lo, hi = GAMMA_RANGE
+            if not all(lo < g < hi for g in cfg.gamma):
+                raise ConfigError(f"conditions.gamma = {kv['conditions.gamma']!r}"
+                                  f": expected entries in ({lo!r}, {hi!r})")
         cfg.samples_space = _number(kv, "conditions.samples.space",
                                     cfg.samples_space, integer=True, least=2)
         cfg.samples_time = _number(kv, "conditions.samples.time",

@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 PATTERN_TOL = 1e-12
+GAMMA_RANGE = (1e-9, 2.0 - 1e-9)   # the open range of a split weight gamma_k
 
 
 class FieldConstructionError(ValueError):
@@ -441,10 +442,11 @@ def _validate_gamma(gamma, index_set) -> dict:
     gamma = {int(k): float(v) for k, v in dict(gamma).items()}
     if set(gamma) != set(index_set):
         raise FieldConstructionError("gamma keys must equal the index set")
-    tol = 1e-9
+    lo, hi = GAMMA_RANGE
     for k, g in gamma.items():
-        if not (tol < g < 2.0 - tol):
-            raise FieldConstructionError(f"gamma[{k}]={g} outside (0, 2)")
+        if not lo < g < hi:
+            raise FieldConstructionError(
+                f"gamma[{k}]={g} outside ({lo!r}, {hi!r})")
     return gamma
 
 

@@ -106,6 +106,20 @@ def test_analyze_gamma_out_of_range_exit_1(tmp_path, capsys):
     assert "gamma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["1e-12", "1.9999999999"])
+def test_analyze_gamma_outside_the_checked_range_exit_1(tmp_path, capsys,
+                                                        value):
+    # inside (0, 2) but outside the range the weights are checked against:
+    # the one error line names the key and that range
+    text = (BENCH.format(alpha=0.5, beta=0.0, out=tmp_path / "out")
+            + f"conditions.N = 1\nconditions.gamma = {value}\n")
+    assert run(tmp_path, "a.cfg", text, "analyze") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0] == (f"error: conditions.gamma = {float(value)!r}: "
+                      f"expected entries in (1e-09, 1.999999999)")
+
+
 def test_analyze_unknown_builtin_exit_1(tmp_path):
     text = f"problem.builtin = nope\nout.dir = {tmp_path / 'out'}\n"
     assert run(tmp_path, "a.cfg", text, "analyze") == 1

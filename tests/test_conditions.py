@@ -201,26 +201,13 @@ def test_optimize_gamma_diagonal_case_lattice_audit():
         assert value <= nu_hat(d.with_gamma({1: g}), samples) + 1e-9
 
 
-def test_value_batch_matches_pointwise_value():
-    # the audit lattice's batched measure is the one-vector formula's,
-    # bit for bit
-    from cordeslab.conditions import _nu_hat_value, _value_batch
-    for m in (1, 2, 3, 5):
-        A = RNG.uniform(0.0, 2.0, (41, m))
-        C = RNG.uniform(0.0, 2.0, (41, m))
-        gammas = RNG.uniform(1e-6, 2.0 - 1e-6, (60, m))
-        batch = _value_batch(A, C, gammas)
-        assert batch.shape == (60,)
-        for g, v in zip(gammas, batch):
-            assert v == _nu_hat_value(A, C, g)
-
-
 @st.composite
-def nu_hat_terms(draw):
-    """Nonnegative ``(A, C)`` rows with duplicate, tied and dominated rows:
-    base rows, then copies scaled down entry by entry by factors in
-    [0, 1] (some exactly 1, which tie), then exact repeats."""
-    m = draw(st.integers(1, 5))
+def nu_hat_terms(draw, columns=4):
+    """Nonnegative ``(A, C)`` rows with 1 to ``columns`` columns and
+    duplicate, tied and dominated rows: base rows, then copies scaled down
+    entry by entry by factors in [0, 1] (some exactly 1, which tie), then
+    exact repeats."""
+    m = draw(st.integers(1, columns))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     levels = np.array([0.0, 0.25, 1.0, 1.5, 3.0])
     base = rng.uniform(0.0, 3.0, (draw(st.sampled_from([1, 1, 2, 3, 6])),
@@ -236,47 +223,96 @@ def nu_hat_terms(draw):
     return rows[:, :m], rows[:, m:]
 
 
-@settings(max_examples=60, deadline=None)
-@given(terms=nu_hat_terms(), seed=st.integers(0, 2 ** 32 - 1))
-def test_pruned_terms_give_the_bits_of_all_rows(terms, seed):
-    from cordeslab.conditions import (GAMMA_MAX, GAMMA_MIN, _nu_hat_value,
-                                      _optimal_weights, _undominated,
-                                      _value_batch)
+def _floored(terms):
+    """``terms`` with every entry at least 1e-3 of the largest, as in the
+    terms of a remainder (``A >= C`` entry by entry there): the optimal
+    weights then lie inside ``[GAMMA_MIN, GAMMA_MAX]``."""
     A, C = terms
-    kept_A, kept_C = _undominated(A, C)
-    assert 1 <= len(kept_A) <= len(A)
-    rng = np.random.default_rng(seed)
-    gammas = rng.uniform(GAMMA_MIN, GAMMA_MAX,
-                         (int(rng.integers(1, 50)), A.shape[1]))
-    for g in gammas[:5]:
-        assert _nu_hat_value(A, C, g).hex() == \
-            _nu_hat_value(kept_A, kept_C, g).hex()
-    assert _value_batch(A, C, gammas).tobytes() == \
-        _value_batch(kept_A, kept_C, gammas).tobytes()
-    g_all, v_all = _optimal_weights(A, C)
-    g_kept, v_kept = _optimal_weights(kept_A, kept_C)
-    assert g_all.tobytes() == g_kept.tobytes()
-    assert float(v_all).hex() == float(v_kept).hex()
+    floor = 1e-3 * max(A.max(), C.max())
+    return np.maximum(A, floor), np.maximum(C, floor)
 
 
-def test_undominated_keeps_an_antichain_and_drops_a_chain():
-    from cordeslab.conditions import _undominated
-    # anti-correlated rows: each is the largest in some entry
-    t = np.linspace(0.0, 1.0, 50)
-    A, C = np.column_stack([t, 1.0 - t]), np.column_stack([(1.0 - t) ** 2,
-                                                          t ** 2])
-    kept_A, kept_C = _undominated(A, C)
-    assert np.array_equal(kept_A, A) and np.array_equal(kept_C, C)
-    # rows scaled down from one row: that row alone is kept
-    kept_A, kept_C = _undominated(np.outer(t, [1.0, 0.5]),
-                                  np.outer(t, [2.0, 0.25]))
-    assert kept_A.tolist() == [[1.0, 0.5]] and kept_C.tolist() == [[2.0, 0.25]]
+def _literal_nu_hat(A, C, gamma):
+    """nu_hat of the terms from its definition, column by column."""
+    total = sum(A[:, k] + gamma[k] / (2.0 - gamma[k]) * C[:, k]
+                for k in range(len(gamma)))
+    return sum(0.5 / g for g in gamma) * float(np.max(total))
 
 
-def test_optimize_gamma_of_five_coordinates_audits_axis_lines():
-    # more than four covered coordinates: the audit walks the lattice
-    # along axis lines through the descent's point instead of the full
-    # lattice of 20^5 points
+def test_optimal_weights_of_two_rows_reach_the_dual_optimum():
+    # the two rows trade off against each other: a 1501^2 grid over gamma
+    # finds 2.6242540, the dual optimum is 2.624252494
+    from cordeslab.conditions import _nu_hat_value, _optimal_weights
+    A = np.array([[0.25, 0.0], [1.0, 0.75]])
+    C = np.array([[1.0, 1.0], [0.75, 0.25]])
+    gamma, bound = _optimal_weights(A, C)
+    value = _nu_hat_value(A, C, gamma)
+    assert abs(value - 2.624252494) <= 1e-9 * 2.624252494
+    assert value - bound <= 1e-9 * value
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=nu_hat_terms())
+def test_optimal_weights_close_the_duality_gap(terms):
+    from cordeslab.conditions import (GAMMA_MAX, GAMMA_MIN, _nu_hat_value,
+                                      _optimal_weights)
+    A, C = _floored(terms)
+    gamma, bound = _optimal_weights(A, C)
+    assert np.all((GAMMA_MIN <= gamma) & (gamma <= GAMMA_MAX))
+    value = _nu_hat_value(A, C, gamma)
+    assert bound <= value
+    assert value - bound <= 1e-9 * value
+    assert value == _literal_nu_hat(A, C, gamma)
+
+
+@settings(max_examples=25, deadline=None)
+@given(terms=nu_hat_terms(columns=2))
+def test_optimal_weights_beat_a_fine_grid(terms):
+    from cordeslab.conditions import (GAMMA_MAX, GAMMA_MIN, _nu_hat_value,
+                                      _optimal_weights)
+    A, C = _floored(terms)
+    m = A.shape[1]
+    value = _nu_hat_value(A, C, _optimal_weights(A, C)[0])
+    axis = np.linspace(GAMMA_MIN, GAMMA_MAX, 201)
+    grid = np.stack(np.meshgrid(*[axis] * m, indexing="ij"),
+                    axis=-1).reshape(-1, m)
+    w = grid / (2.0 - grid)
+    rows = (A[None] + w[:, None] * C[None]).sum(axis=2).max(axis=1)
+    assert ((0.5 / grid).sum(axis=1) * rows).min() >= value * (1 - 1e-12)
+
+
+def test_optimal_weights_of_one_row_are_the_closed_form():
+    from cordeslab.conditions import _nu_hat_value, _optimal_weights
+    rng = np.random.default_rng(13)
+    for m in (1, 2, 3, 4, 5):
+        C = rng.uniform(0.1, 2.0, (1, m))
+        A = C + rng.uniform(0.0, 2.0, (1, m))
+        closed = (np.sqrt(m * A.sum()) + np.sqrt(C).sum()) ** 2 / 4.0
+        gamma, bound = _optimal_weights(A, C)
+        assert abs(_nu_hat_value(A, C, gamma) - closed) <= 1e-12 * closed
+        assert abs(bound - closed) <= 1e-12 * closed
+
+
+def test_report_carries_the_dual_bound():
+    # the bound certifies the searched weights; supplied weights have none
+    f = make_field(2, 1.0, Box((0.0, 0.0), (1.0, 1.0)),
+                   [["1.3 + 0.2*x1", 0.2], [0.2, "1.1 - 0.1*x2"]])
+    samples = sample_set(f.sampling_box(), f.T, space=3, time=1)
+    rep = full_report(f, samples=samples)
+    assert rep.index_set == (1, 2)
+    assert rep.nu_hat_bound <= rep.nu_hat
+    assert rep.nu_hat - rep.nu_hat_bound <= 1e-9 * rep.nu_hat
+    assert json.loads(rep.to_json())["nu_hat_bound"] == rep.nu_hat_bound
+    rep = full_report(f, samples=samples, index_set=(1, 2),
+                      gamma={1: 1.0, 2: 1.0})
+    assert rep.nu_hat_bound is None
+    rep = full_report(builtin_problem("identity_heat", {"n": 2}))
+    assert rep.nu_hat == 0.0 and rep.nu_hat_bound == 0.0
+
+
+def test_optimize_gamma_of_five_coordinates():
+    # five covered coordinates: the reported value is nu_hat at the
+    # returned weights, and no worse than at gamma = 1
     n = 5
     b = [[f"1.1 + 0.2*x{i + 1}" if i == j else
           0.05 * (abs(i - j) == 1) for j in range(n)] for i in range(n)]
