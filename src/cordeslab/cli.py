@@ -204,11 +204,13 @@ def cmd_solve(cfg: RunConfig, proof_mirror: bool = False) -> int:
           else contextlib.nullcontext()) as pool:
         mirror = (pool.submit(_proof_mirror, cfg, problem, grid,
                               direct) if beside else None)
-        try:
-            # a helper process formats each level of solution.csv while
-            # the march solves the next
-            with _SolutionWriter(cfg.out_dir / "solution.csv", grid,
-                                 grid.times()) as csv_out:
+        with contextlib.ExitStack() as stack:
+            try:
+                # a helper process formats each level of solution.csv
+                # while the march solves the next; a fault reaches the
+                # construction before the helper is stopped
+                csv_out = stack.enter_context(_SolutionWriter(
+                    cfg.out_dir / "solution.csv", grid, grid.times()))
                 solution = solve_backward(problem, grid, cfg.theta,
                                           _on_level=csv_out.level)
                 ratio = apriori_ratio(solution, cfg.phi, cfg.Phi)
@@ -217,12 +219,12 @@ def cmd_solve(cfg: RunConfig, proof_mirror: bool = False) -> int:
                 payload["apriori_ratio"] = ratio
                 payload["meta"] = {k: v for k, v in solution.meta.items()}
                 csv_out.finish()
-            if cfg.exact is not None:
-                payload["max_error_vs_exact"] = _error_table(cfg, grid,
-                                                             solution)
-        except BaseException as err:
-            direct.set_exception(err)
-            raise
+                if cfg.exact is not None:
+                    payload["max_error_vs_exact"] = _error_table(
+                        cfg, grid, solution)
+            except BaseException as err:
+                direct.set_exception(err)
+                raise
         direct.set_result(solution)
         if proof_mirror:
             trace = (mirror.result() if beside else

@@ -617,8 +617,9 @@ def mollify(source, eps: float, box: Box | None = None) -> MollifiedField:
     its own continuous part).  Smoothing acts in space only; the moduli
     are sampled on the lattice over ``box`` (the field domain by default)
     at the times ``0``, ``T/2`` and ``T``.  Coefficients are continued by
-    their raw formulas beyond the domain so that constants are exact fixed
-    points of the smoothing.
+    their raw formulas beyond the domain, and a constant entry is its own
+    average (see ``_smooth_parts``), so constants are exact fixed points
+    of the smoothing.
     """
     if eps <= 0:
         raise ValueError("mollification radius must be positive")
@@ -728,13 +729,16 @@ def _smooth_parts(b_src, field: CoefficientField, pts: np.ndarray,
 
     Each entry is evaluated once per non-zero tap on the shifted points
     and the taps are summed in lattice order, so the working set stays at
-    a few arrays of ``len(pts)`` values.  Returns ``b (P, n, n)``,
-    ``f (P, n)`` and the complex ``lam (P,)``.
+    a few arrays of ``len(pts)`` values; a constant entry is its own
+    average.  Returns ``b (P, n, n)``, ``f (P, n)`` and the complex
+    ``lam (P,)``.
     """
     offsets, w = _bump_kernel(eps, spacing)
     taps = np.flatnonzero(w)
 
     def smooth(entry):
+        if isinstance(entry, ConstField):
+            return entry.eval_raw(pts, t)
         out = np.zeros(pts.shape[0])
         for k in taps:
             out += w[k] * entry.eval_raw(pts + offsets[k], t)

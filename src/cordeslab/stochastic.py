@@ -12,11 +12,11 @@ position.  Block bounds fall on group bounds, every group is drawn at
 full width and the values of dead or absent paths are dropped, so a
 path's trajectory depends on neither ``M`` nor the block it runs in.
 Every usable core (by the CPU affinity of the process) gets a block of
-at most ``_BLOCK`` paths, and more than one block runs on a thread pool;
-each block streams its noise in chunks of steps under its worker's share
-of one in-flight budget per simulation and steps only the paths still
-alive.  Outputs are byte-identical whatever the worker count and the
-block partition.
+at most ``_BLOCK`` paths, more than one on a thread pool.  Both engines
+draw a block's noise in one chunk loop: chunks of steps of at most the
+worker's share of one budget per simulation over the block's groups,
+none once no path is alive.  Outputs are byte-identical whatever the
+worker count and the block partition.
 
 With no ``beta`` given, each block holds the root table of ``2 b`` at
 the grid level it is stepping (see ``SDE``), so blocks share nothing but
@@ -24,8 +24,9 @@ the read-only field and their disjoint output rows.
 
 With a constant ``beta`` and no drift, rate, records or per-step hook,
 a position is the start point plus the running sum of the increments:
-such a block sums one group at a time in chunks of steps instead of
-stepping, with the loop's bits and exits still found at step ends.
+such a block adds up each chunk across its groups instead of stepping,
+with the loop's bits, and scans for first exits at step ends only the
+paths whose range over the chunk reaches a face.
 
 The path functionals of the checks (the Feynman-Kac source integral of
 ``verify_pairing`` and the arctangent phases of the characteristic
@@ -293,13 +294,13 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
     The step count is ``round(T / dt)`` so the horizon is hit exactly.
     Path ``p`` draws its noise from the stream of group ``p // _GROUP``.
     Paths run in the blocks of ``_partition``, more than one on a thread
-    pool, each worker drawing at most its share of ``_NOISE_FLOATS``
-    noise values at a time; the result depends on neither the partition
-    nor ``M``: the first paths of a larger ensemble are those of a
-    smaller one.  With a constant beta, no drift, no rate, no ``record``
-    and no hook, a block runs as running sums of one group at a time, in
-    chunks of steps under the same in-flight bound, instead of the step
-    loop: the same bits, exits still detected at step ends.
+    pool; the result depends on neither the partition nor ``M``: the
+    first paths of a larger ensemble are those of a smaller one.  A block
+    draws its noise in chunks of steps of at most its worker's share of
+    ``_NOISE_FLOATS`` over its groups, none once no path is alive.  With
+    a constant beta, no drift, no rate, no ``record`` and no hook, a
+    block adds up each chunk as running sums instead of stepping: the
+    same bits, exits still detected at step ends.
 
     ``_on_step(start, ids, y_live, disc_live, k)`` (private) is called at
     the top of step ``k`` of a block starting at path ``start``, before
@@ -362,37 +363,51 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
             np.matmul(xi, const_beta.T, out=xi)
         return xi
 
+    def chunks(gens, live):
+        # the block's noise a chunk of steps at a time: at most the worker's
+        # budget of noise values over the block's whole groups, each
+        # group's stream drawn in place, step-major; none once live() is 0.
+        # Every chunk is a view of one buffer, overwritten by the next
+        chunk = max(1, budget // (len(gens) * _GROUP * n))
+        store = np.empty(len(gens) * min(chunk, nsteps) * _GROUP * n)
+        for k in range(0, nsteps, chunk):
+            if not live():
+                return
+            steps = min(chunk, nsteps - k)
+            buf = store[:len(gens) * steps * _GROUP * n].reshape(
+                len(gens), steps, _GROUP, n)
+            for j, gen in enumerate(gens):
+                gen.standard_normal(out=buf[j])
+            yield k, buf
+
     def run_sums(y, tau_b, ids, gens):
-        # one group at a time, in chunks of steps under the in-flight
-        # bound drawn into one buffer: positions as running sums of the
-        # scaled noise, added row by row in the step loop's order (a
-        # cumsum along the steps is slower on this layout), then one exit
-        # scan per chunk
-        chunk = min(nsteps, max(1, budget // (_GROUP * n)))
-        buf = np.empty((chunk, _GROUP, n))
-        for j, gen in enumerate(gens):
-            lo = j * _GROUP
-            i0, i1 = np.searchsorted(ids, (lo, lo + _GROUP))
-            cols = ids[i0:i1] - lo      # the group's live paths
-            pos = np.zeros((_GROUP, n))     # positions before the chunk
-            pos[cols] = y[lo + cols]
-            for k in range(0, nsteps, chunk):
-                part = gen.standard_normal(out=buf[:nsteps - k])
-                flat = scale(part.reshape(-1, n))
-                part[0] += pos
-                for c in range(1, len(part)):
-                    part[c] += part[c - 1]
-                if domain is not None:      # first exits at step ends
-                    out = ~domain.contains(flat, open_set=True).reshape(
-                        len(part), _GROUP)
-                    first = out.argmax(axis=0)[cols]
-                    gone = out[first, cols]
-                    del out     # before the next chunk's exit scan
-                    y[lo + cols[gone]] = part[first[gone], cols[gone]]
-                    tau_b[lo + cols[gone]] = (k + first[gone] + 1) * dt
-                    cols = cols[~gone]
-                pos[...] = part[-1]
-            y[lo + cols] = pos[cols]
+        # positions as running sums of the scaled noise, a chunk's rows
+        # added across the block's groups in the step loop's order (a
+        # cumsum along the steps is slower on this layout); a live path
+        # whose range over a chunk reaches a face left in it, and only
+        # those are scanned for their first exit at a step end, in windows
+        # of steps holding at most one step's positions of the block
+        pos = np.zeros((len(gens), _GROUP, n))     # positions before a chunk
+        pos.reshape(-1, n)[ids] = y[ids]
+        for k, buf in chunks(gens, lambda: len(ids)):
+            scale(buf.reshape(-1, n))
+            buf[:, 0] += pos
+            for c in range(1, len(buf[0])):
+                buf[:, c] += buf[:, c - 1]
+            pos[...] = buf[:, -1]
+            if domain is not None:
+                left = ~domain.contains(np.stack((buf.min(1), buf.max(1))),
+                                        open_set=True).all(0).ravel()[ids]
+                gone, ids, c = ids[left], ids[~left], 0
+                while len(gone):    # (path, step, n) from step k + c on
+                    w = max(1, len(y) // len(gone))
+                    part = buf[gone // _GROUP, c:c + w, gone % _GROUP]
+                    out = ~domain.contains(part, open_set=True)
+                    first, hit = out.argmax(axis=1), out.any(axis=1)
+                    y[gone[hit]] = part[hit, first[hit]]
+                    tau_b[gone[hit]] = (k + c + first[hit] + 1) * dt
+                    gone, c = gone[~hit], c + w
+        y[ids] = pos.reshape(-1, n)[ids]
 
     def increment(y_live, xi, t_k, held):
         # this order of operations fixes the bits of every path:
@@ -425,59 +440,49 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
         if sums:
             run_sums(y, tau_b, ids, gens)
             return
-        y_live = y[ids]
-        disc_live = disc_b[ids]
+        y_live, disc_live = y[ids], disc_b[ids]
         held = None     # the block's derived beta table, one level's
-        if 0 in rec_pos:
-            traj[start:end, rec_pos[0]] = y
-        k = 0
-        while k < nsteps:
-            # the next chunk of steps: at most the worker's budget of
-            # noise values over the block's whole groups, each group's
-            # drawn in place, step-major; a live path's row of step c is
-            # rows + c * _GROUP
-            steps = min(nsteps - k,
-                        max(1, budget // (len(gens) * _GROUP * n)))
-            buf = np.empty((len(gens), steps, _GROUP, n))
-            # with no path left the streams are not read again
-            for j, gen in enumerate(gens if len(ids) else ()):
-                gen.standard_normal(out=buf[j])
+
+        def settle(cols):
+            # the live paths written back and, when recording, the block
+            # stored at the record columns cols (a path past its exit
+            # frozen there)
+            y[ids] = y_live
+            disc_b[ids] = disc_live
+            if traj is not None:
+                traj[start:end, cols] = y[:, None]
+                disc_traj[start:end, cols] = disc_b[:, None]
+        k = -1      # the last step entered
+        for k0, buf in chunks(gens, lambda: len(ids)):
             flat = buf.reshape(-1, n)
-            rows = ids + ids // _GROUP * ((steps - 1) * _GROUP)
-            for c in range(steps):
-                t_k = k * dt
-                if len(ids):
-                    if _on_step is not None:
-                        _on_step(start, ids, y_live, disc_live, k)
-                    if not lam_zero:
-                        lam = sde.field.eval_lambda(y_live, t_k)
-                        disc_live += (lam.real if lam_real else lam) * dt
-                    if sde.field.beta is None:     # derived beta
-                        held = sde.beta_table(t_k, held)
-                    y_live += increment(
-                        y_live, np.take(flat, rows + c * _GROUP, axis=0),
-                        t_k, held)
-                    if domain is not None:
-                        out = ~domain.contains(y_live, open_set=True)
-                        if out.any():
-                            gone = ids[out]
-                            y[gone] = y_live[out]
-                            disc_b[gone] = disc_live[out]
-                            tau_b[gone] = (k + 1) * dt
-                            keep = ~out
-                            ids, rows, y_live, disc_live = (
-                                ids[keep], rows[keep], y_live[keep],
-                                disc_live[keep])
-                k += 1
+            # a live path's row of step k is rows + (k - k0) * _GROUP
+            rows = ids + ids // _GROUP * ((len(buf[0]) - 1) * _GROUP)
+            for k in range(k0, k0 + len(buf[0])):
                 if k in rec_pos:
-                    y[ids] = y_live
-                    traj[start:end, rec_pos[k]] = y
-                    if not lam_zero:   # else disc_traj stays untouched zeros
-                        disc_b[ids] = disc_live
-                        disc_traj[start:end, rec_pos[k]] = disc_b
-            del buf, flat       # before the next chunk's buffer exists
-        y[ids] = y_live
-        disc_b[ids] = disc_live
+                    settle(slice(rec_pos[k], rec_pos[k] + 1))
+                if not len(ids):
+                    break
+                t_k = k * dt
+                if _on_step is not None:
+                    _on_step(start, ids, y_live, disc_live, k)
+                if not lam_zero:
+                    lam = sde.field.eval_lambda(y_live, t_k)
+                    disc_live += (lam.real if lam_real else lam) * dt
+                if sde.field.beta is None:     # derived beta
+                    held = sde.beta_table(t_k, held)
+                y_live += increment(
+                    y_live, np.take(flat, rows + (k - k0) * _GROUP, axis=0),
+                    t_k, held)
+                if domain is not None:
+                    out = ~domain.contains(y_live, open_set=True)
+                    if out.any():
+                        gone = ids[out]
+                        y[gone] = y_live[out]
+                        disc_b[gone] = disc_live[out]
+                        tau_b[gone] = (k + 1) * dt
+                        ids, rows, y_live, disc_live = (
+                            v[~out] for v in (ids, rows, y_live, disc_live))
+        settle(slice(sum(s <= k for s in rec_pos), None))   # records to come
 
     if len(bounds) == 2:
         run_block(0, M)

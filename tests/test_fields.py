@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from cordeslab.fields import (Box, ExprField, FieldConstructionError,
-                              _probe_points, builtin_problem, builtin_solve_data, decompose,
+                              _bump_kernel, _probe_points, _smooth_parts,
+                              builtin_problem, builtin_solve_data, decompose,
                               eval_field, make_field, minimal_vertex_cover,
                               mollify, sample_set, sparsity_pattern)
 from cordeslab.grid import build_grid
@@ -198,6 +199,22 @@ def test_mollify_constant_is_fixed_point():
     assert np.abs(mf.b_eps - 1.0).max() <= 1e-12
     assert mf.moduli["nu_b"] <= 1e-12
     assert mf.moduli["nu_b_bar"] <= 1e-10
+
+
+def test_constant_entries_smooth_to_themselves():
+    # the construction's kernel in 3-D (spacing eps/3, 93 taps), next to
+    # non-constant entries; its weights sum 0.37 to 0.3700000000000003
+    b = [[0.37, 0.1, 0.0], [0.1, "1 + 0.2*step(x2)", 0.0], [0.0, 0.0, 1.0]]
+    f = make_field(3, 1.0, Box((-1.0,) * 3, (1.0,) * 3), b,
+                   f=[0.0, -0.2, "sin(x1)"], lam=(0.3, -1.7))
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(20, 3))
+    b_s, f_s, lam_s = _smooth_parts(f.b, f, pts, 0.3, [0.1] * 3, 0.0)
+    assert len(np.flatnonzero(_bump_kernel(0.3, [0.1] * 3)[1])) == 93
+    for (i, j), value in {(0, 0): 0.37, (0, 1): 0.1, (1, 0): 0.1,
+                          (0, 2): 0.0, (2, 2): 1.0}.items():
+        assert np.all(b_s[:, i, j] == value)
+    assert np.all(f_s[:, :2] == [0.0, -0.2]) and np.all(lam_s == 0.3 - 1.7j)
+    assert not np.all(b_s[:, 1, 1] == b_s[0, 1, 1])
 
 
 def test_mollify_step_rate_has_steep_gradient():

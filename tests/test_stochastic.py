@@ -312,29 +312,62 @@ def plain_box(n, domain=True):
                       (0.5 * beta @ beta.T).tolist(), beta=beta.tolist())
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_running_sums_match_the_step_loop(monkeypatch, n):
-    # starts on both sides of the box, many exits, a last block that ends
-    # mid-group; the hook sends the same ensemble through the step loop
-    sampler = UniformBoxSampler(Box((-0.2,) * n, (1.2,) * n))
-    streams, draws, pools = [], [], []
+def exit_box():
+    # the simulate_killed_1d problem (b = 1, beta = sqrt 2) on (0, 0.05)
+    # up to T = 0.05: from 0.025 every path leaves within 250 steps of
+    # dt = 2e-5, most of them within a few chunks
+    return make_field(1, 0.05, Box((0.0,), (0.05,)), [[1.0]],
+                      beta=[[np.sqrt(2.0)]])
+
+
+def spy_streams(monkeypatch):
+    """Route ``_stream`` through a spy; returns its two logs: the key of
+    each stream made, and ``(key, shape)`` of each normal draw (both
+    engines draw into buffers)."""
+    streams, draws = [], []
     stream = stochastic._stream
 
     class Stream:
-        """A stream that records its key and the shape of each normal
-        draw (both engines draw into buffers)."""
-
         def __init__(self, seed, *key):
+            self.key = key
             streams.append(key)
             self.gen = stream(seed, *key)
 
         def standard_normal(self, out):
-            draws.append(out.shape)
+            draws.append((self.key, out.shape))
             return self.gen.standard_normal(out=out)
 
         def __getattr__(self, name):
             return getattr(self.gen, name)
     monkeypatch.setattr(stochastic, "_stream", Stream)
+    return streams, draws
+
+
+def assert_chunk_rule(ens, draws):
+    """Both engines draw each group's stream in the chunks of its block:
+    steps of the worker's share of ``_NOISE_FLOATS`` over the block's
+    groups, from step 0 to the horizon or to the first chunk end at which
+    the block has no live path; ``draws`` is the run's draw log."""
+    bounds, workers = stochastic._partition(ens.M)
+    budget = stochastic._NOISE_FLOATS // workers
+    group = stochastic._GROUP
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        groups = range(lo // group, -(-hi // group))
+        chunk = max(1, budget // (len(groups) * group * ens.n))
+        last = round(ens.tau[lo:hi].max() / ens.dt)   # of the block's paths
+        want = [(min(chunk, ens.nsteps - k), group, ens.n)
+                for k in range(0, last, chunk)]
+        for g in groups:
+            assert [shape for key, shape in draws if key == (g,)] == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_running_sums_match_the_step_loop(monkeypatch, n):
+    # starts on both sides of the box, many exits, a last block that ends
+    # mid-group; the hook sends the same ensemble through the step loop
+    sampler = UniformBoxSampler(Box((-0.2,) * n, (1.2,) * n))
+    pools = []
+    streams, draws = spy_streams(monkeypatch)
 
     class Pool(stochastic.ThreadPoolExecutor):
         def __init__(self, workers):
@@ -347,21 +380,24 @@ def test_running_sums_match_the_step_loop(monkeypatch, n):
         monkeypatch.setattr(stochastic, "_NOISE_FLOATS", noise)
         del streams[:], draws[:]
         sums = simulate_paths(SDE(f), sampler, 4e-3, 3000, 9)
-        built, summed = sorted(streams), sorted(draws)
+        built = sorted(streams)
+        assert_chunk_rule(sums, draws)
+        del draws[:]
         loop = simulate_paths(SDE(f), sampler, 4e-3, 3000, 9,
                               _on_step=no_step_hook)
+        assert_chunk_rule(loop, draws)
         assert_same_ensemble(sums, loop)
-        return sums, built, summed
+        return sums, built
 
     f, nsteps = plain_box(n), 25
     # the initial law's stream, and one per group of 512 paths (here two
     # in each of three blocks), none per path
     per_group = [()] + [(g,) for g in range(6)]
-    ens, built, summed = both(f, 1, NOISE_DEFAULT)
+    ens, built = both(f, 1, NOISE_DEFAULT)
     assert (ens.tau == 0).sum() > 450 and ens.exited.sum() > 1800
     assert not ens.exited.all()
-    assert built == per_group and summed == [(nsteps, 512, n)] * 6
-    ens, _, _ = both(plain_box(n, domain=False), 1, NOISE_DEFAULT)
+    assert built == per_group
+    ens, _ = both(plain_box(n, domain=False), 1, NOISE_DEFAULT)
     assert not ens.exited.any()
     # one group's noise at each worker's share of the budget: blocks of
     # one or two groups on the pool, the workers switching often
@@ -374,14 +410,29 @@ def test_running_sums_match_the_step_loop(monkeypatch, n):
     finally:
         sys.setswitchinterval(interval)
     assert pools == [1, 1, 2, 2, 4, 4]
-    # one group's noise over a worker's share: the sums run in chunks of
-    # steps of one group (the loop's chunks span a block's groups), with
-    # exits on both sides of chunk bounds, from the same streams
+    # one group's noise over a worker's share: both engines run in chunks
+    # of steps over a block's groups (of 7 or 24 steps in a one-group
+    # block, 3 or 12 in a two-group one), with exits on both sides of
+    # chunk bounds, from the same streams
     for steps in (7, nsteps - 1):
-        ens, built, summed = both(f, 2, 2 * 512 * steps * n)
-        assert built == per_group and summed == sorted(
-            [(steps, 512, n)] * (nsteps // steps) * 6
-            + [(nsteps % steps, 512, n)] * 6)
+        ens, built = both(f, 2, 2 * 512 * steps * n)
+        assert built == per_group
+
+
+@pytest.mark.parametrize("on_step", [None, no_step_hook],
+                         ids=["sums", "loop"])
+def test_no_chunk_is_drawn_after_the_last_exit(monkeypatch, on_step):
+    # all 40 000 paths leave the narrow box within the first tenth of the
+    # 2500 steps, and neither engine draws a chunk after the one in which
+    # its block's last path left
+    draws = spy_streams(monkeypatch)[1]
+    f = exit_box()
+    ens = simulate_paths(SDE(f), PointSampler([0.025]), 2e-5, 40_000, 4,
+                         _on_step=on_step)
+    assert ens.exited.all() and ens.tau.max() < 0.1 * f.T
+    assert_chunk_rule(ens, draws)
+    drawn = sum(np.prod(shape) for _, shape in draws)
+    assert drawn < 0.15 * ens.M * ens.nsteps
 
 
 def test_first_paths_do_not_depend_on_the_path_count(monkeypatch):
@@ -402,13 +453,15 @@ def test_first_paths_do_not_depend_on_the_path_count(monkeypatch):
                     np.array_equal(a, b[:700]), name
 
 
-def noise_peak(on_step, M, nsteps):
-    """Peak traced memory of an unrecorded free-space run; without a hook
-    it runs as running sums, with one as the step loop."""
+def noise_peak(on_step, M, nsteps, f=None, start=0.0):
+    """Peak traced memory of an unrecorded run of ``f`` (free space by
+    default) from ``start``; without a hook it runs as running sums, with
+    one as the step loop."""
+    f = free_space(0.1) if f is None else f
     tracemalloc.start()
     try:
-        simulate_paths(SDE(free_space(0.1)), PointSampler([0.0]),
-                       0.1 / nsteps, M, 2, _on_step=on_step)
+        simulate_paths(SDE(f), PointSampler([start]), f.T / nsteps, M, 2,
+                       _on_step=on_step)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -432,6 +485,17 @@ def test_one_group_is_drawn_in_chunks_of_steps(monkeypatch, on_step):
     M, nsteps = 512, 2000
     bound = 1.5 * stochastic._NOISE_FLOATS * 8 + 16 * M * 8
     assert noise_peak(on_step, M, nsteps) < bound < M * nsteps * 8
+
+
+@pytest.mark.parametrize("on_step", [None, no_step_hook],
+                         ids=["sums", "loop"])
+def test_noise_memory_is_bounded_while_paths_exit(on_step):
+    # one group whose 1024-step first chunk holds every path's exit (the
+    # last before step 250): the scan for first exits stays inside the
+    # chunk budget's bound
+    M, nsteps = 512, 2500
+    bound = 1.5 * stochastic._NOISE_FLOATS * 8 + 16 * M * 8
+    assert noise_peak(on_step, M, nsteps, exit_box(), 0.025) < bound
 
 
 def test_recording_budget_raises_before_allocating():
