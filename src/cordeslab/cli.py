@@ -344,11 +344,9 @@ def _read_panel(path: Path, n: int):
             rows = list(csv.reader(handle))
     except OSError as err:
         raise ConfigError(f"cannot read panel {path}: {err}") from None
-    if not rows:
-        raise ConfigError(f"panel {path} is empty")
-    header = [c.strip().lower() for c in rows[0]]
-    has_func = header[0] == "func"
-    first = 1 if _is_number_row(rows[0]) else 2     # line of the first row
+    header = [c.strip().lower() for c in rows[0]] if rows else []
+    has_func = header[:1] == ["func"]
+    first = 1 if _is_number_row(header) else 2      # line of the first row
     panels: dict = {}
 
     def bad(lineno, why):
@@ -372,6 +370,8 @@ def _read_panel(path: Path, n: int):
             raise bad(lineno, f"time {data[0]:g} does not follow "
                       f"{panels[fid][-1][0]:g} of func {fid}")
         panels.setdefault(fid, []).append(data)
+    if not panels:
+        raise ConfigError(f"panel {path} is empty")
     out = []
     for fid in sorted(panels):
         arr = np.asarray(panels[fid])

@@ -15,8 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import (GAMMA_RANGE, Box, CoefficientField, TableField,
-                     builtin_problem, builtin_solve_data, make_field)
+from .fields import (GAMMA_RANGE, Box, CoefficientField, ExprField,
+                     TableField, builtin_problem, builtin_solve_data,
+                     make_field)
 from .solver import MAX_KT
 
 __all__ = ["ConfigError", "parse_kv_text", "load_problem_mapping",
@@ -196,7 +197,6 @@ def config_hash(resolved: dict) -> str:
 class RunConfig:
     field: CoefficientField
     resolved: dict
-    base_dir: Path
     grid_m: tuple | None = None
     grid_nt: int | None = None
     theta: float = 1.0
@@ -232,8 +232,6 @@ class RunConfig:
 
     @staticmethod
     def from_mapping(kv: dict, base_dir: Path) -> "RunConfig":
-        from .fields import ExprField
-
         base_dir = Path(base_dir)
         kv = kv if isinstance(kv, _Keys) else _Keys(kv, "run config")
         if "problem.builtin" in kv:
@@ -256,7 +254,7 @@ class RunConfig:
             field = load_problem_mapping(kv, base_dir)
             solve_data = None
 
-        cfg = RunConfig(field=field, resolved=dict(kv), base_dir=base_dir)
+        cfg = RunConfig(field=field, resolved=dict(kv))
         if solve_data is not None:
             cfg.phi, cfg.Phi, cfg.exact = solve_data
 

@@ -425,7 +425,9 @@ def _start(mat, rhs: np.ndarray, recent) -> np.ndarray:
 
 class _Stepper:
     """Prepared marching machinery for one grid, theta and coefficient
-    function ``coefficients(t) -> (b, f, lambda)`` at the nodes.
+    source ``coefficients(key, t) -> (b, f, lambda)`` at the nodes, asked
+    by the level key of a step's system (``key(k)``: ``k``, or 0 for a
+    static operator) and its ``t_eval(k)``; a memo keys by level.
 
     ``levels`` is the one loop that solves step systems, for the backward
     and the adjoint march; ``_fill`` copies it into a space-time block.
@@ -462,11 +464,14 @@ class _Stepper:
             self.solver = _StepSolver()
         return values
 
+    def key(self, k: int) -> int:
+        return k if self.time_dependent else 0
+
     def system(self, k: int):
-        key = k if self.time_dependent else 0
+        key = self.key(k)
         if self._held is None or self._held[0] != key:
             t = self.t_eval(k)
-            b, f, lam = self.coefficients(t)
+            b, f, lam = self.coefficients(key, t)
             if not all(np.isfinite(c).all() for c in (b, f, lam)):
                 raise SolverError(
                     f"non-finite coefficients in the step between time "
@@ -552,7 +557,7 @@ def solve_backward(problem: BackwardProblem, grid: Grid,
     ``_on_level(k, v_k)`` (private), when given, gets each level as the
     march solves it, from ``nt`` down to 0.
     """
-    stepper = _Stepper(grid, theta, lambda t: problem.coefficients(grid, t),
+    stepper = _Stepper(grid, theta, lambda _, t: problem.coefficients(grid, t),
                        problem.field.time_dependent)
     norms = np.zeros(grid.nt)   # the source levels' L2 norms, by level
 
@@ -583,7 +588,7 @@ def solve_forward_adjoint(rho, problem: BackwardProblem, grid: Grid,
         raise ValueError("density has non-finite values")
     if np.min(rho_arr.real) < -1e-12:
         warnings.warn("initial density has negative parts", RuntimeWarning)
-    stepper = _Stepper(grid, theta, lambda t: problem.coefficients(grid, t),
+    stepper = _Stepper(grid, theta, lambda _, t: problem.coefficients(grid, t),
                        problem.field.time_dependent)
     p = _fill(stepper.block(), stepper.levels(rho_arr, adjoint=True))
     return DiscreteSolution(GridFunction(grid, p), {"theta": theta})
@@ -599,13 +604,14 @@ class _Splitting:
     each step's ``t_eval`` exactly as the direct theta scheme freezes
     ``A``, and the weighted norm of the increments (``norm``).
 
-    The bump-smoothed coefficients (three kernel taps per radius along
-    each axis) are computed once per level, or once for a static field.
-    ``R``, assembled like ``A`` from the coefficient differences, is held
-    for the current level as a step system is.  Every cache is keyed by
-    the level ``k`` (0 for a static operator), never by a time.  One
-    stepper serves every march of a solve or an R-norm estimate, so a
-    static operator's smooth step matrix is factorized once.
+    The bump-smoothed coefficients (three kernel taps per radius along each
+    axis) are computed once per level, or once for a static field, by the
+    stepper's source, a closure over their memo.  ``R``, assembled like
+    ``A`` from the coefficient differences, is held for the current level
+    as a step system is.  Every cache is keyed by the level ``k`` (0 for a
+    static operator), never by a time, and none refers back to the
+    splitting.  One stepper serves every march of a solve or an R-norm
+    estimate, so a static operator's smooth step matrix is factorized once.
     """
 
     def __init__(self, problem: BackwardProblem, grid: Grid,
@@ -626,11 +632,15 @@ class _Splitting:
                         if decomp.index_set else NormWeights.default(grid.n))
         self.weight = np.exp(-K * (grid.T - grid.times())).reshape(
             (-1,) + (1,) * grid.n)
-        self._smooth_at = functools.partial(
-            _smooth_parts, decomp.b_bar, decomp.field, grid.nodes(),
-            float(eps), [float(eps) / 3.0] * grid.n)
-        self._smoothed = {}  # level key -> smoothed (b, f, lambda)
-        self.stepper = _Stepper(grid, theta, self.smooth,
+        smoothed = {}   # level key -> smoothed (b, f, lambda)
+
+        def smooth(key, t):
+            if key not in smoothed:
+                smoothed[key] = _smooth_parts(
+                    decomp.b_bar, decomp.field, grid.nodes(), float(eps),
+                    [float(eps) / 3.0] * grid.n, t)
+            return smoothed[key]
+        self.stepper = _Stepper(grid, theta, smooth,
                                 decomp.field.time_dependent)
         self.time_dependent = (problem.field.time_dependent
                                or decomp.field.time_dependent)
@@ -641,21 +651,12 @@ class _Splitting:
         return discrete_norms(GridFunction(self.grid, self.weight * block),
                               self.weights).Yhat2
 
-    def smooth(self, t: float):
-        """The smoothed ``(b, f, lambda)`` at ``t``, the ``t_eval`` of
-        level ``k = round(t/dt - 1 + theta)``, which keys the cache."""
-        k = (round(t / self.grid.dt - 1.0 + self.theta)
-             if self.stepper.time_dependent else 0)
-        if k not in self._smoothed:
-            self._smoothed[k] = self._smooth_at(t)
-        return self._smoothed[k]
-
     def remainder(self, k: int) -> sparse.csr_matrix:
         key = k if self.time_dependent else 0
         if self._held is None or self._held[0] != key:
             t = self.stepper.t_eval(k)
             b, f, lam = self.problem.coefficients(self.grid, t)
-            b_s, f_s, lam_s = self.smooth(t)
+            b_s, f_s, lam_s = self.stepper.coefficients(self.stepper.key(k), t)
             dl = _real_if_possible(lam - lam_s)
             self._held = (key, _pattern(tuple(self.grid.m)).matrix(
                 _assemble_from_arrays(self.grid, b - b_s, f - f_s, dl,

@@ -37,7 +37,6 @@ trajectories.  ``record=`` stays a user option, under a memory budget.
 
 from __future__ import annotations
 
-import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
@@ -734,21 +733,24 @@ def _characteristic_panel_pde(grid: Grid, field: CoefficientField, sampler,
                     (F + 1.0,) + tuple(grid.hi), (F,) + tuple(grid.m),
                     grid.nt, grid.T)
 
-        @functools.lru_cache(maxsize=1)     # the source, then the rate
-        def phi(t):     # (F, N): xi(t) . arctan(x) of each function
-            return np.stack([z @ xi_at(t) for xi_at in batch])
+        held = [None, None]     # (level, its source): read again as its rate
 
-        def coefficients(t):
+        def phi(k, t):  # (F, N): xi(t) . arctan(x) of each function
+            if held[0] != k:
+                held[:] = k, np.stack([z @ xi_at(t) for xi_at in batch])
+            return held[1]
+
+        def coefficients(k, t):
             b = np.zeros((F, N, n + 1, n + 1))
             b[:, :, 1:, 1:] = field.eval_b(nodes, t)
             f = np.zeros((F, N, n + 1))
             f[:, :, 1:] = field.eval_f(nodes, t)
             return (b.reshape(-1, n + 1, n + 1), f.reshape(-1, n + 1),
-                    (1j * phi(t)).ravel())
+                    (1j * phi(k, t)).ravel())
 
         stepper = _Stepper(wide, theta, coefficients, True)
         for k, level in stepper.levels(np.zeros(wide.shape),
-                                       lambda k: phi(stepper.t_eval(k))):
+                                       lambda k: phi(k, stepper.t_eval(k))):
             pass    # the last level is level 0
         values += [1.0 - 1j * pair(GridFunction(grid, v), rho)
                    for v in level.reshape((F,) + grid.shape)]

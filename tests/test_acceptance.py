@@ -148,7 +148,7 @@ def test_criterion_05_discrete_duality():
         prob = BackwardProblem(f, phi=phi, Phi=Phi)
         sol = solve_backward(prob, g, theta)
         adj = solve_forward_adjoint(rho, prob, g, theta)
-        stepper = _Stepper(g, theta, lambda t: prob.coefficients(g, t),
+        stepper = _Stepper(g, theta, lambda _, t: prob.coefficients(g, t),
                            prob.field.time_dependent)
         lhs = dot_h(sol.v.values[0], rho, g)
         rhs = dot_h(Phi, adj.v.values[g.nt], g)

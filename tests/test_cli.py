@@ -535,6 +535,23 @@ def test_verify_gaussian_pairing(tmp_path, sampler):
     assert checks["checks"]["max_principle"]["verdict"] == "pass"
 
 
+def test_verify_time_windowed_imaginary_rate(tmp_path):
+    # an imaginary rate that is 0 at t = 0, T/2 and T is still complex:
+    # the paths' discounts match the march and the sign check stands aside
+    (tmp_path / "field.cfg").write_text(
+        "n = 1\nT = 1\ndomain.lo = -8\ndomain.hi = 8\nb[1][1] = 1\n"
+        "beta[1][1] = 1.4142135623730951\n"
+        'lambda.im = "3*step(t - 0.6)*step(0.9 - t)"\n')
+    text = ("problem.file = field.cfg\ngrid.m = 255\ngrid.nt = 1000\n"
+            "mc.M = 2000\nmc.dt = 1e-3\nmc.sampler = gaussian\n"
+            'mc.sampler.sigma = 0.5\nsolve.Phi = "1"\n'
+            f"out.dir = {tmp_path / 'out'}\n")
+    assert run(tmp_path, "v.cfg", text, "verify") == 0
+    checks = json.loads((tmp_path / "out" / "verify.json").read_text())
+    assert checks["checks"]["pairing"]["diff"] <= 2e-2
+    assert checks["checks"]["max_principle"]["verdict"] == "not applicable"
+
+
 def test_characteristic_zero_row_and_csv(tmp_path, monkeypatch):
     import cordeslab.stochastic as stochastic
     simulations = []
@@ -599,12 +616,20 @@ def test_characteristic_malformed_panel_exit_1(tmp_path, capsys):
     ("func,t,xi1\nnan,0.0,1.0\n", 2, "non-finite"),
     ("func,t,xi1\n1.5,0.0,1.0\n", 2, "func id 1.5 is not an integer"),
     ("0.0,1.0\n0.1,-inf\n", 2, "non-finite"),
-    ("t,xi1\n0.1,1.0\n0.1,2.0\n", 3, "does not follow")])
+    ("t,xi1\n0.1,1.0\n0.1,2.0\n", 3, "does not follow"),
+    ("func,t,xi1\n0,0.0,1.0,2.0\n", 2, "expected t and 1 components"),
+    ("", None, "is empty"),
+    ("func,t,xi1\n\n", None, "is empty"),
+    (None, None, "cannot read panel")])
 def test_characteristic_bad_panel_exit_1(tmp_path, capsys, panel, line,
                                          message):
-    # one error line naming the panel file and the line at fault
+    # one error line naming the panel file and the line at fault, if any;
+    # a panel of None is a directory, which cannot be read as a file
     path = tmp_path / "panel.csv"
-    path.write_text(panel)
+    if panel is None:
+        path.mkdir()
+    else:
+        path.write_text(panel)
     text = ("problem.builtin = gaussian_free_space\nproblem.param.n = 1\n"
             "grid.m = 31\ngrid.nt = 8\n"
             "characteristic.panel = panel.csv\n"
@@ -612,7 +637,8 @@ def test_characteristic_bad_panel_exit_1(tmp_path, capsys, panel, line,
     assert run(tmp_path, "c.cfg", text, "characteristic") == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert f"panel {path} line {line}: " in err[0] and message in err[0]
+    where = f"panel {path}" + (f" line {line}: " if line else "")
+    assert where in err[0] and message in err[0]
 
 
 def test_expression_fault_exit_1(tmp_path, capsys):
@@ -894,6 +920,46 @@ def test_unknown_key_exit_1(tmp_path, capsys, problem, text, key):
     err = _one_error_line(capsys)
     where = "field.cfg" if problem is not None else "a.cfg"
     assert f"{where}: unknown key {key!r}" in err
+
+
+BUILTIN_1D = "problem.builtin = manufactured_1d\n"
+
+
+@pytest.mark.parametrize("problem, text, command, message", [
+    (None, "problem.builtin manufactured_1d\n", "analyze",
+     "line 1: expected 'key = value'"),
+    (None, BUILTIN_1D + "= 5\n", "analyze", "line 2: empty key"),
+    (None, BUILTIN_1D + "mc.M =\n", "analyze", "line 2: empty value"),
+    (None, BUILTIN_1D + 'solve.Phi = "x1\n', "analyze",
+     "line 2: unterminated string"),
+    ("T = 0.5\n", "problem.file = field.cfg\n", "analyze",
+     "problem file lacks key 'n'"),
+    ("n = 1\n", "problem.file = field.cfg\n", "analyze",
+     "problem file lacks key 'T'"),
+    (None, "problem.file = field.cfg\n", "analyze", "does not exist"),
+    (None, BUILTIN_1D + "conditions.split = diagonal\n", "analyze",
+     "unknown split spec 'diagonal'"),
+    (None, BUILTIN_1D + "conditions.N = 2\n", "analyze",
+     "conditions.N indices outside 1..n"),
+    (None, BUILTIN_1D + "mc.dt = 0\n", "simulate", "mc.dt must be positive"),
+    (None, BUILTIN_1D + "mc.sampler = cauchy\n", "simulate",
+     "unknown sampler 'cauchy'"),
+    (None, BUILTIN_1D + "grid.m = 15\n", "solve",
+     "this command needs grid.m and grid.nt"),
+    (None, BUILTIN_1D + "conditions.gamma = 1\n", "analyze",
+     "conditions.gamma needs conditions.N"),
+], ids=["no_equals", "empty_key", "empty_value", "unterminated_string",
+        "problem_without_n", "problem_without_T", "missing_problem_file",
+        "unknown_split", "index_outside_n", "nonpositive_dt",
+        "unknown_sampler", "grid_command_without_grid",
+        "gamma_without_index_set"])
+def test_config_fault_exit_1(tmp_path, capsys, problem, text, command,
+                             message):
+    if problem is not None:
+        (tmp_path / "field.cfg").write_text(problem)
+    text += f"out.dir = {tmp_path / 'out'}\n"
+    assert run(tmp_path, "a.cfg", text, command) == 1
+    assert message in _one_error_line(capsys)
 
 
 def test_open_namespaces_take_any_key(tmp_path):

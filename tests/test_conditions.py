@@ -12,7 +12,6 @@ from cordeslab.fields import (Box, Decomposition, SampleSet, builtin_problem,
                               decompose, make_field, sample_set,
                               sparsity_pattern)
 
-RNG = np.random.default_rng(371)
 
 
 def nu_hat_oracle(b_hat_samples, index_set, gamma):
@@ -93,9 +92,10 @@ def test_eigenvalues_diagonal_sorting():
 
 def test_eigenvalues_identities_random():
     from cordeslab.linalg import symmetric_sqrt
+    rng = np.random.default_rng(371)
     for _ in range(200):
-        n = int(RNG.integers(2, 6))
-        a = RNG.standard_normal((n, n))
+        n = int(rng.integers(2, 6))
+        a = rng.standard_normal((n, n))
         m = 0.5 * (a + a.T)
         vals = symmetric_eigenvalues(m)
         scale = max(1.0, np.linalg.norm(m))
@@ -141,16 +141,17 @@ def test_nu_hat_benchmark_full_cover():
 
 
 def test_nu_hat_random_against_oracle():
+    rng = np.random.default_rng(371)
     for _ in range(25):
-        n = int(RNG.integers(2, 5))
-        a = RNG.standard_normal((n, n)) * 0.3
+        n = int(rng.integers(2, 5))
+        a = rng.standard_normal((n, n)) * 0.3
         bh = 0.5 * (a + a.T)
         b = np.eye(n) + bh
         f = make_field(n, 1.0, Box((0.0,) * n, (1.0,) * n), b)
         samples = sample_set(f.sampling_box(), f.T, space=2, time=1)
         d = decompose(f, "identity", samples)
         idx = tuple(range(1, n + 1))
-        gamma = {k: float(RNG.uniform(0.2, 1.8)) for k in idx}
+        gamma = {k: float(rng.uniform(0.2, 1.8)) for k in idx}
         d = d.with_index_set(idx, samples).with_gamma(gamma)
         got = nu_hat(d, samples)
         want = nu_hat_oracle(bh[None], idx, gamma)
@@ -398,10 +399,11 @@ def test_split_condition_benchmark_thresholds():
 
 
 def test_split_condition_sufficient_frobenius_bound():
+    rng = np.random.default_rng(371)
     # remainder with squared Frobenius mass 0.3 delta^2 / n is always fine
     for _ in range(10):
-        n = int(RNG.integers(2, 5))
-        a = RNG.standard_normal((n, n))
+        n = int(rng.integers(2, 5))
+        a = rng.standard_normal((n, n))
         bh = 0.5 * (a + a.T)
         bh *= np.sqrt(0.3 / n) / np.linalg.norm(bh)
         f = make_field(n, 1.0, Box((0.0,) * n, (1.0,) * n), np.eye(n) + bh)
@@ -490,11 +492,12 @@ def test_gihman_skorohod_needs_identity_reference():
 
 
 def test_talenti_equivalence_identity_random():
+    rng = np.random.default_rng(371)
     # (n-1) sum_{i<j} (li - lj)^2 < (sum l)^2 iff (n-1) sum l^2 < (sum l)^2
     disagreements = 0
     for _ in range(1000):
-        n = int(RNG.integers(3, 6))
-        a = RNG.standard_normal((n, n))
+        n = int(rng.integers(3, 6))
+        a = rng.standard_normal((n, n))
         m = 0.5 * (a + a.T)
         lam = symmetric_eigenvalues(m)
         assert abs((lam ** 2).sum() - (m ** 2).sum()) <= 1e-8

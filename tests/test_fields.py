@@ -363,18 +363,23 @@ def test_held_bytes_of_the_timedep_workload_source(monkeypatch):
     assert 0 < held <= 13 * len(nodes) * 8
 
 
-def test_lambda_is_real_is_decided_once(monkeypatch):
-    # a rate whose imaginary part is an expression vanishing on the box
-    f = make_field(1, 1.0, Box((-1,), (1,)), [["1"]],
-                   lam=("1", "step(x1 - 5)"))
+@pytest.mark.parametrize("lam, real", [
+    (0.0, True), ("1 + x1", True), (complex(2.0, 0.0), True),
+    (("1", "0"), True), (("1", 0.0), True), (("1", "0*x1"), False),
+    (complex(0.0, 1.0), False), (("1", "step(x1 - 5)"), False),
+    (("1", "3*step(t - 0.6)*step(0.9 - t)"), False)])
+def test_lambda_is_real_reads_the_entries(monkeypatch, lam, real):
+    # the rate is real exactly when its imaginary entry is the constant 0,
+    # even where an imaginary expression vanishes on the whole box; the
+    # rule evaluates no entry
+    f = make_field(1, 1.0, Box((-1,), (1,)), [["1"]], lam=lam)
     calls = []
-    evaluate = f.lam_im.eval_raw
-    monkeypatch.setattr(f.lam_im, "eval_raw",
-                        lambda *a: calls.append(a) or evaluate(*a))
-    assert f.lambda_is_real
-    first = len(calls)
-    assert f.lambda_is_real
-    assert first > 0 and len(calls) == first
+    for entry in (f.lam_re, f.lam_im):
+        evaluate = entry.eval_raw
+        monkeypatch.setattr(entry, "eval_raw", lambda *a, evaluate=evaluate:
+                            calls.append(a) or evaluate(*a))
+    assert f.lambda_is_real is real
+    assert calls == []
 
 
 def test_time_dependent_is_decided_once(monkeypatch):

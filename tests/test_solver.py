@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import json
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -18,8 +20,6 @@ from cordeslab.grid import NormWeights, build_grid, discrete_norms
 from cordeslab.solver import (BackwardProblem, apriori_ratio, assemble_operator,
                               assemble_step, estimate_R_norm, fixed_point_solve,
                               solve_backward, solve_forward_adjoint, _Stepper)
-
-RNG = np.random.default_rng(1234)
 
 
 def dot_h(a, b, grid):
@@ -126,10 +126,11 @@ def test_spatial_convergence_order():
 def test_linearity_of_solver():
     f = builtin_problem("identity_heat", {"n": 1})
     g = build_grid(f.domain, 21, nt=10, T=1.0)
-    phi1 = RNG.standard_normal((g.nt + 1,) + g.shape)
-    phi2 = RNG.standard_normal((g.nt + 1,) + g.shape)
-    Phi1 = RNG.standard_normal(g.shape)
-    Phi2 = RNG.standard_normal(g.shape)
+    rng = np.random.default_rng(1234)
+    phi1 = rng.standard_normal((g.nt + 1,) + g.shape)
+    phi2 = rng.standard_normal((g.nt + 1,) + g.shape)
+    Phi1 = rng.standard_normal(g.shape)
+    Phi2 = rng.standard_normal(g.shape)
     a, b = 1.3, -0.7
     va = solve_backward(BackwardProblem(f, phi1, Phi1), g).v.values
     vb = solve_backward(BackwardProblem(f, phi2, Phi2), g).v.values
@@ -343,7 +344,7 @@ def test_step_factor_has_less_fill_than_a_column_order():
                    lam="1 + 0.5*sin(x1*x2) + 0.5*step(x3 - 0.2)")
     g = build_grid(f.domain, 17, 48, f.T)
     prob = BackwardProblem(f)
-    B, _ = _Stepper(g, 1.0, lambda t: prob.coefficients(g, t),
+    B, _ = _Stepper(g, 1.0, lambda _, t: prob.coefficients(g, t),
                     False).system(0)
     step_solver = solver._StepSolver()
     rhs = np.sin(np.pi * g.nodes()[:, 0]) + g.nodes()[:, 2]
@@ -546,7 +547,7 @@ def test_discrete_duality_random_problems(lam, theta):
     prob = BackwardProblem(f, phi=phi, Phi=Phi)
     sol = solve_backward(prob, g, theta)
     adj = solve_forward_adjoint(rho, prob, g, theta)
-    stepper = _Stepper(g, theta, lambda t: prob.coefficients(g, t),
+    stepper = _Stepper(g, theta, lambda _, t: prob.coefficients(g, t),
                        prob.field.time_dependent)
     pairs = [(sol.v.values[0], rho, 1.0), (Phi, adj.v.values[g.nt], -1.0)]
     pairs += [(prob.eval_phi(g, stepper.t_eval(k)), adj.v.values[k], -g.dt)
@@ -589,7 +590,7 @@ def test_duality_on_random_fields_with_a_complex_moving_rate(n, theta, seed):
             lambda x, t: w * np.arctan(x[:, 0] + t))), phi=phi, Phi=Phi)
     sol = solve_backward(prob, g, theta)
     adj = solve_forward_adjoint(rho, prob, g, theta)
-    stepper = _Stepper(g, theta, lambda t: prob.coefficients(g, t),
+    stepper = _Stepper(g, theta, lambda _, t: prob.coefficients(g, t),
                        prob.field.time_dependent)
     lhs = dot_h(sol.v.values[0], rho, g)
     rhs = dot_h(Phi, adj.v.values[g.nt], g)
@@ -1017,6 +1018,41 @@ def test_estimate_R_norm_requires_trials():
     g = build_grid(f.domain, 15, nt=4, T=1.0)
     with pytest.raises(ValueError):
         estimate_R_norm(BackwardProblem(f), g, d, eps=0.1, K=1.0, trials=0)
+
+
+@pytest.mark.parametrize("moving", [False, True], ids=["static", "moving"])
+@pytest.mark.parametrize("driver", ["fixed_point_solve", "estimate_R_norm"])
+def test_splitting_is_freed_when_its_driver_returns(monkeypatch, driver,
+                                                    moving):
+    # nothing the splitting hands its stepper refers back to it, so the
+    # splitting, its smooth factor and its memo go by reference counting
+    # alone, without the cyclic collector
+    refs = []
+
+    class Tracked(solver._Splitting):
+        def __init__(self, *args):
+            super().__init__(*args)
+            refs.append(weakref.ref(self))
+    monkeypatch.setattr(solver, "_Splitting", Tracked)
+    if moving:
+        f = _moving_smooth_field("0.2*t*step(x1 - 0.5)")
+        g, d = build_grid(f.domain, (9, 9), 8, f.T), decompose(f, "identity")
+    else:
+        f = builtin_problem("paper_3x3", {"alpha": 0.5, "beta": 0.0,
+                                          "T": 0.25})
+        d = decompose(f, "identity", index_set=(1,)).with_gamma({1: 1.9})
+        g = build_grid(f.domain, (7, 7, 7), 8, f.T)
+    prob = BackwardProblem(f, Phi=lambda x: np.cos(0.5 * np.pi * x[:, 0]))
+    gc.collect()
+    gc.disable()
+    try:
+        if driver == "fixed_point_solve":
+            fixed_point_solve(prob, g, d, max_iter=20)
+        else:
+            estimate_R_norm(prob, g, d, eps=0.3, K=1.0, trials=2)
+        assert len(refs) == 1 and refs[0]() is None
+    finally:
+        gc.enable()
 
 
 # ----------------------------------------------------------------------------

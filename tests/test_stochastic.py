@@ -1023,6 +1023,27 @@ def test_max_principle_not_applicable_on_signed_data():
     assert verdict == "not applicable"
 
 
+def test_time_windowed_imaginary_rate_is_complex_on_both_routes():
+    # the rate's imaginary part is 0 at t = 0, T/2 and T and 3 on (0.6,
+    # 0.9): each path's discount turns the datum 1 by exp(-0.9 i) on the
+    # wide box, up to one step of the rate at each end of the window, as
+    # the march does, and the solution is complex
+    f = make_field(1, 1.0, Box((-8.0,), (8.0,)), [[1.0]],
+                   lam=(0.0, "3*step(t - 0.6)*step(0.9 - t)"),
+                   beta=[[np.sqrt(2.0)]])
+    assert not f.lambda_is_real
+    g = build_grid(f.domain, 255, 1000, f.T)
+    sampler = TruncatedGaussianSampler([0.0], 0.5, f.domain)
+    prob = BackwardProblem(f, Phi=lambda x: np.ones(len(x)))
+    sol = solve_backward(prob, g)
+    pde = pair(GridFunction(g, sol.v.values[0]), sampler.grid_density(g))
+    mc = feynman_kac(simulate_paths(SDE(f), sampler, 1e-3, 2000, 1),
+                     Phi=prob.Phi)
+    assert abs(mc.value - np.exp(-0.9j)) <= 2 * 3.0 * 1e-3
+    assert abs(mc.value - pde) <= 2e-2
+    assert max_principle_check(sol, prob)[1] == "not applicable"
+
+
 def test_max_principle_random_nonnegative_problems():
     rng = np.random.default_rng(44)
     for trial in range(4):
