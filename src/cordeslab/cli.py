@@ -23,10 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from . import _csvout
-from .conditions import full_report
+from .conditions import check_split_condition, full_report
 from .config import ConfigError, RunConfig
 from .expr import ExprEvalError
-from .fields import decompose, sample_set
+from .fields import sample_set
 from .solver import (BackwardProblem, FixedPointTrace, SolverError,
                      _usable_cores, apriori_ratio, fixed_point_solve,
                      solve_backward, solve_forward_adjoint)
@@ -178,11 +178,10 @@ def _proof_mirror(cfg: RunConfig, problem: BackwardProblem, grid,
     sweep, whose fault stops the construction before its next sweep."""
     samples = sample_set(cfg.field.sampling_box(), cfg.field.T,
                          cfg.samples_space, cfg.samples_time)
-    decomp = decompose(cfg.field, cfg.split, samples,
-                       index_set=cfg.index_set)
-    gamma = cfg.gamma_map()
-    if gamma is not None:
-        decomp = decomp.with_gamma(gamma)
+    # the split that analyze certifies: its index set and weights
+    decomp, *_ = check_split_condition(cfg.field, cfg.split, samples,
+                                       index_set=cfg.index_set,
+                                       gamma=cfg.gamma_map())
     _, trace = fixed_point_solve(problem, grid, decomp, eps=cfg.proof_eps,
                                  K=cfg.proof_K, theta=cfg.theta,
                                  direct=direct)

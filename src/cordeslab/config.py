@@ -72,6 +72,14 @@ class _Keys(dict):
         super().__init__(kv)
         self.where, self.read = where, set()
 
+    @classmethod
+    def parse(cls, path: Path) -> "_Keys":
+        """The pairs of the file at ``path``; a fault names the file."""
+        try:
+            return cls(parse_kv_text(path.read_text()), path)
+        except ConfigError as err:
+            raise ConfigError(f"{path}: {err}") from None
+
     def __getitem__(self, key):
         self.read.add(key)
         return super().__getitem__(key)
@@ -135,6 +143,8 @@ def _load_table(path: Path, n: int, box: Box, cells) -> list:
             row = [float(v) for v in line.split(",")]
         except ValueError:
             raise ConfigError(f"{where}: non-numeric entry") from None
+        if not np.isfinite(row).all():
+            raise ConfigError(f"{where}: non-finite entry")
         if len(row) != n + n * n:
             raise ConfigError(f"{where}: needs {n + n * n} columns")
         if not all(v.is_integer() and 0 <= v < c
@@ -226,7 +236,7 @@ class RunConfig:
     @staticmethod
     def load(path, overrides: dict | None = None) -> "RunConfig":
         path = Path(path)
-        kv = _Keys(parse_kv_text(path.read_text()), path)
+        kv = _Keys.parse(path)
         kv.update(overrides or {})
         return RunConfig.from_mapping(kv, path.parent)
 
@@ -246,7 +256,7 @@ class RunConfig:
             ppath = base_dir / str(kv["problem.file"])
             if not ppath.exists():
                 raise ConfigError(f"problem file {ppath} does not exist")
-            pkv = _Keys(parse_kv_text(ppath.read_text()), ppath)
+            pkv = _Keys.parse(ppath)
             field = load_problem_mapping(pkv, ppath.parent)
             pkv.check()
             solve_data = None

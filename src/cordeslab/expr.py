@@ -5,6 +5,12 @@ the binary operators ``+ - * / ^`` (with ``^`` binding tightest and
 right-associative), unary minus, and the functions ``sin``, ``cos``,
 ``exp``, ``sqrt``, ``abs``, ``sign``, ``step``, ``min``, ``max``.
 
+Tokens are separated by optional white space.  A number is decimal digits
+with at most one point, or a point and digits, then an optional exponent
+(``e`` or ``E``, an optional sign, digits); a name starts with a letter or
+an underscore and goes on with letters, digits and underscores; any other
+non-space character besides ``+ - * / ^ ( ) ,`` is an error at its offset.
+
 Conventions fixed here so that discontinuous coefficients are reproducible
 from their textual form alone:
 
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import re
 import struct
 from dataclasses import dataclass
 
@@ -84,14 +91,15 @@ class Expr:
         return self.program.run(env)[0]
 
     def variables(self) -> set:
-        return set()
+        """The names of the variables this tree reads."""
+        return {data for op, data, _ in self.program.ops if op == "var"}
 
     def uses_t(self) -> bool:
-        return "t" in self.variables()
+        return bool(self.program.timed)
 
     def max_x_index(self) -> int:
-        idx = [int(v[1:]) for v in self.variables() if v != "t"]
-        return max(idx) if idx else 0
+        return max((int(v[1:]) for v in self.variables() if v != "t"),
+                   default=0)
 
     def _fmt(self) -> str:
         raise NotImplementedError
@@ -120,9 +128,6 @@ class Var(Expr):
     name: str
     _prec = _ATOM
 
-    def variables(self):
-        return {self.name}
-
     def _fmt(self):
         return self.name
 
@@ -131,9 +136,6 @@ class Var(Expr):
 class Neg(Expr):
     arg: Expr
     _prec = _UNARY
-
-    def variables(self):
-        return self.arg.variables()
 
     def _fmt(self):
         return "-" + self._child(self.arg, _UNARY)
@@ -149,9 +151,6 @@ class Bin(Expr):
     def _prec(self):  # type: ignore[override]
         return {"+": _SUM, "-": _SUM, "*": _TERM, "/": _TERM, "^": _POW}[self.op]
 
-    def variables(self):
-        return self.lhs.variables() | self.rhs.variables()
-
     def _fmt(self):
         if self.op == "^":
             # right-associative; any non-atom base needs parentheses
@@ -165,12 +164,6 @@ class Call(Expr):
     fn: str
     args: tuple
     _prec = _ATOM
-
-    def variables(self):
-        out: set = set()
-        for a in self.args:
-            out |= a.variables()
-        return out
 
     def _fmt(self):
         return f"{self.fn}({', '.join(a._fmt() for a in self.args)})"
@@ -292,159 +285,111 @@ class Program:
 # tokenizer / parser
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # num | ident | op | lparen | rparen | comma | end
-    text: str
-    offset: int
+# after optional white space: a number, a name, an operator or bracket, or
+# any other non-space character, which is an error
+_TOKEN = re.compile(r"""\s*(?:
+      (?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+    | (?P<name>[^\W\d]\w*)
+    | (?P<op>[-+*/^(),])
+    | (?P<bad>\S))""", re.VERBOSE)
 
 
-def _tokenize(text: str):
+def _tokenize(text: str) -> list:
+    """``(kind, text, offset)`` of each token, then ``("end", "", len(text))``."""
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or text[j] == "."
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            tokens.append(_Token("num", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], i))
-            i = j
-            continue
-        if c in "+-*/^":
-            tokens.append(_Token("op", c, i))
-        elif c == "(":
-            tokens.append(_Token("lparen", c, i))
-        elif c == ")":
-            tokens.append(_Token("rparen", c, i))
-        elif c == ",":
-            tokens.append(_Token("comma", c, i))
-        else:
-            raise ExprSyntaxError(f"unexpected character {c!r}", i)
-        i += 1
-    tokens.append(_Token("end", "", n))
-    return tokens
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        tok, at = m[kind], m.start(kind)
+        # a name starts with a letter or "_": "\w" also holds the digits
+        # and numerals that "\d" does not, such as "²" and "½"
+        if kind == "bad" or kind == "name" and not (tok[0].isalpha()
+                                                    or tok[0] == "_"):
+            raise ExprSyntaxError(f"unexpected character {tok[0]!r}", at)
+        tokens.append((kind, tok, at))
+    return tokens + [("end", "", len(text))]
 
 
 def _is_variable_name(name: str) -> bool:
     if name == "t":
         return True
-    return (len(name) >= 2 and name[0] == "x" and name[1:].isdigit()
+    return (len(name) >= 2 and name[0] == "x" and name[1:].isdecimal()
             and name[1] != "0")
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def take(self, ops: str) -> str | None:
+        """The next token, consumed, if it is one of the operators or
+        brackets in ``ops``."""
+        kind, text, _ = self.tokens[self.pos]
+        if kind == "op" and text in ops:
+            self.pos += 1
+            return text
+        return None
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
+    def expect(self, op: str):
+        if not self.take(op):
+            _, text, at = self.tokens[self.pos]
             raise ExprSyntaxError(
-                f"expected {text or kind}, found {tok.text or 'end of input'!r}",
-                tok.offset)
-        return self.advance()
+                f"expected {op!r}, found {text or 'end of input'!r}", at)
 
     def parse(self) -> Expr:
-        node = self.sum()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExprSyntaxError(f"unexpected trailing {tok.text!r}", tok.offset)
+        node = self.chain()
+        kind, text, at = self.tokens[self.pos]
+        if kind != "end":
+            raise ExprSyntaxError(f"unexpected trailing {text!r}", at)
         return node
 
-    def sum(self) -> Expr:
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = Bin(op, node, self.term())
-        return node
-
-    def term(self) -> Expr:
-        node = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = Bin(op, node, self.unary())
+    def chain(self, levels=("+-", "*/")) -> Expr:
+        """A left-associative chain of the operators ``levels[0]`` between
+        operands of the tighter levels after it, ``unary`` the tightest."""
+        operand = ((lambda: self.chain(levels[1:])) if levels[1:]
+                   else self.unary)
+        node = operand()
+        while op := self.take(levels[0]):
+            node = Bin(op, node, operand())
         return node
 
     def unary(self) -> Expr:
-        if self.peek().kind == "op" and self.peek().text == "-":
-            self.advance()
+        if self.take("-"):
             return Neg(self.unary())
-        if self.peek().kind == "op" and self.peek().text == "+":
-            self.advance()
+        if self.take("+"):
             return self.unary()
-        return self.power()
-
-    def power(self) -> Expr:
         base = self.atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
-            # exponent may carry its own unary minus / chained powers
-            return Bin("^", base, self.unary())
-        return base
+        # the exponent may carry its own sign and chained powers
+        return Bin("^", base, self.unary()) if self.take("^") else base
 
     def atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            return Num(float(tok.text))
-        if tok.kind == "lparen":
-            self.advance()
-            node = self.sum()
-            self.expect("rparen")
+        kind, text, at = self.tokens[self.pos]
+        self.pos += 1
+        if kind == "num":
+            return Num(float(text))
+        if kind == "op" and text == "(":
+            node = self.chain()
+            self.expect(")")
             return node
-        if tok.kind == "ident":
-            self.advance()
-            if self.peek().kind == "lparen":
-                if tok.text not in FUNCTIONS:
-                    raise ExprSyntaxError(f"unknown function {tok.text!r}", tok.offset)
-                self.advance()
-                args = [self.sum()]
-                while self.peek().kind == "comma":
-                    self.advance()
-                    args.append(self.sum())
-                self.expect("rparen")
-                lo, hi, _ = FUNCTIONS[tok.text]
-                if len(args) < lo or (hi is not None and len(args) > hi):
-                    raise ExprSyntaxError(
-                        f"{tok.text} takes {lo}{'+' if hi is None else ''} "
-                        f"argument(s), got {len(args)}", tok.offset)
-                return Call(tok.text, tuple(args))
-            if not _is_variable_name(tok.text):
-                raise ExprSyntaxError(f"unknown identifier {tok.text!r}", tok.offset)
-            return Var(tok.text)
-        raise ExprSyntaxError(
-            f"expected a value, found {tok.text or 'end of input'!r}", tok.offset)
+        if kind != "name":
+            raise ExprSyntaxError(
+                f"expected a value, found {text or 'end of input'!r}", at)
+        if not self.take("("):
+            if not _is_variable_name(text):
+                raise ExprSyntaxError(f"unknown identifier {text!r}", at)
+            return Var(text)
+        if text not in FUNCTIONS:
+            raise ExprSyntaxError(f"unknown function {text!r}", at)
+        args = [self.chain()]
+        while self.take(","):
+            args.append(self.chain())
+        self.expect(")")
+        lo, hi, _ = FUNCTIONS[text]
+        if len(args) < lo or (hi is not None and len(args) > hi):
+            raise ExprSyntaxError(
+                f"{text} takes {lo}{'+' if hi is None else ''} "
+                f"argument(s), got {len(args)}", at)
+        return Call(text, tuple(args))
 
 
 def parse_expression(text: str) -> Expr:

@@ -217,7 +217,6 @@ class PathEnsemble:
     record_times: np.ndarray | None = None
     traj: np.ndarray | None = None        # (M, R, n) frozen after exit
     disc_traj: np.ndarray | None = None   # (M, R) accumulated rate integral
-    lambda_is_real: bool = True
 
     def summary(self) -> dict:
         return {"M": self.M, "dt": self.dt, "seed": self.master_seed,
@@ -498,8 +497,7 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
                         T=T, n=n, final_y=final_y, tau=tau, exited=tau < T,
                         discount=discount,
                         record_times=None if rec_idx is None else rec_idx * dt,
-                        traj=traj, disc_traj=disc_traj,
-                        lambda_is_real=lam_real)
+                        traj=traj, disc_traj=disc_traj)
 
 
 # ----------------------------------------------------------------------------

@@ -331,6 +331,31 @@ def test_proof_mirror_computes_no_bundle_of_the_fixed_point_solution(
     assert len(blocks) == 1 + sweeps + 1
 
 
+@pytest.mark.parametrize("given", [False, True])
+def test_proof_mirror_runs_on_the_split_analyze_certifies(tmp_path,
+                                                          monkeypatch, given):
+    # without conditions.N and conditions.gamma the construction takes the
+    # index set and the weights of analyze's search, not gamma = 1
+    import cordeslab.cli as cli
+    text = PROOF_MIRROR.format(out=tmp_path / "out")
+    if not given:
+        text = text.replace("conditions.N = 1\nconditions.gamma = 1.9\n", "")
+    handed = []
+    construct = cli.fixed_point_solve
+
+    def spy(problem, grid, decomp, **kwargs):
+        handed.append(decomp)
+        return construct(problem, grid, decomp, **kwargs)
+    monkeypatch.setattr(cli, "fixed_point_solve", spy)
+    assert run(tmp_path, "s.cfg", text, "solve", "--proof-mirror") == 0
+    assert run(tmp_path, "s.cfg", text, "analyze") in (0, 2)
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    [decomp] = handed
+    assert list(decomp.index_set) == report["report"]["N"]
+    assert [decomp.gamma[k] for k in decomp.index_set] == \
+        report["report"]["gamma"]
+
+
 @pytest.mark.parametrize("line", [
     "solve.proof_mirror.K = nan", "solve.proof_mirror.K = -1e6",
     "solve.proof_mirror.eps = 0", "solve.proof_mirror.eps = -1",
@@ -846,10 +871,12 @@ def test_table_file_matches_the_builtin_checkerboard(tmp_path):
 
 @pytest.mark.parametrize("bad", ["1,5,1,0,0,1", "-1,1,1,0,0,1",
                                  "0.5,1,1,0,0,1", "0,0,2,0,0,2",
-                                 "0,1,1,0,0", "0,1,one,0,0,1"])
+                                 "0,1,1,0,0", "0,1,one,0,0,1",
+                                 "0,1,nan,0,0,1", "0,1,1,0,0,-inf"])
 def test_bad_table_row_exit_1(tmp_path, capsys, bad):
     # a 2x2 table whose third line is bad: an index out of range, negative
-    # or not an integer, a cell given twice, a short row, a non-number
+    # or not an integer, a cell given twice, a short row, a non-number, a
+    # non-finite entry
     (tmp_path / "cells.csv").write_text(f"0,0,1,0,0,1\n1,1,1,0,0,1\n{bad}\n")
     (tmp_path / "field.cfg").write_text(TABLE_FILE.format(cells="2 2"))
     text = f"problem.file = field.cfg\nout.dir = {tmp_path / 'out'}\n"
@@ -960,6 +987,21 @@ def test_config_fault_exit_1(tmp_path, capsys, problem, text, command,
     text += f"out.dir = {tmp_path / 'out'}\n"
     assert run(tmp_path, "a.cfg", text, command) == 1
     assert message in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("bad_file", ["a.cfg", "field.cfg"])
+def test_config_parse_fault_names_its_file(tmp_path, capsys, bad_file):
+    # the same bad line in the run config or in its problem file
+    problem = "n = 1\nT = 1.0\n"
+    text = f"problem.file = field.cfg\nout.dir = {tmp_path / 'out'}\n"
+    if bad_file == "a.cfg":
+        text += "= 5\n"
+    else:
+        problem += "= 5\n"
+    (tmp_path / "field.cfg").write_text(problem)
+    assert run(tmp_path, "a.cfg", text, "analyze") == 1
+    assert _one_error_line(capsys) == (
+        f"error: {tmp_path / bad_file}: line 3: empty key\n")
 
 
 def test_open_namespaces_take_any_key(tmp_path):

@@ -79,6 +79,39 @@ def test_unknown_identifier():
         parse_expression("tan(x1)")
 
 
+def test_non_decimal_digit_is_a_syntax_error():
+    # "²" is a digit to str.isdigit but not to float
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expression("²")
+    assert err.value.offset == 0
+
+
+@pytest.mark.parametrize("text, want", [
+    ("1.e5", Num(1e5)), (".5e-3", Num(5e-4)), ("007", Num(7.0)),
+    ("1.2.3", 3),       # "1.2", then a trailing ".3"
+    ("1e", 1),          # no exponent digits: "1", then the name "e"
+    ("x1e5", 0),        # one name, not a variable
+    ("sin(x1,)", 7),    # no empty argument
+    ("a$b", 1),         # the first bad character, before any parsing
+])
+def test_token_edge_cases(text, want):
+    if isinstance(want, int):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expression(text)
+        assert err.value.offset == want
+    else:
+        assert parse_expression(text) == want
+
+
+def test_variables_are_read_from_the_program():
+    tree = parse_expression("sin(x3) * t + x1 - x3")
+    assert tree.variables() == {"x1", "x3", "t"}
+    assert tree.uses_t() and tree.max_x_index() == 3
+    const = parse_expression("2 ^ -1")
+    assert const.variables() == set()
+    assert not const.uses_t() and const.max_x_index() == 0
+
+
 def test_arity_errors():
     with pytest.raises(ExprSyntaxError):
         parse_expression("min(1)")

@@ -14,13 +14,12 @@ from cordeslab.fields import (Box, ExprField, FieldConstructionError,
                               mollify, sample_set, sparsity_pattern)
 from cordeslab.grid import build_grid
 
-RNG = np.random.default_rng(2024)
 
 
-def random_points(field, count):
+def random_points(rng, field, count):
     box = field.sampling_box()
-    x = RNG.uniform(box.lo, box.hi, size=(count, field.n))
-    t = RNG.uniform(0.0, field.T, size=count)
+    x = rng.uniform(box.lo, box.hi, size=(count, field.n))
+    t = rng.uniform(0.0, field.T, size=count)
     return x, t
 
 
@@ -61,8 +60,9 @@ def test_vanishes_outside_domain_and_horizon():
     ("gaussian_free_space", {"n": 1}),
 ])
 def test_symmetry_and_beta_factorization(name, params):
+    rng = np.random.default_rng(2024)
     f = builtin_problem(name, params)
-    x, ts = random_points(f, 10_000)
+    x, ts = random_points(rng, f, 10_000)
     for t in (0.0, float(ts[0]), f.T):
         b = f.eval_b(x, t)
         assert np.array_equal(b, np.swapaxes(b, 1, 2))
@@ -95,10 +95,11 @@ def test_construction_rejects_out_of_range_variable():
 
 
 def test_checkerboard_against_table_oracle():
+    rng = np.random.default_rng(2024)
     low, high, cells = 1.0, 2.0, 4
     f = builtin_problem("checkerboard_2d",
                         {"low": low, "high": high, "cells": cells})
-    x, _ = random_points(f, 500)
+    x, _ = random_points(rng, f, 500)
 
     def oracle(pt):
         i = min(int(pt[0] * cells), cells - 1)
@@ -117,14 +118,16 @@ def test_checkerboard_against_table_oracle():
 
 
 def test_decompose_identity_trivial():
+    rng = np.random.default_rng(2024)
     f = builtin_problem("identity_heat", {"n": 3})
     d = decompose(f, "identity")
     assert d.index_set == ()
-    x, _ = random_points(f, 100)
+    x, _ = random_points(rng, f, 100)
     assert np.abs(d.eval_b_hat(x, 0.5)).max() == 0.0
 
 
 def test_decompose_benchmark_pattern_and_cover():
+    rng = np.random.default_rng(2024)
     f = builtin_problem("paper_3x3", {"alpha": 0.6, "beta": 0.2})
     d = decompose(f, "identity")
     samples = sample_set(f.sampling_box(), f.T)
@@ -134,19 +137,20 @@ def test_decompose_benchmark_pattern_and_cover():
                          [True, False, False]])
     assert np.array_equal(pattern, expected)
     assert d.index_set == (1,)
-    x, _ = random_points(f, 64)
+    x, _ = random_points(rng, f, 64)
     bh = d.eval_b_hat(x, 0.3)
     assert np.allclose(bh[:, 0, 1], 0.6) and np.allclose(bh[:, 0, 2], 0.2)
     assert np.abs(bh[:, 1, 1:]).max() == 0.0
 
 
 def test_decompose_readd_reproduces_b():
+    rng = np.random.default_rng(2024)
     for name, params in [("paper_3x3", {"alpha": 0.4, "beta": 0.1}),
                          ("checkerboard_2d", {"low": 1, "high": 3})]:
         f = builtin_problem(name, params)
         for spec in ("identity", "constant"):
             d = decompose(f, spec)
-            x, ts = random_points(f, 2000)
+            x, ts = random_points(rng, f, 2000)
             t = float(ts[0])
             total = d.eval_b_bar(x, t) + d.eval_b_hat(x, t)
             assert np.abs(total - f.eval_b(x, t)).max() <= 1e-12
@@ -282,8 +286,9 @@ TIMED = "sin(3*x1)*cos(x2) + exp(-t)*sin(3*x1) - step(x2 - t)"
 
 
 def test_a_writable_array_changed_in_place_is_evaluated_afresh():
+    rng = np.random.default_rng(2024)
     f = ExprField(TIMED)
-    x = RNG.uniform(0, 1, size=(6, 2))
+    x = rng.uniform(0, 1, size=(6, 2))
     for t in (0.1, 0.2):
         assert np.array_equal(f.eval_raw(x, t), _fresh(TIMED, x, t))
         x += 0.5

@@ -9,7 +9,6 @@ from cordeslab.fields import Box
 from cordeslab.grid import (GridFunction, NormWeights, apply_stencil,
                             build_grid, discrete_norms, pair)
 
-RNG = np.random.default_rng(17)
 
 
 def test_build_grid_spacings():
@@ -126,10 +125,10 @@ STENCIL_GRIDS = [((0.0,), (1.0,), (5,)),
                  ((-1.0, 0.0, 0.5), (1.0, 1.0, 2.0), (3, 5, 4))]
 
 
-def random_values(shape, complex_values):
-    values = RNG.standard_normal(shape)
+def random_values(rng, shape, complex_values):
+    values = rng.standard_normal(shape)
     if complex_values:
-        values = values + 1j * RNG.standard_normal(shape)
+        values = values + 1j * rng.standard_normal(shape)
     return values
 
 
@@ -137,8 +136,9 @@ def random_values(shape, complex_values):
 @pytest.mark.parametrize("lo,hi,m", STENCIL_GRIDS)
 def test_stencils_match_pad_per_difference_reference(lo, hi, m,
                                                      complex_values):
+    rng = np.random.default_rng(17)
     g = build_grid(Box(lo, hi), m, nt=3, T=0.5)
-    u = GridFunction(g, random_values(g.shape, complex_values))
+    u = GridFunction(g, random_values(rng, g.shape, complex_values))
     for i in range(g.n):
         assert np.array_equal(apply_stencil(u, "d1", i + 1).values,
                               reference_diff(u.values, g, i))
@@ -155,12 +155,13 @@ def test_stencils_match_pad_per_difference_reference(lo, hi, m,
 @pytest.mark.parametrize("lo,hi,m", STENCIL_GRIDS)
 def test_norms_match_pad_per_difference_reference(lo, hi, m, complex_values,
                                                   monkeypatch):
+    rng = np.random.default_rng(17)
     g = build_grid(Box(lo, hi), m, nt=3, T=0.5)
     inset = tuple(range(1, g.n + 1, 2))
     weights = [None, NormWeights(inset, {k: 0.3 + 0.5 * k for k in inset},
                                  alpha1=0.37, alpha2=1.9)]
-    values = [random_values(g.shape, complex_values),
-              random_values((g.nt + 1,) + g.shape, complex_values)]
+    values = [random_values(rng, g.shape, complex_values),
+              random_values(rng, (g.nt + 1,) + g.shape, complex_values)]
     bundles = [discrete_norms(GridFunction(g, v), w)
                for v in values for w in weights]
 
@@ -209,11 +210,12 @@ def test_norms_strengthened_second_order_value():
 
 
 def test_norm_equivalence_bounds():
+    rng = np.random.default_rng(17)
     g = build_grid(Box((0.0, 0.0), (1.0, 1.0)), (12, 12), nt=3, T=0.5)
     w = NormWeights((1, 2), {1: 0.7, 2: 1.6}, alpha1=0.1)
     n = g.n
     for _ in range(20):
-        u = GridFunction(g, RNG.standard_normal((4, 12, 12)))
+        u = GridFunction(g, rng.standard_normal((4, 12, 12)))
         nb = discrete_norms(u, w)
         upper = (np.sqrt(n) + w.alpha1)
         assert np.all(w.alpha1 * nb.W22 <= nb.Hhat2 + 1e-12)
@@ -221,8 +223,9 @@ def test_norm_equivalence_bounds():
 
 
 def test_norms_absolutely_homogeneous():
+    rng = np.random.default_rng(17)
     g = build_grid(Box((0.0,), (1.0,)), 15, nt=3, T=1.0)
-    u = RNG.standard_normal((4, 15)) + 1j * RNG.standard_normal((4, 15))
+    u = rng.standard_normal((4, 15)) + 1j * rng.standard_normal((4, 15))
     nb1 = discrete_norms(GridFunction(g, u))
     c = -2.5 + 1.3j
     nb2 = discrete_norms(GridFunction(g, c * u))
@@ -232,9 +235,10 @@ def test_norms_absolutely_homogeneous():
 
 
 def test_y_norm_composition():
+    rng = np.random.default_rng(17)
     g = build_grid(Box((0.0,), (1.0,)), 15, nt=3, T=1.0)
     w = NormWeights.default(1, alpha2=1.7)
-    u = GridFunction(g, RNG.standard_normal((4, 15)))
+    u = GridFunction(g, rng.standard_normal((4, 15)))
     nb = discrete_norms(u, w)
     assert nb.Y2 == nb.X2 + nb.C1
     assert abs(nb.Yhat2 - (nb.Xhat2 + 1.7 * nb.C1)) <= 1e-15
@@ -311,22 +315,24 @@ def reference_norms(u, weights=None):
 @pytest.mark.parametrize("lo,hi,m", STENCIL_GRIDS)
 def test_norms_give_the_bits_of_the_reference_norms(lo, hi, m,
                                                     complex_values):
+    rng = np.random.default_rng(17)
     g = build_grid(Box(lo, hi), m, nt=3, T=0.5)
     inset = tuple(range(1, g.n + 1, 2))
     for weights in (None, NormWeights(inset, {k: 0.3 + 0.5 * k
                                               for k in inset},
                                       alpha1=0.37, alpha2=1.9)):
         for shape in (g.shape, (g.nt + 1,) + g.shape):
-            u = GridFunction(g, random_values(shape, complex_values))
+            u = GridFunction(g, random_values(rng, shape, complex_values))
             assert json.dumps(discrete_norms(u, weights).as_dict()) == \
                 json.dumps(reference_norms(u, weights).as_dict())
 
 
 def test_norms_of_a_block_peak_below_three_block_sizes():
+    rng = np.random.default_rng(17)
     # the proof mirror's 49 x 17^3 blocks: one padded block and one
     # difference buffer, no temporaries of the block's size
     g = build_grid(Box((-1.0,) * 3, (1.0,) * 3), 17, nt=48, T=0.25)
-    u = GridFunction(g, RNG.standard_normal((g.nt + 1,) + g.shape))
+    u = GridFunction(g, rng.standard_normal((g.nt + 1,) + g.shape))
     tracemalloc.start()
     try:
         discrete_norms(u)
@@ -358,16 +364,18 @@ def test_pair_linear_against_integral():
 
 
 def test_pair_zero_density():
+    rng = np.random.default_rng(17)
     g = build_grid(Box((0.0,), (1.0,)), 15, nt=1, T=1.0)
-    u = GridFunction(g, RNG.standard_normal(g.shape))
+    u = GridFunction(g, rng.standard_normal(g.shape))
     assert pair(u, np.zeros(g.shape)) == 0.0
 
 
 def test_pair_bilinear():
+    rng = np.random.default_rng(17)
     g = build_grid(Box((0.0,), (1.0,)), 31, nt=1, T=1.0)
-    u = RNG.standard_normal(g.shape)
-    v = RNG.standard_normal(g.shape)
-    w = RNG.standard_normal(g.shape)
+    u = rng.standard_normal(g.shape)
+    v = rng.standard_normal(g.shape)
+    w = rng.standard_normal(g.shape)
     a, b = 1.7, -0.4
     lhs = pair(GridFunction(g, a * u + b * v), w)
     rhs = a * pair(GridFunction(g, u), w) + b * pair(GridFunction(g, v), w)
