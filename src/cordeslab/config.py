@@ -286,8 +286,10 @@ class RunConfig:
             if any(not 1 <= k <= field.n for k in cfg.index_set):
                 raise ConfigError("conditions.N indices outside 1..n")
         if "conditions.gamma" in kv:
-            count = None if cfg.index_set is None else len(cfg.index_set)
-            cfg.gamma = tuple(_numbers(kv, "conditions.gamma", count=count))
+            if cfg.index_set is None:
+                raise ConfigError("conditions.gamma needs conditions.N")
+            cfg.gamma = tuple(_numbers(kv, "conditions.gamma",
+                                       count=len(cfg.index_set)))
             lo, hi = GAMMA_RANGE
             if not all(lo < g < hi for g in cfg.gamma):
                 raise ConfigError(f"conditions.gamma = {kv['conditions.gamma']!r}"
@@ -376,8 +378,6 @@ class RunConfig:
     def gamma_map(self):
         if self.gamma is None:
             return None
-        if self.index_set is None:
-            raise ConfigError("conditions.gamma needs conditions.N")
         return dict(zip(self.index_set, self.gamma))
 
     def hash(self) -> str:

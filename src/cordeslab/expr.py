@@ -10,6 +10,8 @@ with at most one point, or a point and digits, then an optional exponent
 (``e`` or ``E``, an optional sign, digits); a name starts with a letter or
 an underscore and goes on with letters, digits and underscores; any other
 non-space character besides ``+ - * / ^ ( ) ,`` is an error at its offset.
+A tree deeper than ``MAX_DEPTH`` levels, a bracket or a sign counted as a
+level, is an error at the token that crosses the bound.
 
 Conventions fixed here so that discontinuous coefficients are reproducible
 from their textual form alone:
@@ -73,6 +75,9 @@ FUNCTIONS = {
 }
 
 _SUM, _TERM, _UNARY, _POW, _ATOM = 1, 2, 3, 4, 5
+
+# the deepest tree the parser accepts; brackets and signs count as levels
+MAX_DEPTH = 100
 
 
 class Expr:
@@ -317,6 +322,11 @@ def _is_variable_name(name: str) -> bool:
 
 
 class _Parser:
+    """Recursive descent that tracks the depth of the tree it builds (a
+    bracket counts as one level), so no tree deeper than ``MAX_DEPTH``
+    reaches the recursive walks of ``Program.compile``, ``str`` and the
+    dataclass methods."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
@@ -336,60 +346,82 @@ class _Parser:
             raise ExprSyntaxError(
                 f"expected {op!r}, found {text or 'end of input'!r}", at)
 
+    def limit(self, depth: int, at: int | None = None):
+        """Refuse a tree whose deepest level, at ``depth`` (the root is at
+        1), passes ``MAX_DEPTH``; ``at`` is the offset of the token that
+        crosses it, the next token by default."""
+        if depth > MAX_DEPTH:
+            at = self.tokens[self.pos][2] if at is None else at
+            raise ExprSyntaxError(
+                f"expression nested deeper than {MAX_DEPTH} levels", at)
+
     def parse(self) -> Expr:
-        node = self.chain()
+        node, _ = self.chain(1)
         kind, text, at = self.tokens[self.pos]
         if kind != "end":
             raise ExprSyntaxError(f"unexpected trailing {text!r}", at)
         return node
 
-    def chain(self, levels=("+-", "*/")) -> Expr:
+    # Each rule below parses a subtree whose root sits at ``depth`` and
+    # returns it with its height.  An operator that takes a parsed subtree
+    # as its left operand moves the subtree one level down.
+
+    def chain(self, depth: int, levels=("+-", "*/")) -> tuple:
         """A left-associative chain of the operators ``levels[0]`` between
         operands of the tighter levels after it, ``unary`` the tightest."""
-        operand = ((lambda: self.chain(levels[1:])) if levels[1:]
+        operand = ((lambda d: self.chain(d, levels[1:])) if levels[1:]
                    else self.unary)
-        node = operand()
+        node, height = operand(depth)
         while op := self.take(levels[0]):
-            node = Bin(op, node, operand())
-        return node
+            height += 1
+            self.limit(depth + height - 1, self.tokens[self.pos - 1][2])
+            rhs, rhs_height = operand(depth + 1)
+            node, height = Bin(op, node, rhs), max(height, rhs_height + 1)
+        return node, height
 
-    def unary(self) -> Expr:
-        if self.take("-"):
-            return Neg(self.unary())
-        if self.take("+"):
-            return self.unary()
-        base = self.atom()
+    def unary(self, depth: int) -> tuple:
+        self.limit(depth)
+        if sign := self.take("+-"):
+            # a sign counts as a level, as a bracket does
+            arg, height = self.unary(depth + 1)
+            return (Neg(arg) if sign == "-" else arg), height + 1
+        base, height = self.atom(depth)
+        if not self.take("^"):
+            return base, height
         # the exponent may carry its own sign and chained powers
-        return Bin("^", base, self.unary()) if self.take("^") else base
+        self.limit(depth + height, self.tokens[self.pos - 1][2])
+        exponent, exp_height = self.unary(depth + 1)
+        return Bin("^", base, exponent), max(height, exp_height) + 1
 
-    def atom(self) -> Expr:
+    def atom(self, depth: int) -> tuple:
         kind, text, at = self.tokens[self.pos]
         self.pos += 1
         if kind == "num":
-            return Num(float(text))
+            return Num(float(text)), 1
         if kind == "op" and text == "(":
-            node = self.chain()
+            node, height = self.chain(depth + 1)
             self.expect(")")
-            return node
+            return node, height + 1
         if kind != "name":
             raise ExprSyntaxError(
                 f"expected a value, found {text or 'end of input'!r}", at)
         if not self.take("("):
             if not _is_variable_name(text):
                 raise ExprSyntaxError(f"unknown identifier {text!r}", at)
-            return Var(text)
+            return Var(text), 1
         if text not in FUNCTIONS:
             raise ExprSyntaxError(f"unknown function {text!r}", at)
-        args = [self.chain()]
+        args = [self.chain(depth + 1)]
         while self.take(","):
-            args.append(self.chain())
+            args.append(self.chain(depth + 1))
         self.expect(")")
         lo, hi, _ = FUNCTIONS[text]
         if len(args) < lo or (hi is not None and len(args) > hi):
             raise ExprSyntaxError(
                 f"{text} takes {lo}{'+' if hi is None else ''} "
                 f"argument(s), got {len(args)}", at)
-        return Call(text, tuple(args))
+        return (Call(text, tuple(node for node, _ in args)),
+                max(height for _, height in args) + 1)
 
 
 def parse_expression(text: str) -> Expr:

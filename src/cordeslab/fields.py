@@ -206,14 +206,19 @@ def _nodes_and_midpoints(lo: float, hi: float, nodes: int) -> np.ndarray:
     return np.sort(np.concatenate([base, mids]))
 
 
+def _lattice(axes) -> np.ndarray:
+    """The points of the tensor lattice of the axes, in C order."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
 def sample_set(box: Box, T: float, space: int = 9, time: int = 3) -> SampleSet:
     """Nodes plus cell midpoints of a uniform lattice over ``box x [0, T]``."""
     if space < 2 or time < 1:
         raise ValueError("need at least 2 spatial and 1 temporal node")
     axes = [_nodes_and_midpoints(lo, hi, space)
             for lo, hi in zip(box.lo, box.hi)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=-1)
+    points = _lattice(axes)
     if time == 1:
         times = np.array([0.5 * T])
     else:
@@ -582,28 +587,22 @@ def _bump_kernel(eps: float, spacing):
     """Polynomial bump (1 - |u|^2/eps^2)^3 on |u| <= eps, lattice-normalized.
 
     Returns the tap offsets ``(taps, n)`` and their weights ``(taps,)``.
+    A radius at or below the spacing of an axis would keep the centre tap
+    alone there, so it is refused.
     """
+    if eps <= max(spacing):
+        raise ValueError(f"mollification radius eps={eps:.6g} is at or below "
+                         f"the lattice spacing {max(spacing):.6g}")
     taps = [np.arange(-int(np.floor(eps / s)), int(np.floor(eps / s)) + 1) * s
             for s in spacing]
     mesh = np.meshgrid(*taps, indexing="ij")
     r2 = sum(m ** 2 for m in mesh) / eps ** 2
     w = np.where(r2 <= 1.0, (1.0 - np.minimum(r2, 1.0)) ** 3, 0.0)
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("mollification radius is below the lattice resolution")
-    return np.stack([m.ravel() for m in mesh], axis=-1), (w / total).ravel()
+    return np.stack([m.ravel() for m in mesh], axis=-1), (w / w.sum()).ravel()
 
 
 def _axis_cap(n: int) -> int:
     return {1: 321, 2: 121, 3: 41}.get(n, 17)
-
-
-def _grad_sq(arr: np.ndarray, spacing) -> np.ndarray:
-    out = np.zeros_like(arr, dtype=float)
-    for ax, s in enumerate(spacing):
-        g = np.gradient(arr, s, axis=ax)
-        out += np.abs(g) ** 2
-    return out
 
 
 def mollify(source, eps: float, box: Box | None = None) -> MollifiedField:
@@ -616,7 +615,8 @@ def mollify(source, eps: float, box: Box | None = None) -> MollifiedField:
     at the times ``0``, ``T/2`` and ``T``.  Coefficients are continued by
     their raw formulas beyond the domain, and a constant entry is its own
     average (see ``_smooth_parts``), so constants are exact fixed points
-    of the smoothing.
+    of the smoothing.  A radius at or below the lattice spacing of an axis
+    is refused.
     """
     if eps <= 0:
         raise ValueError("mollification radius must be positive")
@@ -625,96 +625,64 @@ def mollify(source, eps: float, box: Box | None = None) -> MollifiedField:
     else:
         field, b_src = source, source.b
     n = field.n
-    if box is None:
-        box = field.sampling_box()
-    cap = _axis_cap(n)
-    axes, spacing = [], []
-    for lo, hi, side in zip(box.lo, box.hi, box.sides):
-        count = min(cap, max(9, int(np.ceil(4 * side / eps)) + 1))
-        axes.append(np.linspace(lo, hi, count))
-        spacing.append(axes[-1][1] - axes[-1][0])
+    box = box or field.sampling_box()
+    axes = [np.linspace(lo, hi, min(_axis_cap(n),
+                                    max(9, int(np.ceil(4 * side / eps)) + 1)))
+            for lo, hi, side in zip(box.lo, box.hi, box.sides)]
+    spacing = [a[1] - a[0] for a in axes]
+    gshape = tuple(len(a) for a in axes)
     times = np.linspace(0.0, field.T, 3)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    gshape = mesh[0].shape
-    cellvol = float(np.prod(spacing))
-    dt = field.T / len(times)
+    pts = _lattice(axes)
+    domain = field.domain or box
+    probes = _lattice([np.linspace(lo, hi, 17)
+                       for lo, hi in zip(domain.lo, domain.hi)])
+    probes = probes[~box.contains(probes)]
+    # by time: the parts and errors on the box's lattice, the errors outside
+    inside = [_smoothing_errors(b_src, field, pts, eps, spacing, t)
+              for t in times]
+    outside = [_smoothing_errors(b_src, field, probes, eps, spacing, t)[1]
+               for t in times if len(probes)]
+
+    cellvol, dt = float(np.prod(spacing)), field.T / len(times)
     r = max(1.0, n / 2.0)
-
-    nt = len(times)
-    b_eps = np.empty((nt, n, n) + gshape)
-    f_eps = np.empty((nt, n) + gshape)
-    lam_eps = np.empty((nt,) + gshape, dtype=complex)
-    nu_b = nu_bb = nu_fb = nu_lb = 0.0
-    f_lp = lam_lp = 0.0
-
-    def smooth(at, t):
-        return _smooth_parts(b_src, field, at, eps, spacing, t)
-
-    for k, t in enumerate(times):
-        b_s, f_s, lam_s = smooth(pts, t)
-        b_eps[k] = np.moveaxis(b_s, (-2, -1), (0, 1)).reshape((n, n) + gshape)
-        b_bar_vals = _matrix_eval(b_src, pts, t).reshape(gshape + (n, n))
-        diff = b_eps[k] - np.moveaxis(b_bar_vals, (-2, -1), (0, 1))
-        nu_b = max(nu_b, float(np.sqrt((diff ** 2).sum(axis=(0, 1))).max()))
-        gsq = np.zeros(gshape)
-        for i in range(n):
-            for j in range(n):
-                gsq += _grad_sq(b_eps[k, i, j], spacing)
-        nu_bb = max(nu_bb, float(np.sqrt(gsq).max()))
-
-        f_vals = field.eval_f(pts, t).reshape(gshape + (n,))
-        gsq = np.zeros(gshape)
-        f_eps[k] = f_s.T.reshape((n,) + gshape)
-        for i in range(n):
-            gsq += _grad_sq(f_eps[k, i], spacing)
-        fdiff = np.sqrt(((f_eps[k] - np.moveaxis(f_vals, -1, 0)) ** 2).sum(axis=0))
-        f_lp += float(np.sum(fdiff ** n) * cellvol * dt)
-        nu_fb = max(nu_fb, float(np.sqrt(gsq).max()))
-
-        lam_vals = field.eval_lambda(pts, t).reshape(gshape)
-        lam_eps[k] = lam_s.reshape(gshape)
-        ldiff = np.abs(lam_eps[k] - lam_vals)
-        lam_lp += float(np.sum(ldiff ** r) * cellvol * dt)
-        nu_lb = max(nu_lb, float(np.sqrt(_grad_sq(lam_eps[k].real, spacing)
-                                         + _grad_sq(lam_eps[k].imag, spacing)).max()))
-
-    # Q\Q1 sup contribution when the smoothing box is a proper sub-domain
-    f_sup_out, lam_sup_out = _outside_sup(field, box, times, smooth)
-    moduli = {
-        "nu_b": nu_b,
-        "nu_b_bar": nu_bb,
-        "nu_f": f_lp ** (1.0 / n) + f_sup_out,
-        "nu_f_bar": nu_fb,
-        "nu_lambda": lam_lp ** (1.0 / r) + lam_sup_out,
-        "nu_lambda_bar": nu_lb,
-    }
-    return MollifiedField(float(eps), box, tuple(axes), times, b_eps, f_eps,
-                          lam_eps, moduli, r)
+    smoothed, moduli = [], {}
+    for part, (name, shape, p) in enumerate(zip(
+            ("b", "f", "lambda"), ((n, n), (n,), ()), (None, n, r))):
+        values = [parts[part] for parts, _ in inside]
+        errors = [errs[part] for _, errs in inside]
+        smoothed.append(np.stack([v.T.reshape(shape + gshape)
+                                  for v in values]))
+        # the error: the sup for b_bar; for f and lambda the L^n and L^r
+        # norms (cell volume times T/3 a node) plus the sup outside
+        if p is None:
+            moduli[f"nu_{name}"] = max(float(e.max()) for e in errors)
+        else:
+            lp = sum(float(np.sum(e ** p) * cellvol * dt) for e in errors)
+            moduli[f"nu_{name}"] = lp ** (1.0 / p) + max(
+                (float(e[part].max()) for e in outside), default=0.0)
+        # the slope: the sup of the lattice gradient's Euclidean norm
+        slope = 0.0
+        for v in values:
+            grad_sq = sum(np.abs(np.gradient(v.reshape(gshape + (-1,)), s,
+                                             axis=ax)) ** 2
+                          for ax, s in enumerate(spacing))
+            slope = max(slope, float(np.sqrt(grad_sq.sum(axis=-1)).max()))
+        moduli[f"nu_{name}_bar"] = slope
+    return MollifiedField(float(eps), box, tuple(axes), times, *smoothed,
+                          moduli, r)
 
 
-def _outside_sup(field, box, times, smooth):
-    """Sup of the smoothing error over the part of D outside the box;
-    ``smooth(points, t)`` is the smoother used inside it."""
-    dom = field.domain
-    if dom is None or (tuple(dom.lo) == tuple(box.lo)
-                       and tuple(dom.hi) == tuple(box.hi)):
-        return 0.0, 0.0
-    probe_axes = [np.linspace(lo, hi, 17) for lo, hi in zip(dom.lo, dom.hi)]
-    mesh = np.meshgrid(*probe_axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    outside = ~box.contains(pts)
-    if not outside.any():
-        return 0.0, 0.0
-    pts = pts[outside]
-    f_sup = lam_sup = 0.0
-    for t in times:
-        _, f_sm, l_sm = smooth(pts, t)
-        f_raw = field.eval_f(pts, t)
-        f_sup = max(f_sup, float(np.sqrt(((f_sm - f_raw) ** 2).sum(-1)).max()))
-        l_raw = field.eval_lambda(pts, t)
-        lam_sup = max(lam_sup, float(np.abs(l_sm - l_raw).max()))
-    return f_sup, lam_sup
+def _smoothing_errors(b_src, field: CoefficientField, pts: np.ndarray,
+                      eps: float, spacing, t: float):
+    """``_smooth_parts`` at the points, each part a ``(points, components)``
+    array, and each part's error there against its raw formulas (the
+    Frobenius norm, the Euclidean norm and the modulus)."""
+    raw = (_matrix_eval(b_src, pts, t), field.eval_f(pts, t),
+           field.eval_lambda(pts, t))
+    values = [v.reshape(len(pts), -1)
+              for v in _smooth_parts(b_src, field, pts, eps, spacing, t)]
+    return values, [np.linalg.norm(v - w.reshape(v.shape), axis=1)
+                    for v, w in zip(values, raw)]
 
 
 def _smooth_parts(b_src, field: CoefficientField, pts: np.ndarray,

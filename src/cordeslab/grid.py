@@ -75,10 +75,6 @@ class Grid:
         """The time level nearest to ``t`` (halves up), within 0..nt."""
         return min(self.nt, max(0, int(np.floor(t / self.dt + 0.5))))
 
-    @property
-    def box(self) -> Box:
-        return Box(self.lo, self.hi)
-
 
 def build_grid(domain, m, nt: int, T: float) -> Grid:
     """Validating grid constructor; ``m`` is scalar or per-axis."""
@@ -120,9 +116,6 @@ class GridFunction:
     @property
     def is_spacetime(self) -> bool:
         return self.values.ndim == self.grid.n + 1
-
-    def slice(self, k: int) -> np.ndarray:
-        return self.values[k] if self.is_spacetime else self.values
 
 
 def _padded(values: np.ndarray, n: int) -> np.ndarray:

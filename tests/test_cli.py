@@ -950,6 +950,7 @@ def test_unknown_key_exit_1(tmp_path, capsys, problem, text, key):
 
 
 BUILTIN_1D = "problem.builtin = manufactured_1d\n"
+GRID_1D = "grid.m = 15\ngrid.nt = 8\n"
 
 
 @pytest.mark.parametrize("problem, text, command, message", [
@@ -975,11 +976,21 @@ BUILTIN_1D = "problem.builtin = manufactured_1d\n"
      "this command needs grid.m and grid.nt"),
     (None, BUILTIN_1D + "conditions.gamma = 1\n", "analyze",
      "conditions.gamma needs conditions.N"),
+    # solve and simulate never read the weights, yet the file is faulty
+    (None, BUILTIN_1D + GRID_1D + "conditions.gamma = 1.0\n", "solve",
+     "conditions.gamma needs conditions.N"),
+    (None, BUILTIN_1D + GRID_1D + "conditions.gamma = 1.0\n", "simulate",
+     "conditions.gamma needs conditions.N"),
+    # a flat sum of 600 terms is a tree 600 levels deep
+    (ONE_D + 'b[1][1] = "1"\nf[1] = "' + " + ".join(["x1*0.001"] * 600)
+     + '"\n', "problem.file = field.cfg\n", "analyze",
+     "expression nested deeper than 100 levels"),
 ], ids=["no_equals", "empty_key", "empty_value", "unterminated_string",
         "problem_without_n", "problem_without_T", "missing_problem_file",
         "unknown_split", "index_outside_n", "nonpositive_dt",
         "unknown_sampler", "grid_command_without_grid",
-        "gamma_without_index_set"])
+        "gamma_without_index_set", "gamma_without_index_set_solve",
+        "gamma_without_index_set_simulate", "too_deep_an_expression"])
 def test_config_fault_exit_1(tmp_path, capsys, problem, text, command,
                              message):
     if problem is not None:

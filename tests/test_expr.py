@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cordeslab.expr import (FUNCTIONS, Bin, Call, ExprEvalError,
+from cordeslab.expr import (FUNCTIONS, MAX_DEPTH, Bin, Call, ExprEvalError,
                             ExprSyntaxError, Neg, Num, Var, parse_expression)
 
 
@@ -101,6 +101,39 @@ def test_token_edge_cases(text, want):
         assert err.value.offset == want
     else:
         assert parse_expression(text) == want
+
+
+@pytest.mark.parametrize("text, at", [
+    ("(" * 200 + "x1" + ")" * 200, 100),    # x1 sits at depth 101
+    ("-" * 500 + "x1", 100),                # so does the 101st sign
+    (" + ".join(["x1"] * 600), 498),        # its 100th "+" sinks x1 to 101
+], ids=["brackets", "minus_signs", "flat_sum"])
+def test_too_deep_a_tree_is_a_syntax_error(text, at):
+    # each one overflowed the recursion of the parser, of Program.compile
+    # or of str before the depth bound
+    with pytest.raises(ExprSyntaxError, match="deeper than 100") as err:
+        parse_expression(text)
+    assert err.value.offset == at
+
+
+def _deepest(leaf):
+    """Trees of depth 100 with ``leaf`` at their deepest level."""
+    return ["(" * 99 + leaf + ")" * 99, "-" * 99 + leaf, "+" * 99 + leaf,
+            " + ".join([leaf] + ["x1"] * 99), " * ".join([leaf] + ["x1"] * 99),
+            "^".join(["x1"] * 99 + [leaf]), "sin(" * 99 + leaf + ")" * 99]
+
+
+@pytest.mark.parametrize("deepest, deeper",
+                         list(zip(_deepest("x1"), _deepest("(x1)"))),
+                         ids=["brackets", "minus_signs", "plus_signs", "sum",
+                              "product", "powers", "calls"])
+def test_a_tree_at_the_depth_bound_is_read_and_walked(deepest, deeper):
+    assert MAX_DEPTH == 100
+    tree = parse_expression(deepest)
+    assert parse_expression(str(tree)) == tree and repr(tree)
+    assert tree.variables() == {"x1"}
+    with pytest.raises(ExprSyntaxError, match="deeper than"):
+        parse_expression(deeper)
 
 
 def test_variables_are_read_from_the_program():

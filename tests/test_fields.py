@@ -251,6 +251,20 @@ def test_mollify_rejects_bad_radius():
         mollify(f, eps=0.0)
 
 
+def test_mollify_refuses_a_radius_its_lattice_cannot_resolve():
+    # 41 nodes an axis on [-1, 1]^3: spacing 0.05, so at eps = 0.04 the
+    # taps at +-0.05 weigh 0 and the smoothing would be the identity
+    b = [["1 + 0.3*step(x1)", 0.1, 0.0], [0.1, "1.5 + 0.2*sign(x2)", 0.0],
+         [0.0, 0.0, 1.0]]
+    f = make_field(3, 1.0, Box((-1.0,) * 3, (1.0,) * 3), b,
+                   f=["sign(x3)", "step(x1)", 0.0], lam="step(x2)")
+    with pytest.raises(ValueError, match=r"eps=0\.04 .* spacing 0\.05"):
+        mollify(f, eps=0.04)
+    mf = mollify(f, eps=0.06)
+    assert all(len(axis) == 41 for axis in mf.axes)
+    assert min(mf.moduli[k] for k in ("nu_b", "nu_f", "nu_lambda")) > 0.0
+
+
 def test_mollify_subdomain_adds_outside_sup():
     # drift kink at x = 0.8 sits outside the smoothing box, so its
     # smoothing error enters through the sup term over the leftover region

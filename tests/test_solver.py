@@ -3,6 +3,7 @@ import gc
 import json
 import sys
 import threading
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -936,6 +937,27 @@ def test_fixed_point_violated_condition_is_logged_not_asserted():
         sol, trace = fixed_point_solve(prob, g, d, max_iter=40)
     assert trace.contraction_est >= 0.0
     assert isinstance(trace.converged, bool)
+
+
+@pytest.mark.parametrize("b_bar, K, message", [
+    ("identity", "auto",
+     "split condition violated (nu_hat=2.34 >= delta^2=1); attempting the "
+     "iteration anyway"),
+    ([[0, 0, 0], [0, 1, 0], [0, 0, 1]], 1.0,
+     "split condition could not be evaluated"),
+], ids=["violated", "not_evaluable"])
+def test_fixed_point_warns_of_its_split_condition(b_bar, K, message):
+    # alpha^2 + beta^2 > 1: b is not elliptic, and a reference part with a
+    # zero diagonal entry has no ellipticity constant
+    f = builtin_problem("paper_3x3", {"alpha": 0.9, "beta": 0.6, "T": 0.1})
+    d = decompose(f, b_bar, index_set=(1,)).with_gamma({1: 1.0})
+    g = build_grid(f.domain, 5, 4, f.T)
+    prob = BackwardProblem(f, Phi=bump_2d_or_3d)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fixed_point_solve(prob, g, d, K=K, max_iter=3)
+    assert str(caught[0].message) == message
+    assert caught[0].category is RuntimeWarning
 
 
 @pytest.mark.parametrize("bad", [{"K": np.nan}, {"K": np.inf},
