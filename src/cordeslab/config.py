@@ -15,9 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .expr import ExprSyntaxError
 from .fields import (GAMMA_RANGE, Box, CoefficientField, ExprField,
-                     TableField, builtin_problem, builtin_solve_data,
-                     make_field)
+                     TableField, as_scalar_field, builtin_problem,
+                     builtin_solve_data, make_field)
 from .solver import MAX_KT
 
 __all__ = ["ConfigError", "parse_kv_text", "load_problem_mapping",
@@ -127,6 +128,15 @@ def _number(kv: dict, key: str, default=None, integer=False, least=None):
     return _numbers(kv, key, default, integer, count=1, least=least)[0]
 
 
+def _entry(kv: _Keys, key: str, default, read=as_scalar_field):
+    """``kv[key]`` (``default`` when absent) read by ``read``; a syntax
+    fault in its expression names the file and the key."""
+    try:
+        return read(kv.get(key, default))
+    except ExprSyntaxError as err:
+        raise ConfigError(f"{kv.where}: {key}: {err}") from None
+
+
 def _load_table(path: Path, n: int, box: Box, cells) -> list:
     """Piecewise-constant matrix from CSV rows ``i1..in, b11..bnn``: 0-based
     cell indices, at most one row per cell (a cell with none holds zeros);
@@ -168,6 +178,7 @@ def load_problem_mapping(kv: dict, base_dir: Path) -> CoefficientField:
     quoted expressions, or ``b.table.file`` plus ``b.table.cells`` for a
     piecewise-constant matrix.
     """
+    kv = kv if isinstance(kv, _Keys) else _Keys(kv, "problem")
     try:
         n = _number(kv, "n", integer=True)
         T = _number(kv, "T")
@@ -183,14 +194,14 @@ def load_problem_mapping(kv: dict, base_dir: Path) -> CoefficientField:
                          count=n, least=1)
         b = _load_table(base_dir / str(kv["b.table.file"]), n, table_box, cells)
     else:
-        b = [[kv.get(f"b[{i + 1}][{j + 1}]", 1.0 if i == j else 0.0)
+        b = [[_entry(kv, f"b[{i + 1}][{j + 1}]", 1.0 if i == j else 0.0)
               for j in range(n)] for i in range(n)]
-    f = [kv.get(f"f[{i + 1}]", 0.0) for i in range(n)]
-    lam = (kv.get("lambda.re", 0.0), kv.get("lambda.im", 0.0))
+    f = [_entry(kv, f"f[{i + 1}]", 0.0) for i in range(n)]
+    lam = (_entry(kv, "lambda.re", 0.0), _entry(kv, "lambda.im", 0.0))
     beta = None
     if any(key.startswith("beta[") for key in kv):
-        beta = [[kv.get(f"beta[{i + 1}][{j + 1}]", 0.0) for j in range(n)]
-                for i in range(n)]
+        beta = [[_entry(kv, f"beta[{i + 1}][{j + 1}]", 0.0)
+                 for j in range(n)] for i in range(n)]
     return make_field(n, T, domain, b, f, lam, beta)
 
 
@@ -299,14 +310,16 @@ class RunConfig:
         cfg.samples_time = _number(kv, "conditions.samples.time",
                                    cfg.samples_time, integer=True, least=1)
 
+        def expression(key, default=None):
+            return _entry(kv, key, default, lambda text: ExprField(str(text)))
         if "solve.phi" in kv or "solve.phi_im" in kv:
-            cfg.phi = ExprField(str(kv.get("solve.phi", "0")))
+            cfg.phi = expression("solve.phi", "0")
             if "solve.phi_im" in kv:
-                cfg.phi = (cfg.phi, ExprField(str(kv["solve.phi_im"])))
+                cfg.phi = (cfg.phi, expression("solve.phi_im"))
         if "solve.Phi" in kv:
-            cfg.Phi = ExprField(str(kv["solve.Phi"]))
+            cfg.Phi = expression("solve.Phi")
         if "solve.exact" in kv:
-            cfg.exact = ExprField(str(kv["solve.exact"]))
+            cfg.exact = expression("solve.exact")
         if "solve.proof_mirror.eps" in kv:
             cfg.proof_eps = _number(kv, "solve.proof_mirror.eps")
             if not 0.0 < cfg.proof_eps < np.inf:

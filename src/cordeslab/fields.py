@@ -637,37 +637,46 @@ def mollify(source, eps: float, box: Box | None = None) -> MollifiedField:
     probes = _lattice([np.linspace(lo, hi, 17)
                        for lo, hi in zip(domain.lo, domain.hi)])
     probes = probes[~box.contains(probes)]
-    # by time: the parts and errors on the box's lattice, the errors outside
-    inside = [_smoothing_errors(b_src, field, pts, eps, spacing, t)
-              for t in times]
-    outside = [_smoothing_errors(b_src, field, probes, eps, spacing, t)[1]
-               for t in times if len(probes)]
 
     cellvol, dt = float(np.prod(spacing)), field.T / len(times)
     r = max(1.0, n / 2.0)
-    smoothed, moduli = [], {}
-    for part, (name, shape, p) in enumerate(zip(
-            ("b", "f", "lambda"), ((n, n), (n,), ()), (None, n, r))):
-        values = [parts[part] for parts, _ in inside]
-        errors = [errs[part] for _, errs in inside]
-        smoothed.append(np.stack([v.T.reshape(shape + gshape)
-                                  for v in values]))
-        # the error: the sup for b_bar; for f and lambda the L^n and L^r
-        # norms (cell volume times T/3 a node) plus the sup outside
-        if p is None:
-            moduli[f"nu_{name}"] = max(float(e.max()) for e in errors)
-        else:
-            lp = sum(float(np.sum(e ** p) * cellvol * dt) for e in errors)
-            moduli[f"nu_{name}"] = lp ** (1.0 / p) + max(
-                (float(e[part].max()) for e in outside), default=0.0)
-        # the slope: the sup of the lattice gradient's Euclidean norm
-        slope = 0.0
-        for v in values:
+    shapes, powers = ((n, n), (n,), ()), (None, n, r)
+    smoothed = [None] * 3   # each part's values over the times
+    # by part, one number a time: the error on the box's lattice (the sup
+    # for b_bar; for f and lambda the L^n and L^r integrands, cell volume
+    # times T/3 a node), the sup of the error outside, the sup slope
+    errors, outside, slopes = [[], [], []], [[], [], []], [[], [], []]
+
+    def take(k, values, errs, errs_out):
+        """Store time ``k``'s parts; reduce its errors and slopes."""
+        for part, (v, e, shape, p) in enumerate(zip(values, errs, shapes,
+                                                    powers)):
+            if smoothed[part] is None:
+                smoothed[part] = np.empty((len(times),) + shape + gshape,
+                                          v.dtype)
+            smoothed[part][k] = v.T.reshape(shape + gshape)
+            errors[part].append(float(e.max()) if p is None
+                                else float(np.sum(e ** p) * cellvol * dt))
+            if errs_out[part] is not None:
+                outside[part].append(float(errs_out[part].max()))
+            # the slope: the lattice gradient's Euclidean norm
             grad_sq = sum(np.abs(np.gradient(v.reshape(gshape + (-1,)), s,
                                              axis=ax)) ** 2
                           for ax, s in enumerate(spacing))
-            slope = max(slope, float(np.sqrt(grad_sq.sum(axis=-1)).max()))
-        moduli[f"nu_{name}_bar"] = slope
+            slopes[part].append(float(np.sqrt(grad_sq.sum(axis=-1)).max()))
+
+    # time by time, so that one time's values are held at once; outside
+    # the box only the f and lambda errors are read
+    for k, t in enumerate(times):
+        take(k, *_smoothing_errors(b_src, field, pts, eps, spacing, t),
+               _smoothing_errors(None, field, probes, eps, spacing, t)[1]
+               if len(probes) else [None] * 3)
+    moduli = {}
+    for name, p, err, out, slope in zip(("b", "f", "lambda"), powers,
+                                        errors, outside, slopes):
+        moduli[f"nu_{name}"] = max(err) if p is None else (
+            sum(err) ** (1.0 / p) + max(out, default=0.0))
+        moduli[f"nu_{name}_bar"] = max(0.0, *slope)
     return MollifiedField(float(eps), box, tuple(axes), times, *smoothed,
                           moduli, r)
 
@@ -676,12 +685,14 @@ def _smoothing_errors(b_src, field: CoefficientField, pts: np.ndarray,
                       eps: float, spacing, t: float):
     """``_smooth_parts`` at the points, each part a ``(points, components)``
     array, and each part's error there against its raw formulas (the
-    Frobenius norm, the Euclidean norm and the modulus)."""
-    raw = (_matrix_eval(b_src, pts, t), field.eval_f(pts, t),
-           field.eval_lambda(pts, t))
-    values = [v.reshape(len(pts), -1)
+    Frobenius norm, the Euclidean norm and the modulus); without
+    ``b_src`` (``None``) the matrix part and its error are ``None``."""
+    raw = (None if b_src is None else _matrix_eval(b_src, pts, t),
+           field.eval_f(pts, t), field.eval_lambda(pts, t))
+    values = [v if v is None else v.reshape(len(pts), -1)
               for v in _smooth_parts(b_src, field, pts, eps, spacing, t)]
-    return values, [np.linalg.norm(v - w.reshape(v.shape), axis=1)
+    return values, [v if v is None else
+                    np.linalg.norm(v - w.reshape(v.shape), axis=1)
                     for v, w in zip(values, raw)]
 
 
@@ -695,8 +706,8 @@ def _smooth_parts(b_src, field: CoefficientField, pts: np.ndarray,
     Each entry is evaluated once per non-zero tap on the shifted points
     and the taps are summed in lattice order, so the working set stays at
     a few arrays of ``len(pts)`` values; a constant entry is its own
-    average.  Returns ``b (P, n, n)``, ``f (P, n)`` and the complex
-    ``lam (P,)``.
+    average.  Returns ``b (P, n, n)`` (``None`` without ``b_src``),
+    ``f (P, n)`` and the complex ``lam (P,)``.
     """
     offsets, w = _bump_kernel(eps, spacing)
     taps = np.flatnonzero(w)
@@ -709,10 +720,12 @@ def _smooth_parts(b_src, field: CoefficientField, pts: np.ndarray,
             out += w[k] * entry.eval_raw(pts + offsets[k], t)
         return out
     n = field.n
-    b = np.empty((pts.shape[0], n, n))
-    for i in range(n):
-        for j in range(i, n):
-            b[:, i, j] = b[:, j, i] = smooth(b_src[i][j])
+    b = None
+    if b_src is not None:
+        b = np.empty((pts.shape[0], n, n))
+        for i in range(n):
+            for j in range(i, n):
+                b[:, i, j] = b[:, j, i] = smooth(b_src[i][j])
     f = np.stack([smooth(fi) for fi in field.f], axis=-1)
     lam = smooth(field.lam_re) + 1j * smooth(field.lam_im)
     return b, f, lam
@@ -728,12 +741,16 @@ def _require(params: dict, key: str, name: str):
     return params[key]
 
 
-def _identity_heat(params):
-    n = int(params.get("n", 1))
-    T = float(params.get("T", 1.0))
+def _unit_diffusion(n: int, T: float, lo: float, hi: float):
+    """``b = I`` and ``beta = sqrt(2) I`` on the box ``[lo, hi]^n``."""
     eye = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     beta = [[np.sqrt(2.0) if i == j else 0.0 for j in range(n)] for i in range(n)]
-    return make_field(n, T, Box((0.0,) * n, (1.0,) * n), eye, beta=beta)
+    return make_field(n, T, Box((lo,) * n, (hi,) * n), eye, beta=beta)
+
+
+def _identity_heat(params):
+    return _unit_diffusion(int(params.get("n", 1)),
+                           float(params.get("T", 1.0)), 0.0, 1.0)
 
 
 def _paper_3x3(params):
@@ -765,19 +782,14 @@ def _checkerboard_2d(params):
 
 
 def _manufactured_1d(params):
-    T = float(params.get("T", 0.5))
-    return make_field(1, T, Box((0.0,), (1.0,)), [[1.0]],
-                      beta=[[np.sqrt(2.0)]])
+    return _unit_diffusion(1, float(params.get("T", 0.5)), 0.0, 1.0)
 
 
 def _gaussian_free_space(params):
-    n = int(params.get("n", 1))
     half_width = float(params.get("half_width", 8.0))
-    T = float(params.get("T", 0.5))
-    eye = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    beta = [[np.sqrt(2.0) if i == j else 0.0 for j in range(n)] for i in range(n)]
-    return make_field(n, T, Box((-half_width,) * n, (half_width,) * n),
-                      eye, beta=beta)
+    return _unit_diffusion(int(params.get("n", 1)),
+                           float(params.get("T", 0.5)), -half_width,
+                           half_width)
 
 
 _BUILTINS = {

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Box
+from .fields import Box, _validate_gamma
 
 __all__ = ["Grid", "build_grid", "GridFunction", "apply_stencil",
            "NormWeights", "NormBundle", "discrete_norms", "pair"]
@@ -195,12 +195,8 @@ class NormWeights:
     def __post_init__(self):
         object.__setattr__(self, "index_set",
                            tuple(sorted(int(k) for k in self.index_set)))
-        gamma = {int(k): float(v) for k, v in dict(self.gamma).items()}
-        object.__setattr__(self, "gamma", gamma)
-        if set(gamma) != set(self.index_set):
-            raise ValueError("gamma keys must match the index set")
-        if any(not 0.0 < g < 2.0 for g in gamma.values()):
-            raise ValueError("gamma weights must lie in (0, 2)")
+        object.__setattr__(self, "gamma",
+                           _validate_gamma(self.gamma, self.index_set))
         if self.alpha1 <= 0 or self.alpha2 <= 0:
             raise ValueError("alpha weights must be positive")
 

@@ -188,42 +188,28 @@ class FixedPointTrace:
 
 
 class _Pattern:
-    """CSR structure of the operator on one grid shape.
+    """CSR structure of an operator on one grid shape.
 
-    The stencil couples a node with its axis neighbours, its diagonal
-    neighbours in every coordinate plane and itself; no two couplings
-    share a matrix position.  Assembly stacks one value array per
-    coupling (in the order below) and ``source`` picks each stored entry
-    from that stack; ``diagonal`` holds the stored positions of the
-    diagonal entries.
+    ``offsets`` are the stencil's couplings, distinct tuples of integer
+    steps along the axes, the zero offset (the node itself) among them: a
+    node couples with the node ``offset`` away wherever that lies in the
+    grid.  Assembly stacks one value array per offset, in their order, and
+    ``source`` picks each stored entry from that stack; ``diagonal`` holds
+    the stored positions of the zero offset.
     """
 
-    def __init__(self, m: tuple):
+    def __init__(self, m: tuple, offsets: tuple):
         n = len(m)
         N = int(np.prod(m))
-        strides = np.ones(n, dtype=np.int64)
-        for i in range(n - 2, -1, -1):
-            strides[i] = strides[i + 1] * m[i + 1]
         multi = np.indices(m).reshape(n, N)
-        flat = np.arange(N, dtype=np.int64)
         rows, cols, stack_at = [], [], []
-
-        def add(mask, offset):
-            rows.append(flat[mask])
-            cols.append(flat[mask] + offset)
-            stack_at.append(len(stack_at) * N + flat[mask])
-
-        for i in range(n):
-            iu, idn = multi[i] < m[i] - 1, multi[i] > 0
-            add(iu, strides[i])
-            add(idn, -strides[i])
-            for j in range(i + 1, n):
-                ju, jdn = multi[j] < m[j] - 1, multi[j] > 0
-                add(iu & ju, strides[i] + strides[j])
-                add(idn & jdn, -strides[i] - strides[j])
-                add(iu & jdn, strides[i] - strides[j])
-                add(idn & ju, -strides[i] + strides[j])
-        add(slice(None), 0)
+        for k, offset in enumerate(offsets):
+            moved = multi + np.array(offset)[:, None]
+            inside = np.flatnonzero(
+                ((moved >= 0) & (moved < np.array(m)[:, None])).all(axis=0))
+            rows.append(inside)
+            cols.append(np.ravel_multi_index(moved[:, inside], m))
+            stack_at.append(k * N + inside)
         stack_at = np.concatenate(stack_at)
         # scipy's own COO -> CSR conversion of the entry numbers tells
         # which entry lands at each stored position
@@ -231,12 +217,11 @@ class _Pattern:
             (np.arange(len(stack_at), dtype=float),
              (np.concatenate(rows), np.concatenate(cols))), shape=(N, N))
         self.shape = (N, N)
-        self.couplings = len(rows)
         self.indices = order.indices
         self.indptr = order.indptr
         self.source = stack_at[order.data.astype(np.int64)]
         self.diagonal = np.flatnonzero(
-            self.source >= (self.couplings - 1) * N)
+            self.source // N == offsets.index((0,) * n))
         for arr in (self.indices, self.indptr, self.source, self.diagonal):
             arr.setflags(write=False)  # shared by every matrix of the shape
 
@@ -247,29 +232,45 @@ class _Pattern:
 
 
 @functools.lru_cache(maxsize=4)
-def _pattern(m: tuple) -> _Pattern:
-    return _Pattern(m)
+def _pattern(m: tuple, offsets: tuple) -> _Pattern:
+    return _Pattern(m, offsets)
 
 
-def _assemble_from_arrays(grid: Grid, b_arr, f_arr, lam_arr,
-                          dtype) -> np.ndarray:
-    """The operator's stored entries on the grid's ``_pattern``, in its
-    CSR order, every diagonal entry included."""
+def _assemble_from_arrays(grid: Grid, b_arr, f_arr, lam_arr, dtype):
+    """The operator's ``_pattern`` on the grid and its stored entries, in
+    CSR order.
+
+    The stencil is one table ``{offset: weight at every node}``: the axis
+    neighbours ``+-e_i`` where ``b_ii`` or ``f_i`` is non-zero at some
+    node, the plane diagonals ``+-(e_i + e_j)`` and ``+-(e_i - e_j)``
+    where ``b_ij`` is, and the node itself always.  A coupling left out
+    weighs exactly 0 at every node.
+    """
     n, h = grid.n, grid.h
-    pattern = _pattern(tuple(grid.m))
-    values = []  # one array over all nodes per coupling, in pattern order
+    e = np.eye(n, dtype=np.int64)
+    table = {}  # offset -> weight at every node
+
+    def couple(offset, weight):
+        table[tuple(offset.tolist())] = weight
     diag = -np.asarray(lam_arr, dtype=dtype).ravel()
     for i in range(n):
         c2 = b_arr[:, i, i]
         c1 = f_arr[:, i]
         diag = diag - 2.0 * c2 / h[i] ** 2
-        values += [c2 / h[i] ** 2 + c1 / (2 * h[i]),
-                   c2 / h[i] ** 2 - c1 / (2 * h[i])]
+        if c2.any() or c1.any():
+            couple(e[i], c2 / h[i] ** 2 + c1 / (2 * h[i]))
+            couple(-e[i], c2 / h[i] ** 2 - c1 / (2 * h[i]))
         for j in range(i + 1, n):
-            cc = 2.0 * b_arr[:, i, j] / (4.0 * h[i] * h[j])
-            values += [cc, cc, -cc, -cc]
-    values.append(diag)
-    return np.array(values, dtype=dtype).ravel()[pattern.source]
+            if b_arr[:, i, j].any():
+                cc = 2.0 * b_arr[:, i, j] / (4.0 * h[i] * h[j])
+                couple(e[i] + e[j], cc)
+                couple(-e[i] - e[j], cc)
+                couple(e[i] - e[j], -cc)
+                couple(e[j] - e[i], -cc)
+    table[(0,) * n] = diag
+    pattern = _pattern(tuple(grid.m), tuple(table))
+    return pattern, np.array(list(table.values()),
+                             dtype=dtype).ravel()[pattern.source]
 
 
 def _step_matrices(pattern: _Pattern, data: np.ndarray, dt: float,
@@ -299,8 +300,7 @@ def _step_matrices(pattern: _Pattern, data: np.ndarray, dt: float,
     return on_pattern(b), C
 
 
-def _operator_values(problem: BackwardProblem, grid: Grid,
-                     t: float) -> np.ndarray:
+def _operator_values(problem: BackwardProblem, grid: Grid, t: float):
     b, f, lam = problem.coefficients(grid, t)
     lam = _real_if_possible(lam)
     return _assemble_from_arrays(grid, b, f, lam, lam.dtype)
@@ -309,7 +309,8 @@ def _operator_values(problem: BackwardProblem, grid: Grid,
 def assemble_operator(problem: BackwardProblem, grid: Grid,
                       t: float) -> sparse.csr_matrix:
     """Sparse discretization of the spatial operator at time ``t``."""
-    return _pattern(tuple(grid.m)).matrix(_operator_values(problem, grid, t))
+    pattern, data = _operator_values(problem, grid, t)
+    return pattern.matrix(data)
 
 
 def assemble_step(problem: BackwardProblem, grid: Grid, t: float,
@@ -322,10 +323,9 @@ def assemble_step(problem: BackwardProblem, grid: Grid, t: float,
     _check_theta(theta)
     dt = grid.dt
     t_eval = t + (1.0 - theta) * dt
-    data = _operator_values(problem, grid, t_eval)
-    B, C = _step_matrices(_pattern(tuple(grid.m)), data, dt, theta)
+    B, C = _step_matrices(*_operator_values(problem, grid, t_eval), dt, theta)
     if C is None:
-        C = sparse.identity(grid.size, dtype=data.dtype, format="csr")
+        C = sparse.identity(grid.size, dtype=B.dtype, format="csr")
     phi_bar = problem.eval_phi(grid, t_eval)
     return B, C, phi_bar
 
@@ -478,9 +478,9 @@ class _Stepper:
                     f"level {k} and time level {k + 1} (frozen at t = "
                     f"{t:.6g}); check b, f and the rate")
             lam = self._admit(lam)
-            data = _assemble_from_arrays(self.grid, b, f, lam, self.dtype)
             self._held = (key,) + _step_matrices(
-                _pattern(tuple(self.grid.m)), data, self.grid.dt, self.theta)
+                *_assemble_from_arrays(self.grid, b, f, lam, self.dtype),
+                self.grid.dt, self.theta)
         return self._held[1:]
 
     def block(self) -> np.ndarray:
@@ -658,9 +658,9 @@ class _Splitting:
             b, f, lam = self.problem.coefficients(self.grid, t)
             b_s, f_s, lam_s = self.stepper.coefficients(self.stepper.key(k), t)
             dl = _real_if_possible(lam - lam_s)
-            self._held = (key, _pattern(tuple(self.grid.m)).matrix(
-                _assemble_from_arrays(self.grid, b - b_s, f - f_s, dl,
-                                      dl.dtype)))
+            pattern, data = _assemble_from_arrays(
+                self.grid, b - b_s, f - f_s, dl, dl.dtype)
+            self._held = (key, pattern.matrix(data))
         return self._held[1]
 
     def source(self, d):

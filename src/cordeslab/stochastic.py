@@ -713,7 +713,7 @@ def _characteristic_panel_pde(grid: Grid, field: CoefficientField, sampler,
     The functions differ only in rate and source, so a batch of them
     marches as uncoupled blocks of one step system: the grid gains a
     leading axis of one node per function, along which every coefficient
-    is zero, so its couplings drop from the step matrices as exact zeros.
+    is zero, so its couplings are never built.
     A batch holds at most ``_PANEL_UNKNOWNS`` unknowns (and at least one
     function), and of each march only level 0 is kept.
     """

@@ -985,12 +985,29 @@ GRID_1D = "grid.m = 15\ngrid.nt = 8\n"
     (ONE_D + 'b[1][1] = "1"\nf[1] = "' + " + ".join(["x1*0.001"] * 600)
      + '"\n', "problem.file = field.cfg\n", "analyze",
      "expression nested deeper than 100 levels"),
+    # an expression's syntax fault names its file and its key
+    (ONE_D + 'f[1] = "x1 +"\n', "problem.file = field.cfg\n", "analyze",
+     "field.cfg: f[1]: expected a value, found 'end of input' "
+     "(byte offset 4)"),
+    (ONE_D + 'lambda.re = "' + "(" * 101 + "1" + ")" * 101 + '"\n',
+     "problem.file = field.cfg\n", "analyze",
+     "field.cfg: lambda.re: expression nested deeper than 100 levels "
+     "(byte offset 100)"),
+    (None, BUILTIN_1D + 'solve.phi = "sin(x1"\n', "analyze",
+     "a.cfg: solve.phi: expected ')', found 'end of input' (byte offset 6)"),
+    (None, BUILTIN_1D + 'solve.exact = "x1 * * 2"\n', "analyze",
+     "a.cfg: solve.exact: expected a value, found '*' (byte offset 5)"),
+    (None, BUILTIN_1D + GRID_1D + 'solve.exact = "x1 * * 2"\n', "solve",
+     "a.cfg: solve.exact: expected a value, found '*' (byte offset 5)"),
 ], ids=["no_equals", "empty_key", "empty_value", "unterminated_string",
         "problem_without_n", "problem_without_T", "missing_problem_file",
         "unknown_split", "index_outside_n", "nonpositive_dt",
         "unknown_sampler", "grid_command_without_grid",
         "gamma_without_index_set", "gamma_without_index_set_solve",
-        "gamma_without_index_set_simulate", "too_deep_an_expression"])
+        "gamma_without_index_set_simulate", "too_deep_an_expression",
+        "syntax_error_in_problem_file", "too_deep_a_rate",
+        "syntax_error_in_source", "syntax_error_in_exact_analyze",
+        "syntax_error_in_exact_solve"])
 def test_config_fault_exit_1(tmp_path, capsys, problem, text, command,
                              message):
     if problem is not None:

@@ -247,6 +247,11 @@ def test_y_norm_composition():
 def test_weights_validation():
     with pytest.raises(ValueError):
         NormWeights((1,), {1: 2.5})
+    # the range of a split weight is fields.GAMMA_RANGE, as for the
+    # decomposition and the config
+    for gamma in (1e-12, 2.0 - 1e-12):
+        with pytest.raises(ValueError, match=r"gamma\[1\]="):
+            NormWeights((1,), {1: gamma})
     with pytest.raises(ValueError):
         NormWeights((1,), {2: 1.0})
     with pytest.raises(ValueError):

@@ -217,10 +217,9 @@ def _step_sequence(g, scales):
         b[:, 1, 1] = 1.0 + 0.5 * (x[:, 0] > 0.5)
         b[:, 0, 1] = b[:, 1, 0] = 0.1
         f = np.stack([0.3 * x[:, 1], np.full(n_nodes, -0.2)], axis=1)
-        data = solver._assemble_from_arrays(g, b, f, np.full(n_nodes, 0.5),
-                                            float)
-        out.append(solver._step_matrices(solver._pattern(tuple(g.m)), data,
-                                         g.dt, 1.0)[0])
+        pattern, data = solver._assemble_from_arrays(
+            g, b, f, np.full(n_nodes, 0.5), float)
+        out.append(solver._step_matrices(pattern, data, g.dt, 1.0)[0])
     return out
 
 
@@ -355,37 +354,68 @@ def test_step_factor_has_less_fill_than_a_column_order():
     assert lu.L.nnz + lu.U.nnz <= 0.7 * (colamd.L.nnz + colamd.U.nnz)
 
 
-def test_fixed_pattern_assembly_matches_stencil():
-    f = make_field(2, 0.5, Box((0, 0), (1, 1)),
-                   [["1.2 + 0.2*sin(3.0*x1)", "0.1*x2"],
-                    ["0.1*x2", "1.0 + 0.3*step(x2 - 0.5)"]],
-                   f=["0.2*x2", "0"], lam=(0.4, "x1"))
-    g = build_grid(f.domain, (5, 4), 4, f.T)
+# per dimension: a field whose b_ij vanishes for some pair (n >= 3) and
+# whose last axis has b_nn = f_n = 0 (n >= 2), and its grid shape
+STENCIL_CASES = {
+    1: ([["1.2 + 0.2*sin(3.0*x1)"]], ["0.2*x1"], (7,)),
+    2: ([["1.2 + 0.2*sin(3.0*x1)", "0.1*x2"], ["0.1*x2", 0.0]],
+        ["0.2*x2", 0.0], (5, 4)),
+    3: ([["1.2 + 0.2*sin(3.0*x1)", 0.0, "0.1*x2"],
+         [0.0, "1.0 + 0.3*step(x2 - 0.5)", -0.2],
+         ["0.1*x2", -0.2, 0.0]],
+        ["0.2*x2", 0.0, 0.0], (4, 5, 3)),
+    4: ([["1.2 + 0.2*sin(3.0*x1)", 0.0, 0.1, 0.0],
+         [0.0, "1.0 + 0.3*step(x2 - 0.5)", 0.0, "0.1*x3"],
+         [0.1, 0.0, 0.0, 0.05],
+         [0.0, "0.1*x3", 0.05, 0.0]],
+        [0.0, "0.3*x1", "-0.2 + x4", 0.0], (3, 4, 3, 3)),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fixed_pattern_assembly_matches_stencil(n):
+    b_text, f_text, m = STENCIL_CASES[n]
+    f = make_field(n, 0.5, Box((0,) * n, (1,) * n), b_text, f=f_text,
+                   lam=(0.4, "x1"))
+    g = build_grid(f.domain, m, 4, f.T)
     b, fv, lam = BackwardProblem(f).coefficients(g, 0.1)
-    pattern = solver._pattern(tuple(g.m))
-    data = solver._assemble_from_arrays(g, b, fv, lam, complex)
+    pattern, data = solver._assemble_from_arrays(g, b, fv, lam, complex)
     A = pattern.matrix(data)
     # the stencil, node by node
     h = g.h
-    m = g.shape
     dense = np.zeros((g.size, g.size), dtype=complex)
+
+    def put(r, idx, offset, value):
+        nb = np.add(idx, offset)
+        if ((nb >= 0) & (nb < m)).all():
+            dense[r, np.ravel_multi_index(tuple(nb), m)] = value
+    e = np.eye(n, dtype=int)
     for r, idx in enumerate(np.ndindex(*m)):
         diag = -complex(lam[r])
-        for i in range(2):
+        for i in range(n):
             diag = diag - 2.0 * b[r, i, i] / h[i] ** 2
-            for step, sgn in ((1, 1.0), (-1, -1.0)):
-                nb = list(idx)
-                nb[i] += step
-                if 0 <= nb[i] < m[i]:
-                    dense[r, np.ravel_multi_index(nb, m)] = \
-                        b[r, i, i] / h[i] ** 2 + sgn * fv[r, i] / (2 * h[i])
-        cc = 2.0 * b[r, 0, 1] / (4.0 * h[0] * h[1])
-        for si, sj in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
-            nb = (idx[0] + si, idx[1] + sj)
-            if 0 <= nb[0] < m[0] and 0 <= nb[1] < m[1]:
-                dense[r, np.ravel_multi_index(nb, m)] = si * sj * cc
+            for sgn in (1, -1):
+                put(r, idx, sgn * e[i], b[r, i, i] / h[i] ** 2
+                    + sgn * fv[r, i] / (2 * h[i]))
+            for j in range(i + 1, n):
+                cc = 2.0 * b[r, i, j] / (4.0 * h[i] * h[j])
+                for si, sj in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
+                    put(r, idx, si * e[i] + sj * e[j], si * sj * cc)
         dense[r, r] = diag
     assert np.array_equal(A.toarray(), dense)
+    # a coupling is stored exactly where its coefficient is non-zero at
+    # some node, at each of its in-grid positions
+    built = [np.zeros(n, dtype=int)]
+    for i in range(n):
+        if b[:, i, i].any() or fv[:, i].any():
+            built += [e[i], -e[i]]
+        for j in range(i + 1, n):
+            if b[:, i, j].any():
+                built += [si * e[i] + sj * e[j]
+                          for si, sj in ((1, 1), (-1, -1), (1, -1), (-1, 1))]
+    assert n == 1 or len(built) < 1 + 2 * n * n    # some are left out
+    assert A.nnz == len(data) == sum(
+        int(np.prod(np.subtract(m, np.abs(o)))) for o in built)
     # step matrices equal scipy's sparse sums, exact zeros dropped
     for theta in (1.0, 0.5):
         B, C = solver._step_matrices(pattern, data, g.dt, theta)
@@ -397,6 +427,27 @@ def test_fixed_pattern_assembly_matches_stencil():
         if theta < 1.0:
             assert np.array_equal(
                 C.toarray(), (eye + (1.0 - theta) * g.dt * A).toarray())
+
+
+def test_pattern_takes_any_offsets():
+    # couplings outside the axis-and-plane stencil, among them a monotone
+    # stencil's (0, 1, -1); each value array is placed by its offset
+    m = (4, 5, 3)
+    offsets = ((1, 0, 2), (0, 0, 0), (1, 1, 1), (0, 1, -1))
+    N = int(np.prod(m))
+    stack = np.random.default_rng(8).standard_normal((len(offsets), N))
+    pattern = solver._Pattern(m, offsets)
+    dense = np.zeros((N, N))
+    for k, offset in enumerate(offsets):
+        for r, idx in enumerate(np.ndindex(*m)):
+            nb = np.add(idx, offset)
+            if ((nb >= 0) & (nb < m)).all():
+                dense[r, np.ravel_multi_index(tuple(nb), m)] = stack[k, r]
+    data = stack.ravel()[pattern.source]
+    A = pattern.matrix(data)
+    assert A.nnz == np.count_nonzero(dense)
+    assert np.array_equal(A.toarray(), dense)
+    assert np.array_equal(data[pattern.diagonal], stack[1])
 
 
 # ----------------------------------------------------------------------------

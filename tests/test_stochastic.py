@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from numpy.random import SFC64, Generator, SeedSequence
 
 from conftest import FnEntry
-from cordeslab import stochastic
+from cordeslab import solver, stochastic
 from cordeslab.fields import (Box, CoefficientField, ConstField,
                               builtin_problem, make_field)
 from cordeslab.grid import GridFunction, build_grid, pair
@@ -935,6 +935,45 @@ def test_panel_above_the_bound_marches_in_batches(monkeypatch):
     assert shapes == [(3,) + g.shape, (2,) + g.shape, (1,) + g.shape]
     for a, b in zip(whole, split):
         assert abs(a.value - b.value) <= 1e-9
+
+
+def test_panel_batch_operator_is_block_diagonal(monkeypatch):
+    # the function axis carries no coefficient, so no coupling joins two
+    # functions: each diagonal block of a batch's operator is the
+    # one-function assembly with that function's rate, and nothing is
+    # stored outside the blocks
+    T = 0.1
+    f = make_field(2, T, Box((-1.0, -1.0), (1.0, 1.0)),
+                   [["1 + 0.3*x1", "0.2*x2"], ["0.2*x2", 1.0]],
+                   f=[0.5, "x1"])
+    sampler = TruncatedGaussianSampler([0.1, 0.0], 1.0, f.sampling_box())
+    g = build_grid(f.domain, 9, 4, T)
+    xi_t = np.linspace(0.0, T, 3)
+    rng = np.random.default_rng(11)
+    panel = [(xi_t, rng.uniform(-2.0, 2.0, (3, 2))) for _ in range(3)]
+    levels = []
+    assemble = solver._assemble_from_arrays
+
+    def kept(grid, b, fv, lam, dtype):
+        pattern, data = assemble(grid, b, fv, lam, dtype)
+        levels.append((lam, pattern.matrix(data)))
+        return pattern, data
+    monkeypatch.setattr(solver, "_assemble_from_arrays", kept)
+    stochastic._characteristic_panel_pde(g, f, sampler, 1.0, panel)
+    monkeypatch.undo()
+    N = g.size
+    b, fv = f.eval_b(g.nodes(), 0.0), f.eval_f(g.nodes(), 0.0)
+    assert len(levels) == g.nt
+    for lam, A in levels:
+        stored = A.tocoo()
+        assert A.shape == (3 * N, 3 * N)
+        assert np.array_equal(stored.row // N, stored.col // N)
+        for k, rate in enumerate(lam.reshape(3, N)):
+            pattern, data = assemble(g, b, fv, rate, complex)
+            block = A[k * N:(k + 1) * N, k * N:(k + 1) * N]
+            assert block.nnz == len(data)
+            assert np.array_equal(block.toarray(),
+                                  pattern.matrix(data).toarray())
 
 
 @pytest.mark.parametrize("n, theta", [(1, 1.0), (1, 0.5), (2, 1.0)])
