@@ -26,7 +26,6 @@ from . import _csvout
 from .conditions import check_split_condition, full_report
 from .config import ConfigError, RunConfig
 from .expr import ExprEvalError
-from .fields import sample_set
 from .solver import (BackwardProblem, FixedPointTrace, SolverError,
                      _usable_cores, apriori_ratio, fixed_point_solve,
                      solve_backward, solve_forward_adjoint)
@@ -146,10 +145,8 @@ class _SolutionWriter:
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
-    samples = sample_set(cfg.field.sampling_box(), cfg.field.T,
-                         cfg.samples_space, cfg.samples_time)
-    report = full_report(cfg.field, cfg.split, samples,
-                         index_set=cfg.index_set, gamma=cfg.gamma_map())
+    report = full_report(cfg.field, cfg.split, cfg.samples,
+                         index_set=cfg.index_set, gamma=cfg.gamma)
     payload = _base_payload(cfg)
     payload["report"] = report.as_dict()
     _write_json(cfg.out_dir / "report.json", payload)
@@ -176,12 +173,10 @@ def _proof_mirror(cfg: RunConfig, problem: BackwardProblem, grid,
     """The fixed-point construction of ``solve --proof-mirror``; ``direct``
     is the direct solution, or a ``Future`` of it read after the last
     sweep, whose fault stops the construction before its next sweep."""
-    samples = sample_set(cfg.field.sampling_box(), cfg.field.T,
-                         cfg.samples_space, cfg.samples_time)
     # the split that analyze certifies: its index set and weights
-    decomp, *_ = check_split_condition(cfg.field, cfg.split, samples,
+    decomp, *_ = check_split_condition(cfg.field, cfg.split, cfg.samples,
                                        index_set=cfg.index_set,
-                                       gamma=cfg.gamma_map())
+                                       gamma=cfg.gamma)
     _, trace = fixed_point_solve(problem, grid, decomp, eps=cfg.proof_eps,
                                  K=cfg.proof_K, theta=cfg.theta,
                                  direct=direct)
@@ -189,7 +184,7 @@ def _proof_mirror(cfg: RunConfig, problem: BackwardProblem, grid,
 
 
 def cmd_solve(cfg: RunConfig, proof_mirror: bool = False) -> int:
-    grid = cfg.make_grid()
+    grid = cfg.grid
     grid.nodes()    # built once, before a second thread reads it
     problem = BackwardProblem(cfg.field, phi=cfg.phi, Phi=cfg.Phi)
     # with a second core the construction runs on a worker beside the
@@ -263,10 +258,8 @@ def _error_table(cfg: RunConfig, grid, solution) -> float:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    grid = cfg.make_grid() if cfg.grid_m is not None else None
-    sde = SDE(cfg.field, grid)
-    sampler = cfg.make_sampler()
-    ens = simulate_paths(sde, sampler, cfg.mc_dt, cfg.mc_M, cfg.mc_seed)
+    sde = SDE(cfg.field, cfg.grid)
+    ens = simulate_paths(sde, cfg.sampler, cfg.mc_dt, cfg.mc_M, cfg.mc_seed)
     payload = _base_payload(cfg)
     payload["ensemble"] = ens.summary()
     if cfg.Phi is not None or cfg.phi is None:
@@ -288,10 +281,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    grid = cfg.make_grid()
+    grid, sampler = cfg.grid, cfg.sampler
     problem = BackwardProblem(cfg.field, phi=cfg.phi, Phi=cfg.Phi)
     sde = SDE(cfg.field, grid)
-    sampler = cfg.make_sampler()
     checks: dict = {}
     ok = True
 
@@ -333,74 +325,18 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if ok else 2
 
 
-def _read_panel(path: Path, n: int):
-    """Panel CSV: columns ``t, xi1..xin`` (single) or ``func, t, xi1..``.
-
-    Every entry must be finite, a ``func`` id an integer, and the times of
-    each function must increase strictly down the file."""
-    try:
-        with path.open() as handle:
-            rows = list(csv.reader(handle))
-    except OSError as err:
-        raise ConfigError(f"cannot read panel {path}: {err}") from None
-    header = [c.strip().lower() for c in rows[0]] if rows else []
-    has_func = header[:1] == ["func"]
-    first = 1 if _is_number_row(header) else 2      # line of the first row
-    panels: dict = {}
-
-    def bad(lineno, why):
-        return ConfigError(f"panel {path} line {lineno}: {why}")
-    for lineno, row in enumerate(rows[first - 1:], start=first):
-        if not row or all(not c.strip() for c in row):
-            continue
-        try:
-            vals = [float(c) for c in row]
-        except ValueError:
-            raise bad(lineno, "non-numeric entry") from None
-        if not np.isfinite(vals).all():
-            raise bad(lineno, "non-finite entry")
-        if has_func and not vals[0].is_integer():
-            raise bad(lineno, f"func id {row[0].strip()} is not an integer")
-        fid = int(vals[0]) if has_func else 0
-        data = vals[1:] if has_func else vals
-        if len(data) != n + 1:
-            raise bad(lineno, f"expected t and {n} components")
-        if fid in panels and data[0] <= panels[fid][-1][0]:
-            raise bad(lineno, f"time {data[0]:g} does not follow "
-                      f"{panels[fid][-1][0]:g} of func {fid}")
-        panels.setdefault(fid, []).append(data)
-    if not panels:
-        raise ConfigError(f"panel {path} is empty")
-    out = []
-    for fid in sorted(panels):
-        arr = np.asarray(panels[fid])
-        out.append((fid, arr[:, 0], arr[:, 1:]))
-    return out
-
-
-def _is_number_row(row) -> bool:
-    try:
-        [float(c) for c in row]
-        return True
-    except ValueError:
-        return False
-
-
 def cmd_characteristic(cfg: RunConfig) -> int:
-    if cfg.char_panel is None:
+    if cfg.panel is None:
         raise ConfigError("characteristic needs characteristic.panel")
-    grid = cfg.make_grid()
-    panel = _read_panel(cfg.char_panel, cfg.field.n)
-    sampler = cfg.make_sampler()
     # one unrecorded ensemble and one batched march serve every function
-    xis = [row[1:] for row in panel]
-    mcs = _characteristic_panel_mc(SDE(cfg.field, grid), sampler, cfg.mc_dt,
-                                   cfg.mc_M, cfg.mc_seed, xis)
-    pdes = _characteristic_panel_pde(grid, cfg.field, sampler, cfg.theta,
-                                     xis)
+    xis = [row[1:] for row in cfg.panel]
+    mcs = _characteristic_panel_mc(SDE(cfg.field, cfg.grid), cfg.sampler,
+                                   cfg.mc_dt, cfg.mc_M, cfg.mc_seed, xis)
+    pdes = _characteristic_panel_pde(cfg.grid, cfg.field, cfg.sampler,
+                                     cfg.theta, xis)
     rows = []
     ok = True
-    for (fid, _, _), mc, pde in zip(panel, mcs, pdes):
+    for (fid, _, _), mc, pde in zip(cfg.panel, mcs, pdes):
         diff = abs(complex(mc.value) - complex(pde.value))
         tol = 3.0 * mc.stderr + cfg.char_allowance
         rows.append({"func": fid, "mc": mc.as_dict(), "pde": pde.as_dict(),
@@ -458,6 +394,9 @@ def main(argv=None) -> int:
         if args.seed is not None:
             overrides["mc.seed"] = args.seed
         cfg = RunConfig.load(args.config, overrides)
+        if cfg.grid is None and args.command in ("solve", "verify",
+                                                 "characteristic"):
+            raise ConfigError("this command needs grid.m and grid.nt")
         if args.out is not None:
             cfg.out_dir = Path(args.out)
         cfg.out_dir.mkdir(parents=True, exist_ok=True)

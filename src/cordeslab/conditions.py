@@ -25,7 +25,8 @@ import numpy as np
 
 from .fields import (CoefficientField, Decomposition, SampleSet, decompose,
                      sample_set, sparsity_pattern, unique_b_hat, _all_covers,
-                     _memoized, _sampled_matrices, _validate_gamma)
+                     _memoized, _sampled_matrices, _validate_gamma,
+                     _validate_index_set)
 from .linalg import symmetric_eigenvalues
 
 __all__ = [
@@ -202,8 +203,8 @@ def optimize_gamma(decomp: Decomposition, samples: SampleSet | None = None,
     """
     if samples is None:
         samples = sample_set(decomp.field.sampling_box(), decomp.field.T)
-    index_set = tuple(decomp.index_set if index_set is None else
-                      sorted(int(k) for k in index_set))
+    index_set = (decomp.index_set if index_set is None else
+                 _validate_index_set(index_set, decomp.field.n))
     if not index_set:
         return {}, 0.0
     A, C = _nu_hat_terms(decomp, samples, index_set)

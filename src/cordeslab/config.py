@@ -4,10 +4,17 @@ Problem files and run configs share one syntax: one assignment per line,
 ``#`` comments, dotted/bracketed keys (``domain.lo``, ``b[1][2]``),
 double-quoted strings for expressions, bare words for names, numbers and
 whitespace-separated number lists for everything else.
+
+Loading resolves the whole run: the field, the grid, the sampler, the
+index set and weights and the characteristic panel are built and checked
+before any command starts, so a fault of the input ends every command at
+load, whether or not the command reads the part at fault.
 """
 
 from __future__ import annotations
 
+import csv
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field as dc_field
@@ -17,8 +24,10 @@ import numpy as np
 
 from .expr import ExprSyntaxError
 from .fields import (GAMMA_RANGE, Box, CoefficientField, ExprField,
-                     TableField, as_scalar_field, builtin_problem,
-                     builtin_solve_data, make_field)
+                     FieldConstructionError, SampleSet, TableField,
+                     _validate_index_set, as_scalar_field, builtin_problem,
+                     builtin_solve_data, make_field, sample_set)
+from .grid import Grid, build_grid
 from .solver import MAX_KT
 
 __all__ = ["ConfigError", "parse_kv_text", "load_problem_mapping",
@@ -102,9 +111,9 @@ class _Keys(dict):
 def _numbers(kv: dict, key: str, default=None, integer=False,
              count=None, least=None) -> list:
     """``kv[key]`` (``default`` when absent, else ``KeyError``) as a list
-    of floats, or of ints when ``integer``; ``count`` fixes its length
-    (an int, or a tuple of the lengths allowed), ``least`` bounds every
-    entry from below."""
+    of finite floats, or of ints when ``integer``; ``count`` fixes its
+    length (an int, or a tuple of the lengths allowed), ``least`` bounds
+    every entry from below."""
     value = kv[key] if default is None else kv.get(key, default)
     vals = value if isinstance(value, list) else [value]
     counts = tuple(dict.fromkeys(count if isinstance(count, tuple)
@@ -114,9 +123,10 @@ def _numbers(kv: dict, key: str, default=None, integer=False,
     except (TypeError, ValueError):
         nums = None
     if (nums is None or None not in counts and len(nums) not in counts
+            or not np.isfinite(nums).all()
             or integer and not all(x.is_integer() for x in nums)
             or least is not None and min(nums) < least):
-        what = "integer" if integer else "number"
+        what = "integer" if integer else "finite number"
         many = " or ".join(str(c) for c in counts) if count else "only"
         raise ConfigError(f"{key} = {value!r}: expected {many} {what}"
                           + "s" * (counts != (1,))
@@ -137,6 +147,17 @@ def _entry(kv: _Keys, key: str, default, read=as_scalar_field):
         raise ConfigError(f"{kv.where}: {key}: {err}") from None
 
 
+def _finite_row(cells, where: str) -> list:
+    """One CSV row as finite floats; a fault names ``where``."""
+    try:
+        row = [float(v) for v in cells]
+    except ValueError:
+        raise ConfigError(f"{where}: non-numeric entry") from None
+    if not np.isfinite(row).all():
+        raise ConfigError(f"{where}: non-finite entry")
+    return row
+
+
 def _load_table(path: Path, n: int, box: Box, cells) -> list:
     """Piecewise-constant matrix from CSV rows ``i1..in, b11..bnn``: 0-based
     cell indices, at most one row per cell (a cell with none holds zeros);
@@ -149,12 +170,7 @@ def _load_table(path: Path, n: int, box: Box, cells) -> list:
         if not line:
             continue
         where = f"table {path} line {lineno}"
-        try:
-            row = [float(v) for v in line.split(",")]
-        except ValueError:
-            raise ConfigError(f"{where}: non-numeric entry") from None
-        if not np.isfinite(row).all():
-            raise ConfigError(f"{where}: non-finite entry")
+        row = _finite_row(line.split(","), where)
         if len(row) != n + n * n:
             raise ConfigError(f"{where}: needs {n + n * n} columns")
         if not all(v.is_integer() and 0 <= v < c
@@ -168,6 +184,67 @@ def _load_table(path: Path, n: int, box: Box, cells) -> list:
         values[idx] = np.reshape(row[n:], (n, n))
     return [[TableField(box, cells, values[..., i, j]) for j in range(n)]
             for i in range(n)]
+
+
+def _load_panel(path: Path, n: int) -> list:
+    """``(func, times, xis)`` of each function of a panel CSV, by id:
+    columns ``t, xi1..xin`` (one function, id 0) or ``func, t, xi1..``,
+    under a header when the first row is not all numbers.  Every entry
+    must be finite, a ``func`` id an integer, and the times of each
+    function must increase strictly down the file."""
+    try:
+        with path.open() as handle:
+            rows = list(csv.reader(handle))
+    except OSError as err:
+        raise ConfigError(f"cannot read panel {path}: {err}") from None
+    header = [c.strip().lower() for c in rows[0]] if rows else []
+    has_func = header[:1] == ["func"]
+    try:
+        [float(c) for c in header]
+        first = 1       # line of the first row: no header
+    except ValueError:
+        first = 2
+    panels: dict = {}
+    for lineno, row in enumerate(rows[first - 1:], start=first):
+        if not any(c.strip() for c in row):
+            continue
+        where = f"panel {path} line {lineno}"
+        vals = _finite_row(row, where)
+        if has_func and not vals[0].is_integer():
+            raise ConfigError(f"{where}: func id {row[0].strip()} is not "
+                              f"an integer")
+        fid, data = (int(vals[0]), vals[1:]) if has_func else (0, vals)
+        if len(data) != n + 1:
+            raise ConfigError(f"{where}: expected t and {n} components")
+        if fid in panels and data[0] <= panels[fid][-1][0]:
+            raise ConfigError(f"{where}: time {data[0]:g} does not follow "
+                              f"{panels[fid][-1][0]:g} of func {fid}")
+        panels.setdefault(fid, []).append(data)
+    if not panels:
+        raise ConfigError(f"panel {path} is empty")
+    arrays = [(fid, np.asarray(panels[fid])) for fid in sorted(panels)]
+    return [(fid, arr[:, 0], arr[:, 1:]) for fid, arr in arrays]
+
+
+def _sampler(kv: _Keys, field: CoefficientField):
+    """The initial law that ``mc.sampler`` names, from the keys of the
+    open namespace ``mc.sampler.*``."""
+    from .stochastic import (HatSampler, PointSampler,
+                             TruncatedGaussianSampler, UniformBoxSampler)
+    n, kind = field.n, str(kv.get("mc.sampler", "uniform"))
+    kv.under("mc.sampler.")     # reads every name: the namespace is open
+    center = _numbers(kv, "mc.sampler.center", [0.0] * n, count=(1, n))
+    center = center * n if len(center) == 1 else center     # for all axes
+    if kind == "uniform":
+        return UniformBoxSampler(field.sampling_box())
+    if kind == "gaussian":
+        return TruncatedGaussianSampler(
+            center, _numbers(kv, "mc.sampler.sigma", 1.0), field.sampling_box())
+    if kind == "hat":
+        return HatSampler(center, _numbers(kv, "mc.sampler.width", 0.25))
+    if kind == "point":
+        return PointSampler(_numbers(kv, "mc.sampler.at", [0.0] * n, count=n))
+    raise ConfigError(f"unknown sampler {kind!r}")
 
 
 def load_problem_mapping(kv: dict, base_dir: Path) -> CoefficientField:
@@ -216,14 +293,17 @@ def config_hash(resolved: dict) -> str:
 
 @dataclass
 class RunConfig:
+    """One run, resolved at load.  ``grid`` is ``None`` without grid keys,
+    ``gamma`` maps each index to its weight and ``panel`` holds ``(func,
+    times, xis)`` per function; ``samples`` is built when first read."""
+
     field: CoefficientField
     resolved: dict
-    grid_m: tuple | None = None
-    grid_nt: int | None = None
+    grid: Grid | None = None
     theta: float = 1.0
     split: str = "identity"
     index_set: tuple | None = None
-    gamma: tuple | None = None
+    gamma: dict | None = None
     samples_space: int = 9
     samples_time: int = 3
     phi: object = None
@@ -234,12 +314,11 @@ class RunConfig:
     mc_M: int = 10000
     mc_dt: float = 1e-3
     mc_seed: int = 1
-    sampler_kind: str = "uniform"
-    sampler_params: dict = dc_field(default_factory=dict)
+    sampler: object = None
     pairing_allowance: float = 2e-2
     density_times: list = dc_field(default_factory=list)
     density_l1: float = 0.05
-    char_panel: Path | None = None
+    panel: list | None = None
     char_allowance: float = 3e-2
     out_dir: Path = Path("out")
     dump_paths: bool = False
@@ -255,6 +334,7 @@ class RunConfig:
     def from_mapping(kv: dict, base_dir: Path) -> "RunConfig":
         base_dir = Path(base_dir)
         kv = kv if isinstance(kv, _Keys) else _Keys(kv, "run config")
+        solve_data = None
         if "problem.builtin" in kv:
             name = str(kv["problem.builtin"])
             params = kv.under("problem.param.")
@@ -270,20 +350,26 @@ class RunConfig:
             pkv = _Keys.parse(ppath)
             field = load_problem_mapping(pkv, ppath.parent)
             pkv.check()
-            solve_data = None
         else:
             field = load_problem_mapping(kv, base_dir)
-            solve_data = None
 
         cfg = RunConfig(field=field, resolved=dict(kv))
         if solve_data is not None:
             cfg.phi, cfg.Phi, cfg.exact = solve_data
 
-        if "grid.m" in kv:   # one count serves every axis
-            cfg.grid_m = tuple(_numbers(kv, "grid.m", integer=True,
-                                        count=(1, field.n), least=3))
-        if "grid.nt" in kv:
-            cfg.grid_nt = _number(kv, "grid.nt", integer=True, least=1)
+        m = (_numbers(kv, "grid.m", integer=True, count=(1, field.n),
+                      least=3) if "grid.m" in kv else None)
+        nt = (_number(kv, "grid.nt", integer=True, least=1)
+              if "grid.nt" in kv else None)
+        if (m is None) != (nt is None):
+            raise ConfigError("one grid key without the other: this command "
+                              "needs grid.m and grid.nt")
+        if m is not None and field.domain is None:
+            raise ConfigError("grids need a bounded domain; emulate free "
+                              "space with a wide box in the problem file")
+        if m is not None:   # one count serves every axis
+            cfg.grid = build_grid(field.domain, m if len(m) > 1 else m[0],
+                                  nt, field.T)
         cfg.theta = _number(kv, "scheme.theta", cfg.theta)
         if not 0.5 <= cfg.theta <= 1.0:
             raise ConfigError(f"scheme.theta={cfg.theta} outside [0.5, 1]")
@@ -292,19 +378,22 @@ class RunConfig:
         if cfg.split not in ("identity", "constant"):
             raise ConfigError(f"unknown split spec {cfg.split!r}")
         if "conditions.N" in kv:
-            cfg.index_set = tuple(_numbers(kv, "conditions.N",
-                                           integer=True))
-            if any(not 1 <= k <= field.n for k in cfg.index_set):
-                raise ConfigError("conditions.N indices outside 1..n")
+            given = _numbers(kv, "conditions.N", integer=True)
+            try:
+                cfg.index_set = _validate_index_set(given, field.n)
+            except FieldConstructionError as err:
+                raise ConfigError(f"conditions.N {err}") from None
         if "conditions.gamma" in kv:
             if cfg.index_set is None:
                 raise ConfigError("conditions.gamma needs conditions.N")
-            cfg.gamma = tuple(_numbers(kv, "conditions.gamma",
-                                       count=len(cfg.index_set)))
+            gamma = _numbers(kv, "conditions.gamma",
+                             count=len(cfg.index_set))
             lo, hi = GAMMA_RANGE
-            if not all(lo < g < hi for g in cfg.gamma):
+            if not all(lo < g < hi for g in gamma):
                 raise ConfigError(f"conditions.gamma = {kv['conditions.gamma']!r}"
                                   f": expected entries in ({lo!r}, {hi!r})")
+            # the weights pair with the indices in the order written
+            cfg.gamma = dict(zip(dict.fromkeys(given), gamma))
         cfg.samples_space = _number(kv, "conditions.samples.space",
                                     cfg.samples_space, integer=True, least=2)
         cfg.samples_time = _number(kv, "conditions.samples.time",
@@ -322,10 +411,9 @@ class RunConfig:
             cfg.exact = expression("solve.exact")
         if "solve.proof_mirror.eps" in kv:
             cfg.proof_eps = _number(kv, "solve.proof_mirror.eps")
-            if not 0.0 < cfg.proof_eps < np.inf:
-                raise ConfigError(f"solve.proof_mirror.eps = "
-                                  f"{cfg.proof_eps!r}: expected a finite "
-                                  f"number > 0")
+            if cfg.proof_eps <= 0.0:
+                raise ConfigError(f"solve.proof_mirror.eps = {cfg.proof_eps!r}"
+                                  f": expected a finite number > 0")
         if kv.get("solve.proof_mirror.K", "auto") != "auto":
             cfg.proof_K = _number(kv, "solve.proof_mirror.K")
             if not abs(cfg.proof_K) * field.T <= MAX_KT:
@@ -338,8 +426,7 @@ class RunConfig:
         if cfg.mc_dt <= 0:
             raise ConfigError("mc.dt must be positive")
         cfg.mc_seed = _number(kv, "mc.seed", cfg.mc_seed, integer=True)
-        cfg.sampler_kind = str(kv.get("mc.sampler", cfg.sampler_kind))
-        cfg.sampler_params = kv.under("mc.sampler.")
+        cfg.sampler = _sampler(kv, field)
         cfg.dump_paths = bool(kv.get("mc.dump_paths", cfg.dump_paths))
 
         cfg.pairing_allowance = _number(kv, "verify.pairing.allowance",
@@ -348,7 +435,8 @@ class RunConfig:
             cfg.density_times = _numbers(kv, "verify.density.times")
         cfg.density_l1 = _number(kv, "verify.density.l1", cfg.density_l1)
         if "characteristic.panel" in kv:
-            cfg.char_panel = base_dir / str(kv["characteristic.panel"])
+            cfg.panel = _load_panel(base_dir / str(kv["characteristic.panel"]),
+                                    field.n)
         cfg.char_allowance = _number(kv, "characteristic.allowance",
                                      cfg.char_allowance)
         if "out.dir" in kv:
@@ -356,42 +444,12 @@ class RunConfig:
         kv.check()
         return cfg
 
-    def make_sampler(self):
-        from .stochastic import (HatSampler, PointSampler,
-                                 TruncatedGaussianSampler, UniformBoxSampler)
-        n, kind = self.field.n, self.sampler_kind
-        params = {"mc.sampler." + k: v for k, v in self.sampler_params.items()}
-
-        def numbers(name, default, count=None):
-            return _numbers(params, "mc.sampler." + name, default,
-                            count=count)
-        center = numbers("center", [0.0] * n)   # one value serves all axes
-        center = center * n if len(center) == 1 else center
-        if kind == "uniform":
-            return UniformBoxSampler(self.field.sampling_box())
-        if kind == "gaussian":
-            return TruncatedGaussianSampler(center, numbers("sigma", 1.0),
-                                            self.field.sampling_box())
-        if kind == "hat":
-            return HatSampler(center, numbers("width", 0.25))
-        if kind == "point":
-            return PointSampler(numbers("at", [0.0] * n, count=n))
-        raise ConfigError(f"unknown sampler {kind!r}")
-
-    def make_grid(self):
-        from .grid import build_grid
-        if self.grid_m is None or self.grid_nt is None:
-            raise ConfigError("this command needs grid.m and grid.nt")
-        if self.field.domain is None:
-            raise ConfigError("grids need a bounded domain; emulate free "
-                              "space with a wide box in the problem file")
-        m = self.grid_m if len(self.grid_m) > 1 else self.grid_m[0]
-        return build_grid(self.field.domain, m, self.grid_nt, self.field.T)
-
-    def gamma_map(self):
-        if self.gamma is None:
-            return None
-        return dict(zip(self.index_set, self.gamma))
+    @functools.cached_property
+    def samples(self) -> SampleSet:
+        """The sample set of the condition checks, (2 * samples_space - 1)^n
+        points: about 1.2 GB at n = 6 by default, unread by simulate."""
+        return sample_set(self.field.sampling_box(), self.field.T,
+                          self.samples_space, self.samples_time)
 
     def hash(self) -> str:
         return config_hash(self.resolved)

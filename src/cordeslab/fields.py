@@ -52,6 +52,9 @@ class Box:
         object.__setattr__(self, "hi", tuple(float(v) for v in self.hi))
         if len(self.lo) != len(self.hi):
             raise FieldConstructionError("box lo/hi dimension mismatch")
+        if not np.isfinite(self.lo + self.hi).all():
+            raise FieldConstructionError(
+                f"box bounds must be finite: lo {self.lo}, hi {self.hi}")
         if any(h <= l for l, h in zip(self.lo, self.hi)):
             raise FieldConstructionError("degenerate box")
 
@@ -328,7 +331,9 @@ def make_field(n, T, domain, b, f=None, lam=0.0, beta=None) -> CoefficientField:
     Symmetry of ``b`` and ``b = 0.5 beta beta^T`` (when ``beta`` is given)
     are checked on a deterministic probe set to 1e-12.
     """
-    n = int(n)
+    n, T = int(n), float(T)
+    if not 0.0 < T < np.inf:
+        raise FieldConstructionError(f"T = {T!r}: expected a finite number > 0")
     if domain is not None and not isinstance(domain, Box):
         domain = Box(*domain)
     if domain is not None and domain.n != n:
@@ -349,7 +354,7 @@ def make_field(n, T, domain, b, f=None, lam=0.0, beta=None) -> CoefficientField:
         beta_entries = tuple(tuple(as_scalar_field(beta[i][j]) for j in range(n))
                              for i in range(n))
 
-    fld = CoefficientField(n, float(T), domain, b_entries, f_entries,
+    fld = CoefficientField(n, T, domain, b_entries, f_entries,
                            lam_re, lam_im, beta_entries)
 
     for e in [x for row in b_entries for x in row] + list(f_entries) + \
@@ -424,7 +429,7 @@ class Decomposition:
         return Decomposition(self.field, self.b_bar, self.index_set, gamma)
 
     def with_index_set(self, index_set, samples: SampleSet) -> "Decomposition":
-        index_set = tuple(sorted(int(k) for k in index_set))
+        index_set = _validate_index_set(index_set, self.field.n)
         if not _covers(index_set, sparsity_pattern(self, samples)):
             raise FieldConstructionError(
                 f"index set {index_set} does not cover the remainder's "
@@ -438,6 +443,17 @@ class Decomposition:
             "gamma": None if self.gamma is None
             else {str(k): v for k, v in sorted(self.gamma.items())},
         }
+
+
+def _validate_index_set(index_set, n: int) -> tuple:
+    """``index_set`` as sorted, distinct 1-based coordinates: a repeated
+    index counts once, and one that is not a whole number in 1..n
+    raises."""
+    ks = [float(k) for k in index_set]
+    if not all(k.is_integer() and 1 <= k <= n for k in ks):
+        raise FieldConstructionError(
+            f"indices outside 1..n: {list(index_set)} with n = {n}")
+    return tuple(sorted({int(k) for k in ks}))
 
 
 def _validate_gamma(gamma, index_set) -> dict:

@@ -81,16 +81,20 @@ def build_grid(domain, m, nt: int, T: float) -> Grid:
     if not isinstance(domain, Box):
         domain = Box(*domain)
     n = domain.n
-    m = (m,) * n if np.isscalar(m) else tuple(int(v) for v in m)
+    m = (m,) * n if np.isscalar(m) else tuple(m)
     if len(m) != n:
         raise ValueError("m must give one interior node count per axis")
+    if not all(float(v).is_integer() for v in m + (nt,)):
+        raise ValueError(f"node and step counts must be whole numbers: "
+                         f"m = {m}, nt = {nt}")
+    m, nt = tuple(int(v) for v in m), int(nt)
     if any(v < 3 for v in m):
         raise ValueError("need at least 3 interior nodes per axis")
     if nt < 1:
         raise ValueError("need at least one time step")
     if T <= 0:
         raise ValueError("horizon must be positive")
-    return Grid(n, domain.lo, domain.hi, m, int(nt), float(T))
+    return Grid(n, domain.lo, domain.hi, m, nt, float(T))
 
 
 @dataclass(frozen=True)

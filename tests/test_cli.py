@@ -226,7 +226,7 @@ def test_solve_reads_the_source_norms_by_level(tmp_path, monkeypatch, theta,
     assert len(calls) == evaluations
     norms = json.loads((tmp_path / "out" / "norms.json").read_text())
     cfg = RunConfig.load(tmp_path / "s.cfg")
-    grid = cfg.make_grid()
+    grid = cfg.grid
     v = solver.solve_backward(solver.BackwardProblem(cfg.field, cfg.phi),
                               grid, theta).v
     fresh = solver.apriori_ratio(solver.DiscreteSolution(v), cfg.phi, cfg.Phi)
@@ -721,7 +721,7 @@ def test_solve_phi_im_makes_the_solution_complex(tmp_path):
     cfg = RunConfig.load(tmp_path / "s.cfg")
     sol = solver.solve_backward(solver.BackwardProblem(
         cfg.field, phi=(ExprField("x1 * (1 + t)"), ExprField("cos(x1) * t"))),
-        cfg.make_grid())
+        cfg.grid)
     assert np.iscomplexobj(sol.v.values)
     _reference_solution_csv(tmp_path / "want.csv", sol.v)
     got = (tmp_path / "out" / "solution.csv").read_bytes()
@@ -893,7 +893,8 @@ def _one_error_line(capsys) -> str:
 
 
 @pytest.mark.parametrize("line", ["mc.M = 2.7", "grid.m = 31.7",
-                                  "grid.nt = abc", "scheme.theta = abc"])
+                                  "grid.nt = abc", "scheme.theta = abc",
+                                  "mc.dt = nan", "mc.dt = inf"])
 def test_bad_numeric_value_exit_1(tmp_path, capsys, line):
     key, _, value = line.partition(" = ")
     text = (f"problem.builtin = manufactured_1d\n{line}\n"
@@ -951,6 +952,9 @@ def test_unknown_key_exit_1(tmp_path, capsys, problem, text, key):
 
 BUILTIN_1D = "problem.builtin = manufactured_1d\n"
 GRID_1D = "grid.m = 15\ngrid.nt = 8\n"
+ALL_SPACE = 'n = 1\nT = 0.5\ndomain = all\nb[1][1] = "1"\n'
+HEAT_1D = "problem.builtin = identity_heat\n"
+FIELD = "problem.file = field.cfg\n"
 
 
 @pytest.mark.parametrize("problem, text, command, message", [
@@ -999,6 +1003,40 @@ GRID_1D = "grid.m = 15\ngrid.nt = 8\n"
      "a.cfg: solve.exact: expected a value, found '*' (byte offset 5)"),
     (None, BUILTIN_1D + GRID_1D + 'solve.exact = "x1 * * 2"\n', "solve",
      "a.cfg: solve.exact: expected a value, found '*' (byte offset 5)"),
+    # analyze reads neither the sampler, the panel nor the grid, yet the
+    # config is faulty: load refuses it, whatever the command
+    (None, BUILTIN_1D + "mc.sampler = cauchy\n", "analyze",
+     "unknown sampler 'cauchy'"),
+    (None, BUILTIN_1D + "mc.sampler = gaussian\nmc.sampler.sigma = abc\n",
+     "analyze", "error: mc.sampler.sigma = 'abc': expected"),
+    (None, BUILTIN_1D + "mc.sampler = hat\nmc.sampler.center = 0 0\n",
+     "analyze", "error: mc.sampler.center = [0.0, 0.0]: expected 1 finite"),
+    (None, BUILTIN_1D + "characteristic.panel = nowhere.csv\n", "analyze",
+     "cannot read panel"),
+    (None, BUILTIN_1D + "grid.m = 15\n", "analyze",
+     "this command needs grid.m and grid.nt"),
+    (None, BUILTIN_1D + "grid.nt = 8\n", "analyze",
+     "this command needs grid.m and grid.nt"),
+    (ALL_SPACE, FIELD + GRID_1D, "analyze", "wide box"),
+    # bounds and horizons must be finite, a horizon positive
+    (ONE_D.replace("hi = 1", "hi = inf"), FIELD, "analyze",
+     "error: domain.hi = inf: expected 1 finite number"),
+    (ONE_D.replace("lo = 0", "lo = nan"), FIELD + GRID_1D, "solve",
+     "error: domain.lo = nan: expected 1 finite number"),
+    (ONE_D.replace("T = 0.5", "T = 0"), FIELD, "analyze",
+     "error: T = 0.0: expected a finite number > 0"),
+    (ONE_D.replace("T = 0.5", "T = -1"), FIELD, "analyze",
+     "error: T = -1.0: expected a finite number > 0"),
+    (ONE_D.replace("T = 0.5", "T = inf"), FIELD, "analyze",
+     "error: T = inf: expected 1 finite number"),
+    (ONE_D.replace("T = 0.5", "T = nan"), FIELD + GRID_1D, "solve",
+     "error: T = nan: expected 1 finite number"),
+    (None, HEAT_1D + "problem.param.T = 0\n", "analyze",
+     "error: T = 0.0: expected a finite number > 0"),
+    (None, HEAT_1D + GRID_1D + "problem.param.T = inf\n", "solve",
+     "error: T = inf: expected a finite number > 0"),
+    (None, BUILTIN_1D + "mc.sampler = hat\nmc.sampler.width = nan\n",
+     "simulate", "error: mc.sampler.width = nan: expected only finite"),
 ], ids=["no_equals", "empty_key", "empty_value", "unterminated_string",
         "problem_without_n", "problem_without_T", "missing_problem_file",
         "unknown_split", "index_outside_n", "nonpositive_dt",
@@ -1007,7 +1045,14 @@ GRID_1D = "grid.m = 15\ngrid.nt = 8\n"
         "gamma_without_index_set_simulate", "too_deep_an_expression",
         "syntax_error_in_problem_file", "too_deep_a_rate",
         "syntax_error_in_source", "syntax_error_in_exact_analyze",
-        "syntax_error_in_exact_solve"])
+        "syntax_error_in_exact_solve", "unknown_sampler_analyze",
+        "bad_sigma_analyze", "center_per_axis_analyze",
+        "missing_panel_analyze",
+        "grid_m_without_nt_analyze", "grid_nt_without_m_analyze",
+        "grid_on_all_space_analyze", "infinite_bound", "nan_bound_solve",
+        "zero_horizon", "negative_horizon", "infinite_horizon",
+        "nan_horizon_solve", "zero_builtin_horizon",
+        "infinite_builtin_horizon_solve", "nan_sampler_width"])
 def test_config_fault_exit_1(tmp_path, capsys, problem, text, command,
                              message):
     if problem is not None:
@@ -1015,6 +1060,38 @@ def test_config_fault_exit_1(tmp_path, capsys, problem, text, command,
     text += f"out.dir = {tmp_path / 'out'}\n"
     assert run(tmp_path, "a.cfg", text, command) == 1
     assert message in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["analyze", "solve", "simulate",
+                                     "verify"])
+def test_faulty_panel_ends_every_command(tmp_path, capsys, command):
+    (tmp_path / "panel.csv").write_text("func,t,xi1\n0,0.0,1.0\n0,0.0,2.0\n")
+    text = TINY_MC + ("characteristic.panel = panel.csv\n"
+                      f"out.dir = {tmp_path / 'out'}\n")
+    assert run(tmp_path, "a.cfg", text, command) == 1
+    assert "line 3: time 0 does not follow 0 of func 0" in \
+        _one_error_line(capsys)
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_index_counts_once(tmp_path):
+    # the repeated column was counted twice: nu_hat 1.36 and exit 2
+    reports = []
+    for index_set in ("1 1", "1"):
+        out = tmp_path / index_set.replace(" ", "_")
+        text = (BENCH.format(alpha=0.5, beta=0.3, out=out)
+                + f"conditions.N = {index_set}\n")
+        assert run(tmp_path, "a.cfg", text, "analyze") == 0
+        reports.append(json.loads((out / "report.json").read_text())["report"])
+    assert reports[0] == reports[1]
+    assert reports[0]["N"] == [1] and reports[0]["nu_hat"] < 1.0
+    # weights pair with the distinct indices in the order written
+    text = (BENCH.format(alpha=0.5, beta=0.3, out=tmp_path / "w")
+            + "conditions.N = 3 1 3\nconditions.gamma = 0.5 1.5\n")
+    run(tmp_path, "a.cfg", text, "analyze")
+    report = json.loads((tmp_path / "w" / "report.json").read_text())
+    assert report["report"]["N"] == [1, 3]
+    assert report["report"]["gamma"] == [1.5, 0.5]
 
 
 @pytest.mark.parametrize("bad_file", ["a.cfg", "field.cfg"])

@@ -186,6 +186,15 @@ def test_optimize_gamma_monotone_offdiagonal_case():
     assert abs(value - 1.0) <= 1e-4
 
 
+def test_optimize_gamma_takes_each_index_once():
+    f = builtin_problem("paper_3x3", {"alpha": 0.5, "beta": 0.3})
+    d = decompose(f, "identity")
+    assert optimize_gamma(d, index_set=(1, 1)) == optimize_gamma(
+        d, index_set=(1,))
+    with pytest.raises(ValueError, match="outside 1..n"):
+        optimize_gamma(d, index_set=(4,))
+
+
 def test_optimize_gamma_diagonal_case_lattice_audit():
     # purely diagonal remainder: with the k = i term the measure is
     # c^2 / (gamma (2 - gamma)), minimized in the middle at gamma = 1

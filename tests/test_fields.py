@@ -183,6 +183,31 @@ def test_user_index_set_must_cover():
     assert d.index_set == (2, 3)
 
 
+@pytest.mark.parametrize("index_set", [(-2,), (4,), (0,), (1.5,)])
+def test_index_set_outside_one_to_n_is_refused(index_set):
+    # -2 once acted as x1, 4 raised a bare IndexError and 0 was refused as
+    # not covering; each is a coordinate the 3-D field lacks
+    f = builtin_problem("paper_3x3", {"alpha": 0.6, "beta": 0.2})
+    with pytest.raises(FieldConstructionError, match="outside 1..n"):
+        decompose(f, "identity", index_set=index_set)
+
+
+def test_repeated_index_counts_once():
+    f = builtin_problem("paper_3x3", {"alpha": 0.6, "beta": 0.2})
+    assert decompose(f, "identity", index_set=(3, 1, 1, 3)).index_set == \
+        decompose(f, "identity", index_set=(1, 3)).index_set == (1, 3)
+
+
+def test_box_and_horizon_must_be_finite():
+    for lo, hi in [((0.0,), (np.inf,)), ((np.nan,), (1.0,)),
+                   ((0.0, -np.inf), (1.0, 1.0))]:
+        with pytest.raises(FieldConstructionError, match="finite"):
+            Box(lo, hi)
+    for T in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(FieldConstructionError, match="T = "):
+            make_field(1, T, Box((0,), (1,)), [[1.0]])
+
+
 def test_minimal_vertex_cover_rules():
     pattern = np.zeros((3, 3), dtype=bool)
     assert minimal_vertex_cover(pattern) == ()

@@ -28,6 +28,20 @@ def test_build_grid_rejects_bad_input():
         build_grid(Box((1.0,), (1.0,)), 5, nt=2, T=1.0)
 
 
+def test_build_grid_takes_whole_counts_only():
+    # 15.7 once gave m = (15.7,): size 15 but 16 rows of nodes; nt = 2.5
+    # became 2
+    box = Box((0.0,), (1.0,))
+    for m, nt in [(15.7, 8), ((15.7,), 8), (15, 2.5), (15, float("nan"))]:
+        with pytest.raises(ValueError, match="whole numbers"):
+            build_grid(box, m, nt, 1.0)
+    for m in (15.0, (15.0,), np.int64(15)):
+        g = build_grid(box, m, 8.0, 1.0)
+        assert g.m == (15,) and g.nt == 8
+        assert all(type(v) is int for v in g.m + (g.nt,))
+        assert g.size == len(g.nodes()) == 15
+
+
 def test_nodes_are_built_once_and_read_only():
     g = build_grid(Box((0.0, -1.0), (1.0, 1.0)), (4, 3), nt=2, T=1.0)
     pts = g.nodes()
