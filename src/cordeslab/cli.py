@@ -411,7 +411,9 @@ def main(argv=None) -> int:
         return cmd_characteristic(cfg)
     except (ConfigError, OSError, KeyError, ValueError, SolverError,
             ExprEvalError, MemoryError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        print(f"error: {err.args[0] if isinstance(err, KeyError) else err}",
+              file=sys.stderr)
         return 1
 
 

@@ -8,7 +8,10 @@ whitespace-separated number lists for everything else.
 Loading resolves the whole run: the field, the grid, the sampler, the
 index set and weights and the characteristic panel are built and checked
 before any command starts, so a fault of the input ends every command at
-load, whether or not the command reads the part at fault.
+load, whether or not the command reads the part at fault.  Every key is
+read by name, and a key never read is refused: a builtin problem takes
+the ``problem.param.*`` names of its keyword signature (a count where
+the default is an int), a sampler the ``mc.sampler.*`` names of its kind.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from .expr import ExprSyntaxError
 from .fields import (GAMMA_RANGE, Box, CoefficientField, ExprField,
                      FieldConstructionError, SampleSet, TableField,
                      _validate_index_set, as_scalar_field, builtin_problem,
-                     builtin_solve_data, make_field, sample_set)
+                     builtin_signature, builtin_solve_data, make_field,
+                     sample_set)
 from .grid import Grid, build_grid
 from .solver import MAX_KT
 
@@ -96,11 +100,6 @@ class _Keys(dict):
 
     def get(self, key, default=None):
         return self[key] if key in self else default
-
-    def under(self, prefix: str) -> dict:
-        """The open namespace ``prefix``, keyed by the rest of the names."""
-        return {key[len(prefix):]: self[key] for key in list(self)
-                if key.startswith(prefix)}
 
     def check(self):
         unread = [key for key in self if key not in self.read]
@@ -227,23 +226,30 @@ def _load_panel(path: Path, n: int) -> list:
 
 
 def _sampler(kv: _Keys, field: CoefficientField):
-    """The initial law that ``mc.sampler`` names, from the keys of the
-    open namespace ``mc.sampler.*``."""
+    """The initial law that ``mc.sampler`` names, from the
+    ``mc.sampler.*`` keys that its kind takes and no others."""
     from .stochastic import (HatSampler, PointSampler,
                              TruncatedGaussianSampler, UniformBoxSampler)
     n, kind = field.n, str(kv.get("mc.sampler", "uniform"))
-    kv.under("mc.sampler.")     # reads every name: the namespace is open
-    center = _numbers(kv, "mc.sampler.center", [0.0] * n, count=(1, n))
-    center = center * n if len(center) == 1 else center     # for all axes
-    if kind == "uniform":
-        return UniformBoxSampler(field.sampling_box())
-    if kind == "gaussian":
-        return TruncatedGaussianSampler(
-            center, _numbers(kv, "mc.sampler.sigma", 1.0), field.sampling_box())
-    if kind == "hat":
-        return HatSampler(center, _numbers(kv, "mc.sampler.width", 0.25))
-    if kind == "point":
-        return PointSampler(_numbers(kv, "mc.sampler.at", [0.0] * n, count=n))
+    if kind in ("gaussian", "hat"):
+        center = _numbers(kv, "mc.sampler.center", [0.0] * n, count=(1, n))
+        center = center * n if len(center) == 1 else center     # all axes
+    try:
+        if kind == "uniform":
+            return UniformBoxSampler(field.sampling_box())
+        if kind == "gaussian":
+            return TruncatedGaussianSampler(
+                center, _numbers(kv, "mc.sampler.sigma", 1.0),
+                field.sampling_box())
+        if kind == "hat":
+            return HatSampler(center, _numbers(kv, "mc.sampler.width", 0.25))
+        if kind == "point":
+            return PointSampler(_numbers(kv, "mc.sampler.at", [0.0] * n,
+                                         count=n))
+    except ConfigError:
+        raise
+    except ValueError as err:   # a range fault, led by the name it concerns
+        raise ConfigError(f"mc.sampler.{err}") from None
     raise ConfigError(f"unknown sampler {kind!r}")
 
 
@@ -257,7 +263,7 @@ def load_problem_mapping(kv: dict, base_dir: Path) -> CoefficientField:
     """
     kv = kv if isinstance(kv, _Keys) else _Keys(kv, "problem")
     try:
-        n = _number(kv, "n", integer=True)
+        n = _number(kv, "n", integer=True, least=1)
         T = _number(kv, "T")
         domain = None if kv.get("domain") == "all" else Box(
             tuple(_numbers(kv, "domain.lo", count=n)),
@@ -337,11 +343,17 @@ class RunConfig:
         solve_data = None
         if "problem.builtin" in kv:
             name = str(kv["problem.builtin"])
-            params = kv.under("problem.param.")
+            params = {}     # the keys that the builtin's signature names
             try:
+                for key, p in builtin_signature(name).parameters.items():
+                    count = type(p.default) is int  # an int default: a count
+                    if f"problem.param.{key}" in kv:
+                        params[key] = _number(kv, f"problem.param.{key}",
+                                              integer=count,
+                                              least=1 if count else None)
                 field = builtin_problem(name, params)
             except KeyError as err:
-                raise ConfigError(str(err)) from None
+                raise ConfigError(err.args[0]) from None
             solve_data = builtin_solve_data(name, field.T)
         elif "problem.file" in kv:
             ppath = base_dir / str(kv["problem.file"])
@@ -427,7 +439,10 @@ class RunConfig:
             raise ConfigError("mc.dt must be positive")
         cfg.mc_seed = _number(kv, "mc.seed", cfg.mc_seed, integer=True)
         cfg.sampler = _sampler(kv, field)
-        cfg.dump_paths = bool(kv.get("mc.dump_paths", cfg.dump_paths))
+        cfg.dump_paths = kv.get("mc.dump_paths", cfg.dump_paths)
+        if not isinstance(cfg.dump_paths, bool):
+            raise ConfigError(f"mc.dump_paths = {cfg.dump_paths!r}: expected "
+                              f"true or false")
 
         cfg.pairing_allowance = _number(kv, "verify.pairing.allowance",
                                         cfg.pairing_allowance)

@@ -14,6 +14,7 @@ Essential suprema are realized throughout as maxima over a declared
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 from dataclasses import dataclass, field as dc_field
 
@@ -28,8 +29,8 @@ __all__ = [
     "CoefficientField", "make_field", "eval_field",
     "Decomposition", "decompose", "minimal_vertex_cover",
     "MollifiedField", "mollify",
-    "builtin_problem", "builtin_solve_data", "BUILTIN_NAMES",
-    "FieldConstructionError",
+    "builtin_problem", "builtin_signature", "builtin_solve_data",
+    "BUILTIN_NAMES", "FieldConstructionError",
 ]
 
 PATTERN_TOL = 1e-12
@@ -332,6 +333,8 @@ def make_field(n, T, domain, b, f=None, lam=0.0, beta=None) -> CoefficientField:
     are checked on a deterministic probe set to 1e-12.
     """
     n, T = int(n), float(T)
+    if n < 1:
+        raise FieldConstructionError(f"n = {n!r}: expected an integer >= 1")
     if not 0.0 < T < np.inf:
         raise FieldConstructionError(f"T = {T!r}: expected a finite number > 0")
     if domain is not None and not isinstance(domain, Box):
@@ -751,12 +754,6 @@ def _smooth_parts(b_src, field: CoefficientField, pts: np.ndarray,
 # builtin problems
 
 
-def _require(params: dict, key: str, name: str):
-    if key not in params:
-        raise KeyError(f"builtin problem {name!r} requires parameter {key!r}")
-    return params[key]
-
-
 def _unit_diffusion(n: int, T: float, lo: float, hi: float):
     """``b = I`` and ``beta = sqrt(2) I`` on the box ``[lo, hi]^n``."""
     eye = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
@@ -764,15 +761,11 @@ def _unit_diffusion(n: int, T: float, lo: float, hi: float):
     return make_field(n, T, Box((lo,) * n, (hi,) * n), eye, beta=beta)
 
 
-def _identity_heat(params):
-    return _unit_diffusion(int(params.get("n", 1)),
-                           float(params.get("T", 1.0)), 0.0, 1.0)
+def _identity_heat(n=1, T=1.0):
+    return _unit_diffusion(n, T, 0.0, 1.0)
 
 
-def _paper_3x3(params):
-    alpha = float(_require(params, "alpha", "paper_3x3"))
-    beta = float(_require(params, "beta", "paper_3x3"))
-    T = float(params.get("T", 1.0))
+def _paper_3x3(alpha, beta, T=1.0):
     b = [[1.0, alpha, beta], [alpha, 1.0, 0.0], [beta, 0.0, 1.0]]
     beta_mat = None
     if alpha ** 2 + beta ** 2 < 1.0 - 1e-12:
@@ -780,11 +773,7 @@ def _paper_3x3(params):
     return make_field(3, T, Box((-1.0,) * 3, (1.0,) * 3), b, beta=beta_mat)
 
 
-def _checkerboard_2d(params):
-    low = float(_require(params, "low", "checkerboard_2d"))
-    high = float(_require(params, "high", "checkerboard_2d"))
-    cells = int(params.get("cells", 4))
-    T = float(params.get("T", 1.0))
+def _checkerboard_2d(low, high, cells=4, T=1.0):
     if low <= 0 or high <= 0:
         raise ValueError("checkerboard coefficients must be positive")
     box = Box((0.0, 0.0), (1.0, 1.0))
@@ -797,15 +786,12 @@ def _checkerboard_2d(params):
                       beta=[[root, zero], [zero, root]])
 
 
-def _manufactured_1d(params):
-    return _unit_diffusion(1, float(params.get("T", 0.5)), 0.0, 1.0)
+def _manufactured_1d(T=0.5):
+    return _unit_diffusion(1, T, 0.0, 1.0)
 
 
-def _gaussian_free_space(params):
-    half_width = float(params.get("half_width", 8.0))
-    return _unit_diffusion(int(params.get("n", 1)),
-                           float(params.get("T", 0.5)), -half_width,
-                           half_width)
+def _gaussian_free_space(n=1, half_width=8.0, T=0.5):
+    return _unit_diffusion(n, T, -half_width, half_width)
 
 
 _BUILTINS = {
@@ -832,12 +818,23 @@ _SOLVE_DATA = {
 }
 
 
-def builtin_problem(name: str, params: dict | None = None) -> CoefficientField:
-    """Construct a registered problem; raises ``KeyError`` on unknown names."""
+def builtin_signature(name: str) -> inspect.Signature:
+    """The keyword parameters of a registered problem and their defaults
+    (an int default marks a count); raises ``KeyError`` on unknown names."""
     if name not in _BUILTINS:
         raise KeyError(f"unknown builtin problem {name!r}; "
                        f"choose from {', '.join(BUILTIN_NAMES)}")
-    return _BUILTINS[name](dict(params or {}))
+    return inspect.signature(_BUILTINS[name])
+
+
+def builtin_problem(name: str, params: dict | None = None) -> CoefficientField:
+    """Construct a registered problem from the keyword ``params``; raises
+    ``KeyError`` on an unknown name, parameter or missing parameter."""
+    try:
+        bound = builtin_signature(name).bind(**(params or {}))
+    except TypeError as err:
+        raise KeyError(f"builtin problem {name!r}: {err}") from None
+    return _BUILTINS[name](**bound.arguments)
 
 
 def builtin_solve_data(name: str, T: float):

@@ -87,17 +87,25 @@ class UniformBoxSampler(_GridDensity):
 
 
 class TruncatedGaussianSampler(_GridDensity):
-    """Axis-aligned Gaussian restricted to a box, drawn by inverse CDF."""
+    """Axis-aligned Gaussian restricted to a box, drawn by inverse CDF;
+    ``sigma`` must be finite and > 0, and the box must hold some mass."""
 
     def __init__(self, mean, sigma, box: Box):
         self.mean = np.atleast_1d(np.asarray(mean, dtype=float))
         self.sigma = np.broadcast_to(np.asarray(sigma, dtype=float),
                                      self.mean.shape).copy()
         self.box = box
+        if not ((self.sigma > 0) & (self.sigma < np.inf)).all():
+            raise ValueError(f"sigma = {self.sigma.tolist()}: expected "
+                             f"finite numbers > 0")
         lo = (np.asarray(box.lo) - self.mean) / self.sigma
         hi = (np.asarray(box.hi) - self.mean) / self.sigma
         self._cdf_lo = ndtr(lo)
         self._cdf_hi = ndtr(hi)
+        if not (self._cdf_hi > self._cdf_lo).all():
+            raise ValueError(f"center = {self.mean.tolist()}: the box "
+                             f"{list(box.lo)}..{list(box.hi)} holds none of "
+                             f"the Gaussian's mass")
 
     def sample(self, gen: Generator, M: int) -> np.ndarray:
         u = gen.uniform(size=(M, self.mean.size))
@@ -114,12 +122,16 @@ class TruncatedGaussianSampler(_GridDensity):
 
 
 class HatSampler(_GridDensity):
-    """Product of triangular bumps, normalized to unit mass."""
+    """Product of triangular bumps, normalized to unit mass; ``width``
+    must be finite and > 0."""
 
     def __init__(self, center, width):
         self.center = np.atleast_1d(np.asarray(center, dtype=float))
         self.width = np.broadcast_to(np.asarray(width, dtype=float),
                                      self.center.shape).copy()
+        if not ((self.width > 0) & (self.width < np.inf)).all():
+            raise ValueError(f"width = {self.width.tolist()}: expected "
+                             f"finite numbers > 0")
 
     def sample(self, gen: Generator, M: int) -> np.ndarray:
         u = gen.uniform(size=(M, self.center.size))

@@ -12,8 +12,9 @@ import pytest
 
 from cordeslab import solver
 from cordeslab.cli import main
+from cordeslab.config import parse_kv_text
 from cordeslab.expr import ExprEvalError
-from cordeslab.fields import Box
+from cordeslab.fields import BUILTIN_NAMES, Box
 from cordeslab.grid import GridFunction, build_grid
 
 BENCH = """
@@ -955,6 +956,9 @@ GRID_1D = "grid.m = 15\ngrid.nt = 8\n"
 ALL_SPACE = 'n = 1\nT = 0.5\ndomain = all\nb[1][1] = "1"\n'
 HEAT_1D = "problem.builtin = identity_heat\n"
 FIELD = "problem.file = field.cfg\n"
+PAPER = ("problem.builtin = paper_3x3\nproblem.param.alpha = 0.5\n"
+         "problem.param.beta = 0.3\n")
+FREE_1D = "problem.builtin = gaussian_free_space\n"
 
 
 @pytest.mark.parametrize("problem, text, command, message", [
@@ -1034,9 +1038,46 @@ FIELD = "problem.file = field.cfg\n"
     (None, HEAT_1D + "problem.param.T = 0\n", "analyze",
      "error: T = 0.0: expected a finite number > 0"),
     (None, HEAT_1D + GRID_1D + "problem.param.T = inf\n", "solve",
-     "error: T = inf: expected a finite number > 0"),
+     "error: problem.param.T = inf: expected 1 finite number"),
     (None, BUILTIN_1D + "mc.sampler = hat\nmc.sampler.width = nan\n",
      "simulate", "error: mc.sampler.width = nan: expected only finite"),
+    # a builtin takes the parameters of its signature, each a number, a
+    # count where its default is an int
+    (None, PAPER + "problem.param.t = 0.25\n", "analyze",
+     "a.cfg: unknown key 'problem.param.t'"),
+    (None, HEAT_1D + "problem.param.n = 2.5\n", "analyze",
+     "error: problem.param.n = 2.5: expected 1 integer >= 1"),
+    (None, HEAT_1D + "problem.param.n = 0\n", "analyze",
+     "error: problem.param.n = 0.0: expected 1 integer >= 1"),
+    (None, PAPER + "problem.param.T = 1 2\n", "analyze",
+     "error: problem.param.T = [1.0, 2.0]: expected 1 finite number"),
+    (None, FREE_1D + "problem.param.half_width = abc\n", "analyze",
+     "error: problem.param.half_width = 'abc': expected 1 finite number"),
+    # a sampler takes the keys of its kind alone
+    (None, BUILTIN_1D + "mc.sampler.sigma = abc\n", "analyze",
+     "a.cfg: unknown key 'mc.sampler.sigma'"),
+    (None, BUILTIN_1D + "mc.sampler = point\nmc.sampler.center = 0\n",
+     "analyze", "a.cfg: unknown key 'mc.sampler.center'"),
+    # and its numbers in range
+    (None, FREE_1D + "mc.sampler = gaussian\nmc.sampler.sigma = 0\n",
+     "simulate", "error: mc.sampler.sigma = [0.0]: expected finite numbers "
+     "> 0"),
+    (None, FREE_1D + "mc.sampler = gaussian\nmc.sampler.center = 100\n",
+     "simulate", "error: mc.sampler.center = [100.0]: the box [-8.0]..[8.0] "
+     "holds none of the Gaussian's mass"),
+    (None, BUILTIN_1D + "mc.sampler = hat\nmc.sampler.width = -1\n",
+     "simulate", "error: mc.sampler.width = [-1.0]: expected finite numbers "
+     "> 0"),
+    (None, BUILTIN_1D + "mc.sampler = hat\nmc.sampler.width = 0\n",
+     "simulate", "error: mc.sampler.width = [0.0]: expected finite numbers "
+     "> 0"),
+    (ALL_SPACE.replace("n = 1", "n = 0"), FIELD, "analyze",
+     "error: n = 0.0: expected 1 integer >= 1"),
+    # a flag is true or false
+    (None, BUILTIN_1D + "mc.dump_paths = no\n", "analyze",
+     "error: mc.dump_paths = 'no': expected true or false"),
+    (None, BUILTIN_1D + "mc.dump_paths = 1 2\n", "analyze",
+     "error: mc.dump_paths = [1.0, 2.0]: expected true or false"),
 ], ids=["no_equals", "empty_key", "empty_value", "unterminated_string",
         "problem_without_n", "problem_without_T", "missing_problem_file",
         "unknown_split", "index_outside_n", "nonpositive_dt",
@@ -1052,7 +1093,13 @@ FIELD = "problem.file = field.cfg\n"
         "grid_on_all_space_analyze", "infinite_bound", "nan_bound_solve",
         "zero_horizon", "negative_horizon", "infinite_horizon",
         "nan_horizon_solve", "zero_builtin_horizon",
-        "infinite_builtin_horizon_solve", "nan_sampler_width"])
+        "infinite_builtin_horizon_solve", "nan_sampler_width",
+        "misspelt_builtin_param", "fractional_builtin_dimension",
+        "zero_builtin_dimension", "two_builtin_horizons",
+        "non_numeric_builtin_param", "sigma_under_uniform",
+        "center_under_point", "zero_sigma", "gaussian_outside_the_box",
+        "negative_hat_width", "zero_hat_width", "zero_dimension",
+        "flag_bare_word", "flag_two_numbers"])
 def test_config_fault_exit_1(tmp_path, capsys, problem, text, command,
                              message):
     if problem is not None:
@@ -1109,10 +1156,53 @@ def test_config_parse_fault_names_its_file(tmp_path, capsys, bad_file):
         f"error: {tmp_path / bad_file}: line 3: empty key\n")
 
 
-def test_open_namespaces_take_any_key(tmp_path):
-    text = ("problem.builtin = manufactured_1d\nproblem.param.note = 1\n"
-            "mc.sampler.note = 2\n" f"out.dir = {tmp_path / 'out'}\n")
-    assert run(tmp_path, "a.cfg", text, "analyze") in (0, 2)
+def test_param_and_sampler_keys_are_closed(tmp_path, capsys):
+    for key in ("problem.param.note", "mc.sampler.note"):
+        text = (f"problem.builtin = manufactured_1d\n{key} = 1\n"
+                f"out.dir = {tmp_path / 'out'}\n")
+        assert run(tmp_path, "a.cfg", text, "analyze") == 1
+        assert f"a.cfg: unknown key {key!r}" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("problem.builtin = nope\n",
+     "error: unknown builtin problem 'nope'; choose from checkerboard_2d, "
+     "gaussian_free_space, identity_heat, manufactured_1d, paper_3x3\n"),
+    ("problem.builtin = paper_3x3\nproblem.param.alpha = 0.5\n",
+     "error: builtin problem 'paper_3x3': missing a required argument: "
+     "'beta'\n"),
+], ids=["unknown_builtin", "missing_builtin_param"])
+def test_builtin_fault_prints_its_message(tmp_path, capsys, text, line):
+    # the message itself, not the repr of the KeyError that carries it
+    text += f"out.dir = {tmp_path / 'out'}\n"
+    assert run(tmp_path, "a.cfg", text, "analyze") == 1
+    assert _one_error_line(capsys) == line
+
+
+# a value for each builtin parameter, none of them its default
+BUILTIN_VALUES = {"alpha": 0.5, "beta": 0.3, "low": 1.0, "high": 3.0,
+                  "cells": 3, "n": 2, "half_width": 5.0, "T": 0.3}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_every_builtin_param_loads(tmp_path, name):
+    from cordeslab.config import RunConfig
+    from cordeslab.fields import builtin_problem, builtin_signature
+    params = {key: BUILTIN_VALUES[key]
+              for key in builtin_signature(name).parameters}
+    text = f"problem.builtin = {name}\n" + "".join(
+        f"problem.param.{key} = {value}\n" for key, value in params.items())
+    field = RunConfig.from_mapping(parse_kv_text(text), tmp_path).field
+    ref = builtin_problem(name, params)
+    assert (field.n, field.T, field.domain) == (ref.n, ref.T, ref.domain)
+    x = np.random.default_rng(7).uniform(ref.domain.lo, ref.domain.hi,
+                                         size=(64, ref.n))
+    for t in (0.0, ref.T):
+        assert np.array_equal(field.eval_b(x, t), ref.eval_b(x, t))
+        assert np.array_equal(field.eval_f(x, t), ref.eval_f(x, t))
+        assert (field.beta is None) == (ref.beta is None)
+        if ref.beta is not None:
+            assert np.array_equal(field.eval_beta(x, t), ref.eval_beta(x, t))
 
 
 def test_bench_configs_load(tmp_path, monkeypatch):

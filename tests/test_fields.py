@@ -9,7 +9,8 @@ import pytest
 
 from cordeslab.fields import (Box, ExprField, FieldConstructionError,
                               _bump_kernel, _probe_points, _smooth_parts,
-                              builtin_problem, builtin_solve_data, decompose,
+                              builtin_problem, builtin_signature,
+                              builtin_solve_data, decompose,
                               eval_field, make_field, minimal_vertex_cover,
                               mollify, sample_set, sparsity_pattern)
 from cordeslab.grid import build_grid
@@ -206,6 +207,24 @@ def test_box_and_horizon_must_be_finite():
     for T in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(FieldConstructionError, match="T = "):
             make_field(1, T, Box((0,), (1,)), [[1.0]])
+
+
+def test_dimension_must_be_at_least_one():
+    # n = 0 ended in numpy's "zero-size array to reduction operation"
+    with pytest.raises(FieldConstructionError, match="n = 0"):
+        make_field(0, 1.0, None, [])
+    with pytest.raises(FieldConstructionError, match="n = 0"):
+        builtin_problem("identity_heat", {"n": 0})
+
+
+def test_builtin_takes_the_names_of_its_signature():
+    # a misspelt horizon ran at the default T = 1
+    with pytest.raises(KeyError, match="unexpected keyword argument 't'"):
+        builtin_problem("paper_3x3", {"alpha": 0.5, "beta": 0.3, "t": 0.25})
+    with pytest.raises(KeyError, match="missing a required argument"):
+        builtin_problem("checkerboard_2d", {"low": 1.0})
+    assert list(builtin_signature("gaussian_free_space").parameters) == [
+        "n", "half_width", "T"]
 
 
 def test_minimal_vertex_cover_rules():

@@ -180,6 +180,19 @@ def reference_paths(sde, sampler, dt, M, seed):
         disc_traj=disc_traj)
 
 
+def test_samplers_refuse_spreads_out_of_range():
+    box = Box((-8.0,), (8.0,))
+    for sigma in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="sigma = "):
+            TruncatedGaussianSampler([0.0], sigma, box)
+    # the box lies some 92 standard deviations from the mean
+    with pytest.raises(ValueError, match="holds none of the Gaussian's mass"):
+        TruncatedGaussianSampler([100.0], 1.0, box)
+    for width in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="width = "):
+            HatSampler([0.0], width)
+
+
 def test_streamed_engine_matches_whole_block_reference():
     f = drifting_box_2d()
     sampler = UniformBoxSampler(f.domain)
