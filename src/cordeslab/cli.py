@@ -29,7 +29,7 @@ from .expr import ExprEvalError
 from .solver import (BackwardProblem, FixedPointTrace, SolverError,
                      _usable_cores, apriori_ratio, fixed_point_solve,
                      solve_backward, solve_forward_adjoint)
-from .stochastic import (SDE, _characteristic_panel_mc,
+from .stochastic import (SDE, PointSampler, _characteristic_panel_mc,
                          _characteristic_panel_pde, _streamed_source,
                          density_compare, feynman_kac, max_principle_check,
                          simulate_paths, verify_pairing)
@@ -397,6 +397,10 @@ def main(argv=None) -> int:
         if cfg.grid is None and args.command in ("solve", "verify",
                                                  "characteristic"):
             raise ConfigError("this command needs grid.m and grid.nt")
+        if (isinstance(cfg.sampler, PointSampler)
+                and args.command in ("verify", "characteristic")):
+            raise ConfigError(f"{args.command} needs a sampler with a "
+                              f"density; mc.sampler = point has none")
         if args.out is not None:
             cfg.out_dir = Path(args.out)
         cfg.out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,9 +1,10 @@
 """Plain-text configuration: ``key = value`` lines.
 
 Problem files and run configs share one syntax: one assignment per line,
-``#`` comments, dotted/bracketed keys (``domain.lo``, ``b[1][2]``),
-double-quoted strings for expressions, bare words for names, numbers and
-whitespace-separated number lists for everything else.
+``#`` comments on lines of their own, dotted/bracketed keys
+(``domain.lo``, ``b[1][2]``), double-quoted strings for expressions,
+bare words for names, numbers and whitespace-separated number lists for
+everything else.
 
 Loading resolves the whole run: the field, the grid, the sampler, the
 index set and weights and the characteristic panel are built and checked
@@ -12,6 +13,9 @@ load, whether or not the command reads the part at fault.  Every key is
 read by name, and a key never read is refused: a builtin problem takes
 the ``problem.param.*`` names of its keyword signature (a count where
 the default is an int), a sampler the ``mc.sampler.*`` names of its kind.
+Every number is read by one rule (``_numbers``): finite, not ``true`` or
+``false``, whole where it counts, and inside its key's interval; a fault
+names the key and the interval.
 """
 
 from __future__ import annotations
@@ -108,33 +112,39 @@ class _Keys(dict):
 
 
 def _numbers(kv: dict, key: str, default=None, integer=False,
-             count=None, least=None) -> list:
+             count=None, least=None, most=None, strict=False) -> list:
     """``kv[key]`` (``default`` when absent, else ``KeyError``) as a list
-    of finite floats, or of ints when ``integer``; ``count`` fixes its
-    length (an int, or a tuple of the lengths allowed), ``least`` bounds
-    every entry from below."""
+    of finite floats (not ``true``/``false``), or of ints when ``integer``;
+    ``count`` fixes its length (an int, or a tuple of the lengths allowed),
+    ``least`` and ``most`` (``None``: unbounded) bound every entry, and
+    ``strict`` excludes the bounds themselves."""
     value = kv[key] if default is None else kv.get(key, default)
     vals = value if isinstance(value, list) else [value]
     counts = tuple(dict.fromkeys(count if isinstance(count, tuple)
                                  else (count,)))
-    try:
-        nums = [float(v) for v in vals]
+    lo, hi = (-np.inf if least is None else least,
+              np.inf if most is None else most)
+    try:    # true and false are flags, not the numbers 1 and 0
+        nums = None if isinstance(value, bool) else [float(v) for v in vals]
     except (TypeError, ValueError):
         nums = None
     if (nums is None or None not in counts and len(nums) not in counts
             or not np.isfinite(nums).all()
             or integer and not all(x.is_integer() for x in nums)
-            or least is not None and min(nums) < least):
+            or not all(lo < x < hi if strict else lo <= x <= hi
+                       for x in nums)):
         what = "integer" if integer else "finite number"
         many = " or ".join(str(c) for c in counts) if count else "only"
+        bound = ("" if least is None and most is None else
+                 f" >{'=' * (not strict)} {least}" if most is None else
+                 f" in {'(['[not strict]}{lo}, {hi}{')]'[not strict]}")
         raise ConfigError(f"{key} = {value!r}: expected {many} {what}"
-                          + "s" * (counts != (1,))
-                          + ("" if least is None else f" >= {least}"))
+                          + "s" * (counts != (1,)) + bound)
     return [int(x) for x in nums] if integer else nums
 
 
-def _number(kv: dict, key: str, default=None, integer=False, least=None):
-    return _numbers(kv, key, default, integer, count=1, least=least)[0]
+def _number(kv: dict, key: str, default=None, **rules):
+    return _numbers(kv, key, default, count=1, **rules)[0]
 
 
 def _entry(kv: _Keys, key: str, default, read=as_scalar_field):
@@ -382,9 +392,7 @@ class RunConfig:
         if m is not None:   # one count serves every axis
             cfg.grid = build_grid(field.domain, m if len(m) > 1 else m[0],
                                   nt, field.T)
-        cfg.theta = _number(kv, "scheme.theta", cfg.theta)
-        if not 0.5 <= cfg.theta <= 1.0:
-            raise ConfigError(f"scheme.theta={cfg.theta} outside [0.5, 1]")
+        cfg.theta = _number(kv, "scheme.theta", cfg.theta, least=0.5, most=1)
 
         cfg.split = str(kv.get("conditions.split", cfg.split))
         if cfg.split not in ("identity", "constant"):
@@ -398,12 +406,9 @@ class RunConfig:
         if "conditions.gamma" in kv:
             if cfg.index_set is None:
                 raise ConfigError("conditions.gamma needs conditions.N")
-            gamma = _numbers(kv, "conditions.gamma",
-                             count=len(cfg.index_set))
-            lo, hi = GAMMA_RANGE
-            if not all(lo < g < hi for g in gamma):
-                raise ConfigError(f"conditions.gamma = {kv['conditions.gamma']!r}"
-                                  f": expected entries in ({lo!r}, {hi!r})")
+            gamma = _numbers(kv, "conditions.gamma", count=len(cfg.index_set),
+                             least=GAMMA_RANGE[0], most=GAMMA_RANGE[1],
+                             strict=True)
             # the weights pair with the indices in the order written
             cfg.gamma = dict(zip(dict.fromkeys(given), gamma))
         cfg.samples_space = _number(kv, "conditions.samples.space",
@@ -422,10 +427,8 @@ class RunConfig:
         if "solve.exact" in kv:
             cfg.exact = expression("solve.exact")
         if "solve.proof_mirror.eps" in kv:
-            cfg.proof_eps = _number(kv, "solve.proof_mirror.eps")
-            if cfg.proof_eps <= 0.0:
-                raise ConfigError(f"solve.proof_mirror.eps = {cfg.proof_eps!r}"
-                                  f": expected a finite number > 0")
+            cfg.proof_eps = _number(kv, "solve.proof_mirror.eps", least=0,
+                                    strict=True)
         if kv.get("solve.proof_mirror.K", "auto") != "auto":
             cfg.proof_K = _number(kv, "solve.proof_mirror.K")
             if not abs(cfg.proof_K) * field.T <= MAX_KT:
@@ -434,10 +437,9 @@ class RunConfig:
                                   f"{MAX_KT:g}")
 
         cfg.mc_M = _number(kv, "mc.M", cfg.mc_M, integer=True, least=1)
-        cfg.mc_dt = _number(kv, "mc.dt", cfg.mc_dt)
-        if cfg.mc_dt <= 0:
-            raise ConfigError("mc.dt must be positive")
-        cfg.mc_seed = _number(kv, "mc.seed", cfg.mc_seed, integer=True)
+        cfg.mc_dt = _number(kv, "mc.dt", cfg.mc_dt, least=0, strict=True)
+        cfg.mc_seed = _number(kv, "mc.seed", cfg.mc_seed, integer=True,
+                              least=0)
         cfg.sampler = _sampler(kv, field)
         cfg.dump_paths = kv.get("mc.dump_paths", cfg.dump_paths)
         if not isinstance(cfg.dump_paths, bool):
@@ -445,15 +447,17 @@ class RunConfig:
                               f"true or false")
 
         cfg.pairing_allowance = _number(kv, "verify.pairing.allowance",
-                                        cfg.pairing_allowance)
+                                        cfg.pairing_allowance, least=0)
         if "verify.density.times" in kv:
-            cfg.density_times = _numbers(kv, "verify.density.times")
-        cfg.density_l1 = _number(kv, "verify.density.l1", cfg.density_l1)
+            cfg.density_times = _numbers(kv, "verify.density.times", least=0,
+                                         most=field.T)
+        cfg.density_l1 = _number(kv, "verify.density.l1", cfg.density_l1,
+                                 least=0, strict=True)
         if "characteristic.panel" in kv:
             cfg.panel = _load_panel(base_dir / str(kv["characteristic.panel"]),
                                     field.n)
         cfg.char_allowance = _number(kv, "characteristic.allowance",
-                                     cfg.char_allowance)
+                                     cfg.char_allowance, least=0)
         if "out.dir" in kv:
             cfg.out_dir = base_dir / str(kv["out.dir"])
         kv.check()

@@ -100,16 +100,20 @@ class TruncatedGaussianSampler(_GridDensity):
                              f"finite numbers > 0")
         lo = (np.asarray(box.lo) - self.mean) / self.sigma
         hi = (np.asarray(box.hi) - self.mean) / self.sigma
-        self._cdf_lo = ndtr(lo)
-        self._cdf_hi = ndtr(hi)
-        if not (self._cdf_hi > self._cdf_lo).all():
+        # an axis whose box lies wholly above the mean is drawn on the
+        # survival side (mirrored), where its upper tail keeps precision
+        self._side = np.where(lo > 0, -1.0, 1.0)
+        self._p_lo = ndtr(self._side * lo)
+        self._p_hi = ndtr(self._side * hi)
+        self._mass = self._side * (self._p_hi - self._p_lo)    # per axis
+        if not (self._mass > 0).all():
             raise ValueError(f"center = {self.mean.tolist()}: the box "
                              f"{list(box.lo)}..{list(box.hi)} holds none of "
                              f"the Gaussian's mass")
 
     def sample(self, gen: Generator, M: int) -> np.ndarray:
         u = gen.uniform(size=(M, self.mean.size))
-        z = ndtri(self._cdf_lo + u * (self._cdf_hi - self._cdf_lo))
+        z = self._side * ndtri(self._p_lo + u * (self._p_hi - self._p_lo))
         return self.mean + self.sigma * z
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
@@ -117,8 +121,7 @@ class TruncatedGaussianSampler(_GridDensity):
         z = (x - self.mean) / self.sigma
         dens = np.exp(-0.5 * np.sum(z ** 2, axis=-1)) / \
             np.prod(np.sqrt(2 * np.pi) * self.sigma)
-        mass = float(np.prod(self._cdf_hi - self._cdf_lo))
-        return dens * self.box.contains(x) / mass
+        return dens * self.box.contains(x) / float(np.prod(self._mass))
 
 
 class HatSampler(_GridDensity):

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -118,7 +119,7 @@ def test_analyze_gamma_outside_the_checked_range_exit_1(tmp_path, capsys,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0] == (f"error: conditions.gamma = {float(value)!r}: "
-                      f"expected entries in (1e-09, 1.999999999)")
+                      f"expected 1 finite number in (1e-09, 1.999999999)")
 
 
 def test_analyze_unknown_builtin_exit_1(tmp_path):
@@ -977,7 +978,8 @@ FREE_1D = "problem.builtin = gaussian_free_space\n"
      "unknown split spec 'diagonal'"),
     (None, BUILTIN_1D + "conditions.N = 2\n", "analyze",
      "conditions.N indices outside 1..n"),
-    (None, BUILTIN_1D + "mc.dt = 0\n", "simulate", "mc.dt must be positive"),
+    (None, BUILTIN_1D + "mc.dt = 0\n", "simulate",
+     "error: mc.dt = 0.0: expected 1 finite number > 0"),
     (None, BUILTIN_1D + "mc.sampler = cauchy\n", "simulate",
      "unknown sampler 'cauchy'"),
     (None, BUILTIN_1D + "grid.m = 15\n", "solve",
@@ -1078,6 +1080,28 @@ FREE_1D = "problem.builtin = gaussian_free_space\n"
      "error: mc.dump_paths = 'no': expected true or false"),
     (None, BUILTIN_1D + "mc.dump_paths = 1 2\n", "analyze",
      "error: mc.dump_paths = [1.0, 2.0]: expected true or false"),
+    # and a flag is not a number
+    (None, BUILTIN_1D + "mc.M = true\n", "analyze",
+     "error: mc.M = True: expected 1 integer >= 1"),
+    (None, PAPER + "problem.param.T = true\n", "analyze",
+     "error: problem.param.T = True: expected 1 finite number"),
+    # every number lies in its key's interval
+    (None, BUILTIN_1D + "mc.seed = -3\n", "analyze",
+     "error: mc.seed = -3.0: expected 1 integer >= 0"),
+    (None, BUILTIN_1D + "verify.pairing.allowance = -1\n", "analyze",
+     "error: verify.pairing.allowance = -1.0: expected 1 finite number "
+     ">= 0"),
+    (None, BUILTIN_1D + "characteristic.allowance = -1\n", "analyze",
+     "error: characteristic.allowance = -1.0: expected 1 finite number "
+     ">= 0"),
+    (None, BUILTIN_1D + "verify.density.l1 = 0\n", "analyze",
+     "error: verify.density.l1 = 0.0: expected 1 finite number > 0"),
+    (None, BUILTIN_1D + "verify.density.times = 7\n", "analyze",
+     "error: verify.density.times = 7.0: expected only finite numbers "
+     "in [0, 0.5]"),
+    (None, BUILTIN_1D + "verify.density.times = -1\n", "analyze",
+     "error: verify.density.times = -1.0: expected only finite numbers "
+     "in [0, 0.5]"),
 ], ids=["no_equals", "empty_key", "empty_value", "unterminated_string",
         "problem_without_n", "problem_without_T", "missing_problem_file",
         "unknown_split", "index_outside_n", "nonpositive_dt",
@@ -1099,7 +1123,10 @@ FREE_1D = "problem.builtin = gaussian_free_space\n"
         "non_numeric_builtin_param", "sigma_under_uniform",
         "center_under_point", "zero_sigma", "gaussian_outside_the_box",
         "negative_hat_width", "zero_hat_width", "zero_dimension",
-        "flag_bare_word", "flag_two_numbers"])
+        "flag_bare_word", "flag_two_numbers", "flag_as_path_count",
+        "flag_as_builtin_horizon", "negative_seed",
+        "negative_pairing_allowance", "negative_characteristic_allowance",
+        "zero_density_l1", "density_time_after_T", "density_time_before_0"])
 def test_config_fault_exit_1(tmp_path, capsys, problem, text, command,
                              message):
     if problem is not None:
@@ -1107,6 +1134,37 @@ def test_config_fault_exit_1(tmp_path, capsys, problem, text, command,
     text += f"out.dir = {tmp_path / 'out'}\n"
     assert run(tmp_path, "a.cfg", text, command) == 1
     assert message in _one_error_line(capsys)
+
+
+def test_negative_seed_flag_ends_at_load(tmp_path, capsys):
+    text = TINY_MC + f"out.dir = {tmp_path / 'out'}\n"
+    assert run(tmp_path, "a.cfg", text, "simulate", "--seed", "-1") == 1
+    assert _one_error_line(capsys) == \
+        "error: mc.seed = -1: expected 1 integer >= 0\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "characteristic"])
+def test_point_sampler_refused_before_any_work(tmp_path, capsys,
+                                               monkeypatch, command):
+    # both commands need the sampler's grid density: a point mass has
+    # none, so the command ends before it solves or simulates
+    import cordeslab.cli as cli
+    from cordeslab import stochastic
+    called = []
+    for module, name in [(cli, "solve_backward"),
+                         (stochastic, "simulate_paths")]:
+        monkeypatch.setattr(module, name,
+                            lambda *a, _name=name, **k: called.append(_name))
+    (tmp_path / "panel.csv").write_text("t,xi1\n0.0,1.0\n")
+    text = (TINY_MC.replace("gaussian\nmc.sampler.sigma = 1.0", "point")
+            + "characteristic.panel = panel.csv\n"
+            + f"out.dir = {tmp_path / 'out'}\n")
+    assert run(tmp_path, "a.cfg", text, command) == 1
+    assert _one_error_line(capsys) == (
+        f"error: {command} needs a sampler with a density; "
+        f"mc.sampler = point has none\n")
+    assert called == []
 
 
 @pytest.mark.parametrize("command", ["analyze", "solve", "simulate",
@@ -1212,6 +1270,26 @@ def test_bench_configs_load(tmp_path, monkeypatch):
     for name in workloads.WORKLOADS:
         spec = workloads.write_inputs(name, 1, tmp_path / name)
         RunConfig.load(spec["config"])
+
+
+def test_readme_config_examples_load(tmp_path):
+    # every ini block of README.md loads as written; a problem file loads
+    # through problem.file, and the run config's panel is a 3-D one
+    from cordeslab.config import RunConfig
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme, re.S | re.M)
+    assert len(blocks) == 2
+    (tmp_path / "panel.csv").write_text("t,xi1,xi2,xi3\n0.0,1.0,0.0,0.0\n")
+    for k, text in enumerate(blocks):
+        # a comment is a line of its own, so no value holds one
+        kv = parse_kv_text(text)
+        assert not any("#" in str(value) for value in kv.values())
+        if "n" in kv:
+            (tmp_path / f"field{k}.cfg").write_text(text)
+            text = f"problem.file = field{k}.cfg\n"
+        (tmp_path / f"run{k}.cfg").write_text(text)
+        cfg = RunConfig.load(tmp_path / f"run{k}.cfg")
+        assert cfg.field.n == kv.get("n", 3)
 
 
 def test_theta_validation_exit_1(tmp_path):

@@ -193,6 +193,20 @@ def test_samplers_refuse_spreads_out_of_range():
             HatSampler([0.0], width)
 
 
+@pytest.mark.parametrize("mean", [-16.0, 16.0])
+def test_gaussian_sampler_far_tail_stays_in_the_box(mean):
+    # the box [-8, 8] lies 8 to 24 standard deviations from the mean, on
+    # either side: every draw is finite and inside it, and the density
+    # integrates to 1 over it
+    box = Box((-8.0,), (8.0,))
+    sampler = TruncatedGaussianSampler([mean], 1.0, box)
+    x = sampler.sample(np.random.default_rng(1), 100_000)
+    assert np.isfinite(x).all() and box.contains(x).all()
+    nodes = np.linspace(-8.0, 8.0, 200_001)
+    pdf = sampler.pdf(nodes[:, None])
+    assert abs(np.sum((pdf[1:] + pdf[:-1]) / 2 * np.diff(nodes)) - 1) < 1e-6
+
+
 def test_streamed_engine_matches_whole_block_reference():
     f = drifting_box_2d()
     sampler = UniformBoxSampler(f.domain)
