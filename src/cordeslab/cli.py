@@ -19,6 +19,7 @@ import subprocess
 import sys
 from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,13 +27,14 @@ from . import _csvout
 from .conditions import check_split_condition, full_report
 from .config import ConfigError, RunConfig
 from .expr import ExprEvalError
-from .solver import (BackwardProblem, FixedPointTrace, SolverError,
-                     _usable_cores, apriori_ratio, fixed_point_solve,
-                     solve_backward, solve_forward_adjoint)
+from .linalg import SolverError, _usable_cores
 from .stochastic import (SDE, PointSampler, _characteristic_panel_mc,
                          _characteristic_panel_pde, _streamed_source,
                          density_compare, feynman_kac, max_principle_check,
                          simulate_paths, verify_pairing)
+
+if TYPE_CHECKING:
+    from .solver import BackwardProblem, FixedPointTrace
 
 __all__ = ["main"]
 
@@ -173,6 +175,7 @@ def _proof_mirror(cfg: RunConfig, problem: BackwardProblem, grid,
     """The fixed-point construction of ``solve --proof-mirror``; ``direct``
     is the direct solution, or a ``Future`` of it read after the last
     sweep, whose fault stops the construction before its next sweep."""
+    from .solver import fixed_point_solve
     # the split that analyze certifies: its index set and weights
     decomp, *_ = check_split_condition(cfg.field, cfg.split, cfg.samples,
                                        index_set=cfg.index_set,
@@ -184,9 +187,9 @@ def _proof_mirror(cfg: RunConfig, problem: BackwardProblem, grid,
 
 
 def cmd_solve(cfg: RunConfig, proof_mirror: bool = False) -> int:
-    grid = cfg.grid
+    from .solver import apriori_ratio, solve_backward
+    grid, problem = cfg.grid, cfg.problem
     grid.nodes()    # built once, before a second thread reads it
-    problem = BackwardProblem(cfg.field, phi=cfg.phi, Phi=cfg.Phi)
     # with a second core the construction runs on a worker beside the
     # direct solve, its norms, solution.csv and error table; it waits for
     # the direct solution only after its last sweep.  A fault of that work
@@ -281,8 +284,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    grid, sampler = cfg.grid, cfg.sampler
-    problem = BackwardProblem(cfg.field, phi=cfg.phi, Phi=cfg.Phi)
+    from .solver import solve_backward, solve_forward_adjoint
+    grid, sampler, problem = cfg.grid, cfg.sampler, cfg.problem
     sde = SDE(cfg.field, grid)
     checks: dict = {}
     ok = True

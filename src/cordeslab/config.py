@@ -26,6 +26,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -36,7 +37,9 @@ from .fields import (GAMMA_RANGE, Box, CoefficientField, ExprField,
                      builtin_signature, builtin_solve_data, make_field,
                      sample_set)
 from .grid import Grid, build_grid
-from .solver import MAX_KT
+
+if TYPE_CHECKING:
+    from .solver import BackwardProblem
 
 __all__ = ["ConfigError", "parse_kv_text", "load_problem_mapping",
            "RunConfig", "config_hash"]
@@ -60,7 +63,11 @@ def parse_kv_text(text: str) -> dict:
         value = value.strip()
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
-        out[key] = _parse_value(value, lineno)
+        parsed = _parse_value(value, lineno)
+        if parsed == []:
+            raise ConfigError(f"line {lineno}: {key} = {value}: expected a "
+                              f"value, not separators alone")
+        out[key] = parsed
     return out
 
 
@@ -128,7 +135,8 @@ def _numbers(kv: dict, key: str, default=None, integer=False,
         nums = None if isinstance(value, bool) else [float(v) for v in vals]
     except (TypeError, ValueError):
         nums = None
-    if (nums is None or None not in counts and len(nums) not in counts
+    if (nums is None or not nums
+            or None not in counts and len(nums) not in counts
             or not np.isfinite(nums).all()
             or integer and not all(x.is_integer() for x in nums)
             or not all(lo < x < hi if strict else lo <= x <= hi
@@ -244,15 +252,16 @@ def _sampler(kv: _Keys, field: CoefficientField):
     if kind in ("gaussian", "hat"):
         center = _numbers(kv, "mc.sampler.center", [0.0] * n, count=(1, n))
         center = center * n if len(center) == 1 else center     # all axes
+    spread = functools.partial(_numbers, kv, count=(1, n), least=0,
+                               strict=True)     # per axis, or one for all
     try:
         if kind == "uniform":
             return UniformBoxSampler(field.sampling_box())
         if kind == "gaussian":
             return TruncatedGaussianSampler(
-                center, _numbers(kv, "mc.sampler.sigma", 1.0),
-                field.sampling_box())
+                center, spread("mc.sampler.sigma", 1.0), field.sampling_box())
         if kind == "hat":
-            return HatSampler(center, _numbers(kv, "mc.sampler.width", 0.25))
+            return HatSampler(center, spread("mc.sampler.width", 0.25))
         if kind == "point":
             return PointSampler(_numbers(kv, "mc.sampler.at", [0.0] * n,
                                          count=n))
@@ -310,12 +319,15 @@ def config_hash(resolved: dict) -> str:
 @dataclass
 class RunConfig:
     """One run, resolved at load.  ``grid`` is ``None`` without grid keys,
-    ``gamma`` maps each index to its weight and ``panel`` holds ``(func,
-    times, xis)`` per function; ``samples`` is built when first read."""
+    and ``problem``, the ``BackwardProblem`` of ``field``, ``phi`` and
+    ``Phi``, with them; ``gamma`` maps each index to its weight and
+    ``panel`` holds ``(func, times, xis)`` per function; ``samples`` is
+    built when first read."""
 
     field: CoefficientField
     resolved: dict
     grid: Grid | None = None
+    problem: BackwardProblem | None = None
     theta: float = 1.0
     split: str = "identity"
     index_set: tuple | None = None
@@ -356,11 +368,13 @@ class RunConfig:
             params = {}     # the keys that the builtin's signature names
             try:
                 for key, p in builtin_signature(name).parameters.items():
-                    count = type(p.default) is int  # an int default: a count
+                    rules = (dict(integer=True, least=1)
+                             if type(p.default) is int  # an int default: a count
+                             else dict(least=0, strict=True) if key == "T"
+                             else {})
                     if f"problem.param.{key}" in kv:
                         params[key] = _number(kv, f"problem.param.{key}",
-                                              integer=count,
-                                              least=1 if count else None)
+                                              **rules)
                 field = builtin_problem(name, params)
             except KeyError as err:
                 raise ConfigError(err.args[0]) from None
@@ -430,11 +444,15 @@ class RunConfig:
             cfg.proof_eps = _number(kv, "solve.proof_mirror.eps", least=0,
                                     strict=True)
         if kv.get("solve.proof_mirror.K", "auto") != "auto":
+            from .solver import MAX_KT
             cfg.proof_K = _number(kv, "solve.proof_mirror.K")
             if not abs(cfg.proof_K) * field.T <= MAX_KT:
                 raise ConfigError(f"solve.proof_mirror.K = {cfg.proof_K!r}: "
                                   f"expected a finite number with |K|*T <= "
                                   f"{MAX_KT:g}")
+        if cfg.grid is not None:    # the solver, and scipy, load with a grid
+            from .solver import BackwardProblem
+            cfg.problem = BackwardProblem(field, phi=cfg.phi, Phi=cfg.Phi)
 
         cfg.mc_M = _number(kv, "mc.M", cfg.mc_M, integer=True, least=1)
         cfg.mc_dt = _number(kv, "mc.dt", cfg.mc_dt, least=0, strict=True)

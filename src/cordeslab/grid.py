@@ -6,6 +6,8 @@ so every grid function conforms to the zero-boundary function spaces by
 construction.  Spatial quadrature is trapezoidal (which reduces to
 ``prod(h) * sum`` for zero-boundary data), time quadrature is the left
 rectangle rule, and sup-in-time norms take maxima over the stored slices.
+Source and terminal data are read at points by one convention
+(``_eval_points``), which the solver and the path functionals share.
 """
 
 from __future__ import annotations
@@ -120,6 +122,50 @@ class GridFunction:
     @property
     def is_spacetime(self) -> bool:
         return self.values.ndim == self.grid.n + 1
+
+
+# ----------------------------------------------------------------------------
+# source and terminal data
+
+
+def _eval_points(spec, pts: np.ndarray, t: float, terminal: bool = False,
+                 grid: Grid | None = None):
+    """Evaluate a source or terminal spec at the points ``pts``.
+
+    The one convention for callables: sources are called as ``spec(points,
+    t)``, terminal data as ``spec(points)``.  Objects with ``eval_raw`` are
+    evaluated at ``(points, t)``; ``(re, im)`` pairs of any spec combine
+    into complex values.  Given the ``grid`` whose nodes ``pts`` are, it
+    also takes the grid-only forms: ``None`` (zero), a slice of the
+    grid's shape and a space-time block ``(nt+1, *m)``, read at the level
+    nearest ``t`` (terminal data: the last).
+    """
+    if isinstance(spec, tuple) and len(spec) == 2:
+        return (_eval_points(spec[0], pts, t, terminal, grid)
+                + 1j * _eval_points(spec[1], pts, t, terminal, grid))
+    if hasattr(spec, "eval_raw"):
+        return spec.eval_raw(pts, t)
+    if callable(spec):
+        return spec(pts) if terminal else spec(pts, t)
+    if grid is not None:
+        if spec is None:
+            return np.zeros(grid.size)
+        if isinstance(spec, np.ndarray):
+            if spec.shape == grid.shape:
+                return spec.ravel()
+            if spec.shape == (grid.nt + 1,) + grid.shape:
+                return spec[-1 if terminal else grid.level(t)].ravel()
+            raise ValueError(f"array source of shape {spec.shape} does not "
+                             f"fit the grid")
+    raise TypeError(f"cannot interpret source spec {spec!r}")
+
+
+def _eval_space_fn(spec, grid: Grid, t: float | None):
+    """``_eval_points`` on the interior nodes, shaped like the grid;
+    ``t=None`` asks for terminal data, which live at the horizon."""
+    vals = _eval_points(spec, grid.nodes(), grid.T if t is None else t,
+                        terminal=t is None, grid=grid)
+    return np.asarray(vals).reshape(grid.shape)
 
 
 def _padded(values: np.ndarray, n: int) -> np.ndarray:

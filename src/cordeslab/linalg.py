@@ -1,11 +1,16 @@
-"""Dense symmetric eigenvalue routines for small coefficient matrices.
+"""Dense symmetric eigenvalue routines for small coefficient matrices,
+and the numpy-only helpers that the solver shares with the path layer.
 
-Thin checked wrappers over LAPACK (``numpy.linalg.eigvalsh``/``eigh``);
-each accepts one ``n x n`` matrix or a stack ``(..., n, n)`` and
-decomposes the whole stack in one batched call.
+The eigen routines are thin checked wrappers over LAPACK
+(``numpy.linalg.eigvalsh``/``eigh``); each accepts one ``n x n`` matrix
+or a stack ``(..., n, n)`` and decomposes the whole stack in one batched
+call.  Nothing here imports scipy, so a run that solves nothing loads
+none of it.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -38,3 +43,24 @@ def symmetric_sqrt(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         raise ValueError("matrix is not positive semidefinite")
     root = np.sqrt(np.clip(vals, 0.0, None))
     return (vecs * root[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+
+
+class SolverError(RuntimeError):
+    pass
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on: the worker count of the path
+    blocks and of the fixed-point sweeps."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity interface on this platform
+        return os.cpu_count() or 1
+
+
+def _real_if_possible(values) -> np.ndarray:
+    """``values`` as a real array when their imaginary parts all vanish."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values) and not np.abs(values.imag).any():
+        return values.real
+    return values

@@ -20,13 +20,16 @@ each sweep marches the smooth scheme with ``R`` applied to the previous
 increment, so its limit is the direct solve.  The weight
 ``exp(-K*(T-t))`` of the contraction argument enters only the norm in
 which the increments are measured, not the operator.
+
+This is the package's one module that imports ``scipy.sparse``.  The
+config loader imports it for a config with grid keys, and a run of any
+other config does not load it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-import os
 import warnings
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -39,7 +42,8 @@ from scipy.sparse.linalg import LinearOperator, bicgstab, splu
 from .conditions import ellipticity_delta, nu_hat
 from .fields import CoefficientField, Decomposition, SampleSet, _smooth_parts
 from .grid import Grid, GridFunction, NormBundle, NormWeights, discrete_norms
-from .grid import _slice_l2
+from .grid import _eval_space_fn, _slice_l2
+from .linalg import SolverError, _real_if_possible, _usable_cores
 
 __all__ = [
     "SolverError", "BackwardProblem", "DiscreteSolution", "FixedPointTrace",
@@ -54,69 +58,8 @@ MAX_KT = 200.0      # largest weight exponent K*T; exp(K*T) stays finite
 SWEEP_WORKERS = 2   # pipelined sweeps in flight: one sweep runs ahead
 
 
-class SolverError(RuntimeError):
-    pass
-
-
-def _usable_cores() -> int:
-    """The cores this process may run on: the worker count of the path
-    blocks and of the fixed-point sweeps."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # no affinity interface on this platform
-        return os.cpu_count() or 1
-
-
 # ----------------------------------------------------------------------------
 # problem data
-
-
-def _real_if_possible(values) -> np.ndarray:
-    """``values`` as a real array when their imaginary parts all vanish."""
-    values = np.asarray(values)
-    if np.iscomplexobj(values) and not np.abs(values.imag).any():
-        return values.real
-    return values
-
-
-def _eval_points(spec, pts: np.ndarray, t: float, terminal: bool = False,
-                 grid: Grid | None = None):
-    """Evaluate a source or terminal spec at the points ``pts``.
-
-    The one convention for callables: sources are called as ``spec(points,
-    t)``, terminal data as ``spec(points)``.  Objects with ``eval_raw`` are
-    evaluated at ``(points, t)``; ``(re, im)`` pairs of any spec combine
-    into complex values.  Given the ``grid`` whose nodes ``pts`` are, it
-    also takes the grid-only forms: ``None`` (zero), a slice of the
-    grid's shape and a space-time block ``(nt+1, *m)``, read at the level
-    nearest ``t`` (terminal data: the last).
-    """
-    if isinstance(spec, tuple) and len(spec) == 2:
-        return (_eval_points(spec[0], pts, t, terminal, grid)
-                + 1j * _eval_points(spec[1], pts, t, terminal, grid))
-    if hasattr(spec, "eval_raw"):
-        return spec.eval_raw(pts, t)
-    if callable(spec):
-        return spec(pts) if terminal else spec(pts, t)
-    if grid is not None:
-        if spec is None:
-            return np.zeros(grid.size)
-        if isinstance(spec, np.ndarray):
-            if spec.shape == grid.shape:
-                return spec.ravel()
-            if spec.shape == (grid.nt + 1,) + grid.shape:
-                return spec[-1 if terminal else grid.level(t)].ravel()
-            raise ValueError(f"array source of shape {spec.shape} does not "
-                             f"fit the grid")
-    raise TypeError(f"cannot interpret source spec {spec!r}")
-
-
-def _eval_space_fn(spec, grid: Grid, t: float | None):
-    """``_eval_points`` on the interior nodes, shaped like the grid;
-    ``t=None`` asks for terminal data, which live at the horizon."""
-    vals = _eval_points(spec, grid.nodes(), grid.T if t is None else t,
-                        terminal=t is None, grid=grid)
-    return np.asarray(vals).reshape(grid.shape)
 
 
 @dataclass

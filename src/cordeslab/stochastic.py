@@ -33,23 +33,28 @@ The path functionals of the checks (the Feynman-Kac source integral of
 functional) are summed per path as the paths are stepped, through a
 private per-step hook of ``simulate_paths``, so no check stores
 trajectories.  ``record=`` stays a user option, under a memory budget.
+
+Simulation and the samplers need numpy alone: the checks that solve
+import the solver where they call it, and the Gaussian sampler imports
+``scipy.special`` when it is built, so a run that solves nothing and
+draws no Gaussian start loads no scipy.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
-from scipy.special import ndtr, ndtri
 
 from .fields import Box, CoefficientField, ConstField
-from .grid import Grid, GridFunction, pair
-from .linalg import symmetric_sqrt
-from .solver import (BackwardProblem, DiscreteSolution, _eval_points,
-                     _real_if_possible, _Stepper, _usable_cores,
-                     apriori_ratio, solve_backward)
+from .grid import Grid, GridFunction, _eval_points, pair
+from .linalg import _real_if_possible, _usable_cores, symmetric_sqrt
+
+if TYPE_CHECKING:
+    from .solver import BackwardProblem, DiscreteSolution
 
 __all__ = [
     "SDE", "PathEnsemble", "Estimate",
@@ -91,6 +96,7 @@ class TruncatedGaussianSampler(_GridDensity):
     ``sigma`` must be finite and > 0, and the box must hold some mass."""
 
     def __init__(self, mean, sigma, box: Box):
+        from scipy.special import ndtr
         self.mean = np.atleast_1d(np.asarray(mean, dtype=float))
         self.sigma = np.broadcast_to(np.asarray(sigma, dtype=float),
                                      self.mean.shape).copy()
@@ -112,6 +118,7 @@ class TruncatedGaussianSampler(_GridDensity):
                              f"the Gaussian's mass")
 
     def sample(self, gen: Generator, M: int) -> np.ndarray:
+        from scipy.special import ndtri
         u = gen.uniform(size=(M, self.mean.size))
         z = self._side * ndtri(self._p_lo + u * (self._p_hi - self._p_lo))
         return self.mean + self.sigma * z
@@ -598,6 +605,7 @@ def verify_pairing(problem: BackwardProblem, grid: Grid, sde: SDE, sampler,
     the terminal term added after it.  ``_streamed`` (private) passes in
     ``_streamed_source``'s result for the same arguments.
     """
+    from .solver import apriori_ratio, solve_backward
     if solution is None:
         solution = solve_backward(problem, grid, theta)
     rho_grid = sampler.grid_density(grid)
@@ -632,6 +640,7 @@ def density_compare(ensemble: PathEnsemble, density, t: float) -> float:
     part of their running discount factor, so rate-killed mass decays the
     same way on both sides.
     """
+    from .solver import DiscreteSolution
     if ensemble.M < 1 or ensemble.traj is None:
         raise ValueError("need a recorded, non-empty ensemble")
     if isinstance(density, DiscreteSolution):
@@ -732,6 +741,7 @@ def _characteristic_panel_pde(grid: Grid, field: CoefficientField, sampler,
     A batch holds at most ``_PANEL_UNKNOWNS`` unknowns (and at least one
     function), and of each march only level 0 is kept.
     """
+    from .solver import _Stepper
     xi_ats = [_xi_interpolant(t, v, grid.n) for t, v in panel]
     nodes = grid.nodes()
     z = np.arctan(nodes)

@@ -294,14 +294,12 @@ def test_solve_proof_mirror_trace(tmp_path):
 
 
 def test_proof_mirror_solves_the_backward_problem_once(tmp_path, monkeypatch):
-    import cordeslab.cli as cli
     solves = []
     direct = solver.solve_backward
 
     def counted(*args, **kwargs):
         solves.append(args[1])
         return direct(*args, **kwargs)
-    monkeypatch.setattr(cli, "solve_backward", counted)
     monkeypatch.setattr(solver, "solve_backward", counted)
     text = PROOF_MIRROR.format(out=tmp_path / "out")
     assert run(tmp_path, "s.cfg", text, "solve", "--proof-mirror") == 0
@@ -338,17 +336,16 @@ def test_proof_mirror_runs_on_the_split_analyze_certifies(tmp_path,
                                                           monkeypatch, given):
     # without conditions.N and conditions.gamma the construction takes the
     # index set and the weights of analyze's search, not gamma = 1
-    import cordeslab.cli as cli
     text = PROOF_MIRROR.format(out=tmp_path / "out")
     if not given:
         text = text.replace("conditions.N = 1\nconditions.gamma = 1.9\n", "")
     handed = []
-    construct = cli.fixed_point_solve
+    construct = solver.fixed_point_solve
 
     def spy(problem, grid, decomp, **kwargs):
         handed.append(decomp)
         return construct(problem, grid, decomp, **kwargs)
-    monkeypatch.setattr(cli, "fixed_point_solve", spy)
+    monkeypatch.setattr(solver, "fixed_point_solve", spy)
     assert run(tmp_path, "s.cfg", text, "solve", "--proof-mirror") == 0
     assert run(tmp_path, "s.cfg", text, "analyze") in (0, 2)
     report = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -425,9 +422,8 @@ def _overflowing_direct_solve(monkeypatch):
     """The direct march turns non-finite at level 7; the construction's
     march keeps its source.  The event returned is set once the direct
     march has failed."""
-    import cordeslab.cli as cli
     from cordeslab.fields import ExprField
-    direct = cli.solve_backward
+    direct = solver.solve_backward
     failed = threading.Event()
 
     def overflowing(problem, grid, theta, _on_level=None):
@@ -438,7 +434,7 @@ def _overflowing_direct_solve(monkeypatch):
             return direct(bad, grid, theta, _on_level=_on_level)
         finally:
             failed.set()
-    monkeypatch.setattr(cli, "solve_backward", overflowing)
+    monkeypatch.setattr(solver, "solve_backward", overflowing)
     return failed
 
 
@@ -514,14 +510,13 @@ def test_proof_mirror_fault_prints_the_line_of_a_serial_run(
 @pytest.mark.parametrize("cores", [1, 2])
 def test_proof_mirror_warning_reaches_the_caller(tmp_path, monkeypatch,
                                                  cores):
-    import cordeslab.cli as cli
     on_main = []
-    construct = cli.fixed_point_solve
+    construct = solver.fixed_point_solve
 
     def capped(*args, **kwargs):
         on_main.append(threading.current_thread() is threading.main_thread())
         return construct(*args, max_iter=2, **kwargs)
-    monkeypatch.setattr(cli, "fixed_point_solve", capped)
+    monkeypatch.setattr(solver, "fixed_point_solve", capped)
     _cores(monkeypatch, cores)
     with pytest.warns(RuntimeWarning, match="did not converge"):
         assert run(tmp_path, "s.cfg", PROOF_MIRROR.format(out="out"),
@@ -1038,11 +1033,11 @@ FREE_1D = "problem.builtin = gaussian_free_space\n"
     (ONE_D.replace("T = 0.5", "T = nan"), FIELD + GRID_1D, "solve",
      "error: T = nan: expected 1 finite number"),
     (None, HEAT_1D + "problem.param.T = 0\n", "analyze",
-     "error: T = 0.0: expected a finite number > 0"),
+     "error: problem.param.T = 0.0: expected 1 finite number > 0"),
     (None, HEAT_1D + GRID_1D + "problem.param.T = inf\n", "solve",
      "error: problem.param.T = inf: expected 1 finite number"),
     (None, BUILTIN_1D + "mc.sampler = hat\nmc.sampler.width = nan\n",
-     "simulate", "error: mc.sampler.width = nan: expected only finite"),
+     "simulate", "error: mc.sampler.width = nan: expected 1 finite"),
     # a builtin takes the parameters of its signature, each a number, a
     # count where its default is an int
     (None, PAPER + "problem.param.t = 0.25\n", "analyze",
@@ -1062,16 +1057,16 @@ FREE_1D = "problem.builtin = gaussian_free_space\n"
      "analyze", "a.cfg: unknown key 'mc.sampler.center'"),
     # and its numbers in range
     (None, FREE_1D + "mc.sampler = gaussian\nmc.sampler.sigma = 0\n",
-     "simulate", "error: mc.sampler.sigma = [0.0]: expected finite numbers "
+     "simulate", "error: mc.sampler.sigma = 0.0: expected 1 finite number "
      "> 0"),
     (None, FREE_1D + "mc.sampler = gaussian\nmc.sampler.center = 100\n",
      "simulate", "error: mc.sampler.center = [100.0]: the box [-8.0]..[8.0] "
      "holds none of the Gaussian's mass"),
     (None, BUILTIN_1D + "mc.sampler = hat\nmc.sampler.width = -1\n",
-     "simulate", "error: mc.sampler.width = [-1.0]: expected finite numbers "
+     "simulate", "error: mc.sampler.width = -1.0: expected 1 finite number "
      "> 0"),
     (None, BUILTIN_1D + "mc.sampler = hat\nmc.sampler.width = 0\n",
-     "simulate", "error: mc.sampler.width = [0.0]: expected finite numbers "
+     "simulate", "error: mc.sampler.width = 0.0: expected 1 finite number "
      "> 0"),
     (ALL_SPACE.replace("n = 1", "n = 0"), FIELD, "analyze",
      "error: n = 0.0: expected 1 integer >= 1"),
@@ -1102,6 +1097,20 @@ FREE_1D = "problem.builtin = gaussian_free_space\n"
     (None, BUILTIN_1D + "verify.density.times = -1\n", "analyze",
      "error: verify.density.times = -1.0: expected only finite numbers "
      "in [0, 0.5]"),
+    # a spread is one number for every axis or one per axis
+    (None, BUILTIN_1D + "mc.sampler = gaussian\nmc.sampler.sigma = 1 2\n",
+     "analyze", "error: mc.sampler.sigma = [1.0, 2.0]: expected 1 finite "
+     "number > 0"),
+    (None, BUILTIN_1D + "mc.sampler = hat\nmc.sampler.width = 0.1 0.2\n",
+     "analyze", "error: mc.sampler.width = [0.1, 0.2]: expected 1 finite "
+     "number > 0"),
+    # a value of separators alone is no value
+    (None, BUILTIN_1D + "conditions.N = ,\n", "analyze",
+     "a.cfg: line 2: conditions.N = ,: expected a value, not separators "
+     "alone"),
+    (None, BUILTIN_1D + GRID_1D + "verify.density.times = , ,\n", "verify",
+     "a.cfg: line 4: verify.density.times = , ,: expected a value, not "
+     "separators alone"),
 ], ids=["no_equals", "empty_key", "empty_value", "unterminated_string",
         "problem_without_n", "problem_without_T", "missing_problem_file",
         "unknown_split", "index_outside_n", "nonpositive_dt",
@@ -1126,7 +1135,9 @@ FREE_1D = "problem.builtin = gaussian_free_space\n"
         "flag_bare_word", "flag_two_numbers", "flag_as_path_count",
         "flag_as_builtin_horizon", "negative_seed",
         "negative_pairing_allowance", "negative_characteristic_allowance",
-        "zero_density_l1", "density_time_after_T", "density_time_before_0"])
+        "zero_density_l1", "density_time_after_T", "density_time_before_0",
+        "two_sigmas_in_1d", "two_widths_in_1d", "index_set_of_separators",
+        "density_times_of_separators"])
 def test_config_fault_exit_1(tmp_path, capsys, problem, text, command,
                              message):
     if problem is not None:
@@ -1144,15 +1155,24 @@ def test_negative_seed_flag_ends_at_load(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["conditions.N", "verify.density.times"])
+def test_empty_list_of_numbers_ends_at_load(tmp_path, key):
+    # a mapping built in code can hold the empty list that a text file
+    # of separators alone no longer yields
+    from cordeslab.config import ConfigError, RunConfig
+    kv = parse_kv_text(BUILTIN_1D + GRID_1D) | {key: []}
+    with pytest.raises(ConfigError, match=re.escape(f"{key} = []: expected")):
+        RunConfig.from_mapping(kv, tmp_path)
+
+
 @pytest.mark.parametrize("command", ["verify", "characteristic"])
 def test_point_sampler_refused_before_any_work(tmp_path, capsys,
                                                monkeypatch, command):
     # both commands need the sampler's grid density: a point mass has
     # none, so the command ends before it solves or simulates
-    import cordeslab.cli as cli
     from cordeslab import stochastic
     called = []
-    for module, name in [(cli, "solve_backward"),
+    for module, name in [(solver, "solve_backward"),
                          (stochastic, "simulate_paths")]:
         monkeypatch.setattr(module, name,
                             lambda *a, _name=name, **k: called.append(_name))
@@ -1415,15 +1435,13 @@ def test_csv_writers_match_reference_writers_on_edge_values(tmp_path):
 
 
 def test_verify_solves_the_backward_problem_once(tmp_path, monkeypatch):
-    import cordeslab.cli as cli
-    import cordeslab.stochastic as stochastic
     solves = []
+    direct = solver.solve_backward
 
     def counted(*args, **kwargs):
         solves.append(args[1])
-        return solver.solve_backward(*args, **kwargs)
-    monkeypatch.setattr(cli, "solve_backward", counted)
-    monkeypatch.setattr(stochastic, "solve_backward", counted)
+        return direct(*args, **kwargs)
+    monkeypatch.setattr(solver, "solve_backward", counted)
     text = ("problem.builtin = gaussian_free_space\n"
             "problem.param.n = 1\nproblem.param.half_width = 6\n"
             "problem.param.T = 0.1\n"

@@ -909,12 +909,12 @@ def test_weak_uniqueness_proxy_step_halving():
 def panel_marches(monkeypatch):
     """Record the grid shape of every panel march (one per batch)."""
     shapes = []
-    stepper = stochastic._Stepper
+    stepper = solver._Stepper
 
     def counted(grid, *args):
         shapes.append(grid.shape)
         return stepper(grid, *args)
-    monkeypatch.setattr(stochastic, "_Stepper", counted)
+    monkeypatch.setattr(solver, "_Stepper", counted)
     return shapes
 
 
