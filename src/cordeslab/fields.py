@@ -725,8 +725,9 @@ def _smooth_parts(b_src, field: CoefficientField, pts: np.ndarray,
     Each entry is evaluated once per non-zero tap on the shifted points
     and the taps are summed in lattice order, so the working set stays at
     a few arrays of ``len(pts)`` values; a constant entry is its own
-    average.  Returns ``b (P, n, n)`` (``None`` without ``b_src``),
-    ``f (P, n)`` and the complex ``lam (P,)``.
+    average.  Returns the read-only ``b (P, n, n)`` (``None`` without
+    ``b_src``; one matrix broadcast over the points when every entry is
+    constant), ``f (P, n)`` and the complex ``lam (P,)``.
     """
     offsets, w = _bump_kernel(eps, spacing)
     taps = np.flatnonzero(w)
@@ -741,10 +742,13 @@ def _smooth_parts(b_src, field: CoefficientField, pts: np.ndarray,
     n = field.n
     b = None
     if b_src is not None:
-        b = np.empty((pts.shape[0], n, n))
+        const = all(isinstance(e, ConstField) for row in b_src for e in row)
+        b = np.empty((1 if const else pts.shape[0], n, n))
         for i in range(n):
             for j in range(i, n):
-                b[:, i, j] = b[:, j, i] = smooth(b_src[i][j])
+                b[:, i, j] = b[:, j, i] = (b_src[i][j].value if const
+                                           else smooth(b_src[i][j]))
+        b = np.broadcast_to(b, (pts.shape[0], n, n))
     f = np.stack([smooth(fi) for fi in field.f], axis=-1)
     lam = smooth(field.lam_re) + 1j * smooth(field.lam_im)
     return b, f, lam

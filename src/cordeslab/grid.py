@@ -173,13 +173,12 @@ def _padded(values: np.ndarray, n: int) -> np.ndarray:
     return np.pad(values, [(0, 0)] * (values.ndim - n) + [(1, 1)] * n)
 
 
-def _diff(padded: np.ndarray, grid: Grid, i: int, j: int | None = None,
-          out: np.ndarray | None = None) -> np.ndarray:
+def _diff(padded: np.ndarray, grid: Grid, i: int,
+          j: int | None = None) -> np.ndarray:
     """Central difference at the interior nodes of a padded block, along
     0-based axes: the first (``j`` is None), second (``j == i``) or mixed
-    (``j != i``) one.  Every stencil point is a view of ``padded``; the
-    difference is formed in ``out`` (a new array when None), one ufunc
-    at a time in the order of ``(a - 2.0*b + c) / h**2`` and its kin."""
+    (``j != i``) one, in a new array.  Every stencil point is a view of
+    ``padded``."""
     lead = padded.ndim - grid.n
     h = grid.h
 
@@ -190,20 +189,19 @@ def _diff(padded: np.ndarray, grid: Grid, i: int, j: int | None = None,
             sl[lead + ax] = slice(1 + s, padded.shape[lead + ax] - 1 + s)
         return padded[tuple(sl)]
 
-    if out is None:
-        out = np.empty(at().shape, np.result_type(padded, np.float64))
     if j is None:
-        np.subtract(at((i, 1)), at((i, -1)), out=out)
-        return np.divide(out, 2.0 * h[i], out=out)
+        return (at((i, 1)) - at((i, -1))) / (2.0 * h[i])
     if i == j:
-        np.multiply(2.0, at(), out=out)
-        np.subtract(at((i, 1)), out, out=out)
-        np.add(out, at((i, -1)), out=out)
-        return np.divide(out, h[i] ** 2, out=out)
-    np.subtract(at((i, 1), (j, 1)), at((i, 1), (j, -1)), out=out)
-    np.subtract(out, at((i, -1), (j, 1)), out=out)
-    np.add(out, at((i, -1), (j, -1)), out=out)
-    return np.divide(out, 4.0 * h[i] * h[j], out=out)
+        # (a - 2.0*b + c) / h**2 in the array of 2.0*b: numpy reuses a
+        # temporary in place only on the left of a minus
+        d = 2.0 * at()
+        np.subtract(at((i, 1)), d, out=d)
+        d += at((i, -1))
+        d /= h[i] ** 2
+        return d
+    return (at((i, 1), (j, 1)) - at((i, 1), (j, -1))
+            - at((i, -1), (j, 1)) + at((i, -1), (j, -1))) / \
+        (4.0 * h[i] * h[j])
 
 
 def apply_stencil(u: GridFunction, kind: str, i: int,
@@ -231,6 +229,11 @@ def apply_stencil(u: GridFunction, kind: str, i: int,
 
 # ----------------------------------------------------------------------------
 # norms
+
+
+# bytes of levels a norm takes at a time: its temporaries are a few
+# chunks, so a chunk stays well below a workload's block (1.9 MB at 17^3)
+_NORM_BYTES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -304,47 +307,39 @@ def _time_l2(per_slice: np.ndarray, grid: Grid) -> float:
 
 
 def discrete_norms(u: GridFunction, weights: NormWeights | None = None) -> NormBundle:
-    """Norm bundle of a grid function (single slice or space-time block)."""
+    """Norm bundle of a grid function (single slice or space-time block),
+    formed over chunks of at most ``_NORM_BYTES`` of levels."""
     grid = u.grid
     n = grid.n
     if weights is None:
         weights = NormWeights.default(n)
     block = u.values if u.is_spacetime else u.values[None, ...]
-    nslices = block.shape[0]
-
-    # one padded block and one difference buffer (plus its moduli for a
-    # complex block) hold every difference and its square in turn: these
-    # set the peak memory of the fixed-point iteration, which takes two
-    # norms a sweep
-    diff = np.empty(block.shape, np.result_type(block, np.float64))
-    square = diff if diff.dtype.kind == "f" else np.empty(block.shape)
     axes = tuple(range(1, n + 1))
 
     def l2(d):
-        """``_slice_l2(d)``, squaring in ``square``: ``x*x`` is
-        ``abs(x)**2`` bit for bit for real ``x``"""
-        if square is diff:
-            np.multiply(d, d, out=square)
-        else:
-            np.multiply(np.abs(d, out=square), square, out=square)
-        return np.sqrt(square.sum(axis=axes) * grid.cell_volume)
+        """``_slice_l2`` of a new difference ``d``, squared in place:
+        ``x*x`` is ``abs(x)**2`` bit for bit for real ``x``"""
+        sq = d if d.dtype.kind == "f" else np.abs(d)
+        np.multiply(sq, sq, out=sq)
+        return np.sqrt(sq.sum(axis=axes) * grid.cell_volume)
 
-    H0 = l2(block)
-    padded = _padded(block, n)
-    grad_sq = sum(l2(_diff(padded, grid, i, out=diff)) ** 2
-                  for i in range(n))
-    H1 = np.sqrt(H0 ** 2 + grad_sq)
-
-    second_sq = np.zeros(nslices)
-    bracket = np.zeros(nslices)
+    # the per-slice terms a chunk of levels at a time: a slice's sums over
+    # space do not depend on its chunk, and the chunk bounds the working set
+    H0, grad_sq, second_sq, bracket = np.zeros((4, len(block)))
     inset = set(weights.index_set)
-    for k in range(n):
-        row_sq = [l2(_diff(padded, grid, k, i, out=diff)) ** 2
-                  for i in range(n)]
-        second_sq += sum(row_sq)
-        if (k + 1) in inset:
-            g = weights.gamma[k + 1]
-            bracket += sum(row_sq) - 0.5 * g * row_sq[k]
+    step = max(1, _NORM_BYTES // block[0].nbytes)
+    for lo in range(0, len(block), step):
+        chunk, at = block[lo:lo + step], slice(lo, lo + step)
+        padded = _padded(chunk, n)
+        H0[at] = _slice_l2(chunk, grid)
+        grad_sq[at] = sum(l2(_diff(padded, grid, i)) ** 2 for i in range(n))
+        for k in range(n):
+            row_sq = [l2(_diff(padded, grid, k, i)) ** 2 for i in range(n)]
+            second_sq[at] += sum(row_sq)
+            if (k + 1) in inset:
+                g = weights.gamma[k + 1]
+                bracket[at] += sum(row_sq) - 0.5 * g * row_sq[k]
+    H1 = np.sqrt(H0 ** 2 + grad_sq)
     W22 = np.sqrt(H1 ** 2 + second_sq)
     bracket = np.maximum(bracket, 0.0)  # guards roundoff; >= 0 since gamma < 2
     Hhat2 = np.sqrt(bracket) + weights.alpha1 * W22

@@ -725,10 +725,10 @@ def fixed_point_solve(problem: BackwardProblem, grid: Grid,
     _warn_if_condition_fails(decomp, samples)
     if K == "auto":     # delta is memoized on the samples
         delta = ellipticity_delta(decomp, samples)
-        lam0 = np.abs(problem.coefficients(grid, 0.0)[2]).max()
-        f0 = np.sqrt((problem.field.eval_f(samples.points, 0.0)
-                      ** 2).sum(axis=1)).max()
-        K = lam0 + f0 ** 2 / delta + 1.0
+        b, f, lam = problem.coefficients(grid, 0.0)
+        f0 = np.sqrt((f ** 2).sum(axis=1)).max()
+        K = np.abs(lam).max() + f0 ** 2 / delta + 1.0
+        del b, f, lam   # not held through the sweeps
     K = float(K)
     split = _Splitting(problem, grid, decomp, eps, theta, K)
 

@@ -265,6 +265,22 @@ def test_constant_entries_smooth_to_themselves():
     assert not np.all(b_s[:, 1, 1] == b_s[0, 1, 1])
 
 
+def test_constant_matrix_part_is_one_matrix_over_the_points():
+    # the identity and constant splits: b_bar is constant, so its smoothed
+    # values are one matrix, not a dense (points, n, n) copy
+    b = [[0.37, 0.1, -0.2], [0.1, 1.0, 0.0], [-0.2, 0.0, 1.5]]
+    f = make_field(3, 1.0, Box((-1.0,) * 3, (1.0,) * 3), b,
+                   f=[0.0, -0.2, "sin(x1)"], lam="1 + x2")
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(20, 3))
+    b_s = _smooth_parts(f.b, f, pts, 0.3, [0.1] * 3, 0.0)[0]
+    dense = np.empty((len(pts), 3, 3))
+    for i in range(3):
+        for j in range(3):
+            dense[:, i, j] = f.b[i][j].eval_raw(pts, 0.0)
+    assert b_s.shape == dense.shape and b_s.strides[0] == 0
+    assert np.array_equal(b_s, dense)
+
+
 def test_mollify_step_rate_has_steep_gradient():
     f = make_field(1, 1.0, Box((-1.0,), (1.0,)), [[1.0]], lam="step(x1)")
     mf = mollify(f, eps=0.1)

@@ -346,6 +346,51 @@ def test_norms_give_the_bits_of_the_reference_norms(lo, hi, m,
                 json.dumps(reference_norms(u, weights).as_dict())
 
 
+@pytest.mark.parametrize("chunk_bytes", [lambda level: 1,
+                                         lambda level: 3 * level,
+                                         lambda level: 2 ** 62],
+                         ids=["one_level", "three_levels", "one_chunk"])
+@pytest.mark.parametrize("complex_values", [False, True])
+@pytest.mark.parametrize("lo,hi,m", STENCIL_GRIDS
+                         + [((0.0,) * 4, (1.0,) * 4, (3, 4, 3, 5))])
+def test_norms_give_the_reference_bits_whatever_the_chunk(
+        lo, hi, m, complex_values, chunk_bytes, monkeypatch):
+    rng = np.random.default_rng(17)
+    # five levels: three levels a chunk leaves a ragged last chunk
+    g = build_grid(Box(lo, hi), m, nt=4, T=0.5)
+    inset = tuple(range(1, g.n + 1, 2))
+    for weights in (None, NormWeights(inset, {k: 0.3 + 0.5 * k
+                                              for k in inset},
+                                      alpha1=0.37, alpha2=1.9)):
+        for shape in (g.shape, (g.nt + 1,) + g.shape):
+            u = GridFunction(g, random_values(rng, shape, complex_values))
+            level = u.values.nbytes // (g.nt + 1 if u.is_spacetime else 1)
+            monkeypatch.setattr(grid_module, "_NORM_BYTES",
+                                chunk_bytes(level))
+            assert json.dumps(discrete_norms(u, weights).as_dict()) == \
+                json.dumps(reference_norms(u, weights).as_dict())
+
+
+@pytest.mark.parametrize("m,nt,complex_values", [((127, 127), 128, False),
+                                                 ((127, 127), 128, True),
+                                                 ((33, 33, 33), 64, False)])
+def test_norms_of_a_large_block_peak_below_half_a_block(m, nt,
+                                                        complex_values):
+    # the temporaries are a few chunks of levels, however long the block
+    rng = np.random.default_rng(17)
+    n = len(m)
+    g = build_grid(Box((-1.0,) * n, (1.0,) * n), m, nt=nt, T=0.25)
+    u = GridFunction(g, random_values(rng, (g.nt + 1,) + g.shape,
+                                      complex_values))
+    tracemalloc.start()
+    try:
+        discrete_norms(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * u.values.nbytes
+
+
 def test_norms_of_a_block_peak_below_three_block_sizes():
     rng = np.random.default_rng(17)
     # the proof mirror's 49 x 17^3 blocks: one padded block and one
