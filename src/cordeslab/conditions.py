@@ -24,8 +24,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fields import (CoefficientField, Decomposition, SampleSet, decompose,
-                     sample_set, sparsity_pattern, unique_b_hat, _all_covers,
-                     _memoized, _sampled_matrices, _validate_gamma,
+                     sparsity_pattern, unique_b_hat, _all_covers, _memoized,
+                     _sampled_matrices, _samples, _validate_gamma,
                      _validate_index_set)
 from .linalg import symmetric_eigenvalues
 
@@ -125,14 +125,11 @@ def ellipticity_delta(source, samples: SampleSet | None = None) -> float:
     symmetric matrices.  Raises if the infimum is not strictly positive.
     """
     if isinstance(source, Decomposition):
-        if samples is None:
-            samples = sample_set(source.field.sampling_box(), source.field.T)
-        eig = _eigenvalues(samples, ("b_bar", source.b_bar),
-                           source.eval_b_bar)
+        eig = _eigenvalues(_samples(source.field, samples),
+                           ("b_bar", source.b_bar), source.eval_b_bar)
     elif isinstance(source, CoefficientField):
-        if samples is None:
-            samples = sample_set(source.sampling_box(), source.T)
-        eig = _eigenvalues(samples, ("b", source), source.eval_b)
+        eig = _eigenvalues(_samples(source, samples), ("b", source),
+                           source.eval_b)
     else:
         mats = np.asarray(source, dtype=float)
         eig = symmetric_eigenvalues(mats.reshape(-1, *mats.shape[-2:]))
@@ -158,11 +155,10 @@ def _nu_hat_terms(decomp: Decomposition, samples: SampleSet, index_set):
 
 
 def _nu_hat_value(A: np.ndarray, C: np.ndarray, gamma_vec: np.ndarray) -> float:
-    """``nu_hat`` of the terms ``(A, C)`` at one weight vector.  Each row
-    adds ``A_k + w_k C_k`` column by column, so its bits do not depend on
-    the row count, as a matrix product's BLAS kernel would."""
-    if gamma_vec.size == 0:
-        return 0.0
+    """``nu_hat`` of the terms ``(A, C)`` of a nonempty index set at one
+    weight vector.  Each row adds ``A_k + w_k C_k`` column by column, so
+    its bits do not depend on the row count, as a matrix product's BLAS
+    kernel would."""
     w = gamma_vec / (2.0 - gamma_vec)
     inner = w[0] * C[:, 0]
     inner += A[:, 0]
@@ -181,8 +177,7 @@ def nu_hat(decomp: Decomposition, samples: SampleSet | None = None,
     sum_k ( sum_{i in N} bh_ik^2 + 4 sum_{i not in N} bh_ik^2
     + gamma_k/(2-gamma_k) * bh_kk^2 )`` over the covered coordinates ``k``.
     """
-    if samples is None:
-        samples = sample_set(decomp.field.sampling_box(), decomp.field.T)
+    samples = _samples(decomp.field, samples)
     gamma = decomp.gamma if gamma is None else gamma
     if not decomp.index_set:
         return 0.0
@@ -201,8 +196,7 @@ def optimize_gamma(decomp: Decomposition, samples: SampleSet | None = None,
     relative duality gap of about ``2e-12``.  Returns ``(gamma, value)``;
     ``value`` is ``nu_hat`` at the returned weights.
     """
-    if samples is None:
-        samples = sample_set(decomp.field.sampling_box(), decomp.field.T)
+    samples = _samples(decomp.field, samples)
     index_set = (decomp.index_set if index_set is None else
                  _validate_index_set(index_set, decomp.field.n))
     if not index_set:
@@ -288,8 +282,7 @@ def select_index_set(decomp: Decomposition, samples: SampleSet | None = None):
     Returns ``(index_set, gamma, value, note)``.
     """
     field = decomp.field
-    if samples is None:
-        samples = sample_set(field.sampling_box(), field.T)
+    samples = _samples(field, samples)
     pattern = sparsity_pattern(decomp, samples)
     n = field.n
     if not pattern.any():
@@ -324,8 +317,7 @@ def check_split_condition(field: CoefficientField, split_spec="identity",
     Returns ``(decomp, delta, nu_hat_value, verdict)`` with the decomposition
     carrying the chosen index set and gamma.
     """
-    if samples is None:
-        samples = sample_set(field.sampling_box(), field.T)
+    samples = _samples(field, samples)
     if isinstance(split_spec, Decomposition):
         decomp = split_spec
         if index_set is not None:
@@ -395,8 +387,7 @@ def check_classical(field: CoefficientField, which: str,
     """
     if which not in CLASSICAL:
         raise ValueError(f"unknown classical condition {which!r}")
-    if samples is None:
-        samples = sample_set(field.sampling_box(), field.T)
+    samples = _samples(field, samples)
     n = field.n
     if which in ("cordes", "talenti") and n < 3:
         return Verdict(ok=None, margin=None, applicable=False,
@@ -436,8 +427,7 @@ def full_report(field: CoefficientField, split_spec="identity",
                 samples: SampleSet | None = None,
                 index_set=None, gamma=None) -> ConditionReport:
     """Run the split condition and all four classical checks."""
-    if samples is None:
-        samples = sample_set(field.sampling_box(), field.T)
+    samples = _samples(field, samples)
     decomp, delta, value, split_verdict = check_split_condition(
         field, split_spec, samples, index_set=index_set, gamma=gamma)
     verdicts = {"split_condition": split_verdict}

@@ -232,6 +232,14 @@ def sample_set(box: Box, T: float, space: int = 9, time: int = 3) -> SampleSet:
                       "box": [list(box.lo), list(box.hi)], "T": T})
 
 
+def _samples(field, samples: SampleSet | None) -> SampleSet:
+    """``samples``, or when it is None the default ``sample_set`` of the
+    field's sampling box and horizon."""
+    if samples is None:
+        return sample_set(field.sampling_box(), field.T)
+    return samples
+
+
 # ----------------------------------------------------------------------------
 # the coefficient field
 
@@ -483,8 +491,6 @@ def _memoized(samples: SampleSet, key: tuple, build):
 
 def unique_rows(flat: np.ndarray) -> np.ndarray:
     """Sorted unique rows (lexsort; much faster than unique(axis=0))."""
-    if len(flat) <= 1:
-        return flat.copy()
     order = np.lexsort(flat.T[::-1])
     srt = flat[order]
     keep = np.ones(len(srt), dtype=bool)
@@ -551,8 +557,7 @@ def decompose(field: CoefficientField, spec="identity",
     index set is the minimal vertex cover of the remainder's sparsity.
     """
     n = field.n
-    if samples is None:
-        samples = sample_set(field.sampling_box(), field.T)
+    samples = _samples(field, samples)
     if isinstance(spec, str) and spec == "identity":
         b_bar = tuple(tuple(ConstField(1.0 if i == j else 0.0)
                             for j in range(n)) for i in range(n))

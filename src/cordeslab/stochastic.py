@@ -22,17 +22,18 @@ With no ``beta`` given, each block holds the root table of ``2 b`` at
 the grid level it is stepping (see ``SDE``), so blocks share nothing but
 the read-only field and their disjoint output rows.
 
-With a constant ``beta`` and no drift, rate, records or per-step hook,
-a position is the start point plus the running sum of the increments:
-such a block adds up each chunk across its groups instead of stepping,
-with the loop's bits, and scans for first exits at step ends only the
-paths whose range over the chunk reaches a face.
+With a constant ``beta`` and no drift, rate or step hook (recording is
+one), a position is the start point plus the running sum of the
+increments: such a block adds up each chunk across its groups instead
+of stepping, with the loop's bits, and scans for first exits at step
+ends only the paths whose range over the chunk reaches a face.
 
 The path functionals of the checks (the Feynman-Kac source integral of
 ``verify_pairing`` and the arctangent phases of the characteristic
 functional) are summed per path as the paths are stepped, through a
-private per-step hook of ``simulate_paths``, so no check stores
-trajectories.  ``record=`` stays a user option, under a memory budget.
+private step hook ``(rows, y_live, disc_live, k)`` of ``simulate_paths``,
+so no check stores trajectories.  ``record=`` stays a user option, under
+a memory budget, and is one more step hook.
 
 Simulation and the samplers need numpy alone: the checks that solve
 import the solver where they call it, and the Gaussian sampler imports
@@ -318,15 +319,18 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
     first paths of a larger ensemble are those of a smaller one.  A block
     draws its noise in chunks of steps of at most its worker's share of
     ``_NOISE_FLOATS`` over its groups, none once no path is alive.  With
-    a constant beta, no drift, no rate, no ``record`` and no hook, a
-    block adds up each chunk as running sums instead of stepping: the
-    same bits, exits still detected at step ends.
+    a constant beta, no drift, no rate and no step hook, a block adds up
+    each chunk as running sums instead of stepping: the same bits, exits
+    still detected at step ends.
 
-    ``_on_step(start, ids, y_live, disc_live, k)`` (private) is called at
-    the top of step ``k`` of a block starting at path ``start``, before
-    that step's rate update and increment, with the block-local ids of
-    the paths still alive, their positions and their discounts (not to
-    be modified).  Calls of different blocks may run concurrently.
+    A step hook ``(rows, y_live, disc_live, k)`` is called at the top of
+    step ``k``, before that step's rate update and increment, with the
+    output rows of a block's live paths (a slice or ascending indices),
+    their positions and their discounts (not to be modified); calls of
+    different blocks may run concurrently.  ``_on_step`` (private) is
+    one.  Recording is another: it stores the live paths at a record
+    step, and after the run each path's record columns from the step it
+    stopped at are filled with its final position and discount.
     """
     if dt <= 0 or M < 1:
         raise ValueError("need dt > 0 and M >= 1")
@@ -337,23 +341,27 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
     lam_real = sde.field.lambda_is_real
     disc_dtype = float if lam_real else complex
 
-    if record is None:
-        rec_idx = None
-    elif isinstance(record, str) and record == "all":
+    rec_idx = traj = disc_traj = None
+    if isinstance(record, str) and record == "all":
         rec_idx = np.arange(nsteps + 1)
-    else:
+    elif record is not None:
         rec_idx = np.unique(np.clip(np.round(np.asarray(record, dtype=float)
                                              / dt).astype(int), 0, nsteps))
+    hooks = [] if _on_step is None else [_on_step]
     if rec_idx is not None:
         if M * len(rec_idx) * (n + 1) > _MAX_RECORD_FLOATS:
             raise MemoryError("trajectory recording would exceed the budget; "
                               "record fewer times or fewer paths")
         traj = np.empty((M, len(rec_idx), n))
-        disc_traj = np.zeros((M, len(rec_idx)), dtype=disc_dtype)
-        rec_pos = {int(k): i for i, k in enumerate(rec_idx)}
-    else:
-        traj = disc_traj = None
-        rec_pos = {}
+        disc_traj = np.empty((M, len(rec_idx)), dtype=disc_dtype)
+
+        def record_step(rows, y_live, disc_live, k):
+            # the live paths at a record step; the columns of stopped
+            # paths are filled after the run
+            if k in rec_idx:
+                i = np.searchsorted(rec_idx, k)
+                traj[rows, i], disc_traj[rows, i] = y_live, disc_live
+        hooks.append(record_step)
 
     a = sampler.sample(_stream(master_seed), M)
     if a.shape != (M, n):
@@ -370,8 +378,7 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
     sqdt = np.sqrt(dt)
     bounds, workers = _partition(M)
     budget = _NOISE_FLOATS // workers   # noise values in flight per worker
-    sums = (const_beta is not None and f_zero and lam_zero and _on_step is None
-            and rec_idx is None)
+    sums = const_beta is not None and f_zero and lam_zero and not hooks
 
     def scale(xi):
         # (sqdt * xi) @ beta^T of the constant beta, in place in the
@@ -446,7 +453,7 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
 
     def run_block(start: int, end: int):
         # the block's rows of the outputs; live paths are stepped in
-        # compacted copies and written back on exit and at record times
+        # compacted copies and written back on exit and at the end
         y, tau_b, disc_b = (final_y[start:end], tau[start:end],
                             discount[start:end])
         if domain is not None:
@@ -462,36 +469,26 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
             return
         y_live, disc_live = y[ids], disc_b[ids]
         held = None     # the block's derived beta table, one level's
-
-        def settle(cols):
-            # the live paths written back and, when recording, the block
-            # stored at the record columns cols (a path past its exit
-            # frozen there)
-            y[ids] = y_live
-            disc_b[ids] = disc_live
-            if traj is not None:
-                traj[start:end, cols] = y[:, None]
-                disc_traj[start:end, cols] = disc_b[:, None]
-        k = -1      # the last step entered
         for k0, buf in chunks(gens, lambda: len(ids)):
             flat = buf.reshape(-1, n)
-            # a live path's row of step k is rows + (k - k0) * _GROUP
-            rows = ids + ids // _GROUP * ((len(buf[0]) - 1) * _GROUP)
+            # a live path's noise of step k is row slots + (k - k0) * _GROUP
+            slots = ids + ids // _GROUP * ((len(buf[0]) - 1) * _GROUP)
             for k in range(k0, k0 + len(buf[0])):
-                if k in rec_pos:
-                    settle(slice(rec_pos[k], rec_pos[k] + 1))
                 if not len(ids):
                     break
                 t_k = k * dt
-                if _on_step is not None:
-                    _on_step(start, ids, y_live, disc_live, k)
+                if hooks:
+                    rows = _rows(start, ids)
+                    for hook in hooks:
+                        hook(rows, y_live, disc_live, k)
+                    del rows    # not held through the step's temporaries
                 if not lam_zero:
                     lam = sde.field.eval_lambda(y_live, t_k)
                     disc_live += (lam.real if lam_real else lam) * dt
                 if sde.field.beta is None:     # derived beta
                     held = sde.beta_table(t_k, held)
                 y_live += increment(
-                    y_live, np.take(flat, rows + (k - k0) * _GROUP, axis=0),
+                    y_live, np.take(flat, slots + (k - k0) * _GROUP, axis=0),
                     t_k, held)
                 if domain is not None:
                     out = ~domain.contains(y_live, open_set=True)
@@ -500,9 +497,9 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
                         y[gone] = y_live[out]
                         disc_b[gone] = disc_live[out]
                         tau_b[gone] = (k + 1) * dt
-                        ids, rows, y_live, disc_live = (
-                            v[~out] for v in (ids, rows, y_live, disc_live))
-        settle(slice(sum(s <= k for s in rec_pos), None))   # records to come
+                        ids, slots, y_live, disc_live = (
+                            v[~out] for v in (ids, slots, y_live, disc_live))
+        y[ids], disc_b[ids] = y_live, disc_live
 
     if len(bounds) == 2:
         run_block(0, M)
@@ -515,6 +512,15 @@ def simulate_paths(sde: SDE, sampler, dt: float, M: int, master_seed: int,
         finally:
             pool.shutdown(cancel_futures=True)
 
+    if traj is not None:
+        # a path's record columns from the step it stopped at (its exit
+        # step, nsteps for a survivor, 0 for a start outside the box) hold
+        # its final position and discount; a coordinate at a time, as a
+        # mask broadcast along the coordinates is copied about 3x slower
+        stopped = rec_idx >= np.rint(tau / dt)[:, None]
+        for j in range(n):
+            np.copyto(traj[..., j], final_y[:, j, None], where=stopped)
+        np.copyto(disc_traj, discount[:, None], where=stopped)
     return PathEnsemble(M=M, dt=dt, nsteps=nsteps, master_seed=master_seed,
                         T=T, n=n, final_y=final_y, tau=tau, exited=tau < T,
                         discount=discount,
@@ -582,8 +588,8 @@ def _streamed_source(sde: SDE, sampler, dt: float, M: int,
     source = np.zeros(M, dtype=complex)
     h = _step_count(sde.T, dt)[1]
 
-    def integrate(start, ids, y_live, disc_live, k):
-        source[_rows(start, ids)] += _eval_points(phi, y_live, k * h) * \
+    def integrate(rows, y_live, disc_live, k):
+        source[rows] += _eval_points(phi, y_live, k * h) * \
             np.exp(-disc_live) * h
     return simulate_paths(sde, sampler, dt, M, master_seed, record,
                           _on_step=integrate), source
@@ -712,8 +718,8 @@ def _characteristic_panel_mc(sde: SDE, sampler, dt: float, M: int,
         phase[:, rows] += inc
 
     ens = simulate_paths(sde, sampler, dt, M, master_seed,
-                         _on_step=lambda start, ids, y_live, disc_live, k:
-                         add(_rows(start, ids), np.arctan(y_live), k))
+                         _on_step=lambda rows, y_live, disc_live, k:
+                         add(rows, np.arctan(y_live), k))
     gone = np.flatnonzero(ens.exited)
     first = np.rint(ens.tau[gone] / dt).astype(np.int64)  # first frozen step
     order = np.argsort(first, kind="stable")

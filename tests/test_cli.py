@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -618,6 +619,56 @@ def test_verify_tolerance_failure_exit_2(tmp_path):
             "verify.density.l1 = 1e-9\n"   # unreachable threshold
             f"out.dir = {tmp_path / 'out'}\n")
     assert run(tmp_path, "v.cfg", text, "verify") == 2
+
+
+def test_verify_maximum_principle_failure_exit_2(tmp_path):
+    # so strong a correlation of the axes takes the march below 0 under
+    # nonnegative terminal data on this coarse grid; the pairing passes
+    (tmp_path / "field.cfg").write_text(
+        "n = 2\nT = 0.1\ndomain.lo = -1 -1\ndomain.hi = 1 1\n"
+        "b[1][1] = 1\nb[1][2] = 0.9\nb[2][1] = 0.9\nb[2][2] = 1\n")
+    text = ("problem.file = field.cfg\ngrid.m = 15\ngrid.nt = 16\n"
+            'solve.Phi = "step(0.2 - abs(x1 - x2))"\n'
+            "mc.M = 2000\nmc.dt = 0.005\n"
+            f"out.dir = {tmp_path / 'out'}\n")
+    assert run(tmp_path, "v.cfg", text, "verify") == 2
+    checks = json.loads(
+        (tmp_path / "out" / "verify.json").read_text())["checks"]
+    assert checks["pairing"]["pass"] is True
+    assert checks["max_principle"]["verdict"] == "fail"
+    assert checks["max_principle"]["min"] == pytest.approx(-0.025, abs=1e-3)
+
+
+def test_characteristic_without_a_panel_exit_1(tmp_path, capsys):
+    text = TINY_MC + f"out.dir = {tmp_path / 'out'}\n"
+    assert run(tmp_path, "c.cfg", text, "characteristic") == 1
+    assert _one_error_line(capsys) == \
+        "error: characteristic needs characteristic.panel\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "characteristic"])
+def test_command_without_a_grid_exit_1(tmp_path, capsys, command):
+    (tmp_path / "panel.csv").write_text("t,xi1\n0.0,1.0\n")
+    text = (TINY_MC.replace("grid.m = 31\ngrid.nt = 8\n", "")
+            + "characteristic.panel = panel.csv\n"
+            + f"out.dir = {tmp_path / 'out'}\n")
+    assert run(tmp_path, "a.cfg", text, command) == 1
+    assert _one_error_line(capsys) == \
+        "error: this command needs grid.m and grid.nt\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_of_one_path_reports_no_spread(tmp_path):
+    # one path has no sample variance: its standard error reads 0, and
+    # no warning of a variance without degrees of freedom is raised
+    text = (TINY_MC.replace("mc.M = 400", "mc.M = 1")
+            + f"out.dir = {tmp_path / 'out'}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(tmp_path, "m.cfg", text, "simulate") == 0
+    estimate = json.loads(
+        (tmp_path / "out" / "ensemble.json").read_text())["estimate"]
+    assert estimate["M"] == 1 and estimate["stderr"] == 0.0
 
 
 def test_characteristic_malformed_panel_exit_1(tmp_path, capsys):

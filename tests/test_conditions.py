@@ -66,6 +66,16 @@ def test_delta_oscillating_field_against_grid_oracle():
     assert abs(delta - 1.1) <= 1e-6
 
 
+def test_delta_of_a_field_reads_its_full_b_on_its_own_lattice():
+    # b = [[2 + x1, 0.5], [0.5, 2 + x1]] has eigenvalues 2 + x1 -+ 0.5,
+    # the least 1.5 at x1 = 0, a node of the default lattice
+    f = make_field(2, 1.0, Box((0.0, 0.0), (1.0, 1.0)),
+                   [["2 + x1", "0.5"], ["0.5", "2 + x1"]])
+    delta = ellipticity_delta(f)
+    assert delta == ellipticity_delta(f, sample_set(f.sampling_box(), f.T))
+    assert delta == pytest.approx(1.5, rel=1e-12)
+
+
 def test_delta_rejects_nonelliptic():
     with pytest.raises(ValueError, match="not uniformly elliptic"):
         ellipticity_delta(np.diag([1.0, 0.0]))
@@ -405,6 +415,20 @@ def test_split_condition_benchmark_thresholds():
     f = builtin_problem("paper_3x3", {"alpha": 1.1, "beta": 0.0})  # 1.21
     _, _, value, verdict = check_split_condition(f)
     assert not verdict.ok and value > 1.0
+
+
+def test_split_condition_of_a_decomposition_on_a_given_index_set():
+    # a decomposition carrying the minimal cover (1,) is checked on the
+    # index set given beside it, as a split spec with that set would be
+    f = builtin_problem("paper_3x3", {"alpha": 0.9, "beta": 0.4})
+    decomp = decompose(f, "identity")
+    assert decomp.index_set == (1,)
+    got = check_split_condition(f, decomp, index_set=(1, 2, 3))
+    want = check_split_condition(f, "identity", index_set=(1, 2, 3))
+    assert got[0].index_set == want[0].index_set == (1, 2, 3)
+    assert got[0].gamma == want[0].gamma
+    assert got[1:3] == want[1:3]
+    assert got[3].ok is want[3].ok is False     # (1,) alone passes
 
 
 def test_split_condition_sufficient_frobenius_bound():

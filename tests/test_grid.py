@@ -393,8 +393,11 @@ def test_norms_of_a_large_block_peak_below_half_a_block(m, nt,
 
 def test_norms_of_a_block_peak_below_three_block_sizes():
     rng = np.random.default_rng(17)
-    # the proof mirror's 49 x 17^3 blocks: one padded block and one
-    # difference buffer, no temporaries of the block's size
+    # the proof mirror's 49 x 17^3 blocks: the norm forms its terms over
+    # chunks of at most _NORM_BYTES (1 MiB) of levels, here two chunks
+    # cover the block, and holds a few of them at once (traced at 1.40
+    # blocks); test_norms_of_a_large_block_peak_below_half_a_block sets
+    # the sharper bound
     g = build_grid(Box((-1.0,) * 3, (1.0,) * 3), 17, nt=48, T=0.25)
     u = GridFunction(g, rng.standard_normal((g.nt + 1,) + g.shape))
     tracemalloc.start()

@@ -581,6 +581,16 @@ def test_step_rejects_non_finite_coefficients(monkeypatch, bad, theta,
     assert all(assembled) and len(assembled) == (2 if adjoint else 3)
 
 
+def test_singular_step_system_raises():
+    # with b = 0 and a rate of -8, the step matrix of dt = 0.125 is
+    # 1 - 8 dt = 0 on every node: its factorization fails by name
+    f = make_field(1, 0.5, Box((0.0,), (1.0,)), [[0.0]], lam=-8.0)
+    g = build_grid(f.domain, 7, nt=4, T=f.T)
+    with pytest.raises(solver.SolverError,
+                       match="step system of size 7 is singular"):
+        solve_backward(BackwardProblem(f, Phi=np.ones(g.shape)), g)
+
+
 @pytest.mark.parametrize("lam,theta", [(0.4, 1.0), ((0.2, 0.7), 1.0),
                                        (0.1, 0.5)])
 def test_discrete_duality_random_problems(lam, theta):

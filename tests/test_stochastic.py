@@ -327,7 +327,7 @@ def test_every_core_gets_a_block(monkeypatch):
             assert len(sizes) % workers == 0 or len(sizes) == groups
 
 
-def no_step_hook(start, ids, y_live, disc_live, k):
+def no_step_hook(rows, y_live, disc_live, k):
     """Does nothing; any per-step hook keeps the step loop."""
 
 
