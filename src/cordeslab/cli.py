@@ -29,9 +29,9 @@ from .config import ConfigError, RunConfig
 from .expr import ExprEvalError
 from .linalg import SolverError, _usable_cores
 from .stochastic import (SDE, PointSampler, _characteristic_panel_mc,
-                         _characteristic_panel_pde, _streamed_source,
-                         density_compare, feynman_kac, max_principle_check,
-                         simulate_paths, verify_pairing)
+                         _characteristic_panel_pde, _path_estimate,
+                         _streamed_source, density_compare,
+                         max_principle_check, verify_pairing)
 
 if TYPE_CHECKING:
     from .solver import BackwardProblem, FixedPointTrace
@@ -261,14 +261,16 @@ def _error_table(cfg: RunConfig, grid, solution) -> float:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    sde = SDE(cfg.field, cfg.grid)
-    ens = simulate_paths(sde, cfg.sampler, cfg.mc_dt, cfg.mc_M, cfg.mc_seed)
+    # the Feynman-Kac functional of phi and Phi; with neither, the
+    # survival probability (Phi = 1)
+    Phi = (cfg.Phi if cfg.phi is not None or cfg.Phi is not None
+           else lambda x: np.ones(len(x)))
+    ens, vals = _streamed_source(SDE(cfg.field, cfg.grid), cfg.sampler,
+                                 cfg.mc_dt, cfg.mc_M, cfg.mc_seed, cfg.phi,
+                                 Phi)
     payload = _base_payload(cfg)
     payload["ensemble"] = ens.summary()
-    if cfg.Phi is not None or cfg.phi is None:
-        est = feynman_kac(ens, Phi=cfg.Phi if cfg.Phi is not None
-                          else (lambda x: np.ones(len(x))))
-        payload["estimate"] = est.as_dict()
+    payload["estimate"] = _path_estimate(vals, ens).as_dict()
     _write_json(cfg.out_dir / "ensemble.json", payload)
     if cfg.dump_paths:
         out = cfg.out_dir / "paths.csv"
@@ -294,7 +296,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     # ensemble the pairing and the density check
     solution = solve_backward(problem, grid, cfg.theta)
     streamed = _streamed_source(sde, sampler, cfg.mc_dt, cfg.mc_M,
-                                cfg.mc_seed, problem.phi,
+                                cfg.mc_seed, problem.phi, problem.Phi,
                                 cfg.density_times or None)
     pairing = verify_pairing(problem, grid, sde, sampler, cfg.mc_dt,
                              cfg.mc_M, cfg.mc_seed, cfg.theta,

@@ -548,10 +548,11 @@ class _Splitting:
     ``A``, and the weighted norm of the increments (``norm``).
 
     The bump-smoothed coefficients (three kernel taps per radius along each
-    axis) are computed once per level, or once for a static field, by the
-    stepper's source, a closure over their memo.  ``R``, assembled like
-    ``A`` from the coefficient differences, is held for the current level
-    as a step system is.  Every cache is keyed by the level ``k`` (0 for a
+    axis) are computed once per level, or once when neither the field nor
+    the reference part ``b_bar`` reads ``t``, by the stepper's source, a
+    closure over their memo.  ``R``, assembled like ``A`` from the
+    coefficient differences, is held for the current level as a step
+    system is.  Every cache is keyed by the level ``k`` (0 for a
     static operator), never by a time, and none refers back to the
     splitting.  One stepper serves every march of a solve or an R-norm
     estimate, so a static operator's smooth step matrix is factorized once.
@@ -583,10 +584,12 @@ class _Splitting:
                     decomp.b_bar, decomp.field, grid.nodes(), float(eps),
                     [float(eps) / 3.0] * grid.n, t)
             return smoothed[key]
-        self.stepper = _Stepper(grid, theta, smooth,
-                                decomp.field.time_dependent)
-        self.time_dependent = (problem.field.time_dependent
-                               or decomp.field.time_dependent)
+        # the smooth part moves with the field or with a reference part
+        # that reads t, and the remainder with either or the problem's
+        moving = decomp.field.time_dependent or any(
+            e.time_dependent for row in decomp.b_bar for e in row)
+        self.stepper = _Stepper(grid, theta, smooth, moving)
+        self.time_dependent = problem.field.time_dependent or moving
         self._held = None  # (level key, R)
 
     def norm(self, block: np.ndarray) -> float:

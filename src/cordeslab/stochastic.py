@@ -28,11 +28,12 @@ increments: such a block adds up each chunk across its groups instead
 of stepping, with the loop's bits, and scans for first exits at step
 ends only the paths whose range over the chunk reaches a face.
 
-The path functionals of the checks (the Feynman-Kac source integral of
-``verify_pairing`` and the arctangent phases of the characteristic
-functional) are summed per path as the paths are stepped, through a
-private step hook ``(rows, y_live, disc_live, k)`` of ``simulate_paths``,
-so no check stores trajectories.  ``record=`` stays a user option, under
+The path functionals (the Feynman-Kac functional that ``simulate``
+reports and ``verify_pairing`` checks, ``_streamed_source``, and the
+arctangent phases of the characteristic functional) are summed per path
+as the paths are stepped, through a private step hook ``(rows, y_live,
+disc_live, k)`` of ``simulate_paths``, so no command stores
+trajectories for them.  ``record=`` stays a user option, under
 a memory budget, and is one more step hook.
 
 Simulation and the samplers need numpy alone: the checks that solve
@@ -579,20 +580,23 @@ def _path_estimate(vals: np.ndarray, ensemble: PathEnsemble) -> Estimate:
 
 
 def _streamed_source(sde: SDE, sampler, dt: float, M: int,
-                     master_seed: int, phi, record=None):
+                     master_seed: int, phi, Phi=None, record=None):
     """An ensemble recorded at ``record`` and, per path, ``feynman_kac``'s
-    discounted source integral of ``phi`` (``None`` without a source),
-    summed in step order while the paths are stepped."""
-    if phi is None:
-        return simulate_paths(sde, sampler, dt, M, master_seed, record), None
-    source = np.zeros(M, dtype=complex)
+    functional of ``phi`` and ``Phi``: the discounted source integral,
+    summed in step order while the paths are stepped, plus the terminal
+    value.  Without a source it passes no step hook, so a run without
+    drift, rate or recording on a constant beta keeps the running-sums
+    engine."""
+    vals = np.zeros(M, dtype=complex)
     h = _step_count(sde.T, dt)[1]
 
     def integrate(rows, y_live, disc_live, k):
-        source[rows] += _eval_points(phi, y_live, k * h) * \
+        vals[rows] += _eval_points(phi, y_live, k * h) * \
             np.exp(-disc_live) * h
-    return simulate_paths(sde, sampler, dt, M, master_seed, record,
-                          _on_step=integrate), source
+    ens = simulate_paths(sde, sampler, dt, M, master_seed, record,
+                         _on_step=None if phi is None else integrate)
+    vals += _terminal_values(ens, Phi)
+    return ens, vals
 
 
 def verify_pairing(problem: BackwardProblem, grid: Grid, sde: SDE, sampler,
@@ -606,21 +610,17 @@ def verify_pairing(problem: BackwardProblem, grid: Grid, sde: SDE, sampler,
     standard error and a recorded (not asserted) size bound ratio.
     ``solution`` is the problem's backward solution on ``grid`` with
     ``theta`` when the caller has it already; it is solved otherwise.
-    The path functional is ``feynman_kac``'s, with the source integral
-    summed per path as the paths are stepped (nothing is recorded) and
-    the terminal term added after it.  ``_streamed`` (private) passes in
-    ``_streamed_source``'s result for the same arguments.
+    The path functional is ``_streamed_source``'s (nothing is recorded).
+    ``_streamed`` (private) passes in its result for the same arguments.
     """
     from .solver import apriori_ratio, solve_backward
     if solution is None:
         solution = solve_backward(problem, grid, theta)
     rho_grid = sampler.grid_density(grid)
     pde_value = pair(GridFunction(grid, solution.v.values[0]), rho_grid)
-    ens, source = _streamed or _streamed_source(sde, sampler, dt, M,
-                                                master_seed, problem.phi)
-    vals = _terminal_values(ens, problem.Phi)
-    if source is not None:
-        vals += source
+    ens, vals = _streamed or _streamed_source(sde, sampler, dt, M,
+                                              master_seed, problem.phi,
+                                              problem.Phi)
     mc = _path_estimate(vals, ens)
     diff = abs(complex(pde_value) - complex(mc.value))
     rho_norm = float(np.sqrt(np.sum(np.abs(rho_grid) ** 2) * grid.cell_volume))

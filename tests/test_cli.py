@@ -540,6 +540,74 @@ def test_simulate_summary(tmp_path):
     assert len(paths) == 501
 
 
+def test_simulate_and_verify_report_one_functional(tmp_path):
+    # simulate's estimate is verify's Monte Carlo side of the pairing:
+    # source integral and terminal value of the same paths, to the bit
+    text = TINY_MC.replace("mc.M = 400", "mc.M = 3000") + (
+        'solve.phi = "exp(-x1^2)"\nsolve.Phi = "x1^2"\n')
+    assert run(tmp_path, "s.cfg", text + f"out.dir = {tmp_path / 's'}\n",
+               "simulate") == 0
+    assert run(tmp_path, "v.cfg", text + f"out.dir = {tmp_path / 'v'}\n",
+               "verify") in (0, 2)
+    estimate = json.loads((tmp_path / "s" / "ensemble.json").read_text())
+    checks = json.loads((tmp_path / "v" / "verify.json").read_text())
+    assert estimate["estimate"] == checks["checks"]["pairing"]["mc"]
+    assert estimate["estimate"]["M"] == 3000
+
+
+def test_simulate_of_a_source_alone_reports_its_functional(tmp_path):
+    from cordeslab import stochastic
+    from cordeslab.config import RunConfig
+    text = TINY_MC + ('solve.phi = "exp(-x1^2)"\n'
+                      f"out.dir = {tmp_path / 'out'}\n")
+    assert run(tmp_path, "s.cfg", text, "simulate") == 0
+    cfg = RunConfig.load(tmp_path / "s.cfg")
+    ens, vals = stochastic._streamed_source(
+        stochastic.SDE(cfg.field, cfg.grid), cfg.sampler, cfg.mc_dt,
+        cfg.mc_M, cfg.mc_seed, cfg.phi)
+    estimate = json.loads(
+        (tmp_path / "out" / "ensemble.json").read_text())["estimate"]
+    assert estimate == stochastic._path_estimate(vals, ens).as_dict()
+    assert estimate["re"] > 0.0
+
+
+def test_simulate_reads_the_recorded_feynman_kac_functional(tmp_path):
+    # manufactured_1d ships phi and Phi: the streamed functional of both is
+    # the recorded route's, summed in another order (u(0.5, 0) = 1 up to
+    # the exit bias of the scheme)
+    from cordeslab import stochastic
+    from cordeslab.config import RunConfig
+    text = ("problem.builtin = manufactured_1d\nmc.M = 2000\nmc.dt = 1e-3\n"
+            "mc.seed = 3\nmc.sampler = point\nmc.sampler.at = 0.5\n"
+            f"out.dir = {tmp_path / 'out'}\n")
+    assert run(tmp_path, "s.cfg", text, "simulate") == 0
+    cfg = RunConfig.load(tmp_path / "s.cfg")
+    ens = stochastic.simulate_paths(stochastic.SDE(cfg.field, cfg.grid),
+                                    cfg.sampler, cfg.mc_dt, cfg.mc_M,
+                                    cfg.mc_seed, record="all")
+    want = stochastic.feynman_kac(ens, cfg.phi, cfg.Phi)
+    estimate = json.loads(
+        (tmp_path / "out" / "ensemble.json").read_text())["estimate"]
+    assert estimate["re"] == pytest.approx(want.value.real, rel=1e-12)
+    assert estimate["stderr"] == pytest.approx(want.stderr, rel=1e-12)
+    assert estimate["re"] == pytest.approx(1.0, abs=0.2)
+
+
+def test_simulate_without_a_source_steps_with_no_hook(tmp_path, monkeypatch):
+    # no step hook, so a constant-beta run keeps its running-sums engine
+    from cordeslab import stochastic
+    hooks = []
+    simulate = stochastic.simulate_paths
+
+    def counted(*args, **kwargs):
+        hooks.append(kwargs.get("_on_step"))
+        return simulate(*args, **kwargs)
+    monkeypatch.setattr(stochastic, "simulate_paths", counted)
+    text = TINY_MC + f"out.dir = {tmp_path / 'out'}\n"
+    assert run(tmp_path, "s.cfg", text, "simulate") == 0
+    assert hooks == [None]
+
+
 @pytest.mark.parametrize("sampler", [
     "gaussian\nmc.sampler.sigma = 1.0", "uniform", "hat"],
     ids=["gaussian", "uniform", "hat"])
@@ -1602,7 +1670,6 @@ def test_solve_on_one_core_writes_the_same_bytes(tmp_path):
 
 
 def test_verify_simulates_its_ensemble_once(tmp_path, monkeypatch):
-    import cordeslab.cli as cli
     import cordeslab.stochastic as stochastic
     runs = []
     simulate = stochastic.simulate_paths
@@ -1610,7 +1677,6 @@ def test_verify_simulates_its_ensemble_once(tmp_path, monkeypatch):
     def counted(*args, **kwargs):
         runs.append(args)
         return simulate(*args, **kwargs)
-    monkeypatch.setattr(cli, "simulate_paths", counted)
     monkeypatch.setattr(stochastic, "simulate_paths", counted)
     text = TINY_MC + ('solve.Phi = "x1^2"\nsolve.phi = "1"\n'
                       "verify.density.times = 0.05\n"

@@ -922,6 +922,30 @@ def test_fixed_point_smooths_each_level_once(monkeypatch, case, theta):
     assert len(times) == (g.nt if prob.field.time_dependent else 1)
 
 
+def test_fixed_point_follows_a_reference_part_that_reads_t(monkeypatch):
+    # a static field split against a moving b_bar: the smooth part and the
+    # remainder are both frozen at each level's t_eval, so the smoothing
+    # runs once per level, at that level's time, and the construction
+    # still reaches the direct solve
+    f = make_field(2, 0.5, Box((-1, -1), (1, 1)),
+                   [["1 + 0.2*step(x1)", "0.1*sign(x2)"],
+                    ["0.1*sign(x2)", "1"]])
+    d = decompose(f, [["1 + 0.5*t", 0], [0, 1]],
+                  index_set=(1, 2)).with_gamma({1: 1.0, 2: 1.0})
+    g = build_grid(f.domain, (15, 15), 8, f.T)
+    prob = BackwardProblem(f, Phi=bump_2d_or_3d)
+    assert not f.time_dependent
+    direct = solve_backward(prob, g)
+    times = []
+    smooth = solver._smooth_parts
+    monkeypatch.setattr(solver, "_smooth_parts",
+                        lambda *a: times.append(a[-1]) or smooth(*a))
+    _, trace = fixed_point_solve(prob, g, d, direct=direct)
+    assert times == [0.0625 * k for k in range(7, -1, -1)]
+    assert trace.converged
+    assert trace.agreement <= 1e-8 * np.abs(direct.v.values).max()
+
+
 @pytest.mark.parametrize("case", [rough_timedep_2d, paper_benchmark])
 def test_fixed_point_reads_the_rough_coefficients_once_per_level_and_sweep(
         monkeypatch, case):
